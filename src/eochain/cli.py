@@ -179,22 +179,14 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _sweep_one(payload: tuple) -> str:
-    scenario_dict, seed, out_dir, fmt, injected = payload
-    from .scenario_io import scenario_from_dict
-
-    scenario = scenario_from_dict(scenario_dict)
-    scenario = dataclasses.replace(scenario, seed=seed)
+    scenario, out, fmt, injected = payload
     trace = engine.run(scenario, injected_events=injected)
     report = metrics.build_service_report(trace, scenario.archetype.mmu_ha)
-    out = Path(out_dir)
-    for p in _emit(report, out, f"run_report_seed{seed}", fmt):
-        pass
-    return f"seed {seed}: ttfi p50={report.summary['ttfi_p50_s']}"
+    _emit(report, out, f"run_report_seed{scenario.seed}", fmt)
+    return f"seed {scenario.seed}: ttfi p50={report.summary['ttfi_p50_s']}"
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    from .scenario_io import scenario_to_dict
-
     scenario = _load(args)
     if args.runs < 1:
         raise ValidationError("--runs must be at least 1")
@@ -202,7 +194,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     payloads = [
-        (scenario_to_dict(scenario), scenario.seed + k, str(out), args.format, injected)
+        (dataclasses.replace(scenario, seed=scenario.seed + k), out, args.format, injected)
         for k in range(args.runs)
     ]
     if args.jobs > 1:

@@ -43,27 +43,6 @@ class TransferResult:
     completion_times: dict[str, float]
 
 
-class ProductQueue:
-    """Per-satellite store ordered by (priority, created, id); ids unique."""
-
-    def __init__(self) -> None:
-        self._products: dict[str, DataProduct] = {}
-
-    def enqueue(self, product: DataProduct) -> None:
-        if product.id in self._products:
-            raise ValidationError(f"duplicate product id: {product.id}")
-        self._products[product.id] = product
-
-    def __len__(self) -> int:
-        return len(self._products)
-
-    def __contains__(self, product_id: str) -> bool:
-        return product_id in self._products
-
-    def ordered(self) -> list[DataProduct]:
-        return sorted(self._products.values(), key=lambda p: (p.priority, p.created, p.id))
-
-
 def exclusive_link_intervals(windows_by_station: Mapping[str, Sequence[Window]]) -> list[LinkInterval]:
     """Resolve overlapping contacts: earliest window start wins, ties by station id.
 
@@ -128,27 +107,31 @@ def _drain_interval(
 
 
 def simulate_transfers(
-    queues: Mapping[str, ProductQueue],
+    queues: Mapping[str, Sequence[DataProduct]],
     contact_table: Mapping[tuple[str, str], Sequence[Window]],
     rates_mbit_s: Mapping[str, float],
 ) -> TransferResult:
     """Run every satellite's queue through its contact windows.
 
-    Products become eligible at their creation time; within a window the
-    eligible queue minimum drains non-preemptively until it completes or the
-    window closes.  Bit accounting is exact: partial progress persists across
-    windows and a product completes precisely when its whole volume has moved.
+    ``queues`` maps each satellite to the products it stores, in any order;
+    product ids must be unique within a satellite.  Products become eligible
+    at their creation time; within a window the eligible queue minimum, by
+    (priority, creation time, id), drains non-preemptively until it completes
+    or the window closes.  Bit accounting is exact: partial progress persists
+    across windows and a product completes precisely when its whole volume
+    has moved.
     """
     records: list[TransferRecord] = []
     completions: dict[str, float] = {}
     for sat_id in sorted(queues):
-        queue = queues[sat_id]
         windows_by_station: dict[str, Sequence[Window]] = {
             stn_id: ws for (s, stn_id), ws in contact_table.items() if s == sat_id
         }
         intervals = exclusive_link_intervals(windows_by_station)
-        ordered = queue.ordered()
+        ordered = sorted(queues[sat_id], key=lambda p: (p.priority, p.created, p.id))
         products = {p.id: p for p in ordered}
+        if len(products) < len(ordered):
+            raise ValidationError(f"duplicate product id in the queue of {sat_id}")
         arrivals: list[tuple[float, int, str]] = [
             (p.created, i, p.id) for i, p in enumerate(ordered)
         ]

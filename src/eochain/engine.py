@@ -1,40 +1,43 @@
-"""Deterministic discrete-event kernel: clock, ordered event queue, rng streams.
+"""Deterministic simulation kernel: a pipeline of pure stages and rng streams.
 
-A run is a pure function of (scenario, injected events).  All randomness
-derives from counter-based streams keyed by (master seed, domain label,
-entity id), so toggling the architecture mode of a scenario never perturbs
-event generation, cloud draws or detection draws: the two arms of an A/B
-comparison see common random numbers.
+A run is a pure function of (scenario, injected events).  Each stage of the
+service chain (ground truth, geometry, tasking, acquisitions, scene
+processing, downlink, ground and marketplace) is one function of the
+outputs before it; the timeline of chain milestones is assembled last.  All
+randomness derives from counter-based streams keyed by (master seed, domain
+label, entity id), so toggling the processing location of a scenario never
+perturbs event generation, cloud draws or detection draws: the two arms of
+an A/B comparison see common random numbers.
 """
 
 from __future__ import annotations
 
 import hashlib
-import heapq
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
 from . import events as events_mod
 from . import onboard, tasking
-from .downlink import ProductQueue, TransferRecord, simulate_transfers
-from .ground import Marketplace, MarketplaceRecord, pdgs_process
+from .downlink import TransferRecord, TransferResult, simulate_transfers
+from .ground import Marketplace, MarketplaceRecord, pdgs_done, pdgs_process
 from .model import (
     AcquisitionMode,
     DataProduct,
     FireEvent,
     ProcessingLocation,
-    ProductKind,
     Scenario,
     Triggering,
     ValidationError,
     validate_scenario,
 )
-from .onboard import ArchitectureMode, DetectionOutcome, Scene
+from .onboard import DetectionOutcome, Scene
 from .orbit import DEFAULT_COARSE_STEP_S, Window, access_windows, contact_windows
 from .tasking import RequestBuild, TaskingPlan
+
+WindowTable = dict[tuple[str, str], list[Window]]
 
 
 def rng_stream(master_seed: int, domain_label: str, entity_id: str = "") -> np.random.Generator:
@@ -55,38 +58,20 @@ class SimEventKind(str, Enum):
     UPLINK = "Uplink"
     ACQUISITION = "Acquisition"
     PIPELINE_DONE = "PipelineDone"
-    CONTACT_OPEN = "ContactOpen"
-    CONTACT_CLOSE = "ContactClose"
     TRANSFER_DONE = "TransferDone"
     PDGS_DONE = "PdgsDone"
     DELIVERY = "Delivery"
     SIM_END = "SimEnd"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True)
 class SimEvent:
+    """One timeline entry; ``seq`` is its insertion index, the tie-break at equal times."""
+
     time: float
     seq: int
-    kind: SimEventKind = field(compare=False)
-    ref: str = field(compare=False, default="")
-
-
-class EventQueue:
-    """Min-heap of simulation events popped in strict (time, seq) order."""
-
-    def __init__(self) -> None:
-        self._heap: list[SimEvent] = []
-        self._seq = 0
-
-    def push(self, time: float, kind: SimEventKind, ref: str = "") -> None:
-        heapq.heappush(self._heap, SimEvent(time, self._seq, kind, ref))
-        self._seq += 1
-
-    def pop(self) -> SimEvent:
-        return heapq.heappop(self._heap)
-
-    def __len__(self) -> int:
-        return len(self._heap)
+    kind: SimEventKind
+    ref: str = ""
 
 
 @dataclass(frozen=True)
@@ -104,11 +89,16 @@ class AcquisitionRecord:
 
 @dataclass
 class SimulationTrace:
-    """Timestamped record of every chain milestone of one run."""
+    """Timestamped record of every chain milestone of one run.
+
+    ``timeline`` holds the chain milestones in (time, seq) order.  Contact
+    windows are geometry inputs, not milestones, so they are not timeline
+    entries.
+    """
 
     scenario_name: str
     seed: int
-    mode: ArchitectureMode
+    mode: ProcessingLocation
     horizon_s: float
     fire_events: tuple[FireEvent, ...]
     dropped_event_ids: tuple[str, ...]
@@ -147,12 +137,6 @@ class SimulationTrace:
         return {pid: p.remaining_bits for pid, p in self.products.items() if p.remaining_bits > 0}
 
 
-def _mode_of(scenario: Scenario) -> ArchitectureMode:
-    if scenario.archetype.processing_location is ProcessingLocation.HYBRID:
-        return ArchitectureMode.HYBRID
-    return ArchitectureMode.RAW_ONLY
-
-
 def _validate_injected(fire_events: Sequence[FireEvent], horizon_s: float) -> None:
     seen: set[str] = set()
     for e in fire_events:
@@ -163,6 +147,218 @@ def _validate_injected(fire_events: Sequence[FireEvent], horizon_s: float) -> No
             raise ValidationError(f"injected event {e.id} starts outside the horizon")
         if e.area_ha <= 0:
             raise ValidationError(f"injected event {e.id} has non-positive area")
+
+
+def _ground_truth(
+    scenario: Scenario, injected_events: Optional[Sequence[FireEvent]]
+) -> tuple[tuple[FireEvent, ...], tuple[str, ...], dict[str, float]]:
+    """Fire events (injected or drawn from per-AOI streams), the ids outside
+    every AOI, and each event's monitoring detection time."""
+    if injected_events is not None:
+        _validate_injected(injected_events, scenario.horizon_s)
+        fire_events = tuple(sorted(injected_events, key=lambda e: (e.start, e.id)))
+    else:
+        fire_events = tuple(
+            events_mod.generate_fire_events(
+                scenario.event_model,
+                scenario.aois,
+                scenario.horizon_s,
+                lambda aoi_id: rng_stream(scenario.seed, "events", aoi_id),
+            )
+        )
+    dropped = tuple(
+        e.id for e in fire_events if tasking.containing_aoi(e.location, scenario.aois) is None
+    )
+    detection_times = {
+        e.id: events_mod.monitoring_detection_time(e, scenario.monitoring_delay_s)
+        for e in fire_events
+    }
+    return fire_events, dropped, detection_times
+
+
+def geometry_tables(
+    scenario: Scenario, coarse_step: float = DEFAULT_COARSE_STEP_S
+) -> tuple[WindowTable, WindowTable]:
+    """Contact windows per (satellite, station) and access windows per (satellite, AOI).
+
+    This is the only place the tables are computed; planner, acquisitions
+    and downlink all read them.
+    """
+    horizon = (0.0, scenario.horizon_s)
+    contact_table = {
+        (sat.id, stn.id): contact_windows(sat, stn, horizon, coarse_step)
+        for sat in scenario.satellites
+        for stn in scenario.stations
+    }
+    access_table = {
+        (sat.id, aoi.id): access_windows(sat, aoi, horizon, coarse_step)
+        for sat in scenario.satellites
+        for aoi in scenario.aois
+    }
+    return contact_table, access_table
+
+
+def _acquisitions(
+    scenario: Scenario,
+    requests: RequestBuild,
+    plan: TaskingPlan,
+    access_table: WindowTable,
+) -> list[AcquisitionRecord]:
+    """Systematic imaging covers every access window; pure on-demand
+    archetypes image only what the planner scheduled."""
+    aoi_of_request = {r.id: r.aoi_id for r in requests.requests}
+    if scenario.archetype.acquisition_mode is AcquisitionMode.ON_DEMAND:
+        acquisitions = [
+            AcquisitionRecord(
+                a.satellite_id, aoi_of_request[a.request_id], a.window,
+                triggered=True, request_ids=(a.request_id,),
+            )
+            for a in plan.assignments
+        ]
+        return sorted(acquisitions, key=lambda r: (r.window.start, r.satellite_id, r.aoi_id))
+    triggered: dict[tuple[str, str, float], list[str]] = {}
+    for a in plan.assignments:
+        key = (a.satellite_id, aoi_of_request[a.request_id], a.window.start)
+        triggered.setdefault(key, []).append(a.request_id)
+    acquisitions = []
+    for sat_id, aoi_id, window in tasking.periodic_acquisitions(scenario.archetype, access_table):
+        reqs = tuple(triggered.get((sat_id, aoi_id, window.start), ()))
+        acquisitions.append(
+            AcquisitionRecord(sat_id, aoi_id, window, triggered=bool(reqs), request_ids=reqs)
+        )
+    return acquisitions
+
+
+def _process_scenes(
+    scenario: Scenario,
+    acquisitions: Sequence[AcquisitionRecord],
+    fire_events: tuple[FireEvent, ...],
+) -> tuple[dict[str, Scene], dict[str, DetectionOutcome], dict[str, DataProduct]]:
+    """A scene for every acquisition; detection and products for every scene
+    of a periodic product line, and only for event-triggered scenes of an
+    event-driven one."""
+    aois_by_id = {a.id: a for a in scenario.aois}
+    sats_by_id = {s.id: s for s in scenario.satellites}
+    events_by_id = {e.id: e for e in fire_events}
+    periodic = scenario.archetype.triggering is Triggering.PERIODIC
+    scenes: dict[str, Scene] = {}
+    outcomes: dict[str, DetectionOutcome] = {}
+    products: dict[str, DataProduct] = {}
+    for i, acq in enumerate(acquisitions):
+        scene_id = f"scn-{i:05d}"
+        sat = sats_by_id[acq.satellite_id]
+        scene = onboard.acquire_scene(
+            scene_id,
+            sat,
+            aois_by_id[acq.aoi_id],
+            acq.window,
+            fire_events,
+            scenario.cloud_model,
+            rng_stream(scenario.seed, "clouds", scene_id),
+        )
+        scenes[scene_id] = scene
+        if not (periodic or acq.triggered):
+            continue
+        outcome = onboard.classify_scene(
+            scene,
+            events_by_id,
+            scenario.archetype.mmu_ha,
+            scenario.detection.accuracy_p,
+            scenario.detection.fp_rate_per_scene,
+            rng_stream(scenario.seed, "detection", scene_id),
+            rng_stream(scenario.seed, "fp", scene_id),
+        )
+        outcomes[scene_id] = outcome
+        location = scenario.archetype.processing_location
+        if not sat.processor.enabled:
+            location = ProcessingLocation.GROUND
+        for p in onboard.build_products(
+            scene,
+            outcome,
+            events_by_id,
+            location,
+            scenario.cloud_model,
+            sat.processor,
+            scenario.detection.mask_compression,
+            scenario.detection.chip_margin,
+        ):
+            products[p.id] = p
+    return scenes, outcomes, products
+
+
+def _downlink(
+    scenario: Scenario,
+    scenes: Mapping[str, Scene],
+    products: Mapping[str, DataProduct],
+    contact_table: WindowTable,
+) -> tuple[tuple[str, ...], TransferResult]:
+    """Store-and-forward downlink of every product created inside the horizon."""
+    queues: dict[str, list[DataProduct]] = {sat.id: [] for sat in scenario.satellites}
+    never_enqueued: list[str] = []
+    for p in sorted(products.values(), key=lambda p: (p.created, p.id)):
+        if p.created > scenario.horizon_s:
+            never_enqueued.append(p.id)
+        else:
+            queues[scenes[p.scene_id].satellite_id].append(p)
+    rates = {stn.id: stn.xband_rate_mbit_s for stn in scenario.stations}
+    return tuple(never_enqueued), simulate_transfers(queues, contact_table, rates)
+
+
+def _ground(
+    scenario: Scenario,
+    products: Mapping[str, DataProduct],
+    completions: Mapping[str, float],
+) -> tuple[dict[str, float], tuple[MarketplaceRecord, ...]]:
+    """PDGS completion times and marketplace deliveries that fall inside the horizon."""
+    pdgs_times: dict[str, float] = {}
+    marketplace = Marketplace()
+    for pid, done in completions.items():
+        pdgs = pdgs_done(products[pid], done, scenario.latencies)
+        if pdgs <= scenario.horizon_s:
+            pdgs_times[pid] = pdgs
+        delivered = pdgs_process(products[pid], done, scenario.latencies, scenario.archetype)
+        if delivered <= scenario.horizon_s:
+            marketplace.deliver(products[pid], delivered)
+    return pdgs_times, marketplace.records()
+
+
+def _timeline(
+    scenario: Scenario,
+    fire_events: Sequence[FireEvent],
+    detection_times: Mapping[str, float],
+    plan: TaskingPlan,
+    scenes: Mapping[str, Scene],
+    products: Mapping[str, DataProduct],
+    completions: Mapping[str, float],
+    pdgs_times: Mapping[str, float],
+    marketplace: Sequence[MarketplaceRecord],
+) -> tuple[SimEvent, ...]:
+    """Chain milestones within the horizon, ordered by (time, insertion order)."""
+    horizon = scenario.horizon_s
+    pipeline_done = {
+        p.scene_id: p.created for p in products.values() if p.created > scenes[p.scene_id].acquired
+    }
+    K = SimEventKind
+    entries = [(e.start, K.FIRE_START, e.id) for e in fire_events]
+    entries += [
+        (detection_times[e.id], K.MONITORING_DETECTION, e.id)
+        for e in fire_events
+        if detection_times[e.id] <= horizon
+    ]
+    entries += [(a.uplink_time, K.UPLINK, a.request_id) for a in plan.assignments]
+    entries += [(s.acquired, K.ACQUISITION, s.id) for s in scenes.values()]
+    entries += [
+        (pipeline_done[sid], K.PIPELINE_DONE, sid)
+        for sid in sorted(pipeline_done)
+        if pipeline_done[sid] <= horizon
+    ]
+    entries += [(completions[pid], K.TRANSFER_DONE, pid) for pid in sorted(completions)]
+    entries += [(pdgs_times[pid], K.PDGS_DONE, pid) for pid in sorted(pdgs_times)]
+    entries += [(r.delivered, K.DELIVERY, r.product_id) for r in marketplace]
+    entries.append((horizon, K.SIM_END, ""))
+    timeline = [SimEvent(t, seq, kind, ref) for seq, (t, kind, ref) in enumerate(entries)]
+    timeline.sort(key=lambda e: e.time)
+    return tuple(timeline)
 
 
 def run(
@@ -176,219 +372,27 @@ def run(
         raise ValidationError(
             "invalid scenario: " + "; ".join(str(v) for v in violations)
         )
-    horizon = (0.0, scenario.horizon_s)
-    mode = _mode_of(scenario)
-    aois_by_id = {a.id: a for a in scenario.aois}
-    sats_by_id = {s.id: s for s in scenario.satellites}
-
-    # Ground truth: injected or generated from per-AOI streams.
-    if injected_events is not None:
-        _validate_injected(injected_events, scenario.horizon_s)
-        fire_events = tuple(sorted(injected_events, key=lambda e: (e.start, e.id)))
-    else:
-        fire_events = tuple(
-            events_mod.generate_fire_events(
-                scenario.event_model,
-                scenario.aois,
-                scenario.horizon_s,
-                lambda aoi_id: rng_stream(scenario.seed, "events", aoi_id),
-            )
-        )
-    events_by_id = {e.id: e for e in fire_events}
-    dropped = tuple(
-        e.id for e in fire_events if tasking.containing_aoi(e.location, scenario.aois) is None
+    fire_events, dropped, detection_times = _ground_truth(scenario, injected_events)
+    contact_table, access_table = geometry_tables(scenario, coarse_step)
+    requests = tasking.build_requests(
+        fire_events, scenario.aois, scenario.monitoring_delay_s, scenario.archetype
     )
-    detection_times = {
-        e.id: events_mod.monitoring_detection_time(e, scenario.monitoring_delay_s)
-        for e in fire_events
-    }
-
-    # Geometry tables, computed once and shared by planner and acquisitions.
-    contact_table = {
-        (sat.id, stn.id): contact_windows(sat, stn, horizon, coarse_step)
-        for sat in scenario.satellites
-        for stn in scenario.stations
-    }
-    access_table = {
-        (sat.id, aoi.id): access_windows(sat, aoi, horizon, coarse_step)
-        for sat in scenario.satellites
-        for aoi in scenario.aois
-    }
-
-    # Event-driven tasking.
-    if scenario.archetype.triggering in (Triggering.EVENT_DRIVEN, Triggering.CRISIS):
-        requests = tasking.build_requests(
-            fire_events, scenario.aois, scenario.monitoring_delay_s, scenario.archetype
-        )
-        plan = tasking.plan(
-            requests.requests,
-            scenario.satellites,
-            scenario.stations,
-            scenario.aois,
-            horizon,
-            coarse_step,
-            contact_table=contact_table,
-            access_table=access_table,
-        )
-    else:
-        requests = RequestBuild(requests=(), dropped_event_ids=())
-        plan = TaskingPlan(assignments=(), unmet_request_ids=())
-
-    aoi_of_request = {r.id: r.aoi_id for r in requests.requests}
-    triggered_keys: dict[tuple[str, str, float], list[str]] = {}
-    for a in plan.assignments:
-        key = (a.satellite_id, aoi_of_request[a.request_id], a.window.start)
-        triggered_keys.setdefault(key, []).append(a.request_id)
-
-    # Acquisition set: systematic imaging covers every access window; pure
-    # on-demand archetypes image only what the planner scheduled.
-    acquisitions: list[AcquisitionRecord] = []
-    if scenario.archetype.acquisition_mode is AcquisitionMode.SYSTEMATIC:
-        for sat_id, aoi_id, window in tasking.periodic_acquisitions(
-            scenario.archetype,
-            scenario.satellites,
-            scenario.aois,
-            horizon,
-            coarse_step,
-            access_table=access_table,
-        ):
-            reqs = tuple(triggered_keys.get((sat_id, aoi_id, window.start), ()))
-            acquisitions.append(
-                AcquisitionRecord(sat_id, aoi_id, window, triggered=bool(reqs), request_ids=reqs)
-            )
-    else:
-        for a in plan.assignments:
-            aoi_id = aoi_of_request[a.request_id]
-            acquisitions.append(
-                AcquisitionRecord(
-                    a.satellite_id, aoi_id, a.window, triggered=True, request_ids=(a.request_id,)
-                )
-            )
-        acquisitions.sort(key=lambda r: (r.window.start, r.satellite_id, r.aoi_id))
-
-    # Scenes exist for every acquisition; the processing chain runs on every
-    # scene for periodic product lines and only on event-triggered scenes
-    # for event-driven ones.
-    scenes: dict[str, Scene] = {}
-    outcomes: dict[str, DetectionOutcome] = {}
-    products: dict[str, DataProduct] = {}
-    pipeline_done: dict[str, float] = {}
-    for i, acq in enumerate(acquisitions):
-        scene_id = f"scn-{i:05d}"
-        scene = onboard.acquire_scene(
-            scene_id,
-            sats_by_id[acq.satellite_id],
-            aois_by_id[acq.aoi_id],
-            acq.window,
-            fire_events,
-            scenario.cloud_model,
-            rng_stream(scenario.seed, "clouds", scene_id),
-        )
-        scenes[scene_id] = scene
-        process = (
-            scenario.archetype.triggering is Triggering.PERIODIC or acq.triggered
-        )
-        if not process:
-            continue
-        outcome = onboard.classify_scene(
-            scene,
-            events_by_id,
-            scenario.archetype.mmu_ha,
-            scenario.detection.accuracy_p,
-            scenario.detection.fp_rate_per_scene,
-            rng_stream(scenario.seed, "detection", scene_id),
-            rng_stream(scenario.seed, "fp", scene_id),
-        )
-        outcomes[scene_id] = outcome
-        sat = sats_by_id[acq.satellite_id]
-        effective_mode = mode
-        if mode is ArchitectureMode.HYBRID and not sat.processor.enabled:
-            effective_mode = ArchitectureMode.RAW_ONLY
-        built = onboard.build_products(
-            scene,
-            outcome,
-            events_by_id,
-            effective_mode,
-            scenario.cloud_model,
-            sat.processor,
-            scenario.detection.mask_compression,
-            scenario.detection.chip_margin,
-        )
-        for p in built:
-            products[p.id] = p
-        if built and built[0].created > scene.acquired:
-            pipeline_done[scene_id] = built[0].created
-
-    # Store-and-forward downlink over the contact geometry.
-    queues: dict[str, ProductQueue] = {sat.id: ProductQueue() for sat in scenario.satellites}
-    never_enqueued: list[str] = []
-    for pid in sorted(products, key=lambda pid: (products[pid].created, pid)):
-        p = products[pid]
-        if p.created > scenario.horizon_s:
-            never_enqueued.append(pid)
-            continue
-        queues[scenes[p.scene_id].satellite_id].enqueue(p)
-    rates = {stn.id: stn.xband_rate_mbit_s for stn in scenario.stations}
-    transfers = simulate_transfers(queues, contact_table, rates)
-
-    # Ground processing and marketplace delivery.
-    marketplace = Marketplace()
-    pdgs_times: dict[str, float] = {}
-    delivery_times: dict[str, float] = {}
-    for pid in sorted(transfers.completion_times, key=lambda pid: (transfers.completion_times[pid], pid)):
-        done = transfers.completion_times[pid]
-        delivered = pdgs_process(products[pid], done, scenario.latencies, scenario.archetype)
-        if products[pid].kind is ProductKind.RAW_SCENE:
-            pdgs = done + scenario.latencies.pdgs_raw_s
-        else:
-            pdgs = done + scenario.latencies.pdgs_mask_s
-        if pdgs <= scenario.horizon_s:
-            pdgs_times[pid] = pdgs
-        if delivered <= scenario.horizon_s:
-            delivery_times[pid] = delivered
-    for pid in sorted(delivery_times, key=lambda pid: (delivery_times[pid], pid)):
-        marketplace.deliver(products[pid], delivery_times[pid])
-
-    # Assemble the ordered timeline through the event queue.
-    q = EventQueue()
-    for e in fire_events:
-        q.push(e.start, SimEventKind.FIRE_START, e.id)
-    for e in fire_events:
-        t = detection_times[e.id]
-        if t <= scenario.horizon_s:
-            q.push(t, SimEventKind.MONITORING_DETECTION, e.id)
-    for a in plan.assignments:
-        q.push(a.uplink_time, SimEventKind.UPLINK, a.request_id)
-    for i, acq in enumerate(acquisitions):
-        q.push(acq.window.start, SimEventKind.ACQUISITION, f"scn-{i:05d}")
-    for scene_id in sorted(pipeline_done):
-        if pipeline_done[scene_id] <= scenario.horizon_s:
-            q.push(pipeline_done[scene_id], SimEventKind.PIPELINE_DONE, scene_id)
-    for (sat_id, stn_id), windows in sorted(contact_table.items()):
-        for w in windows:
-            q.push(w.start, SimEventKind.CONTACT_OPEN, f"{sat_id}/{stn_id}")
-            q.push(w.end, SimEventKind.CONTACT_CLOSE, f"{sat_id}/{stn_id}")
-    for pid in sorted(transfers.completion_times, key=lambda pid: (transfers.completion_times[pid], pid)):
-        q.push(transfers.completion_times[pid], SimEventKind.TRANSFER_DONE, pid)
-    for pid in sorted(pdgs_times, key=lambda pid: (pdgs_times[pid], pid)):
-        q.push(pdgs_times[pid], SimEventKind.PDGS_DONE, pid)
-    for pid in sorted(delivery_times, key=lambda pid: (delivery_times[pid], pid)):
-        q.push(delivery_times[pid], SimEventKind.DELIVERY, pid)
-    q.push(scenario.horizon_s, SimEventKind.SIM_END)
-
-    timeline: list[SimEvent] = []
-    last: tuple[float, int] = (-1.0, -1)
-    while len(q):
-        ev = q.pop()
-        if (ev.time, ev.seq) <= last:
-            raise AssertionError("event queue popped out of (time, seq) order")
-        last = (ev.time, ev.seq)
-        timeline.append(ev)
-
+    plan = tasking.plan(
+        requests.requests, scenario.satellites, scenario.stations, contact_table, access_table
+    )
+    acquisitions = _acquisitions(scenario, requests, plan, access_table)
+    scenes, outcomes, products = _process_scenes(scenario, acquisitions, fire_events)
+    never_enqueued, transfers = _downlink(scenario, scenes, products, contact_table)
+    completions = transfers.completion_times
+    pdgs_times, marketplace = _ground(scenario, products, completions)
+    timeline = _timeline(
+        scenario, fire_events, detection_times, plan, scenes, products,
+        completions, pdgs_times, marketplace,
+    )
     return SimulationTrace(
         scenario_name=scenario.name,
         seed=scenario.seed,
-        mode=mode,
+        mode=scenario.archetype.processing_location,
         horizon_s=scenario.horizon_s,
         fire_events=fire_events,
         dropped_event_ids=dropped,
@@ -399,10 +403,10 @@ def run(
         scenes=scenes,
         outcomes=outcomes,
         products=products,
-        never_enqueued_ids=tuple(never_enqueued),
+        never_enqueued_ids=never_enqueued,
         transfer_records=transfers.records,
-        downlink_completions=dict(transfers.completion_times),
+        downlink_completions=dict(completions),
         pdgs_times=pdgs_times,
-        marketplace=marketplace.records(),
-        timeline=tuple(timeline),
+        marketplace=marketplace,
+        timeline=timeline,
     )

@@ -25,6 +25,17 @@ class MarketplaceRecord:
     delivered: float
 
 
+def pdgs_done(product: DataProduct, downlink_complete: float, latencies: GroundLatencySpec) -> float:
+    """Time the PDGS finishes a fully downlinked product.
+
+    Raw scenes take the full processing latency; onboard masks and chips
+    only need validation.
+    """
+    if product.kind is ProductKind.RAW_SCENE:
+        return downlink_complete + latencies.pdgs_raw_s
+    return downlink_complete + latencies.pdgs_mask_s
+
+
 def pdgs_process(
     product: DataProduct,
     downlink_complete: float,
@@ -33,14 +44,11 @@ def pdgs_process(
 ) -> float:
     """Delivery time of a fully downlinked product.
 
-    Raw scenes take the full processing latency; onboard masks and chips
-    only need validation.  Periodic archetypes batch their output, so
-    delivery additionally aligns to the next production-cycle boundary.
+    Delivery follows PDGS completion (``pdgs_done``).  Periodic archetypes
+    batch their output, so delivery additionally aligns to the next
+    production-cycle boundary.
     """
-    if product.kind is ProductKind.RAW_SCENE:
-        t = downlink_complete + latencies.pdgs_raw_s
-    else:
-        t = downlink_complete + latencies.pdgs_mask_s
+    t = pdgs_done(product, downlink_complete, latencies)
     if archetype.triggering is Triggering.PERIODIC:
         cycle = archetype.periodic_cycle_s or latencies.periodic_cycle_s
         if cycle is None or cycle <= 0:

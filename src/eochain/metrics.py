@@ -20,6 +20,10 @@ from .events import is_detectable
 from .model import FireEvent, ProductKind, ProcessingLocation, Scenario
 
 
+# Report label of each processing location.
+MODE_LABELS = {ProcessingLocation.GROUND: "RawOnly", ProcessingLocation.HYBRID: "Hybrid"}
+
+
 class StreamIsolationError(RuntimeError):
     """Raised when an A/B comparison detects diverging common random numbers."""
 
@@ -198,7 +202,7 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
     return ServiceReport(
         scenario_name=trace.scenario_name,
         seed=trace.seed,
-        mode=trace.mode.value,
+        mode=MODE_LABELS[trace.mode],
         horizon_s=trace.horizon_s,
         per_event=tuple(per_event),
         per_product=tuple(per_product),
@@ -207,52 +211,13 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
 
 
 def service_report_csv_rows(report: ServiceReport) -> list[dict]:
-    rows = []
-    for e in report.per_event:
-        rows.append(
-            {
-                "record_type": "event",
-                "id": e["id"],
-                "start_s": e["start_s"],
-                "area_ha": e["area_ha"],
-                "detectable": e["detectable"],
-                "ttfi_s": e["ttfi_s"],
-                "first_product_id": e["first_product_id"],
-            }
-        )
-    for p in report.per_product:
-        rows.append(
-            {
-                "record_type": "product",
-                "id": p["id"],
-                "kind": p["kind"],
-                "scene_id": p["scene_id"],
-                "satellite_id": p["satellite_id"],
-                "volume_bits": p["volume_bits"],
-                "created_s": p["created_s"],
-                "downlinked_s": p["downlinked_s"],
-                "delivered_s": p["delivered_s"],
-                "e2e_s": p["e2e_s"],
-            }
-        )
-    s = report.summary
-    rows.append(
-        {
-            "record_type": "summary",
-            "event_count": s["event_count"],
-            "detectable_count": s["detectable_count"],
-            "completeness": s["completeness"],
-            "ttfi_p50_s": s["ttfi_p50_s"],
-            "ttfi_p90_s": s["ttfi_p90_s"],
-            "ttfi_never_count": s["ttfi_never_count"],
-            "e2e_p50_s": s["e2e_p50_s"],
-            "e2e_p90_s": s["e2e_p90_s"],
-            "generated_bits_total": s["generated_bits_total"],
-            "transferred_bits_total": s["transferred_bits_total"],
-            "delivered_bits_total": s["delivered_bits_total"],
-        }
-    )
-    return rows
+    """One row per event, per product and for the summary; the CSV writer
+    keeps the keys named in ``SERVICE_CSV_FIELDS``."""
+    return [
+        *({"record_type": "event", **e} for e in report.per_event),
+        *({"record_type": "product", **p} for p in report.per_product),
+        {"record_type": "summary", **report.summary},
+    ]
 
 
 @dataclass(frozen=True)
@@ -388,37 +353,12 @@ def compare_architectures(
 
 
 def comparison_report_csv_rows(report: ComparisonReport) -> list[dict]:
-    rows = []
-    for e in report.per_event:
-        rows.append(
-            {
-                "record_type": "event",
-                "id": e["id"],
-                "start_s": e["start_s"],
-                "area_ha": e["area_ha"],
-                "ttfi_hybrid_s": e["ttfi_hybrid_s"],
-                "ttfi_raw_s": e["ttfi_raw_s"],
-                "delta_s": e["delta_s"],
-                "hybrid_faster": e["hybrid_faster"],
-            }
-        )
-    s = report.summary
-    rows.append(
-        {
-            "record_type": "summary",
-            "event_count": s["event_count"],
-            "hybrid_faster_count": s["hybrid_faster_count"],
-            "comparable_count": s["comparable_count"],
-            "hybrid_faster_fraction": s["hybrid_faster_fraction"],
-            "ttfi_median_hybrid_s": s["ttfi_median_hybrid_s"],
-            "ttfi_median_raw_s": s["ttfi_median_raw_s"],
-            "ttfi_median_baseline_s": s["ttfi_median_baseline_s"],
-            "transferred_bits_hybrid": s["transferred_bits_hybrid"],
-            "transferred_bits_raw": s["transferred_bits_raw"],
-            "transfer_ratio": s["transfer_ratio"],
-        }
-    )
-    return rows
+    """One row per event and one for the summary; the CSV writer keeps the
+    keys named in ``COMPARISON_CSV_FIELDS``."""
+    return [
+        *({"record_type": "event", **e} for e in report.per_event),
+        {"record_type": "summary", **report.summary},
+    ]
 
 
 def write_json_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:

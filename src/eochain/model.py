@@ -37,7 +37,6 @@ class AcquisitionMode(str, Enum):
 class Triggering(str, Enum):
     PERIODIC = "Periodic"
     EVENT_DRIVEN = "EventDriven"
-    CRISIS = "Crisis"
 
 
 class PrecisionMode(str, Enum):

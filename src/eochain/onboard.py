@@ -9,7 +9,6 @@ inference engine.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -22,6 +21,7 @@ from .model import (
     DataProduct,
     FireEvent,
     OnboardProcessorSpec,
+    ProcessingLocation,
     ProductKind,
     SatelliteSpec,
     ValidationError,
@@ -35,11 +35,6 @@ from .orbit import Window
 PRIORITY_MASK = 0
 PRIORITY_CHIP = 1
 PRIORITY_RAW = 2
-
-
-class ArchitectureMode(str, Enum):
-    RAW_ONLY = "RawOnly"
-    HYBRID = "Hybrid"
 
 
 @dataclass(frozen=True)
@@ -162,7 +157,7 @@ def build_products(
     scene: Scene,
     outcome: DetectionOutcome,
     events_by_id: Mapping[str, FireEvent],
-    mode: ArchitectureMode,
+    location: ProcessingLocation,
     cloud_model: CloudModel,
     processor: OnboardProcessorSpec,
     compression: float,
@@ -170,14 +165,15 @@ def build_products(
 ) -> list[DataProduct]:
     """Turn a processed scene into downlinkable products.
 
-    Remote-only mode emits the full raw scene at acquisition.  Hybrid mode
-    emits a thematic mask plus one region-of-interest chip per detection,
-    completed after the onboard pipeline; when the cloud fraction exceeds
-    the onboard threshold the scene is deferred to ground as a raw product.
+    Ground (remote-only) processing emits the full raw scene at acquisition.
+    Hybrid processing emits a thematic mask plus one region-of-interest chip
+    per detection, completed after the onboard pipeline; when the cloud
+    fraction exceeds the onboard threshold the scene is deferred to ground
+    as a raw product.
     """
     raw_bits = scene_volume(scene.area_km2, scene.gsd_m, scene.bands, scene.bit_depth)
     deferred = scene.cloud_fraction > cloud_model.onboard_threshold
-    if mode is ArchitectureMode.RAW_ONLY or deferred:
+    if location is ProcessingLocation.GROUND or deferred:
         return [
             DataProduct(
                 id=f"{scene.id}-raw",

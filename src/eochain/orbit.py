@@ -50,21 +50,6 @@ def orbital_period(altitude_km: float) -> float:
     return 2.0 * math.pi * math.sqrt(a_m**3 / MU_EARTH_M3_S2)
 
 
-def inertial_position(sat: SatelliteSpec, t: float | np.ndarray) -> np.ndarray:
-    """Geocentric position (km) in the inertial frame; shape (..., 3)."""
-    period = orbital_period(sat.altitude_km)
-    u = math.radians(sat.initial_arg_lat_deg) + 2.0 * math.pi * np.asarray(t) / period
-    inc = math.radians(sat.inclination_deg)
-    raan = math.radians(sat.raan_deg)
-    r = EARTH_RADIUS_KM + sat.altitude_km
-    # Orbit-plane coordinates rotated by inclination then RAAN.
-    x_orb, y_orb = np.cos(u), np.sin(u)
-    x = x_orb * math.cos(raan) - y_orb * math.cos(inc) * math.sin(raan)
-    y = x_orb * math.sin(raan) + y_orb * math.cos(inc) * math.cos(raan)
-    z = y_orb * math.sin(inc)
-    return r * np.stack([x, y, z], axis=-1)
-
-
 def subsatellite_track(sat: SatelliteSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Ground-track latitude/longitude in degrees for an array of times."""
     period = orbital_period(sat.altitude_km)
@@ -123,13 +108,6 @@ def elevation_angle(sat: SatelliteSpec, station: GroundStationSpec, t: float | n
     psi = _central_angle(lat, lon, station.location.lat, station.location.lon)
     el = _elevation_from_angle(psi, sat.altitude_km)
     return float(el[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else el
-
-
-def ground_distance_km(sat: SatelliteSpec, point: GeoPoint, t: float | np.ndarray) -> float | np.ndarray:
-    """Great-circle distance from the subsatellite point to ``point``, km."""
-    lat, lon = subsatellite_track(sat, np.atleast_1d(np.asarray(t, dtype=float)))
-    d = EARTH_RADIUS_KM * _central_angle(lat, lon, point.lat, point.lon)
-    return float(d[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else d
 
 
 def _coarse_grid(t0: float, t1: float, step: float) -> np.ndarray:

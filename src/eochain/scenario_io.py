@@ -1,208 +1,75 @@
 """Scenario files: one YAML document per scenario, schema version 1.
 
-The document maps one-to-one onto the Scenario type; field names match the
-dataclass fields.  See README for the full schema.
+The document maps one-to-one onto the Scenario type: field names, nesting
+and defaults are read from the dataclasses in ``model``, which are the only
+schema.  See README for the full schema.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import typing
+from enum import Enum
 from pathlib import Path
 from typing import Any
 
 import yaml
 
-from .model import (
-    AcquisitionMode,
-    AreaOfInterest,
-    CloudModel,
-    DetectionSpec,
-    EventModel,
-    GeoPoint,
-    GroundLatencySpec,
-    GroundStationSpec,
-    OnboardProcessorSpec,
-    PrecisionMode,
-    ProcessingLocation,
-    SatelliteSpec,
-    Scenario,
-    ServiceArchetype,
-    Triggering,
-    ValidationError,
-)
+from .model import Scenario, ValidationError
 
 SCHEMA_VERSION = 1
 
 
-def _point(d: dict) -> GeoPoint:
-    return GeoPoint(lat=float(d["lat"]), lon=float(d["lon"]))
+def _plain(value: Any) -> Any:
+    """Dataclasses as dicts in field order, tuples as lists, enums as their values."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+def _build(tp: Any, value: Any, path: str) -> Any:
+    """Convert the document value at ``path`` into the annotated type ``tp``."""
+    if dataclasses.is_dataclass(tp):
+        if not isinstance(value, dict):
+            raise ValidationError(f"{path or 'scenario'}: expected a mapping")
+        hints = typing.get_type_hints(tp)
+        kwargs = {}
+        for f in dataclasses.fields(tp):
+            sub = f"{path}.{f.name}" if path else f.name
+            if f.name in value:
+                kwargs[f.name] = _build(hints[f.name], value[f.name], sub)
+            elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
+                raise ValidationError(f"malformed scenario document: {sub} is missing")
+        return tp(**kwargs)
+    origin = typing.get_origin(tp)
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            raise ValidationError(f"{path}: expected a list")
+        item = typing.get_args(tp)[0]
+        return tuple(_build(item, v, f"{path}[{i}]") for i, v in enumerate(value))
+    if origin is typing.Union:
+        if value is None:
+            return None
+        tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
+    try:
+        return tp(value)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{path}: invalid {tp.__name__} value {value!r}") from exc
 
 
 def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported scenario schema version: {version!r}")
-    try:
-        satellites = tuple(
-            SatelliteSpec(
-                id=str(s["id"]),
-                altitude_km=float(s["altitude_km"]),
-                inclination_deg=float(s["inclination_deg"]),
-                raan_deg=float(s["raan_deg"]),
-                initial_arg_lat_deg=float(s["initial_arg_lat_deg"]),
-                swath_km=float(s["swath_km"]),
-                gsd_m=float(s["gsd_m"]),
-                bands=int(s["bands"]),
-                bit_depth=int(s["bit_depth"]),
-                processor=OnboardProcessorSpec(
-                    preprocess_rate_mpx_s=float(s["processor"]["preprocess_rate_mpx_s"]),
-                    inference_rate_mpx_s=float(s["processor"]["inference_rate_mpx_s"]),
-                    precision_mode=PrecisionMode(s["processor"].get("precision_mode", "FP16")),
-                    enabled=bool(s["processor"].get("enabled", True)),
-                ),
-            )
-            for s in doc["satellites"]
-        )
-        stations = tuple(
-            GroundStationSpec(
-                id=str(s["id"]),
-                location=_point(s["location"]),
-                min_elevation_deg=float(s["min_elevation_deg"]),
-                xband_rate_mbit_s=float(s["xband_rate_mbit_s"]),
-                sband_available=bool(s.get("sband_available", True)),
-            )
-            for s in doc["stations"]
-        )
-        aois = tuple(
-            AreaOfInterest(id=str(a["id"]), center=_point(a["center"]), radius_km=float(a["radius_km"]))
-            for a in doc["aois"]
-        )
-        arch = doc["archetype"]
-        archetype = ServiceArchetype(
-            name=str(arch["name"]),
-            processing_location=ProcessingLocation(arch["processing_location"]),
-            gsd_m=float(arch["gsd_m"]),
-            mmu_ha=float(arch["mmu_ha"]),
-            acquisition_mode=AcquisitionMode(arch["acquisition_mode"]),
-            triggering=Triggering(arch["triggering"]),
-            periodic_cycle_s=(
-                float(arch["periodic_cycle_s"]) if arch.get("periodic_cycle_s") is not None else None
-            ),
-        )
-        em = doc["event_model"]
-        lat = doc["latencies"]
-        cm = doc["cloud_model"]
-        det = doc.get("detection", {})
-        return Scenario(
-            name=str(doc["name"]),
-            seed=int(doc["seed"]),
-            horizon_s=float(doc["horizon_s"]),
-            satellites=satellites,
-            stations=stations,
-            aois=aois,
-            archetype=archetype,
-            event_model=EventModel(
-                rate_per_aoi_per_day=float(em["rate_per_aoi_per_day"]),
-                area_log_mean=float(em["area_log_mean"]),
-                area_log_sd=float(em["area_log_sd"]),
-            ),
-            latencies=GroundLatencySpec(
-                pdgs_raw_s=float(lat["pdgs_raw_s"]),
-                pdgs_mask_s=float(lat["pdgs_mask_s"]),
-                periodic_cycle_s=(
-                    float(lat["periodic_cycle_s"]) if lat.get("periodic_cycle_s") is not None else None
-                ),
-            ),
-            monitoring_delay_s=float(doc["monitoring_delay_s"]),
-            cloud_model=CloudModel(
-                mean_fraction=float(cm["mean_fraction"]),
-                onboard_threshold=float(cm["onboard_threshold"]),
-            ),
-            detection=DetectionSpec(
-                accuracy_p=float(det.get("accuracy_p", 0.95)),
-                fp_rate_per_scene=float(det.get("fp_rate_per_scene", 0.05)),
-                chip_margin=float(det.get("chip_margin", 2.0)),
-                mask_compression=float(det.get("mask_compression", 10.0)),
-            ),
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValidationError(f"malformed scenario document: {exc}") from exc
+    return _build(Scenario, doc, "")
 
 
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "name": s.name,
-        "seed": s.seed,
-        "horizon_s": s.horizon_s,
-        "satellites": [
-            {
-                "id": sat.id,
-                "altitude_km": sat.altitude_km,
-                "inclination_deg": sat.inclination_deg,
-                "raan_deg": sat.raan_deg,
-                "initial_arg_lat_deg": sat.initial_arg_lat_deg,
-                "swath_km": sat.swath_km,
-                "gsd_m": sat.gsd_m,
-                "bands": sat.bands,
-                "bit_depth": sat.bit_depth,
-                "processor": {
-                    "preprocess_rate_mpx_s": sat.processor.preprocess_rate_mpx_s,
-                    "inference_rate_mpx_s": sat.processor.inference_rate_mpx_s,
-                    "precision_mode": sat.processor.precision_mode.value,
-                    "enabled": sat.processor.enabled,
-                },
-            }
-            for sat in s.satellites
-        ],
-        "stations": [
-            {
-                "id": stn.id,
-                "location": {"lat": stn.location.lat, "lon": stn.location.lon},
-                "min_elevation_deg": stn.min_elevation_deg,
-                "xband_rate_mbit_s": stn.xband_rate_mbit_s,
-                "sband_available": stn.sband_available,
-            }
-            for stn in s.stations
-        ],
-        "aois": [
-            {
-                "id": a.id,
-                "center": {"lat": a.center.lat, "lon": a.center.lon},
-                "radius_km": a.radius_km,
-            }
-            for a in s.aois
-        ],
-        "archetype": {
-            "name": s.archetype.name,
-            "processing_location": s.archetype.processing_location.value,
-            "gsd_m": s.archetype.gsd_m,
-            "mmu_ha": s.archetype.mmu_ha,
-            "acquisition_mode": s.archetype.acquisition_mode.value,
-            "triggering": s.archetype.triggering.value,
-            "periodic_cycle_s": s.archetype.periodic_cycle_s,
-        },
-        "event_model": {
-            "rate_per_aoi_per_day": s.event_model.rate_per_aoi_per_day,
-            "area_log_mean": s.event_model.area_log_mean,
-            "area_log_sd": s.event_model.area_log_sd,
-        },
-        "latencies": {
-            "pdgs_raw_s": s.latencies.pdgs_raw_s,
-            "pdgs_mask_s": s.latencies.pdgs_mask_s,
-            "periodic_cycle_s": s.latencies.periodic_cycle_s,
-        },
-        "monitoring_delay_s": s.monitoring_delay_s,
-        "cloud_model": {
-            "mean_fraction": s.cloud_model.mean_fraction,
-            "onboard_threshold": s.cloud_model.onboard_threshold,
-        },
-        "detection": {
-            "accuracy_p": s.detection.accuracy_p,
-            "fp_rate_per_scene": s.detection.fp_rate_per_scene,
-            "chip_margin": s.detection.chip_margin,
-            "mask_compression": s.detection.mask_compression,
-        },
-    }
+    return {"schema_version": SCHEMA_VERSION, **_plain(s)}
 
 
 def load_scenario(path: str | Path) -> Scenario:

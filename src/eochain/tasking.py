@@ -9,9 +9,10 @@ retask orbits: the planner only selects among nominal access windows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .model import (
+    AcquisitionMode,
     AreaOfInterest,
     FireEvent,
     GeoPoint,
@@ -22,7 +23,7 @@ from .model import (
     ValidationError,
     great_circle_km,
 )
-from .orbit import DEFAULT_COARSE_STEP_S, Window, access_windows, contact_windows
+from .orbit import Window
 
 
 @dataclass(frozen=True)
@@ -104,7 +105,7 @@ def build_requests(
 
 
 def _first_sband_contact_end(
-    contacts: dict[str, list[Window]],
+    contacts: Mapping[str, Sequence[Window]],
     stations_by_id: dict[str, GroundStationSpec],
     after: float,
 ) -> Optional[float]:
@@ -126,11 +127,8 @@ def plan(
     requests: Sequence[ObservationRequest],
     satellites: Sequence[SatelliteSpec],
     stations: Sequence[GroundStationSpec],
-    aois: Sequence[AreaOfInterest],
-    horizon: tuple[float, float],
-    coarse_step: float = DEFAULT_COARSE_STEP_S,
-    contact_table: Optional[dict[tuple[str, str], list[Window]]] = None,
-    access_table: Optional[dict[tuple[str, str], list[Window]]] = None,
+    contact_table: Mapping[tuple[str, str], Sequence[Window]],
+    access_table: Mapping[tuple[str, str], Sequence[Window]],
 ) -> TaskingPlan:
     """Greedy assignment of requests to access windows.
 
@@ -139,29 +137,11 @@ def plan(
     whose start strictly exceeds that satellite's uplink time (the end of
     the first S-band contact after the request was issued).  Windows already
     assigned on a satellite are never reused or overlapped.  Ties between
-    satellites break by ascending satellite id.  Precomputed window tables
-    may be injected to avoid recomputation.
+    satellites break by ascending satellite id.  The window tables are keyed
+    by (satellite id, station id) and (satellite id, AOI id).
     """
     stations_by_id = {s.id: s for s in stations}
-    aois_by_id = {a.id: a for a in aois}
-
-    if contact_table is None:
-        contact_table = {
-            (sat.id, stn.id): contact_windows(sat, stn, horizon, coarse_step)
-            for sat in satellites
-            for stn in stations
-        }
-    if access_table is None:
-        access_table = {}
-    needed_aois = {r.aoi_id for r in requests}
-    for sat in satellites:
-        for aoi_id in sorted(needed_aois):
-            if (sat.id, aoi_id) not in access_table:
-                access_table[(sat.id, aoi_id)] = access_windows(
-                    sat, aois_by_id[aoi_id], horizon, coarse_step
-                )
-
-    contacts_per_sat: dict[str, dict[str, list[Window]]] = {sat.id: {} for sat in satellites}
+    contacts_per_sat: dict[str, dict[str, Sequence[Window]]] = {sat.id: {} for sat in satellites}
     for (sat_id, stn_id), windows in contact_table.items():
         contacts_per_sat.setdefault(sat_id, {})[stn_id] = windows
 
@@ -198,24 +178,14 @@ def plan(
 
 def periodic_acquisitions(
     archetype: ServiceArchetype,
-    satellites: Sequence[SatelliteSpec],
-    aois: Sequence[AreaOfInterest],
-    horizon: tuple[float, float],
-    coarse_step: float = DEFAULT_COARSE_STEP_S,
-    access_table: Optional[dict[tuple[str, str], list[Window]]] = None,
+    access_table: Mapping[tuple[str, str], Sequence[Window]],
 ) -> list[tuple[str, str, Window]]:
-    """Every access window becomes a systematic acquisition opportunity."""
-    from .model import AcquisitionMode
-
+    """Every access window, as (satellite id, AOI id, window), becomes a
+    systematic acquisition opportunity; ordered by (start, satellite, AOI)."""
     if archetype.acquisition_mode is not AcquisitionMode.SYSTEMATIC:
         raise ValidationError("periodic acquisitions require a systematic archetype")
-    out: list[tuple[str, str, Window]] = []
-    for sat in satellites:
-        for aoi in aois:
-            if access_table is not None and (sat.id, aoi.id) in access_table:
-                windows = access_table[(sat.id, aoi.id)]
-            else:
-                windows = access_windows(sat, aoi, horizon, coarse_step)
-            out.extend((sat.id, aoi.id, w) for w in windows)
+    out = [
+        (sat_id, aoi_id, w) for (sat_id, aoi_id), windows in access_table.items() for w in windows
+    ]
     out.sort(key=lambda x: (x[2].start, x[0], x[1]))
     return out

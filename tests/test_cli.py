@@ -104,6 +104,17 @@ class TestSweep:
         assert (out / "run_report_seed5.json").exists()
         assert (out / "run_report_seed6.json").exists()
 
+    def test_worker_processes_write_same_bytes(self, tmp_path):
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            code = main(["sweep", "--preset", "effis-like", "--seed", "3", "--runs", "2",
+                         "--jobs", jobs, "--duration", DAY, "--out", str(out)])
+            assert code == EXIT_OK
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+
     def test_bad_run_count(self, tmp_path):
         assert main(["sweep", "--preset", "iride-heo", "--runs", "0",
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
@@ -122,6 +133,22 @@ class TestValidate:
         assert main(["validate", "--scenario", str(path)]) == EXIT_VALIDATION
         err = capsys.readouterr().err
         assert "satellites[0].gsd_m" in err
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("archetype", "triggering", "Crisis"),
+        ("satellites", "altitude_km", "high"),
+    ])
+    def test_bad_value_is_one_line_error(self, tmp_path, capsys, section, field, value):
+        doc = scenario_to_dict(iride_heo())
+        target = doc[section][0] if section == "satellites" else doc[section]
+        target[field] = value
+        path = tmp_path / "bad.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and field in err
 
     def test_unreadable_file_is_io_error(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "missing.yaml")]) == EXIT_IO

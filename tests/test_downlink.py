@@ -4,7 +4,6 @@ import pytest
 
 from eochain.downlink import (
     LinkInterval,
-    ProductQueue,
     exclusive_link_intervals,
     simulate_transfers,
 )
@@ -24,41 +23,13 @@ def make_product(pid, volume, created=0.0, priority=2, kind=ProductKind.RAW_SCEN
     )
 
 
-def queue_of(*products):
-    q = ProductQueue()
-    for p in products:
-        q.enqueue(p)
-    return q
-
-
 def run(products, windows, rate=1.0, station="gs-a"):
     """One satellite, one station at `rate` Mbit/s."""
     return simulate_transfers(
-        {"sat-a": queue_of(*products)},
+        {"sat-a": list(products)},
         {("sat-a", station): windows},
         {station: rate},
     )
-
-
-class TestProductQueue:
-    def test_orders_by_priority_then_created_then_id(self):
-        raw = make_product("raw", 100, created=0.0, priority=2)
-        mask = make_product("mask", 10, created=5.0, priority=0)
-        chip_b = make_product("chip-b", 10, created=5.0, priority=1)
-        chip_a = make_product("chip-a", 10, created=5.0, priority=1)
-        q = queue_of(raw, mask, chip_b, chip_a)
-        assert [p.id for p in q.ordered()] == ["mask", "chip-a", "chip-b", "raw"]
-
-    def test_fifo_among_equal_priority(self):
-        early = make_product("late-name", 10, created=1.0, priority=2)
-        late = make_product("early-name", 10, created=2.0, priority=2)
-        q = queue_of(late, early)
-        assert [p.id for p in q.ordered()] == ["late-name", "early-name"]
-
-    def test_duplicate_id_rejected(self):
-        q = queue_of(make_product("p", 10))
-        with pytest.raises(ValidationError):
-            q.enqueue(make_product("p", 20))
 
 
 class TestExclusiveIntervals:
@@ -83,6 +54,24 @@ class TestExclusiveIntervals:
 
 
 class TestTransfers:
+    def test_orders_by_priority_then_created_then_id(self):
+        raw = make_product("raw", 100, created=0.0, priority=2)
+        mask = make_product("mask", 10, created=5.0, priority=0)
+        chip_b = make_product("chip-b", 10, created=5.0, priority=1)
+        chip_a = make_product("chip-a", 10, created=5.0, priority=1)
+        result = run([raw, mask, chip_b, chip_a], [Window(10.0, 100.0)])
+        assert [r.product_id for r in result.records] == ["mask", "chip-a", "chip-b", "raw"]
+
+    def test_fifo_among_equal_priority(self):
+        early = make_product("late-name", 10, created=1.0, priority=2)
+        late = make_product("early-name", 10, created=2.0, priority=2)
+        result = run([late, early], [Window(10.0, 100.0)])
+        assert [r.product_id for r in result.records] == ["late-name", "early-name"]
+
+    def test_duplicate_id_rejected(self):
+        with pytest.raises(ValidationError):
+            run([make_product("p", 10), make_product("p", 20)], [Window(0.0, 10.0)])
+
     def test_exact_fit_completes_at_window_end(self):
         # 1e7 bits at 1 Mbit/s fills a 10 s window exactly.
         p = make_product("p", 10_000_000)
@@ -203,7 +192,7 @@ class TestTransfers:
         pa = make_product("pa", 1_000_000)
         pb = make_product("pb", 1_000_000)
         result = simulate_transfers(
-            {"sat-a": queue_of(pa), "sat-b": queue_of(pb)},
+            {"sat-a": [pa], "sat-b": [pb]},
             {("sat-a", "gs-a"): [Window(0.0, 10.0)], ("sat-b", "gs-a"): [Window(0.0, 10.0)]},
             {"gs-a": 1.0},
         )

@@ -12,7 +12,6 @@ from eochain.model import (
     Triggering,
     ValidationError,
 )
-from eochain.onboard import ArchitectureMode
 
 from conftest import make_archetype, make_scenario
 
@@ -121,7 +120,7 @@ class TestChainSemantics:
         trace = run(make_scenario(seed=5, archetype=arch, rate=0.5))
         assert set(trace.outcomes) == set(trace.scenes)
         assert len(trace.products) == len(trace.scenes)
-        assert trace.mode is ArchitectureMode.RAW_ONLY
+        assert trace.mode is ProcessingLocation.GROUND
 
     def test_on_demand_images_only_planned_windows(self):
         arch = make_archetype(acquisition=AcquisitionMode.ON_DEMAND)

@@ -9,12 +9,12 @@ from eochain.model import (
     FireEvent,
     GeoPoint,
     PrecisionMode,
+    ProcessingLocation,
     ProductKind,
     ValidationError,
     scene_volume,
 )
 from eochain.onboard import (
-    ArchitectureMode,
     Scene,
     acquire_scene,
     build_products,
@@ -202,7 +202,7 @@ class TestBuildProducts:
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events))
         products = build_products(scene, self.outcome(scene, events, {"ev-1"}), events,
-                                  ArchitectureMode.RAW_ONLY, CLEAR, make_processor(), 10.0, 2.0)
+                                  ProcessingLocation.GROUND, CLEAR, make_processor(), 10.0, 2.0)
         assert len(products) == 1
         raw = products[0]
         assert raw.kind is ProductKind.RAW_SCENE
@@ -214,7 +214,7 @@ class TestBuildProducts:
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events))
         products = build_products(scene, self.outcome(scene, events, {"ev-1"}), events,
-                                  ArchitectureMode.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
+                                  ProcessingLocation.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
         assert [p.kind for p in products] == [ProductKind.THEMATIC_MASK, ProductKind.ROI_CHIP]
         mask, chip = products
         assert mask.priority == 0 and chip.priority == 1
@@ -229,7 +229,7 @@ class TestBuildProducts:
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events), cloud=0.9)
         products = build_products(scene, self.outcome(scene, events, {"ev-1"}), events,
-                                  ArchitectureMode.HYBRID,
+                                  ProcessingLocation.HYBRID,
                                   CloudModel(mean_fraction=0.5, onboard_threshold=0.5),
                                   make_processor(), 10.0, 2.0)
         assert len(products) == 1
@@ -238,9 +238,9 @@ class TestBuildProducts:
     def test_volume_ratio_against_model(self):
         scene = make_scene()
         raw = build_products(scene, self.outcome(scene, {}, set()), {},
-                             ArchitectureMode.RAW_ONLY, CLEAR, make_processor(), 10.0, 2.0)
+                             ProcessingLocation.GROUND, CLEAR, make_processor(), 10.0, 2.0)
         hybrid = build_products(scene, self.outcome(scene, {}, set()), {},
-                                ArchitectureMode.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
+                                ProcessingLocation.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
         ratio = raw[0].volume_bits / hybrid[0].volume_bits
         assert 480.0 * (1 - 1e-6) <= ratio <= 480.0
 
@@ -248,7 +248,7 @@ class TestBuildProducts:
         events = make_events(*[(f"ev-{k}", 20.0) for k in range(5)])
         scene = make_scene(present=frozenset(events))
         hybrid = build_products(scene, self.outcome(scene, events, set(events)), events,
-                                ArchitectureMode.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
+                                ProcessingLocation.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
         raw = scene_volume(scene.area_km2, scene.gsd_m, scene.bands, scene.bit_depth)
         chip_area = sum(e.area_ha * 0.01 * 4.0 for e in events.values())
         assert chip_area < scene.area_km2 * (1.0 - 1.0 / (4 * 12 * 10.0))
@@ -258,6 +258,6 @@ class TestBuildProducts:
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events))
         hybrid = build_products(scene, self.outcome(scene, events, {"ev-1"}), events,
-                                ArchitectureMode.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
+                                ProcessingLocation.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
         for p in hybrid:
             assert p.created >= scene.acquired + pipeline_latency(scene, make_processor()) - 1e-9

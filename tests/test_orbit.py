@@ -9,7 +9,6 @@ from eochain.orbit import (
     access_windows,
     contact_windows,
     elevation_angle,
-    inertial_position,
     orbital_period,
     subsatellite_point,
     subsatellite_track,
@@ -96,18 +95,6 @@ class TestSubsatellitePoint:
             lat, lon = subsatellite_track(sat, np.asarray([t]))
             assert p.lat == pytest.approx(float(lat[0]), abs=1e-9)
             assert p.lon == pytest.approx(float(lon[0]), abs=1e-9)
-
-
-class TestInertialPosition:
-    def test_geocentric_distance_constant(self):
-        rng = random.Random(9)
-        for _ in range(20):
-            sat = random_satellite(rng)
-            times = np.asarray([rng.uniform(0, 5 * DAY) for _ in range(128)])
-            pos = inertial_position(sat, times)
-            r = np.linalg.norm(pos, axis=-1)
-            expected = EARTH_RADIUS_KM + sat.altitude_km
-            assert np.all(np.abs(r - expected) / expected < 1e-6)
 
 
 class TestElevationAngle:

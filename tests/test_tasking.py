@@ -1,5 +1,8 @@
+import dataclasses
+
 import pytest
 
+from eochain.engine import geometry_tables
 from eochain.model import FireEvent, GeoPoint, Triggering, ValidationError
 from eochain.orbit import access_windows
 from eochain.tasking import (
@@ -9,7 +12,7 @@ from eochain.tasking import (
     plan,
 )
 
-from conftest import make_aoi, make_archetype, make_satellite, make_station
+from conftest import make_aoi, make_archetype, make_satellite, make_scenario, make_station
 
 DAY = 86400.0
 
@@ -24,6 +27,20 @@ EQ_STATION = make_station(sid="gs-eq", lat=0.0, lon=-30.0)
 
 def eq_event(eid="ev-1", start=0.0, area=20.0):
     return FireEvent(eid, GeoPoint(0.0, 30.0), start, area)
+
+
+def tables(satellites=(EQ_SAT,), stations=(EQ_STATION,), aois=(EQ_AOI,), horizon=DAY):
+    """(contact, access) window tables from the engine's geometry stage."""
+    scenario = dataclasses.replace(
+        make_scenario(horizon=horizon),
+        satellites=tuple(satellites), stations=tuple(stations), aois=tuple(aois),
+    )
+    return geometry_tables(scenario)
+
+
+def plan_eq(requests, satellites=(EQ_SAT,), stations=(EQ_STATION,)):
+    """Plan over the equatorial AOI for one day."""
+    return plan(requests, satellites, stations, *tables(satellites, stations))
 
 
 class TestContainingAoi:
@@ -74,7 +91,7 @@ class TestBuildRequests:
 class TestPlan:
     def test_assignment_follows_first_full_contact(self):
         build = build_requests([eq_event(start=0.0)], [EQ_AOI], 0.0, make_archetype())
-        result = plan(build.requests, [EQ_SAT], [EQ_STATION], [EQ_AOI], (0.0, DAY))
+        result = plan_eq(build.requests)
         assert result.unmet_request_ids == ()
         a = result.assignments[0]
         # First contact ends ~5942 s; the access at ~493 s is unreachable, the
@@ -87,52 +104,52 @@ class TestPlan:
     def test_no_sband_contact_means_unmet(self):
         xband_only = make_station(sid="gs-x", lat=0.0, lon=-30.0, sband=False)
         build = build_requests([eq_event()], [EQ_AOI], 0.0, make_archetype())
-        result = plan(build.requests, [EQ_SAT], [xband_only], [EQ_AOI], (0.0, DAY))
+        result = plan_eq(build.requests, stations=[xband_only])
         assert result.assignments == ()
         assert result.unmet_request_ids == (build.requests[0].id,)
 
     def test_tie_between_satellites_breaks_by_id(self):
         twin_b = make_satellite(sid="sat-b", inclination=0.0, raan=0.0, arg_lat=0.0, swath=40.0)
         build = build_requests([eq_event()], [EQ_AOI], 0.0, make_archetype())
-        result = plan(build.requests, [twin_b, EQ_SAT], [EQ_STATION], [EQ_AOI], (0.0, DAY))
+        result = plan_eq(build.requests, satellites=[twin_b, EQ_SAT])
         assert result.assignments[0].satellite_id == "sat-a"
 
     def test_no_overlapping_windows_per_satellite(self):
         evs = [eq_event("ev-1", 0.0), eq_event("ev-2", 1.0)]
         build = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
-        result = plan(build.requests, [EQ_SAT], [EQ_STATION], [EQ_AOI], (0.0, DAY))
+        result = plan_eq(build.requests)
         assert len(result.assignments) == 2
         w1, w2 = (a.window for a in result.assignments)
         assert w1.end <= w2.start or w2.end <= w1.start
 
     def test_request_after_last_contact_unmet(self):
         build = build_requests([eq_event(start=DAY - 100.0)], [EQ_AOI], 0.0, make_archetype())
-        result = plan(build.requests, [EQ_SAT], [EQ_STATION], [EQ_AOI], (0.0, DAY))
+        result = plan_eq(build.requests)
         assert result.unmet_request_ids == (build.requests[0].id,)
 
     def test_deterministic(self):
         evs = [eq_event(f"ev-{k}", 100.0 * k) for k in range(5)]
         build = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
-        args = (build.requests, [EQ_SAT], [EQ_STATION], [EQ_AOI], (0.0, DAY))
+        args = (build.requests, [EQ_SAT], [EQ_STATION], *tables())
         assert plan(*args) == plan(*args)
 
 
 class TestPeriodicAcquisitions:
     def test_zero_aois(self):
         arch = make_archetype()
-        assert periodic_acquisitions(arch, [EQ_SAT], [], (0.0, DAY)) == []
+        assert periodic_acquisitions(arch, tables(aois=())[1]) == []
 
     def test_matches_access_windows_exactly(self):
         arch = make_archetype()
-        out = periodic_acquisitions(arch, [EQ_SAT], [EQ_AOI], (0.0, DAY))
+        out = periodic_acquisitions(arch, tables()[1])
         expected = access_windows(EQ_SAT, EQ_AOI, (0.0, DAY))
         assert [w for (_, _, w) in out] == expected
         assert all(sid == "sat-a" and aid == "eq-aoi" for (sid, aid, _) in out)
 
     def test_ordering_and_horizon_growth(self):
         arch = make_archetype()
-        short = periodic_acquisitions(arch, [EQ_SAT], [EQ_AOI], (0.0, DAY / 2))
-        full = periodic_acquisitions(arch, [EQ_SAT], [EQ_AOI], (0.0, DAY))
+        short = periodic_acquisitions(arch, tables(horizon=DAY / 2)[1])
+        full = periodic_acquisitions(arch, tables()[1])
         starts = [w.start for (_, _, w) in full]
         assert starts == sorted(starts)
         # Doubling the horizon never removes an opportunity.
@@ -145,4 +162,4 @@ class TestPeriodicAcquisitions:
         from eochain.model import AcquisitionMode
         arch = make_archetype(acquisition=AcquisitionMode.ON_DEMAND)
         with pytest.raises(ValidationError):
-            periodic_acquisitions(arch, [EQ_SAT], [EQ_AOI], (0.0, DAY))
+            periodic_acquisitions(arch, tables()[1])
