@@ -13,6 +13,7 @@ an A/B comparison see common random numbers.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Optional, Sequence
@@ -34,8 +35,8 @@ from .model import (
     validate_scenario,
 )
 from .onboard import DetectionOutcome, Scene
-from .orbit import DEFAULT_COARSE_STEP_S, Window, access_windows, contact_windows
-from .tasking import RequestBuild, TaskingPlan
+from .orbit import Window, access_windows, contact_windows
+from .tasking import ObservationRequest, TaskingPlan
 
 WindowTable = dict[tuple[str, str], list[Window]]
 
@@ -103,7 +104,7 @@ class SimulationTrace:
     fire_events: tuple[FireEvent, ...]
     dropped_event_ids: tuple[str, ...]
     detection_times: dict[str, float]
-    requests: RequestBuild
+    requests: tuple[ObservationRequest, ...]
     plan: TaskingPlan
     acquisitions: tuple[AcquisitionRecord, ...]
     scenes: dict[str, Scene]
@@ -145,8 +146,10 @@ def _validate_injected(fire_events: Sequence[FireEvent], horizon_s: float) -> No
         seen.add(e.id)
         if not 0.0 <= e.start <= horizon_s:
             raise ValidationError(f"injected event {e.id} starts outside the horizon")
-        if e.area_ha <= 0:
-            raise ValidationError(f"injected event {e.id} has non-positive area")
+        if not (math.isfinite(e.area_ha) and e.area_ha > 0):
+            raise ValidationError(f"injected event {e.id} has non-finite or non-positive area")
+        if not (-90.0 <= e.location.lat <= 90.0 and math.isfinite(e.location.lon)):
+            raise ValidationError(f"injected event {e.id} has an invalid location")
 
 
 def _ground_truth(
@@ -176,9 +179,7 @@ def _ground_truth(
     return fire_events, dropped, detection_times
 
 
-def geometry_tables(
-    scenario: Scenario, coarse_step: float = DEFAULT_COARSE_STEP_S
-) -> tuple[WindowTable, WindowTable]:
+def geometry_tables(scenario: Scenario) -> tuple[WindowTable, WindowTable]:
     """Contact windows per (satellite, station) and access windows per (satellite, AOI).
 
     This is the only place the tables are computed; planner, acquisitions
@@ -186,12 +187,12 @@ def geometry_tables(
     """
     horizon = (0.0, scenario.horizon_s)
     contact_table = {
-        (sat.id, stn.id): contact_windows(sat, stn, horizon, coarse_step)
+        (sat.id, stn.id): contact_windows(sat, stn, horizon)
         for sat in scenario.satellites
         for stn in scenario.stations
     }
     access_table = {
-        (sat.id, aoi.id): access_windows(sat, aoi, horizon, coarse_step)
+        (sat.id, aoi.id): access_windows(sat, aoi, horizon)
         for sat in scenario.satellites
         for aoi in scenario.aois
     }
@@ -200,13 +201,13 @@ def geometry_tables(
 
 def _acquisitions(
     scenario: Scenario,
-    requests: RequestBuild,
+    requests: Sequence[ObservationRequest],
     plan: TaskingPlan,
     access_table: WindowTable,
 ) -> list[AcquisitionRecord]:
     """Systematic imaging covers every access window; pure on-demand
     archetypes image only what the planner scheduled."""
-    aoi_of_request = {r.id: r.aoi_id for r in requests.requests}
+    aoi_of_request = {r.id: r.aoi_id for r in requests}
     if scenario.archetype.acquisition_mode is AcquisitionMode.ON_DEMAND:
         acquisitions = [
             AcquisitionRecord(
@@ -364,7 +365,6 @@ def _timeline(
 def run(
     scenario: Scenario,
     injected_events: Optional[Sequence[FireEvent]] = None,
-    coarse_step: float = DEFAULT_COARSE_STEP_S,
 ) -> SimulationTrace:
     """Execute the full service chain and return the complete trace."""
     violations = validate_scenario(scenario)
@@ -373,12 +373,12 @@ def run(
             "invalid scenario: " + "; ".join(str(v) for v in violations)
         )
     fire_events, dropped, detection_times = _ground_truth(scenario, injected_events)
-    contact_table, access_table = geometry_tables(scenario, coarse_step)
+    contact_table, access_table = geometry_tables(scenario)
     requests = tasking.build_requests(
         fire_events, scenario.aois, scenario.monitoring_delay_s, scenario.archetype
     )
     plan = tasking.plan(
-        requests.requests, scenario.satellites, scenario.stations, contact_table, access_table
+        requests, scenario.satellites, scenario.stations, contact_table, access_table
     )
     acquisitions = _acquisitions(scenario, requests, plan, access_table)
     scenes, outcomes, products = _process_scenes(scenario, acquisitions, fire_events)

@@ -106,6 +106,15 @@ def write_event_trace(path: str | Path, fire_events: Iterable[FireEvent]) -> Non
             )
 
 
+def _trace_number(row: dict, column: str) -> float:
+    try:
+        return float(row[column])
+    except (TypeError, ValueError):
+        raise ValidationError(
+            f"event trace row {row['id']!r}: {column} is not a number: {row[column]!r}"
+        ) from None
+
+
 def read_event_trace(path: str | Path) -> list[FireEvent]:
     """Read a fixed event trace for injection into a simulation run."""
     out: list[FireEvent] = []
@@ -118,9 +127,9 @@ def read_event_trace(path: str | Path) -> list[FireEvent]:
             out.append(
                 FireEvent(
                     id=row["id"],
-                    location=GeoPoint(float(row["lat"]), float(row["lon"])),
-                    start=float(row["start_s"]),
-                    area_ha=float(row["area_ha"]),
+                    location=GeoPoint(_trace_number(row, "lat"), _trace_number(row, "lon")),
+                    start=_trace_number(row, "start_s"),
+                    area_ha=_trace_number(row, "area_ha"),
                 )
             )
     out.sort(key=lambda e: (e.start, e.id))

@@ -62,31 +62,10 @@ def subsatellite_track(sat: SatelliteSpec, t: np.ndarray) -> tuple[np.ndarray, n
     return np.degrees(lat), lon
 
 
-def _track_scalar(sat: SatelliteSpec, t: float) -> tuple[float, float]:
-    """Scalar ground-track point in radians; used by bisection refinement."""
-    period = orbital_period(sat.altitude_km)
-    u = math.radians(sat.initial_arg_lat_deg) + 2.0 * math.pi * t / period
-    inc = math.radians(sat.inclination_deg)
-    lat = math.asin(min(1.0, max(-1.0, math.sin(inc) * math.sin(u))))
-    lon = (
-        math.radians(sat.raan_deg)
-        + math.atan2(math.cos(inc) * math.sin(u), math.cos(u))
-        - EARTH_ROTATION_RAD_S * t
-    )
-    return lat, lon
-
-
-def _central_angle_scalar(lat1: float, lon1: float, lat2_rad: float, lon2_rad: float) -> float:
-    cos_psi = math.sin(lat1) * math.sin(lat2_rad) + math.cos(lat1) * math.cos(lat2_rad) * math.cos(
-        lon1 - lon2_rad
-    )
-    return math.acos(min(1.0, max(-1.0, cos_psi)))
-
-
 def subsatellite_point(sat: SatelliteSpec, t: float) -> GeoPoint:
     """Point on the Earth directly below the satellite at time ``t``."""
-    lat, lon = _track_scalar(sat, t)
-    return GeoPoint(math.degrees(lat), math.degrees(lon))
+    lat, lon = subsatellite_track(sat, np.array([t], dtype=float))
+    return GeoPoint(float(lat[0]), float(lon[0]))
 
 
 def _central_angle(lat1: np.ndarray, lon1: np.ndarray, lat2: float, lon2: float) -> np.ndarray:
@@ -116,59 +95,64 @@ def _coarse_grid(t0: float, t1: float, step: float) -> np.ndarray:
     Anchoring to absolute multiples makes window extraction invariant under
     subdivision of the horizon at grid-aligned points.
     """
-    first = math.ceil(t0 / step) * step
-    interior = np.arange(first, t1, step)
-    grid = np.concatenate(([t0], interior, [t1]))
-    # Drop duplicates introduced when an endpoint is itself a multiple of step.
-    return np.unique(grid)
+    interior = np.arange(math.ceil(t0 / step) * step, t1, step)
+    # Keep only multiples strictly inside the horizon: t0 may itself be a
+    # multiple, and rounding can put the first or last one past an endpoint.
+    interior = interior[(interior > t0) & (interior < t1)]
+    return np.concatenate(([t0], interior, [t1]))
 
 
-def _bisect_crossing(margin: Callable[[float], float], lo: float, hi: float) -> float:
-    """Refine the sign change of ``margin`` inside [lo, hi] to BISECTION_TOL_S."""
-    f_lo = margin(lo)
-    while hi - lo > BISECTION_TOL_S:
+def _bisect_crossings(
+    margin: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, lo_inside: np.ndarray
+) -> np.ndarray:
+    """Refine the sign change of ``margin`` inside each [lo, hi] to BISECTION_TOL_S.
+
+    All brackets are halved in lockstep; a bracket stops moving once it is
+    no wider than the tolerance, so each one follows the midpoints of a
+    scalar bisection.  ``lo_inside`` is ``margin >= 0`` at each ``lo``.
+    """
+    active = hi - lo > BISECTION_TOL_S
+    while active.any():
         mid = 0.5 * (lo + hi)
-        if (margin(mid) >= 0.0) == (f_lo >= 0.0):
-            lo = mid
-            f_lo = margin(mid)
-        else:
-            hi = mid
+        same = (margin(mid) >= 0.0) == lo_inside
+        lo = np.where(active & same, mid, lo)
+        hi = np.where(active & ~same, mid, hi)
+        active = hi - lo > BISECTION_TOL_S
     return 0.5 * (lo + hi)
 
 
 def _find_windows(
-    vector_margin: Callable[[np.ndarray], np.ndarray],
-    scalar_margin: Callable[[float], float],
+    margin: Callable[[np.ndarray], np.ndarray],
     t0: float,
     t1: float,
     coarse_step: float,
 ) -> list[tuple[float, float, float]]:
-    """Maximal intervals where margin >= 0; returns (start, end, peak margin)."""
+    """Maximal intervals where margin >= 0; returns (start, end, peak margin).
+
+    A run of coarse samples with margin >= 0 is a window; its edges are the
+    horizon ends or the refined sign changes next to the run, and its peak
+    is the largest margin sampled inside it.
+    """
     if t0 >= t1:
         raise ValidationError("horizon must satisfy t0 < t1")
     if coarse_step <= 0:
         raise ValidationError("coarse step must be positive")
     grid = _coarse_grid(t0, t1, coarse_step)
-    m = vector_margin(grid)
+    m = margin(grid)
     inside = m >= 0.0
-
-    windows: list[tuple[float, float, float]] = []
-    i = 0
-    n = len(grid)
-    while i < n:
-        if not inside[i]:
-            i += 1
-            continue
-        j = i
-        while j + 1 < n and inside[j + 1]:
-            j += 1
-        start = float(grid[i]) if i == 0 else _bisect_crossing(scalar_margin, float(grid[i - 1]), float(grid[i]))
-        end = float(grid[j]) if j == n - 1 else _bisect_crossing(scalar_margin, float(grid[j]), float(grid[j + 1]))
-        peak = float(np.max(m[i : j + 1]))
-        if end > start:
-            windows.append((start, end, peak))
-        i = j + 1
-    return windows
+    # The sign changes between grid[c] and grid[c + 1] for each c in change.
+    change = np.flatnonzero(np.diff(inside))
+    crossings = _bisect_crossings(margin, grid[change], grid[change + 1], inside[change])
+    # Window edges in time order alternate start, end: t0 when the first
+    # sample is inside, every crossing, t1 when the last sample is inside.
+    edges = np.concatenate((grid[:1][inside[:1]], crossings, grid[-1:][inside[-1:]]))
+    run_first = np.concatenate((np.flatnonzero(inside[:1]), change[~inside[change]] + 1))
+    peaks = np.maximum.reduceat(np.where(inside, m, -np.inf), run_first)
+    return [
+        (float(start), float(end), float(peak))
+        for start, end, peak in zip(edges[0::2], edges[1::2], peaks)
+        if end > start
+    ]
 
 
 def contact_windows(
@@ -186,23 +170,13 @@ def contact_windows(
     """
     t0, t1 = horizon
     mask = station.min_elevation_deg
-    stn_lat = math.radians(station.location.lat)
-    stn_lon = math.radians(station.location.lon)
-    k = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + sat.altitude_km)
 
-    def vec(times: np.ndarray) -> np.ndarray:
-        lat, lon = subsatellite_track(sat, times)
-        psi = _central_angle(lat, lon, station.location.lat, station.location.lon)
-        return _elevation_from_angle(psi, sat.altitude_km) - mask
-
-    def scal(t: float) -> float:
-        lat, lon = _track_scalar(sat, t)
-        psi = _central_angle_scalar(lat, lon, stn_lat, stn_lon)
-        return math.degrees(math.atan2(math.cos(psi) - k, math.sin(psi))) - mask
+    def margin(times: np.ndarray) -> np.ndarray:
+        return elevation_angle(sat, station, times) - mask
 
     return [
         Window(start, end, peak_elevation_deg=peak + mask)
-        for start, end, peak in _find_windows(vec, scal, t0, t1, coarse_step)
+        for start, end, peak in _find_windows(margin, t0, t1, coarse_step)
     ]
 
 
@@ -219,16 +193,9 @@ def access_windows(
     """
     t0, t1 = horizon
     reach = sat.swath_km / 2.0 + aoi.radius_km
-    aoi_lat = math.radians(aoi.center.lat)
-    aoi_lon = math.radians(aoi.center.lon)
 
-    def vec(times: np.ndarray) -> np.ndarray:
+    def margin(times: np.ndarray) -> np.ndarray:
         lat, lon = subsatellite_track(sat, times)
-        psi = _central_angle(lat, lon, aoi.center.lat, aoi.center.lon)
-        return reach - EARTH_RADIUS_KM * psi
+        return reach - EARTH_RADIUS_KM * _central_angle(lat, lon, aoi.center.lat, aoi.center.lon)
 
-    def scal(t: float) -> float:
-        lat, lon = _track_scalar(sat, t)
-        return reach - EARTH_RADIUS_KM * _central_angle_scalar(lat, lon, aoi_lat, aoi_lon)
-
-    return [Window(start, end) for start, end, _ in _find_windows(vec, scal, t0, t1, coarse_step)]
+    return [Window(start, end) for start, end, _ in _find_windows(margin, t0, t1, coarse_step)]

@@ -50,12 +50,6 @@ class TaskingPlan:
     unmet_request_ids: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RequestBuild:
-    requests: tuple[ObservationRequest, ...]
-    dropped_event_ids: tuple[str, ...]
-
-
 def containing_aoi(point: GeoPoint, aois: Sequence[AreaOfInterest]) -> Optional[AreaOfInterest]:
     """AOI whose disc contains the point; nearest center wins, ties by id."""
     candidates = [
@@ -73,21 +67,19 @@ def build_requests(
     aois: Sequence[AreaOfInterest],
     monitoring_delay_s: float,
     archetype: ServiceArchetype,
-) -> RequestBuild:
+) -> tuple[ObservationRequest, ...]:
     """One request per monitored event for event-driven service archetypes.
 
     Periodic archetypes issue no event requests: their acquisitions ride the
-    systematic cycle.  Events outside every AOI are dropped and reported.
+    systematic cycle.  Events outside every AOI get no request.
     No deduplication is performed: two events in one AOI yield two requests.
     """
     if archetype.triggering is Triggering.PERIODIC:
-        return RequestBuild(requests=(), dropped_event_ids=())
+        return ()
     requests: list[ObservationRequest] = []
-    dropped: list[str] = []
     for ev in fire_events:
         aoi = containing_aoi(ev.location, aois)
         if aoi is None:
-            dropped.append(ev.id)
             continue
         issued = ev.start + monitoring_delay_s
         requests.append(
@@ -101,7 +93,7 @@ def build_requests(
             )
         )
     requests.sort(key=lambda r: (r.issued, r.id))
-    return RequestBuild(requests=tuple(requests), dropped_event_ids=tuple(dropped))
+    return tuple(requests)
 
 
 def _first_sband_contact_end(

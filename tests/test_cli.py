@@ -56,6 +56,20 @@ class TestRun:
         lines = (out / "events.csv").read_text().splitlines()
         assert len(lines) == 3  # header + the two injected events
 
+    @pytest.mark.parametrize("column, value", [("start_s", "abc"), ("area_ha", "nan")])
+    def test_bad_event_trace_value_is_one_line_error(self, tmp_path, capsys, column, value):
+        row = {"id": "ev-1", "lat": "42.0", "lon": "13.0", "start_s": "3600.0", "area_ha": "50.0"}
+        row[column] = value
+        trace = tmp_path / "events.csv"
+        trace.write_text(",".join(row) + "\n" + ",".join(row.values()) + "\n")
+        code = main(["run", "--preset", "effis-like", "--duration", DAY,
+                     "--out", str(tmp_path / "out"), "--events", str(trace)])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "ev-1" in err
+
     def test_missing_source_is_usage_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == EXIT_VALIDATION
 

@@ -101,6 +101,20 @@ class TestRunBasics:
         dup = FireEvent("d", GeoPoint(42.0, 13.0), 0.0, 5.0)
         with pytest.raises(ValidationError):
             run(s, injected_events=[dup, dup])
+        for bad in (
+            FireEvent("nan-area", GeoPoint(42.0, 13.0), 0.0, float("nan")),
+            FireEvent("nan-lat", GeoPoint(float("nan"), 13.0), 0.0, 5.0),
+            FireEvent("lat-95", GeoPoint(95.0, 13.0), 0.0, 5.0),
+        ):
+            with pytest.raises(ValidationError, match=bad.id):
+                run(s, injected_events=[bad])
+
+    def test_event_outside_every_aoi_is_dropped(self):
+        inside = FireEvent("inside", GeoPoint(42.0, 13.0), 3600.0, 50.0)
+        lost = FireEvent("lost", GeoPoint(-30.0, 120.0), 3600.0, 50.0)
+        trace = run(make_scenario(horizon=DAY), injected_events=[inside, lost])
+        assert trace.dropped_event_ids == ("lost",)
+        assert [r.event_ids for r in trace.requests] == [frozenset({"inside"})]
 
 
 class TestChainSemantics:

@@ -4,7 +4,13 @@ import random
 import numpy as np
 import pytest
 
-from eochain.model import EARTH_RADIUS_KM, EARTH_ROTATION_RAD_S, MU_EARTH_M3_S2, ValidationError
+from eochain.model import (
+    EARTH_RADIUS_KM,
+    EARTH_ROTATION_RAD_S,
+    MU_EARTH_M3_S2,
+    ValidationError,
+    great_circle_km,
+)
 from eochain.orbit import (
     access_windows,
     contact_windows,
@@ -184,6 +190,14 @@ class TestContactWindows:
             assert a.start == pytest.approx(b.start, abs=1e-9)
             assert a.end == pytest.approx(b.end, abs=1e-9)
 
+    @pytest.mark.parametrize("horizon", [(0.9, 5.0), (2241.9, 2244.9)])
+    def test_windows_clipped_to_horizon_off_grid_step(self, horizon):
+        # Rounding puts a multiple of 0.3 s just outside each horizon; a
+        # station that always sees the satellite must still get exactly it.
+        station = make_station(min_el=-90.0)
+        windows = contact_windows(make_satellite(), station, horizon, coarse_step=0.3)
+        assert [(w.start, w.end) for w in windows] == [horizon]
+
     def test_bad_horizon_rejected(self):
         sat = make_satellite()
         station = make_station()
@@ -225,3 +239,21 @@ class TestAccessWindows:
                     ww.start <= w.start + 1e-6 and w.end <= ww.end + 1e-6
                     for ww in wide_windows
                 )
+
+    def test_boundary_distances_match_reach(self):
+        # Ground speed <= 8 km/s times the 0.05 s half-bracket bounds the error.
+        rng = random.Random(43)
+        boundaries = 0
+        for _ in range(60):
+            sat = random_satellite(rng)
+            aoi = make_aoi("cell", rng.uniform(-60, 60), rng.uniform(-180, 180),
+                           radius=rng.uniform(100, 500))
+            reach = sat.swath_km / 2.0 + aoi.radius_km
+            for w in access_windows(sat, aoi, (0.0, DAY)):
+                for t in (w.start, w.end):
+                    if t in (0.0, DAY):
+                        continue  # clamped at the horizon edge, not a crossing
+                    distance = great_circle_km(subsatellite_point(sat, t), aoi.center)
+                    assert abs(distance - reach) < 0.5
+                    boundaries += 1
+        assert boundaries > 0

@@ -58,9 +58,9 @@ class TestContainingAoi:
 
 class TestBuildRequests:
     def test_single_event_single_request(self):
-        build = build_requests([eq_event()], [EQ_AOI], 1800.0, make_archetype())
-        assert len(build.requests) == 1
-        req = build.requests[0]
+        requests = build_requests([eq_event()], [EQ_AOI], 1800.0, make_archetype())
+        assert len(requests) == 1
+        req = requests[0]
         assert req.issued == 1800.0
         assert req.earliest == req.issued
         assert req.aoi_id == "eq-aoi"
@@ -68,30 +68,30 @@ class TestBuildRequests:
 
     def test_periodic_archetype_builds_nothing(self):
         arch = make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0)
-        build = build_requests([eq_event()], [EQ_AOI], 1800.0, arch)
-        assert build.requests == ()
+        requests = build_requests([eq_event()], [EQ_AOI], 1800.0, arch)
+        assert requests == ()
 
     def test_two_events_two_requests_no_dedup(self):
         evs = [eq_event("ev-1", 0.0), eq_event("ev-2", 10.0)]
-        build = build_requests(evs, [EQ_AOI], 1800.0, make_archetype())
-        assert len(build.requests) == 2
+        requests = build_requests(evs, [EQ_AOI], 1800.0, make_archetype())
+        assert len(requests) == 2
 
     def test_event_outside_every_aoi_dropped(self):
         lost = FireEvent("lost", GeoPoint(45.0, 120.0), 0.0, 20.0)
-        build = build_requests([lost, eq_event()], [EQ_AOI], 0.0, make_archetype())
-        assert build.dropped_event_ids == ("lost",)
-        assert len(build.requests) == 1
+        requests = build_requests([lost, eq_event()], [EQ_AOI], 0.0, make_archetype())
+        assert len(requests) == 1
+        assert requests[0].event_ids == frozenset({"ev-1"})
 
     def test_requests_sorted_by_issue_time(self):
         evs = [eq_event("ev-b", 500.0), eq_event("ev-a", 100.0)]
-        build = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
-        assert [r.issued for r in build.requests] == [100.0, 500.0]
+        requests = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
+        assert [r.issued for r in requests] == [100.0, 500.0]
 
 
 class TestPlan:
     def test_assignment_follows_first_full_contact(self):
-        build = build_requests([eq_event(start=0.0)], [EQ_AOI], 0.0, make_archetype())
-        result = plan_eq(build.requests)
+        requests = build_requests([eq_event(start=0.0)], [EQ_AOI], 0.0, make_archetype())
+        result = plan_eq(requests)
         assert result.unmet_request_ids == ()
         a = result.assignments[0]
         # First contact ends ~5942 s; the access at ~493 s is unreachable, the
@@ -99,38 +99,38 @@ class TestPlan:
         assert a.uplink_time == pytest.approx(5942.0, abs=5.0)
         assert a.window.start == pytest.approx(6631.0, abs=5.0)
         assert a.uplink_time < a.window.start
-        assert a.uplink_time >= build.requests[0].issued
+        assert a.uplink_time >= requests[0].issued
 
     def test_no_sband_contact_means_unmet(self):
         xband_only = make_station(sid="gs-x", lat=0.0, lon=-30.0, sband=False)
-        build = build_requests([eq_event()], [EQ_AOI], 0.0, make_archetype())
-        result = plan_eq(build.requests, stations=[xband_only])
+        requests = build_requests([eq_event()], [EQ_AOI], 0.0, make_archetype())
+        result = plan_eq(requests, stations=[xband_only])
         assert result.assignments == ()
-        assert result.unmet_request_ids == (build.requests[0].id,)
+        assert result.unmet_request_ids == (requests[0].id,)
 
     def test_tie_between_satellites_breaks_by_id(self):
         twin_b = make_satellite(sid="sat-b", inclination=0.0, raan=0.0, arg_lat=0.0, swath=40.0)
-        build = build_requests([eq_event()], [EQ_AOI], 0.0, make_archetype())
-        result = plan_eq(build.requests, satellites=[twin_b, EQ_SAT])
+        requests = build_requests([eq_event()], [EQ_AOI], 0.0, make_archetype())
+        result = plan_eq(requests, satellites=[twin_b, EQ_SAT])
         assert result.assignments[0].satellite_id == "sat-a"
 
     def test_no_overlapping_windows_per_satellite(self):
         evs = [eq_event("ev-1", 0.0), eq_event("ev-2", 1.0)]
-        build = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
-        result = plan_eq(build.requests)
+        requests = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
+        result = plan_eq(requests)
         assert len(result.assignments) == 2
         w1, w2 = (a.window for a in result.assignments)
         assert w1.end <= w2.start or w2.end <= w1.start
 
     def test_request_after_last_contact_unmet(self):
-        build = build_requests([eq_event(start=DAY - 100.0)], [EQ_AOI], 0.0, make_archetype())
-        result = plan_eq(build.requests)
-        assert result.unmet_request_ids == (build.requests[0].id,)
+        requests = build_requests([eq_event(start=DAY - 100.0)], [EQ_AOI], 0.0, make_archetype())
+        result = plan_eq(requests)
+        assert result.unmet_request_ids == (requests[0].id,)
 
     def test_deterministic(self):
         evs = [eq_event(f"ev-{k}", 100.0 * k) for k in range(5)]
-        build = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
-        args = (build.requests, [EQ_SAT], [EQ_STATION], *tables())
+        requests = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
+        args = (requests, [EQ_SAT], [EQ_STATION], *tables())
         assert plan(*args) == plan(*args)
 
 
