@@ -12,10 +12,12 @@ an A/B comparison see common random numbers.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
 from enum import Enum
+from types import MappingProxyType
 from typing import Mapping, Optional, Sequence
 
 import numpy as np
@@ -26,9 +28,12 @@ from .downlink import TransferRecord, TransferResult, simulate_transfers
 from .ground import Marketplace, MarketplaceRecord, pdgs_done, pdgs_process
 from .model import (
     AcquisitionMode,
+    AreaOfInterest,
     DataProduct,
     FireEvent,
+    GroundStationSpec,
     ProcessingLocation,
+    SatelliteSpec,
     Scenario,
     Triggering,
     ValidationError,
@@ -38,7 +43,7 @@ from .onboard import DetectionOutcome, Scene
 from .orbit import Window, access_windows, contact_windows
 from .tasking import ObservationRequest, TaskingPlan
 
-WindowTable = dict[tuple[str, str], list[Window]]
+WindowTable = Mapping[tuple[str, str], tuple[Window, ...]]
 
 
 def rng_stream(master_seed: int, domain_label: str, entity_id: str = "") -> np.random.Generator:
@@ -117,13 +122,25 @@ class SimulationTrace:
     marketplace: tuple[MarketplaceRecord, ...]
     timeline: tuple[SimEvent, ...]
 
-    @property
+    # Indices over the finished trace, built on first use.
+    @functools.cached_property
     def events_by_id(self) -> dict[str, FireEvent]:
         return {e.id: e for e in self.fire_events}
 
-    @property
+    @functools.cached_property
     def delivered_by_product(self) -> dict[str, float]:
         return {r.product_id: r.delivered for r in self.marketplace}
+
+    @functools.cached_property
+    def first_delivery_by_event(self) -> dict[str, tuple[float, str]]:
+        """Earliest (delivered, product id) among the deliveries containing each event."""
+        first: dict[str, tuple[float, str]] = {}
+        for r in self.marketplace:
+            for event_id in r.event_ids:
+                candidate = (r.delivered, r.product_id)
+                if event_id not in first or candidate < first[event_id]:
+                    first[event_id] = candidate
+        return first
 
     def generated_bits(self) -> int:
         return sum(p.volume_bits for p in self.products.values())
@@ -183,20 +200,33 @@ def geometry_tables(scenario: Scenario) -> tuple[WindowTable, WindowTable]:
     """Contact windows per (satellite, station) and access windows per (satellite, AOI).
 
     This is the only place the tables are computed; planner, acquisitions
-    and downlink all read them.
+    and downlink all read them.  They depend on the geometry alone, not on
+    the seed or the archetype, so runs that share satellites, stations,
+    AOIs and horizon share one read-only pair of tables.
     """
-    horizon = (0.0, scenario.horizon_s)
-    contact_table = {
-        (sat.id, stn.id): contact_windows(sat, stn, horizon)
-        for sat in scenario.satellites
-        for stn in scenario.stations
-    }
-    access_table = {
-        (sat.id, aoi.id): access_windows(sat, aoi, horizon)
-        for sat in scenario.satellites
-        for aoi in scenario.aois
-    }
-    return contact_table, access_table
+    return _geometry_tables(scenario.satellites, scenario.stations, scenario.aois, scenario.horizon_s)
+
+
+# A compare holds two geometries (the preset and its baseline); a few more
+# slots keep interleaved callers from evicting each other.
+@functools.lru_cache(maxsize=4)
+def _geometry_tables(
+    satellites: tuple[SatelliteSpec, ...],
+    stations: tuple[GroundStationSpec, ...],
+    aois: tuple[AreaOfInterest, ...],
+    horizon_s: float,
+) -> tuple[WindowTable, WindowTable]:
+    horizon = (0.0, horizon_s)
+    contact_table: dict[tuple[str, str], tuple[Window, ...]] = {}
+    access_table: dict[tuple[str, str], tuple[Window, ...]] = {}
+    # Satellite-major, so each satellite's track is sampled once (see
+    # orbit._grid_track); each table keeps its (satellite, target) key order.
+    for sat in satellites:
+        for stn in stations:
+            contact_table[sat.id, stn.id] = tuple(contact_windows(sat, stn, horizon))
+        for aoi in aois:
+            access_table[sat.id, aoi.id] = tuple(access_windows(sat, aoi, horizon))
+    return MappingProxyType(contact_table), MappingProxyType(access_table)
 
 
 def _acquisitions(

@@ -60,16 +60,14 @@ def time_to_first_info(trace: SimulationTrace, event_id: str) -> Optional[float]
     """Fire start to first delivered product containing the event; None if never."""
     if event_id not in trace.events_by_id:
         raise KeyError(f"unknown event id: {event_id}")
-    start = trace.events_by_id[event_id].start
-    times = [r.delivered for r in trace.marketplace if event_id in r.event_ids]
-    return min(times) - start if times else None
+    first = trace.first_delivery_by_event.get(event_id)
+    return None if first is None else first[0] - trace.events_by_id[event_id].start
 
 
 def first_info_product(trace: SimulationTrace, event_id: str) -> Optional[str]:
-    candidates = [
-        (r.delivered, r.product_id) for r in trace.marketplace if event_id in r.event_ids
-    ]
-    return min(candidates)[1] if candidates else None
+    """Id of the first delivered product containing the event, ties by id; None if never."""
+    first = trace.first_delivery_by_event.get(event_id)
+    return None if first is None else first[1]
 
 
 def end_to_end_latency(trace: SimulationTrace, product_id: str) -> Optional[float]:

@@ -250,7 +250,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     """Check every type invariant; returns violations sorted by field path."""
     v: list[Violation] = []
     _check(v, 0 <= s.seed < 2**64, "seed", "seed must fit in an unsigned 64-bit integer")
-    _check(v, s.horizon_s > 0, "horizon_s", "horizon must be positive")
+    _check(v, math.isfinite(s.horizon_s) and s.horizon_s > 0, "horizon_s",
+           "horizon must be finite and positive")
     _check(v, len(s.satellites) >= 1, "satellites", "at least one satellite required")
     _check(v, len(s.stations) >= 1, "stations", "at least one ground station required")
     _check(v, len(s.aois) >= 1, "aois", "at least one AOI required")

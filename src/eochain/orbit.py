@@ -3,11 +3,17 @@
 Propagation is closed-form: a satellite moves on a circle of radius
 R + h at constant angular rate while the Earth rotates underneath it.
 Visibility windows (station contacts and AOI access) are found by coarse
-sampling followed by bisection of the boundary crossings.
+sampling followed by bisection of the boundary crossings.  Each margin is a
+function of the ground track, and the track on the coarse grid is sampled
+once per satellite and horizon: every contact and access search of that
+satellite reuses it, and only the bisection midpoints evaluate the track
+afresh.  ``engine.geometry_tables`` in turn reuses whole tables across
+seeds and A/B arms.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -76,7 +82,12 @@ def _central_angle(lat1: np.ndarray, lon1: np.ndarray, lat2: float, lon2: float)
     return np.arccos(np.clip(cos_psi, -1.0, 1.0))
 
 
-def _elevation_from_angle(psi: np.ndarray, altitude_km: float) -> np.ndarray:
+def _track_elevation(
+    lat: np.ndarray, lon: np.ndarray, station: GroundStationSpec, altitude_km: float
+) -> np.ndarray:
+    """Elevation (degrees) above the station's horizon of a satellite at ``altitude_km``
+    over the track points."""
+    psi = _central_angle(lat, lon, station.location.lat, station.location.lon)
     k = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
     return np.degrees(np.arctan2(np.cos(psi) - k, np.sin(psi)))
 
@@ -84,8 +95,7 @@ def _elevation_from_angle(psi: np.ndarray, altitude_km: float) -> np.ndarray:
 def elevation_angle(sat: SatelliteSpec, station: GroundStationSpec, t: float | np.ndarray) -> float | np.ndarray:
     """Elevation of the satellite above the station's local horizon, degrees."""
     lat, lon = subsatellite_track(sat, np.atleast_1d(np.asarray(t, dtype=float)))
-    psi = _central_angle(lat, lon, station.location.lat, station.location.lon)
-    el = _elevation_from_angle(psi, sat.altitude_km)
+    el = _track_elevation(lat, lon, station, sat.altitude_km)
     return float(el[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else el
 
 
@@ -100,6 +110,23 @@ def _coarse_grid(t0: float, t1: float, step: float) -> np.ndarray:
     # multiple, and rounding can put the first or last one past an endpoint.
     interior = interior[(interior > t0) & (interior < t1)]
     return np.concatenate(([t0], interior, [t1]))
+
+
+@functools.lru_cache(maxsize=1)
+def _grid_track(
+    sat: SatelliteSpec, t0: float, t1: float, step: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse grid of a horizon and the satellite's track on it, read-only.
+
+    Callers search one satellite's stations and AOIs in a row, so one cached
+    track serves them all.  Each track held costs about 1.5 MB per week of
+    horizon, so only the last one is kept.
+    """
+    grid = _coarse_grid(t0, t1, step)
+    lat, lon = subsatellite_track(sat, grid)
+    for a in (grid, lat, lon):
+        a.flags.writeable = False
+    return grid, lat, lon
 
 
 def _bisect_crossings(
@@ -122,12 +149,14 @@ def _bisect_crossings(
 
 
 def _find_windows(
-    margin: Callable[[np.ndarray], np.ndarray],
+    sat: SatelliteSpec,
+    margin: Callable[[np.ndarray, np.ndarray], np.ndarray],
     t0: float,
     t1: float,
     coarse_step: float,
 ) -> list[tuple[float, float, float]]:
-    """Maximal intervals where margin >= 0; returns (start, end, peak margin).
+    """Maximal intervals where margin(lat, lon) >= 0 along the satellite's
+    track; returns (start, end, peak margin).
 
     A run of coarse samples with margin >= 0 is a window; its edges are the
     horizon ends or the refined sign changes next to the run, and its peak
@@ -137,12 +166,14 @@ def _find_windows(
         raise ValidationError("horizon must satisfy t0 < t1")
     if coarse_step <= 0:
         raise ValidationError("coarse step must be positive")
-    grid = _coarse_grid(t0, t1, coarse_step)
-    m = margin(grid)
+    grid, lat, lon = _grid_track(sat, t0, t1, coarse_step)
+    m = margin(lat, lon)
     inside = m >= 0.0
     # The sign changes between grid[c] and grid[c + 1] for each c in change.
     change = np.flatnonzero(np.diff(inside))
-    crossings = _bisect_crossings(margin, grid[change], grid[change + 1], inside[change])
+    crossings = _bisect_crossings(
+        lambda t: margin(*subsatellite_track(sat, t)), grid[change], grid[change + 1], inside[change]
+    )
     # Window edges in time order alternate start, end: t0 when the first
     # sample is inside, every crossing, t1 when the last sample is inside.
     edges = np.concatenate((grid[:1][inside[:1]], crossings, grid[-1:][inside[-1:]]))
@@ -171,12 +202,12 @@ def contact_windows(
     t0, t1 = horizon
     mask = station.min_elevation_deg
 
-    def margin(times: np.ndarray) -> np.ndarray:
-        return elevation_angle(sat, station, times) - mask
+    def margin(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+        return _track_elevation(lat, lon, station, sat.altitude_km) - mask
 
     return [
         Window(start, end, peak_elevation_deg=peak + mask)
-        for start, end, peak in _find_windows(margin, t0, t1, coarse_step)
+        for start, end, peak in _find_windows(sat, margin, t0, t1, coarse_step)
     ]
 
 
@@ -194,8 +225,7 @@ def access_windows(
     t0, t1 = horizon
     reach = sat.swath_km / 2.0 + aoi.radius_km
 
-    def margin(times: np.ndarray) -> np.ndarray:
-        lat, lon = subsatellite_track(sat, times)
+    def margin(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
         return reach - EARTH_RADIUS_KM * _central_angle(lat, lon, aoi.center.lat, aoi.center.lon)
 
-    return [Window(start, end) for start, end, _ in _find_windows(margin, t0, t1, coarse_step)]
+    return [Window(start, end) for start, end, _ in _find_windows(sat, margin, t0, t1, coarse_step)]

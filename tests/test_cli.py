@@ -70,6 +70,16 @@ class TestRun:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "ev-1" in err
 
+    @pytest.mark.parametrize("duration", ["inf", "nan"])
+    def test_non_finite_duration_is_one_line_error(self, tmp_path, capsys, duration):
+        code = main(["run", "--preset", "effis-like", "--duration", duration,
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "horizon_s" in err
+
     def test_missing_source_is_usage_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == EXIT_VALIDATION
 

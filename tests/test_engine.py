@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from eochain.engine import SimEventKind, rng_stream, run
+from eochain import orbit
+from eochain.engine import SimEventKind, geometry_tables, rng_stream, run
 from eochain.model import (
     AcquisitionMode,
     FireEvent,
@@ -13,7 +14,7 @@ from eochain.model import (
     ValidationError,
 )
 
-from conftest import make_archetype, make_scenario
+from conftest import make_aoi, make_archetype, make_satellite, make_scenario, make_station
 
 DAY = 86400.0
 
@@ -196,3 +197,67 @@ class TestStreamIsolation:
         assert kinds_r <= {"RawScene"}
         if hybrid.products:
             assert "ThematicMask" in kinds_h
+
+
+def table_contents(tables):
+    contact, access = tables
+    return dict(contact), dict(access)
+
+
+class TestGeometryTables:
+    def test_shared_across_seeds_and_processing_locations(self):
+        s = make_scenario(horizon=DAY)
+        tables = geometry_tables(s)
+        assert geometry_tables(dataclasses.replace(s, seed=99)) is tables
+        assert geometry_tables(with_processing(s, ProcessingLocation.GROUND)) is tables
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda s: dataclasses.replace(
+                s, satellites=(s.satellites[0], make_satellite("sat-b", raan=90.0, arg_lat=90.0))
+            ),
+            lambda s: dataclasses.replace(s, stations=(make_station(min_el=15.0),)),
+            lambda s: dataclasses.replace(s, aois=(s.aois[0], make_aoi("aoi-b", 44.5, 9.0, radius=400.0))),
+            lambda s: dataclasses.replace(s, horizon_s=DAY / 2),
+        ],
+        ids=["satellite", "station", "aoi", "horizon"],
+    )
+    def test_any_geometry_change_gives_new_tables(self, change):
+        s = make_scenario(horizon=DAY)
+        changed = change(s)
+        assert table_contents(geometry_tables(changed)) != table_contents(geometry_tables(s))
+
+    def test_tables_cannot_be_mutated(self):
+        contact, access = geometry_tables(make_scenario(horizon=DAY))
+        for table in (contact, access):
+            key = next(iter(table))
+            with pytest.raises(TypeError):
+                table[key] = ()
+            with pytest.raises(TypeError):
+                del table[key]
+            assert all(isinstance(windows, tuple) for windows in table.values())
+
+    def test_second_run_computes_no_track(self, monkeypatch):
+        sizes = []
+        track = orbit.subsatellite_track
+
+        def counting_track(sat, t):
+            sizes.append(np.size(t))
+            return track(sat, t)
+
+        monkeypatch.setattr(orbit, "subsatellite_track", counting_track)
+        # A horizon no other test uses, so the first run finds nothing cached.
+        horizon = 2 * DAY + 5.0
+        s = make_scenario(horizon=horizon)
+        run(s)
+        # The 10 s grid: multiples of the step in [0, horizon), then the horizon.
+        grid = len(np.arange(0.0, horizon, 10.0)) + 1
+        # One grid track per satellite; every other call holds the bisection
+        # midpoints of one search, one per crossing.
+        assert sizes.count(grid) == len(s.satellites)
+        assert all(n < 100 for n in sizes if n != grid)
+        sizes.clear()
+        run(dataclasses.replace(s, seed=1))
+        run(with_processing(s, ProcessingLocation.GROUND))
+        assert sizes == []

@@ -3,7 +3,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from eochain import orbit
 from eochain.model import (
     EARTH_RADIUS_KM,
     EARTH_ROTATION_RAD_S,
@@ -12,6 +15,7 @@ from eochain.model import (
     great_circle_km,
 )
 from eochain.orbit import (
+    Window,
     access_windows,
     contact_windows,
     elevation_angle,
@@ -257,3 +261,92 @@ class TestAccessWindows:
                     assert abs(distance - reach) < 0.5
                     boundaries += 1
         assert boundaries > 0
+
+
+def reference_windows(margin, horizon, step):
+    """(start, end, peak) of each window of ``margin(times)``: the margin of
+    the grid, a sample-by-sample scan for runs and one scalar bisection per
+    crossing."""
+    t0, t1 = horizon
+
+    def crossing(lo, hi, lo_inside):
+        while hi - lo > orbit.BISECTION_TOL_S:
+            mid = 0.5 * (lo + hi)
+            if (margin(np.array([mid]))[0] >= 0.0) == lo_inside:
+                lo = mid
+            else:
+                hi = mid
+        return 0.5 * (lo + hi)
+
+    grid = orbit._coarse_grid(t0, t1, step)
+    m = margin(grid)
+    windows, start, peak = [], None, None
+    for i, value in enumerate(m):
+        if value >= 0.0:
+            if start is None:
+                start = t0 if i == 0 else crossing(grid[i - 1], grid[i], False)
+                peak = value
+            peak = max(peak, value)
+        elif start is not None:
+            windows.append((start, crossing(grid[i - 1], grid[i], True), peak))
+            start = None
+    if start is not None:
+        windows.append((start, t1, peak))
+    return [(float(a), float(b), float(p)) for a, b, p in windows if b > a]
+
+
+# The reference margins evaluate a fresh track at every call.
+def reference_contacts(sat, station, horizon, step):
+    mask = station.min_elevation_deg
+
+    def margin(times):
+        return elevation_angle(sat, station, times) - mask
+
+    return [Window(a, b, p + mask) for a, b, p in reference_windows(margin, horizon, step)]
+
+
+def reference_access(sat, aoi, horizon, step):
+    reach = sat.swath_km / 2.0 + aoi.radius_km
+
+    def margin(times):
+        lat, lon = subsatellite_track(sat, times)
+        return reach - EARTH_RADIUS_KM * orbit._central_angle(lat, lon, aoi.center.lat, aoi.center.lon)
+
+    return [Window(a, b) for a, b, _ in reference_windows(margin, horizon, step)]
+
+
+satellites = st.builds(
+    make_satellite,
+    altitude=st.floats(400.0, 900.0),
+    inclination=st.floats(0.0, 180.0),
+    raan=st.floats(0.0, 360.0),
+    arg_lat=st.floats(0.0, 360.0),
+    swath=st.floats(1.0, 200.0),
+)
+stations = st.builds(make_station, lat=st.floats(-80.0, 80.0), lon=st.floats(-180.0, 180.0),
+                     min_el=st.floats(-20.0, 30.0))
+aois = st.builds(make_aoi, lat=st.floats(-80.0, 80.0), lon=st.floats(-180.0, 180.0),
+                 radius=st.floats(10.0, 3000.0))
+
+
+@st.composite
+def horizons(draw):
+    """(horizon, step): a grid-aligned or off-grid start and a 10 s or 0.3 s step."""
+    step = draw(st.sampled_from([10.0, 0.3]))
+    if draw(st.booleans()):
+        t0 = draw(st.integers(0, 20000)) * step
+    else:
+        t0 = draw(st.floats(0.0, 86400.0))
+    length = draw(st.floats(2.0 * step, 8640.0 * step))
+    return (t0, t0 + length), step
+
+
+class TestSharedTrack:
+    @settings(max_examples=100, deadline=None)
+    @given(sat_a=satellites, sat_b=satellites, station=stations, aoi=aois, horizon_step=horizons())
+    def test_windows_equal_fresh_track_reference(self, sat_a, sat_b, station, aoi, horizon_step):
+        # Interleaving A, B, A proves the one cached track is never served stale.
+        horizon, step = horizon_step
+        for sat in (sat_a, sat_b, sat_a):
+            assert contact_windows(sat, station, horizon, step) == reference_contacts(sat, station, horizon, step)
+            assert access_windows(sat, aoi, horizon, step) == reference_access(sat, aoi, horizon, step)
