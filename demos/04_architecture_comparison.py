@@ -9,11 +9,7 @@ for class-level context.
 from eochain.metrics import compare_architectures
 from eochain.presets import effis_like, iride_heo
 
-report = compare_architectures(
-    iride_heo(),
-    seed=11,
-    baseline_scenario=effis_like(),
-)
+report = compare_architectures(iride_heo(seed=11), baseline_scenario=effis_like(seed=11))
 
 s = report.summary
 print(f"Paired comparison on '{report.scenario_name}', seed {report.seed}, "

@@ -155,14 +155,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    baseline = get_preset(args.baseline) if args.baseline else None
+    baseline = get_preset(args.baseline, seed=scenario.seed) if args.baseline else None
     if baseline is not None and args.duration is not None:
         baseline = dataclasses.replace(baseline, horizon_s=float(args.duration))
     report = metrics.compare_architectures(
-        scenario,
-        seed=scenario.seed,
-        injected_events=_injected(args),
-        baseline_scenario=baseline,
+        scenario, injected_events=_injected(args), baseline_scenario=baseline
     )
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -224,7 +221,7 @@ def _cmd_presets(args: argparse.Namespace) -> int:
         arch = s.archetype
         print(
             f"{name}: {arch.processing_location.value} processing, "
-            f"gsd {arch.gsd_m:g} m, mmu {arch.mmu_ha:g} ha, "
+            f"gsd {min(sat.gsd_m for sat in s.satellites):g} m, mmu {arch.mmu_ha:g} ha, "
             f"{arch.acquisition_mode.value}/{arch.triggering.value}, "
             f"{len(s.satellites)} satellite(s), {len(s.stations)} station(s)"
         )

@@ -50,7 +50,7 @@ def pdgs_process(
     """
     t = pdgs_done(product, downlink_complete, latencies)
     if archetype.triggering is Triggering.PERIODIC:
-        cycle = archetype.periodic_cycle_s or latencies.periodic_cycle_s
+        cycle = archetype.periodic_cycle_s
         if cycle is None or cycle <= 0:
             raise ValidationError("periodic archetype without a positive cycle")
         t = math.ceil(t / cycle) * cycle

@@ -273,7 +273,6 @@ def _assert_common_randomness(a: SimulationTrace, b: SimulationTrace) -> None:
 
 def compare_architectures(
     scenario: Scenario,
-    seed: Optional[int] = None,
     injected_events: Optional[Sequence[FireEvent]] = None,
     baseline_scenario: Optional[Scenario] = None,
 ) -> ComparisonReport:
@@ -282,8 +281,6 @@ def compare_architectures(
     Optionally also runs a baseline scenario (e.g. a medium-resolution
     periodic service) on the same injected events for class-level context.
     """
-    if seed is not None:
-        scenario = replace(scenario, seed=seed)
     hybrid_trace = run(_with_processing(scenario, ProcessingLocation.HYBRID), injected_events)
     raw_trace = run(_with_processing(scenario, ProcessingLocation.GROUND), injected_events)
     _assert_common_randomness(hybrid_trace, raw_trace)
@@ -294,8 +291,6 @@ def compare_architectures(
 
     baseline_report = None
     if baseline_scenario is not None:
-        if seed is not None:
-            baseline_scenario = replace(baseline_scenario, seed=seed)
         baseline_trace = run(baseline_scenario, injected_events)
         baseline_report = build_service_report(baseline_trace, baseline_scenario.archetype.mmu_ha)
 

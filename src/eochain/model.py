@@ -8,9 +8,9 @@ exact; times are seconds from the scenario epoch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Optional
+from typing import Iterator, Optional
 
 # Spherical-Earth constants used throughout.
 EARTH_RADIUS_KM = 6371.0
@@ -130,9 +130,7 @@ class FireEvent:
 class ServiceArchetype:
     """Service-level character of a product line (one Table-style column)."""
 
-    name: str
     processing_location: ProcessingLocation
-    gsd_m: float
     mmu_ha: float
     acquisition_mode: AcquisitionMode
     triggering: Triggering
@@ -150,7 +148,6 @@ class EventModel:
 class GroundLatencySpec:
     pdgs_raw_s: float
     pdgs_mask_s: float
-    periodic_cycle_s: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -246,6 +243,18 @@ def _check_point(out: list[Violation], p: GeoPoint, path: str) -> None:
     _check(out, -90.0 <= p.lat <= 90.0, f"{path}.lat", "latitude must be in [-90, 90]")
 
 
+def _non_finite_paths(value: object, path: str) -> Iterator[str]:
+    """Field path of every non-finite float inside a scenario value."""
+    if is_dataclass(value):
+        for f in fields(value):
+            yield from _non_finite_paths(getattr(value, f.name), f"{path}.{f.name}" if path else f.name)
+    elif isinstance(value, tuple):
+        for i, item in enumerate(value):
+            yield from _non_finite_paths(item, f"{path}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        yield path
+
+
 def validate_scenario(s: Scenario) -> list[Violation]:
     """Check every type invariant; returns violations sorted by field path."""
     v: list[Violation] = []
@@ -297,7 +306,6 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _check(v, aoi.radius_km > 0, f"{p}.radius_km", "radius must be positive")
 
     a = s.archetype
-    _check(v, a.gsd_m > 0, "archetype.gsd_m", "gsd must be positive")
     _check(v, a.mmu_ha > 0, "archetype.mmu_ha", "minimum mapping unit must be positive")
     if a.triggering is Triggering.PERIODIC:
         _check(v, a.periodic_cycle_s is not None and a.periodic_cycle_s > 0,
@@ -318,9 +326,6 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     _check(v, lat.pdgs_mask_s >= 0, "latencies.pdgs_mask_s", "must be non-negative")
     _check(v, lat.pdgs_mask_s <= lat.pdgs_raw_s, "latencies.pdgs_mask_s",
            "mask validation cannot take longer than full raw processing")
-    if lat.periodic_cycle_s is not None:
-        _check(v, lat.periodic_cycle_s > 0, "latencies.periodic_cycle_s",
-               "periodic cycle must be positive when present")
 
     _check(v, s.monitoring_delay_s >= 0, "monitoring_delay_s", "must be non-negative")
 
@@ -340,4 +345,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     _check(v, det.mask_compression >= 1.0, "detection.mask_compression",
            "mask compression must be >= 1")
 
+    # Every float must be finite; a field its own check already flagged is not
+    # reported twice.
+    flagged = {x.path for x in v}
+    v.extend(Violation(p, "must be finite") for p in _non_finite_paths(s, "") if p not in flagged)
     return sorted(v, key=lambda x: x.path)

@@ -54,7 +54,7 @@ _STATIONS = (
 )
 
 _EVENT_MODEL = EventModel(rate_per_aoi_per_day=0.2, area_log_mean=1.6094379124341003, area_log_sd=1.0)
-_LATENCIES = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0, periodic_cycle_s=86400.0)
+_LATENCIES = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0)
 _CLOUDS = CloudModel(mean_fraction=0.1, onboard_threshold=0.5)
 _DETECTION = DetectionSpec(accuracy_p=0.95, fp_rate_per_scene=0.05, chip_margin=2.0, mask_compression=10.0)
 
@@ -98,9 +98,7 @@ def iride_heo(seed: int = 0, horizon_s: float = SEVEN_DAYS_S) -> Scenario:
         stations=_STATIONS,
         aois=_MONITORING_CELLS,
         archetype=ServiceArchetype(
-            name="iride-heo",
             processing_location=ProcessingLocation.HYBRID,
-            gsd_m=3.0,
             mmu_ha=3.0,
             acquisition_mode=AcquisitionMode.SYSTEMATIC,
             triggering=Triggering.EVENT_DRIVEN,
@@ -140,9 +138,7 @@ def effis_like(seed: int = 0, horizon_s: float = SEVEN_DAYS_S) -> Scenario:
         stations=_STATIONS,
         aois=_MONITORING_CELLS,
         archetype=ServiceArchetype(
-            name="effis-like",
             processing_location=ProcessingLocation.GROUND,
-            gsd_m=20.0,
             mmu_ha=10.0,
             acquisition_mode=AcquisitionMode.SYSTEMATIC,
             triggering=Triggering.PERIODIC,

@@ -2,7 +2,8 @@
 
 The document maps one-to-one onto the Scenario type: field names, nesting
 and defaults are read from the dataclasses in ``model``, which are the only
-schema.  See README for the full schema.
+schema.  The schema is closed: a key that is not a field (other than the
+top-level ``schema_version``) is an error.  See README for the full schema.
 """
 
 from __future__ import annotations
@@ -36,10 +37,15 @@ def _build(tp: Any, value: Any, path: str) -> Any:
     if dataclasses.is_dataclass(tp):
         if not isinstance(value, dict):
             raise ValidationError(f"{path or 'scenario'}: expected a mapping")
+        prefix = f"{path}." if path else ""
+        names = {f.name for f in dataclasses.fields(tp)}
+        unknown = [k for k in value if k not in names]
+        if unknown:
+            raise ValidationError(f"{prefix}{unknown[0]}: unknown field")
         hints = typing.get_type_hints(tp)
         kwargs = {}
         for f in dataclasses.fields(tp):
-            sub = f"{path}.{f.name}" if path else f.name
+            sub = prefix + f.name
             if f.name in value:
                 kwargs[f.name] = _build(hints[f.name], value[f.name], sub)
             elif f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING:
@@ -57,7 +63,7 @@ def _build(tp: Any, value: Any, path: str) -> Any:
         tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
     try:
         return tp(value)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{path}: invalid {tp.__name__} value {value!r}") from exc
 
 
@@ -65,7 +71,7 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
     version = doc.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ValidationError(f"unsupported scenario schema version: {version!r}")
-    return _build(Scenario, doc, "")
+    return _build(Scenario, {k: v for k, v in doc.items() if k != "schema_version"}, "")
 
 
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:

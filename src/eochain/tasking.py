@@ -32,8 +32,6 @@ class ObservationRequest:
     aoi_id: str
     event_ids: frozenset[str]
     issued: float
-    priority: int
-    earliest: float
 
 
 @dataclass(frozen=True)
@@ -81,15 +79,12 @@ def build_requests(
         aoi = containing_aoi(ev.location, aois)
         if aoi is None:
             continue
-        issued = ev.start + monitoring_delay_s
         requests.append(
             ObservationRequest(
                 id=f"req-{ev.id}",
                 aoi_id=aoi.id,
                 event_ids=frozenset({ev.id}),
-                issued=issued,
-                priority=0,
-                earliest=issued,
+                issued=ev.start + monitoring_delay_s,
             )
         )
     requests.sort(key=lambda r: (r.issued, r.id))
@@ -124,7 +119,7 @@ def plan(
 ) -> TaskingPlan:
     """Greedy assignment of requests to access windows.
 
-    Requests are processed in (priority, issued, id) order.  A request is
+    Requests are processed in (issued, id) order.  A request is
     assigned the earliest access window over its AOI, across all satellites,
     whose start strictly exceeds that satellite's uplink time (the end of
     the first S-band contact after the request was issued).  Windows already
@@ -141,7 +136,7 @@ def plan(
     assignments: list[Assignment] = []
     unmet: list[str] = []
 
-    for req in sorted(requests, key=lambda r: (r.priority, r.issued, r.id)):
+    for req in sorted(requests, key=lambda r: (r.issued, r.id)):
         best: Optional[tuple[float, str, Window, float]] = None
         for sat in sorted(satellites, key=lambda s: s.id):
             uplink = _first_sband_contact_end(
@@ -150,7 +145,7 @@ def plan(
             if uplink is None:
                 continue
             for w in access_table.get((sat.id, req.aoi_id), []):
-                if w.start <= uplink or w.start < req.earliest:
+                if w.start <= uplink:
                     continue
                 if any(w.start < b.end and b.start < w.end for b in busy[sat.id]):
                     continue

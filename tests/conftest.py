@@ -61,13 +61,11 @@ def make_aoi(aid="aoi-a", lat=42.0, lon=13.0, radius=150.0):
     return AreaOfInterest(id=aid, center=GeoPoint(lat, lon), radius_km=radius)
 
 
-def make_archetype(processing=ProcessingLocation.HYBRID, gsd=3.0, mmu=3.0,
+def make_archetype(processing=ProcessingLocation.HYBRID, mmu=3.0,
                    acquisition=AcquisitionMode.SYSTEMATIC,
                    triggering=Triggering.EVENT_DRIVEN, cycle=None):
     return ServiceArchetype(
-        name="test",
         processing_location=processing,
-        gsd_m=gsd,
         mmu_ha=mmu,
         acquisition_mode=acquisition,
         triggering=triggering,
@@ -89,7 +87,7 @@ def make_scenario(seed=0, horizon=2 * 86400.0, satellites=None, stations=None,
         aois=tuple(aois or (make_aoi("aoi-a", 42.0, 13.0), make_aoi("aoi-b", 44.5, 9.0))),
         archetype=archetype or make_archetype(),
         event_model=EventModel(rate_per_aoi_per_day=rate, area_log_mean=math.log(5.0), area_log_sd=1.0),
-        latencies=GroundLatencySpec(pdgs_raw_s=pdgs_raw, pdgs_mask_s=pdgs_mask, periodic_cycle_s=86400.0),
+        latencies=GroundLatencySpec(pdgs_raw_s=pdgs_raw, pdgs_mask_s=pdgs_mask),
         monitoring_delay_s=monitoring_delay,
         cloud_model=CloudModel(mean_fraction=cloud_mean, onboard_threshold=cloud_threshold),
         detection=detection or DetectionSpec(),

@@ -204,10 +204,9 @@ def table_comparison():
     injected = read_event_trace(TRACE_PATH)
     assert len(injected) == 20
     return metrics.compare_architectures(
-        iride_heo(),
-        seed=42,
+        iride_heo(seed=42),
         injected_events=injected,
-        baseline_scenario=effis_like(),
+        baseline_scenario=effis_like(seed=42),
     )
 
 
@@ -233,9 +232,9 @@ def test_criterion_5_timeliness_class_ordering(table_comparison):
 def test_criterion_6_volume_reduction():
     injected = read_event_trace(TRACE_PATH)
     clear = dataclasses.replace(
-        iride_heo(), cloud_model=CloudModel(mean_fraction=0.0, onboard_threshold=0.5)
+        iride_heo(seed=42), cloud_model=CloudModel(mean_fraction=0.0, onboard_threshold=0.5)
     )
-    report = metrics.compare_architectures(clear, seed=42, injected_events=injected)
+    report = metrics.compare_architectures(clear, injected_events=injected)
     ratio = report.summary["transfer_ratio"]
     assert ratio is not None and ratio <= 0.1
 

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -161,10 +162,23 @@ class TestValidate:
     @pytest.mark.parametrize("section, field, value", [
         ("archetype", "triggering", "Crisis"),
         ("satellites", "altitude_km", "high"),
+        # Unknown keys: a top-level typo, a nested typo and each removed field.
+        (None, "horizon", 5),
+        ("archetype", "gsd_mm", 3.0),
+        ("archetype", "name", "iride-heo"),
+        ("archetype", "gsd_m", 3.0),
+        ("latencies", "periodic_cycle_s", 86400.0),
+        # Non-finite numbers.
+        ("stations", "xband_rate_mbit_s", math.inf),
+        ("stations", "location", {"lat": 40.65, "lon": math.nan}),
+        ("satellites", "bands", math.inf),
     ])
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, section, field, value):
         doc = scenario_to_dict(iride_heo())
-        target = doc[section][0] if section == "satellites" else doc[section]
+        target = doc if section is None else doc[section]
+        where = field if section is None else f"{section}.{field}"
+        if isinstance(target, list):
+            target, where = target[0], f"{section}[0].{field}"
         target[field] = value
         path = tmp_path / "bad.yaml"
         path.write_text(yaml.safe_dump(doc))
@@ -172,7 +186,7 @@ class TestValidate:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and field in err
+        assert err.startswith("error: ") and where in err
 
     def test_unreadable_file_is_io_error(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "missing.yaml")]) == EXIT_IO

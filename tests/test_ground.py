@@ -13,7 +13,7 @@ from eochain.model import (
 
 from conftest import make_archetype
 
-LATENCIES = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0, periodic_cycle_s=86400.0)
+LATENCIES = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0)
 EVENT_DRIVEN = make_archetype(triggering=Triggering.EVENT_DRIVEN)
 PERIODIC = make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0)
 
@@ -60,10 +60,9 @@ class TestPdgsProcess:
             assert mask <= raw
 
     def test_periodic_without_cycle_rejected(self):
-        lat = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0, periodic_cycle_s=None)
         arch = make_archetype(triggering=Triggering.PERIODIC, cycle=None)
         with pytest.raises(ValidationError):
-            pdgs_process(product(), 0.0, lat, arch)
+            pdgs_process(product(), 0.0, LATENCIES, arch)
 
 
 class TestMarketplace:

@@ -13,6 +13,7 @@ from eochain.model import (
     validate_scenario,
 )
 from eochain.presets import effis_like, iride_heo
+from eochain.scenario_io import scenario_from_dict, scenario_to_dict
 
 from conftest import make_satellite, make_scenario
 
@@ -143,6 +144,34 @@ class TestValidateScenario:
         paths = [v.path for v in violations]
         assert paths == sorted(paths)
         assert len(paths) == 3
+
+    def test_every_non_finite_float_is_reported_at_its_path(self):
+        def float_leaves(node, path):
+            """(container, key, field path) of every float in a scenario document."""
+            for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+                sub = f"{path}[{key}]" if isinstance(node, list) else f"{path}.{key}" if path else key
+                if isinstance(value, (dict, list)):
+                    yield from float_leaves(value, sub)
+                elif isinstance(value, float):
+                    yield node, key, sub
+
+        doc = scenario_to_dict(make_scenario())
+        leaves = list(float_leaves(doc, ""))
+        paths = {path for _, _, path in leaves}
+        assert {"horizon_s", "stations[0].location.lon", "detection.accuracy_p"} <= paths
+        for node, key, path in leaves:
+            good = node[key]
+            for bad in (math.inf, -math.inf, math.nan):
+                node[key] = bad
+                violations = validate_scenario(scenario_from_dict(doc))
+                assert path in {v.path for v in violations}, (path, bad)
+            node[key] = good
+        assert validate_scenario(scenario_from_dict(doc)) == []
+        # A field its own check already flags is not reported twice.
+        s = dataclasses.replace(make_scenario(), horizon_s=math.inf)
+        assert [str(v) for v in validate_scenario(s)] == [
+            "horizon_s: horizon must be finite and positive"
+        ]
 
     def test_empty_asset_lists_flagged(self):
         s = make_scenario()

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from eochain.model import ValidationError, validate_scenario
@@ -10,6 +12,8 @@ from eochain.scenario_io import (
 )
 
 from conftest import make_scenario
+
+SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 class TestRoundTrip:
@@ -27,6 +31,14 @@ class TestRoundTrip:
         path = tmp_path / "scenario.yaml"
         save_scenario(effis_like(), path)
         assert validate_scenario(load_scenario(path)) == []
+
+
+class TestCommittedFiles:
+    @pytest.mark.parametrize("preset", [iride_heo, effis_like], ids=["iride_heo", "effis_like"])
+    def test_file_equals_preset_and_validates(self, preset):
+        scenario = load_scenario(SCENARIOS / f"{preset.__name__}.yaml")
+        assert scenario == preset()
+        assert validate_scenario(scenario) == []
 
 
 class TestErrors:

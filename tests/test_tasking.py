@@ -62,7 +62,7 @@ class TestBuildRequests:
         assert len(requests) == 1
         req = requests[0]
         assert req.issued == 1800.0
-        assert req.earliest == req.issued
+        assert req.id == "req-ev-1"
         assert req.aoi_id == "eq-aoi"
         assert req.event_ids == frozenset({"ev-1"})
 
