@@ -219,8 +219,9 @@ def _geometry_tables(
     horizon = (0.0, horizon_s)
     contact_table: dict[tuple[str, str], tuple[Window, ...]] = {}
     access_table: dict[tuple[str, str], tuple[Window, ...]] = {}
-    # Satellite-major, so each satellite's track is sampled once (see
-    # orbit._grid_track); each table keeps its (satellite, target) key order.
+    # Satellite-major, so each satellite's track at the block centres is
+    # sampled once (see orbit._block_track); each table keeps its
+    # (satellite, target) key order.
     for sat in satellites:
         for stn in stations:
             contact_table[sat.id, stn.id] = tuple(contact_windows(sat, stn, horizon))

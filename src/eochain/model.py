@@ -19,6 +19,11 @@ EARTH_ROTATION_RAD_S = 7.2921159e-5
 
 KM2_PER_HA = 0.01
 
+# Window search: the coarse sampling step, and the most samples a horizon may
+# span at that step (2**22 samples of 10 s: about 485 days).
+DEFAULT_COARSE_STEP_S = 10.0
+MAX_GRID_SAMPLES = 2**22
+
 
 class ValidationError(ValueError):
     """Raised when an operation receives arguments outside its contract."""
@@ -261,6 +266,9 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     _check(v, 0 <= s.seed < 2**64, "seed", "seed must fit in an unsigned 64-bit integer")
     _check(v, math.isfinite(s.horizon_s) and s.horizon_s > 0, "horizon_s",
            "horizon must be finite and positive")
+    _check(v, not math.isfinite(s.horizon_s) or s.horizon_s / DEFAULT_COARSE_STEP_S <= MAX_GRID_SAMPLES,
+           "horizon_s", f"horizon must span at most {MAX_GRID_SAMPLES} samples of "
+           f"{DEFAULT_COARSE_STEP_S:g} s (about 485 days)")
     _check(v, len(s.satellites) >= 1, "satellites", "at least one satellite required")
     _check(v, len(s.stations) >= 1, "stations", "at least one ground station required")
     _check(v, len(s.aois) >= 1, "aois", "at least one AOI required")

@@ -3,12 +3,23 @@
 Propagation is closed-form: a satellite moves on a circle of radius
 R + h at constant angular rate while the Earth rotates underneath it.
 Visibility windows (station contacts and AOI access) are found by coarse
-sampling followed by bisection of the boundary crossings.  Each margin is a
-function of the ground track, and the track on the coarse grid is sampled
-once per satellite and horizon: every contact and access search of that
-satellite reuses it, and only the bisection midpoints evaluate the track
-afresh.  ``engine.geometry_tables`` in turn reuses whole tables across
-seeds and A/B arms.
+sampling followed by bisection of the boundary crossings.
+
+Each margin is a function of the central angle psi between the
+subsatellite point and the target, and holds exactly while psi is at most a
+limit: reach / R for access, and for a contact above mask E,
+``acos(k cos E) - E`` with k = R / (R + h).  The subsatellite point moves
+over the Earth at an angular rate of at most n + w_E (mean motion plus the
+Earth's rotation), so psi changes no faster than that.  The coarse grid is
+cut into blocks of ``BLOCK`` samples, and the track at the block centres is
+sampled once per satellite and horizon: a block whose centre is further
+beyond the limit than psi can travel to its farthest sample holds no
+window, and neither its track nor its margin is computed (after Alfano,
+Negron & Moore, "Rapid Determination of Satellite Visibility Periods",
+J. Astronaut. Sci. 40(2), 1992).  Every other sample and every bisection
+midpoint is evaluated exactly as on the full grid, so the windows are the
+ones the full grid gives.  ``engine.geometry_tables`` in turn reuses whole
+tables across seeds and A/B arms.
 """
 
 from __future__ import annotations
@@ -21,6 +32,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .model import (
+    DEFAULT_COARSE_STEP_S,
     EARTH_RADIUS_KM,
     EARTH_ROTATION_RAD_S,
     MU_EARTH_M3_S2,
@@ -31,8 +43,12 @@ from .model import (
     ValidationError,
 )
 
-DEFAULT_COARSE_STEP_S = 10.0
 BISECTION_TOL_S = 0.1
+# Coarse samples per block of the window search.
+BLOCK = 32
+# Allowance for rounding in the computed central angle (radians, about 6 m on
+# the ground).  The worst case is acos near 0 or pi, about 2e-8 rad.
+PROOF_SLACK_RAD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -82,20 +98,29 @@ def _central_angle(lat1: np.ndarray, lon1: np.ndarray, lat2: float, lon2: float)
     return np.arccos(np.clip(cos_psi, -1.0, 1.0))
 
 
-def _track_elevation(
-    lat: np.ndarray, lon: np.ndarray, station: GroundStationSpec, altitude_km: float
-) -> np.ndarray:
-    """Elevation (degrees) above the station's horizon of a satellite at ``altitude_km``
-    over the track points."""
-    psi = _central_angle(lat, lon, station.location.lat, station.location.lon)
+def _elevation(psi: np.ndarray, altitude_km: float) -> np.ndarray:
+    """Elevation (degrees) above a ground point's horizon of a satellite at
+    ``altitude_km`` whose subsatellite point is the central angle ``psi`` away."""
     k = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
     return np.degrees(np.arctan2(np.cos(psi) - k, np.sin(psi)))
+
+
+def _contact_limit(altitude_km: float, min_elevation_deg: float) -> float:
+    """Largest central angle at which the elevation is at least ``min_elevation_deg``.
+
+    Elevation falls as psi grows.  In the triangle of the Earth's centre, the
+    ground point and the satellite, the angles are psi, 90 deg + E and the
+    nadir angle asin(k cos E), which sum to 180 deg.
+    """
+    k = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + altitude_km)
+    mask = math.radians(min_elevation_deg)
+    return math.acos(k * math.cos(mask)) - mask
 
 
 def elevation_angle(sat: SatelliteSpec, station: GroundStationSpec, t: float | np.ndarray) -> float | np.ndarray:
     """Elevation of the satellite above the station's local horizon, degrees."""
     lat, lon = subsatellite_track(sat, np.atleast_1d(np.asarray(t, dtype=float)))
-    el = _track_elevation(lat, lon, station, sat.altitude_km)
+    el = _elevation(_central_angle(lat, lon, station.location.lat, station.location.lon), sat.altitude_km)
     return float(el[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else el
 
 
@@ -113,20 +138,25 @@ def _coarse_grid(t0: float, t1: float, step: float) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=1)
-def _grid_track(
+def _block_track(
     sat: SatelliteSpec, t0: float, t1: float, step: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The coarse grid of a horizon and the satellite's track on it, read-only.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The coarse grid of a horizon and, for each block of ``BLOCK``
+    consecutive samples, its half-width in time and the satellite's track at
+    its centre; read-only.
 
     Callers search one satellite's stations and AOIs in a row, so one cached
-    track serves them all.  Each track held costs about 1.5 MB per week of
-    horizon, so only the last one is kept.
+    entry serves them all.  It holds 8 bytes per grid sample (about 0.5 MB per
+    week of horizon) and 24 per block.
     """
     grid = _coarse_grid(t0, t1, step)
-    lat, lon = subsatellite_track(sat, grid)
-    for a in (grid, lat, lon):
+    first = grid[::BLOCK]
+    last = grid[np.minimum(np.arange(1, first.size + 1) * BLOCK, grid.size) - 1]
+    half = 0.5 * (last - first)
+    lat, lon = subsatellite_track(sat, 0.5 * (first + last))
+    for a in (grid, half, lat, lon):
         a.flags.writeable = False
-    return grid, lat, lon
+    return grid, half, lat, lon
 
 
 def _bisect_crossings(
@@ -150,33 +180,53 @@ def _bisect_crossings(
 
 def _find_windows(
     sat: SatelliteSpec,
-    margin: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    target: GeoPoint,
+    psi_limit: float,
+    margin: Callable[[np.ndarray], np.ndarray],
     t0: float,
     t1: float,
     coarse_step: float,
 ) -> list[tuple[float, float, float]]:
-    """Maximal intervals where margin(lat, lon) >= 0 along the satellite's
-    track; returns (start, end, peak margin).
+    """Maximal intervals where margin(psi) >= 0, psi being the central angle
+    from the satellite's subsatellite point to ``target``; returns (start,
+    end, peak margin).  The margin must be negative wherever psi > psi_limit.
 
     A run of coarse samples with margin >= 0 is a window; its edges are the
     horizon ends or the refined sign changes next to the run, and its peak
-    is the largest margin sampled inside it.
+    is the largest margin sampled inside it.  Blocks proven to hold no such
+    sample are skipped: this changes no window.
     """
     if t0 >= t1:
         raise ValidationError("horizon must satisfy t0 < t1")
     if coarse_step <= 0:
         raise ValidationError("coarse step must be positive")
-    grid, lat, lon = _grid_track(sat, t0, t1, coarse_step)
-    m = margin(lat, lon)
+    grid, half, lat_c, lon_c = _block_track(sat, t0, t1, coarse_step)
+
+    def psi(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
+        return _central_angle(lat, lon, target.lat, target.lon)
+
+    # A block is proven empty when psi at its centre exceeds the limit by more
+    # than psi can change on the way to the block's farthest sample.
+    rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
+    proven_empty = psi(lat_c, lon_c) - psi_limit > rate * half + PROOF_SLACK_RAD
+    unproven = np.repeat(~proven_empty, BLOCK)[: grid.size]
+    # Unproven samples and the proven sample on either side of each run of
+    # them: every sign change then lies between two neighbouring evaluated
+    # samples, and the windows are those of the full grid.
+    evaluated = unproven.copy()
+    evaluated[1:] |= unproven[:-1]
+    evaluated[:-1] |= unproven[1:]
+    times = grid[evaluated]
+    m = margin(psi(*subsatellite_track(sat, times)))
     inside = m >= 0.0
-    # The sign changes between grid[c] and grid[c + 1] for each c in change.
+    # The sign changes between times[c] and times[c + 1] for each c in change.
     change = np.flatnonzero(np.diff(inside))
     crossings = _bisect_crossings(
-        lambda t: margin(*subsatellite_track(sat, t)), grid[change], grid[change + 1], inside[change]
+        lambda t: margin(psi(*subsatellite_track(sat, t))), times[change], times[change + 1], inside[change]
     )
     # Window edges in time order alternate start, end: t0 when the first
     # sample is inside, every crossing, t1 when the last sample is inside.
-    edges = np.concatenate((grid[:1][inside[:1]], crossings, grid[-1:][inside[-1:]]))
+    edges = np.concatenate((times[:1][inside[:1]], crossings, times[-1:][inside[-1:]]))
     run_first = np.concatenate((np.flatnonzero(inside[:1]), change[~inside[change]] + 1))
     peaks = np.maximum.reduceat(np.where(inside, m, -np.inf), run_first)
     return [
@@ -202,12 +252,13 @@ def contact_windows(
     t0, t1 = horizon
     mask = station.min_elevation_deg
 
-    def margin(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-        return _track_elevation(lat, lon, station, sat.altitude_km) - mask
+    def margin(psi: np.ndarray) -> np.ndarray:
+        return _elevation(psi, sat.altitude_km) - mask
 
+    limit = _contact_limit(sat.altitude_km, mask)
     return [
         Window(start, end, peak_elevation_deg=peak + mask)
-        for start, end, peak in _find_windows(sat, margin, t0, t1, coarse_step)
+        for start, end, peak in _find_windows(sat, station.location, limit, margin, t0, t1, coarse_step)
     ]
 
 
@@ -225,7 +276,11 @@ def access_windows(
     t0, t1 = horizon
     reach = sat.swath_km / 2.0 + aoi.radius_km
 
-    def margin(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-        return reach - EARTH_RADIUS_KM * _central_angle(lat, lon, aoi.center.lat, aoi.center.lon)
+    def margin(psi: np.ndarray) -> np.ndarray:
+        return reach - EARTH_RADIUS_KM * psi
 
-    return [Window(start, end) for start, end, _ in _find_windows(sat, margin, t0, t1, coarse_step)]
+    limit = reach / EARTH_RADIUS_KM
+    return [
+        Window(start, end)
+        for start, end, _ in _find_windows(sat, aoi.center, limit, margin, t0, t1, coarse_step)
+    ]

@@ -9,6 +9,7 @@ top-level ``schema_version``) is an error.  See README for the full schema.
 from __future__ import annotations
 
 import dataclasses
+import numbers
 import typing
 from enum import Enum
 from pathlib import Path
@@ -61,6 +62,11 @@ def _build(tp: Any, value: Any, path: str) -> Any:
         if value is None:
             return None
         tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
+    # bool("false") and int(3.7) would succeed; these two types take no conversion.
+    if tp is bool and not isinstance(value, bool):
+        raise ValidationError(f"{path}: expected true or false, got {value!r}")
+    if tp is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValidationError(f"{path}: expected an integer, got {value!r}")
     try:
         return tp(value)
     except (TypeError, ValueError, OverflowError) as exc:

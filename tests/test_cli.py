@@ -1,8 +1,10 @@
 import json
 import math
+import time
 
 import pytest
 
+from eochain import orbit
 from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from eochain.presets import iride_heo
 from eochain.scenario_io import save_scenario, scenario_to_dict
@@ -80,6 +82,22 @@ class TestRun:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "horizon_s" in err
+
+    def test_horizon_over_sample_budget_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
+        def no_track(sat, t):
+            raise AssertionError("track sampled for an invalid horizon")
+
+        monkeypatch.setattr(orbit, "subsatellite_track", no_track)
+        start = time.perf_counter()
+        code = main(["run", "--preset", "effis-like", "--duration", "1e12",
+                     "--out", str(tmp_path / "out")])
+        assert time.perf_counter() - start < 1.0
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "horizon_s" in err
+        assert not (tmp_path / "out").exists()
 
     def test_missing_source_is_usage_error(self, tmp_path):
         assert main(["run", "--out", str(tmp_path)]) == EXIT_VALIDATION
@@ -172,6 +190,9 @@ class TestValidate:
         ("stations", "xband_rate_mbit_s", math.inf),
         ("stations", "location", {"lat": 40.65, "lon": math.nan}),
         ("satellites", "bands", math.inf),
+        # Bool and int fields take no conversion.
+        ("stations", "sband_available", "false"),
+        ("satellites", "bands", 3.7),
     ])
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, section, field, value):
         doc = scenario_to_dict(iride_heo())

@@ -5,6 +5,8 @@ import random
 import pytest
 
 from eochain.model import (
+    DEFAULT_COARSE_STEP_S,
+    MAX_GRID_SAMPLES,
     GeoPoint,
     ValidationError,
     mask_volume,
@@ -172,6 +174,14 @@ class TestValidateScenario:
         assert [str(v) for v in validate_scenario(s)] == [
             "horizon_s: horizon must be finite and positive"
         ]
+
+    def test_horizon_within_sample_budget(self):
+        longest = MAX_GRID_SAMPLES * DEFAULT_COARSE_STEP_S
+        assert validate_scenario(dataclasses.replace(make_scenario(), horizon_s=longest)) == []
+        for horizon in (longest * (1 + 1e-12), 1e12):
+            violations = validate_scenario(dataclasses.replace(make_scenario(), horizon_s=horizon))
+            assert [v.path for v in violations] == ["horizon_s"]
+            assert "samples" in violations[0].message
 
     def test_empty_asset_lists_flagged(self):
         s = make_scenario()

@@ -118,6 +118,13 @@ class TestElevationAngle:
         station = make_station(lat=0.0, lon=90.0)
         assert elevation_angle(sat, station, 0.0) < -30.0
 
+    @pytest.mark.parametrize("altitude", [300.0, 2000.0])
+    @pytest.mark.parametrize("mask", [0.0, 30.0, 60.0, 89.0])
+    def test_contact_limit_is_where_elevation_equals_mask(self, altitude, mask):
+        limit = orbit._contact_limit(altitude, mask)
+        assert 0.0 < limit < math.pi / 2
+        assert orbit._elevation(np.array([limit]), altitude)[0] == pytest.approx(mask, abs=1e-9)
+
     def test_zero_elevation_at_horizon_angle(self):
         # elevation = 0 exactly where cos(psi) = R / (R + h).
         sat = make_satellite(inclination=0.0, altitude=550.0)
@@ -350,3 +357,70 @@ class TestSharedTrack:
         for sat in (sat_a, sat_b, sat_a):
             assert contact_windows(sat, station, horizon, step) == reference_contacts(sat, station, horizon, step)
             assert access_windows(sat, aoi, horizon, step) == reference_access(sat, aoi, horizon, step)
+
+
+# The block search: the whole altitude range, masks up to 89 deg, AOIs whose
+# reach covers the globe (no block is provable), and horizons shorter than
+# one block.
+block_satellites = st.builds(
+    make_satellite,
+    altitude=st.sampled_from([300.0, 2000.0]) | st.floats(300.0, 2000.0),
+    inclination=st.floats(0.0, 180.0),
+    raan=st.floats(0.0, 360.0),
+    arg_lat=st.floats(0.0, 360.0),
+    swath=st.floats(1.0, 200.0),
+)
+block_stations = st.builds(make_station, lat=st.floats(-80.0, 80.0), lon=st.floats(-180.0, 180.0),
+                           min_el=st.sampled_from([0.0, 89.0]) | st.floats(0.0, 89.0))
+block_aois = st.builds(make_aoi, lat=st.floats(-80.0, 80.0), lon=st.floats(-180.0, 180.0),
+                       radius=st.floats(10.0, 3000.0) | st.floats(math.pi * EARTH_RADIUS_KM, 25000.0))
+
+
+@st.composite
+def block_horizons(draw):
+    """(horizon, step): t0 and t1 on or off the grid, shorter or longer than one block."""
+    step = draw(st.sampled_from([10.0, 0.3]))
+    if draw(st.booleans()):
+        t0 = draw(st.integers(0, 20000)) * step
+    else:
+        t0 = draw(st.floats(0.0, 86400.0))
+    if draw(st.booleans()):
+        length = draw(st.floats(0.01, orbit.BLOCK * step))
+    else:
+        length = draw(st.floats(orbit.BLOCK * step, 8640.0 * step))
+    return (t0, t0 + length), step
+
+
+class TestBlockSearch:
+    @settings(max_examples=150, deadline=None)
+    @given(sat=block_satellites, station=block_stations, aoi=block_aois, horizon_step=block_horizons())
+    def test_windows_equal_full_grid_reference(self, sat, station, aoi, horizon_step):
+        horizon, step = horizon_step
+        assert contact_windows(sat, station, horizon, step) == reference_contacts(sat, station, horizon, step)
+        assert access_windows(sat, aoi, horizon, step) == reference_access(sat, aoi, horizon, step)
+
+    @pytest.mark.parametrize("start, end", [(283.0, 315.0), (315.0, 347.0)])
+    def test_window_edge_beside_proven_block(self, start, end):
+        # A retrograde equatorial orbit moves the subsatellite point along the
+        # equator at the full rate n + w_E.  A window edge at 315 s lies
+        # between grid samples 31 and 32, the first block boundary, and the
+        # block on its far side is proven empty.
+        sat = make_satellite(inclination=180.0, swath=40.0)
+        rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
+        centre_lon = -math.degrees(rate * (start + end) / 2.0)
+        aoi = make_aoi("equator", 0.0, centre_lon, radius=rate * (end - start) / 2.0 * EARTH_RADIUS_KM - 20.0)
+        windows = access_windows(sat, aoi, (0.0, 2000.0))
+        assert windows == reference_access(sat, aoi, (0.0, 2000.0), 10.0)
+        assert len(windows) == 1
+        assert windows[0].start == pytest.approx(start, abs=orbit.BISECTION_TOL_S)
+        assert windows[0].end == pytest.approx(end, abs=orbit.BISECTION_TOL_S)
+
+    @settings(max_examples=300, deadline=None)
+    @given(sat=block_satellites, lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0),
+           t=st.floats(0.0, 400.0 * DAY), dt=st.floats(0.0, 6000.0))
+    def test_central_angle_rate_bounded_by_mean_motion_plus_earth_rotation(self, sat, lat, lon, t, dt):
+        rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
+        track_lat, track_lon = subsatellite_track(sat, np.array([t, t + dt]))
+        psi = orbit._central_angle(track_lat, track_lon, lat, lon)
+        # Rounding in psi is what the proof slack allows for.
+        assert abs(psi[1] - psi[0]) <= rate * dt + orbit.PROOF_SLACK_RAD / 2

@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import pytest
@@ -64,4 +65,27 @@ class TestErrors:
         doc = scenario_to_dict(iride_heo())
         doc["archetype"]["processing_location"] = "Orbital"
         with pytest.raises(ValueError):
+            scenario_from_dict(doc)
+
+    @pytest.mark.parametrize("section, field, value", [
+        ("stations", "sband_available", "false"),
+        ("stations", "sband_available", 0),
+        ("satellites", "bands", 3.7),
+        ("satellites", "bands", 3.0),
+        ("satellites", "bands", True),
+        ("satellites", "bit_depth", "12"),
+        (None, "seed", 1.5),
+    ])
+    def test_bool_and_int_fields_are_not_converted(self, section, field, value):
+        doc = scenario_to_dict(iride_heo())
+        target = doc if section is None else doc[section][0]
+        where = field if section is None else f"{section}[0].{field}"
+        target[field] = value
+        with pytest.raises(ValidationError, match=re.escape(where)):
+            scenario_from_dict(doc)
+
+    def test_nested_bool_field_is_not_converted(self):
+        doc = scenario_to_dict(iride_heo())
+        doc["satellites"][1]["processor"]["enabled"] = "no"
+        with pytest.raises(ValidationError, match=re.escape("satellites[1].processor.enabled")):
             scenario_from_dict(doc)
