@@ -40,7 +40,7 @@ from .model import (
     validate_scenario,
 )
 from .onboard import DetectionOutcome, Scene
-from .orbit import Window, access_windows, contact_windows
+from .orbit import Window, satellite_windows
 from .tasking import ObservationRequest, TaskingPlan
 
 WindowTable = Mapping[tuple[str, str], tuple[Window, ...]]
@@ -219,14 +219,14 @@ def _geometry_tables(
     horizon = (0.0, horizon_s)
     contact_table: dict[tuple[str, str], tuple[Window, ...]] = {}
     access_table: dict[tuple[str, str], tuple[Window, ...]] = {}
-    # Satellite-major, so each satellite's track at the block centres is
-    # sampled once (see orbit._block_track); each table keeps its
+    # One search per satellite finds all its windows; each table keeps its
     # (satellite, target) key order.
     for sat in satellites:
-        for stn in stations:
-            contact_table[sat.id, stn.id] = tuple(contact_windows(sat, stn, horizon))
-        for aoi in aois:
-            access_table[sat.id, aoi.id] = tuple(access_windows(sat, aoi, horizon))
+        contacts, accesses = satellite_windows(sat, stations, aois, horizon)
+        for stn, windows in zip(stations, contacts):
+            contact_table[sat.id, stn.id] = tuple(windows)
+        for aoi, windows in zip(aois, accesses):
+            access_table[sat.id, aoi.id] = tuple(windows)
     return MappingProxyType(contact_table), MappingProxyType(access_table)
 
 

@@ -3,7 +3,8 @@
 Propagation is closed-form: a satellite moves on a circle of radius
 R + h at constant angular rate while the Earth rotates underneath it.
 Visibility windows (station contacts and AOI access) are found by coarse
-sampling followed by bisection of the boundary crossings.
+sampling followed by bisection of the boundary crossings, in one search
+per satellite over all of its stations and AOIs.
 
 Each margin is a function of the central angle psi between the
 subsatellite point and the target, and holds exactly while psi is at most a
@@ -11,23 +12,25 @@ limit: reach / R for access, and for a contact above mask E,
 ``acos(k cos E) - E`` with k = R / (R + h).  The subsatellite point moves
 over the Earth at an angular rate of at most n + w_E (mean motion plus the
 Earth's rotation), so psi changes no faster than that.  The coarse grid is
-cut into blocks of ``BLOCK`` samples, and the track at the block centres is
-sampled once per satellite and horizon: a block whose centre is further
-beyond the limit than psi can travel to its farthest sample holds no
-window, and neither its track nor its margin is computed (after Alfano,
-Negron & Moore, "Rapid Determination of Satellite Visibility Periods",
-J. Astronaut. Sci. 40(2), 1992).  Every other sample and every bisection
-midpoint is evaluated exactly as on the full grid, so the windows are the
-ones the full grid gives.  ``engine.geometry_tables`` in turn reuses whole
-tables across seeds and A/B arms.
+cut into blocks of ``BLOCK`` samples, and the search samples the track at
+the block centres once: a block whose centre is further beyond a target's
+limit than psi can travel to its farthest sample holds no window of that
+target, and its margin is not computed (after Alfano, Negron & Moore,
+"Rapid Determination of Satellite Visibility Periods", J. Astronaut. Sci.
+40(2), 1992).  The track is then computed once on the union of the samples
+the targets evaluate, and each target's margin on its own samples; every
+bisection step evaluates the track once for the crossings of all targets.
+Every sample and midpoint is evaluated exactly as on the full grid, so the
+windows are the ones the full grid gives, whatever other targets share the
+search.  No track is kept between searches; ``engine.geometry_tables``
+reuses whole tables across seeds and A/B arms.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -49,6 +52,8 @@ BLOCK = 32
 # Allowance for rounding in the computed central angle (radians, about 6 m on
 # the ground).  The worst case is acos near 0 or pi, about 2e-8 rad.
 PROOF_SLACK_RAD = 1e-6
+
+FloatOrArray = float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -77,8 +82,9 @@ def subsatellite_track(sat: SatelliteSpec, t: np.ndarray) -> tuple[np.ndarray, n
     period = orbital_period(sat.altitude_km)
     u = math.radians(sat.initial_arg_lat_deg) + 2.0 * math.pi * np.asarray(t, dtype=float) / period
     inc = math.radians(sat.inclination_deg)
-    lat = np.arcsin(np.clip(math.sin(inc) * np.sin(u), -1.0, 1.0))
-    lon_inertial = math.radians(sat.raan_deg) + np.arctan2(math.cos(inc) * np.sin(u), np.cos(u))
+    sin_u = np.sin(u)
+    lat = np.arcsin(np.clip(math.sin(inc) * sin_u, -1.0, 1.0))
+    lon_inertial = math.radians(sat.raan_deg) + np.arctan2(math.cos(inc) * sin_u, np.cos(u))
     lon = lon_inertial - EARTH_ROTATION_RAD_S * np.asarray(t, dtype=float)
     lon = (np.degrees(lon) + 180.0) % 360.0 - 180.0
     return np.degrees(lat), lon
@@ -90,11 +96,26 @@ def subsatellite_point(sat: SatelliteSpec, t: float) -> GeoPoint:
     return GeoPoint(float(lat[0]), float(lon[0]))
 
 
-def _central_angle(lat1: np.ndarray, lon1: np.ndarray, lat2: float, lon2: float) -> np.ndarray:
-    """Great-circle central angle (radians) between track points and a fixed point."""
-    p1, p2 = np.radians(lat1), math.radians(lat2)
-    dlon = np.radians(lon1) - math.radians(lon2)
-    cos_psi = np.sin(p1) * math.sin(p2) + np.cos(p1) * math.cos(p2) * np.cos(dlon)
+def _track_angles(lat: np.ndarray, lon: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sine and cosine of the latitude and the longitude in radians of track
+    points given in degrees."""
+    p = np.radians(lat)
+    return np.sin(p), np.cos(p), np.radians(lon)
+
+
+def _target_angles(lat: float, lon: float) -> tuple[float, float, float]:
+    """Sine and cosine of a target's latitude and its longitude in radians."""
+    p = math.radians(lat)
+    return math.sin(p), math.cos(p), math.radians(lon)
+
+
+def _central_angle(track: tuple[np.ndarray, ...], target: tuple[FloatOrArray, ...]) -> np.ndarray:
+    """Great-circle central angle (radians) between track points given by
+    ``_track_angles`` and targets given by ``_target_angles``: one target, or
+    one per point."""
+    sin_lat1, cos_lat1, lon1 = track
+    sin_lat2, cos_lat2, lon2 = target
+    cos_psi = sin_lat1 * sin_lat2 + cos_lat1 * cos_lat2 * np.cos(lon1 - lon2)
     return np.arccos(np.clip(cos_psi, -1.0, 1.0))
 
 
@@ -120,7 +141,8 @@ def _contact_limit(altitude_km: float, min_elevation_deg: float) -> float:
 def elevation_angle(sat: SatelliteSpec, station: GroundStationSpec, t: float | np.ndarray) -> float | np.ndarray:
     """Elevation of the satellite above the station's local horizon, degrees."""
     lat, lon = subsatellite_track(sat, np.atleast_1d(np.asarray(t, dtype=float)))
-    el = _elevation(_central_angle(lat, lon, station.location.lat, station.location.lon), sat.altitude_km)
+    target = _target_angles(station.location.lat, station.location.lon)
+    el = _elevation(_central_angle(_track_angles(lat, lon), target), sat.altitude_km)
     return float(el[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else el
 
 
@@ -135,28 +157,6 @@ def _coarse_grid(t0: float, t1: float, step: float) -> np.ndarray:
     # multiple, and rounding can put the first or last one past an endpoint.
     interior = interior[(interior > t0) & (interior < t1)]
     return np.concatenate(([t0], interior, [t1]))
-
-
-@functools.lru_cache(maxsize=1)
-def _block_track(
-    sat: SatelliteSpec, t0: float, t1: float, step: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The coarse grid of a horizon and, for each block of ``BLOCK``
-    consecutive samples, its half-width in time and the satellite's track at
-    its centre; read-only.
-
-    Callers search one satellite's stations and AOIs in a row, so one cached
-    entry serves them all.  It holds 8 bytes per grid sample (about 0.5 MB per
-    week of horizon) and 24 per block.
-    """
-    grid = _coarse_grid(t0, t1, step)
-    first = grid[::BLOCK]
-    last = grid[np.minimum(np.arange(1, first.size + 1) * BLOCK, grid.size) - 1]
-    half = 0.5 * (last - first)
-    lat, lon = subsatellite_track(sat, 0.5 * (first + last))
-    for a in (grid, half, lat, lon):
-        a.flags.writeable = False
-    return grid, half, lat, lon
 
 
 def _bisect_crossings(
@@ -178,62 +178,143 @@ def _bisect_crossings(
     return 0.5 * (lo + hi)
 
 
+def _margin(psi: np.ndarray, level: FloatOrArray, contact: bool, altitude_km: float) -> np.ndarray:
+    """Non-negative exactly while the target is visible: the elevation above
+    the mask ``level`` for a station, the reach ``level`` less the ground
+    distance for an AOI."""
+    if contact:
+        return _elevation(psi, altitude_km) - level
+    return level - EARTH_RADIUS_KM * psi
+
+
+def _evaluated(unproven: np.ndarray, size: int) -> np.ndarray:
+    """The samples of the unproven blocks and the proven sample on either
+    side of each run of them, as a mask over a grid of ``size`` samples:
+    every sign change then lies between two neighbouring evaluated samples,
+    and the windows are those of the full grid."""
+    samples = np.repeat(unproven, BLOCK)[:size]
+    evaluated = samples.copy()
+    evaluated[1:] |= samples[:-1]
+    evaluated[:-1] |= samples[1:]
+    return evaluated
+
+
 def _find_windows(
-    sat: SatelliteSpec,
-    target: GeoPoint,
-    psi_limit: float,
-    margin: Callable[[np.ndarray], np.ndarray],
-    t0: float,
-    t1: float,
-    coarse_step: float,
-) -> list[tuple[float, float, float]]:
-    """Maximal intervals where margin(psi) >= 0, psi being the central angle
-    from the satellite's subsatellite point to ``target``; returns (start,
-    end, peak margin).  The margin must be negative wherever psi > psi_limit.
+    sat: SatelliteSpec, targets: Sequence[tuple], n_contact: int, t0: float, t1: float, coarse_step: float
+) -> list[list[tuple[float, float, float]]]:
+    """For each target, the maximal intervals where its margin is >= 0, as
+    (start, end, peak margin).  A target is (angles from ``_target_angles``,
+    the largest central angle at which its margin can be >= 0, level): the
+    first ``n_contact`` are stations, whose level is the elevation mask, and
+    the others AOIs, whose level is the reach.
 
     A run of coarse samples with margin >= 0 is a window; its edges are the
     horizon ends or the refined sign changes next to the run, and its peak
     is the largest margin sampled inside it.  Blocks proven to hold no such
-    sample are skipped: this changes no window.
+    sample for a target are skipped for it: this changes no window.  The
+    track is computed once on the samples some target evaluates, and once
+    per bisection step for all targets' crossings together; each target
+    reads only its own samples, so its windows do not depend on the others.
     """
     if t0 >= t1:
         raise ValidationError("horizon must satisfy t0 < t1")
     if coarse_step <= 0:
         raise ValidationError("coarse step must be positive")
-    grid, half, lat_c, lon_c = _block_track(sat, t0, t1, coarse_step)
-
-    def psi(lat: np.ndarray, lon: np.ndarray) -> np.ndarray:
-        return _central_angle(lat, lon, target.lat, target.lon)
+    if not targets:
+        return []
+    grid = _coarse_grid(t0, t1, coarse_step)
+    first = grid[::BLOCK]
+    last = grid[np.minimum(np.arange(1, first.size + 1) * BLOCK, grid.size) - 1]
+    half = 0.5 * (last - first)
+    centres = _track_angles(*subsatellite_track(sat, 0.5 * (first + last)))
 
     # A block is proven empty when psi at its centre exceeds the limit by more
     # than psi can change on the way to the block's farthest sample.
     rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
-    proven_empty = psi(lat_c, lon_c) - psi_limit > rate * half + PROOF_SLACK_RAD
-    unproven = np.repeat(~proven_empty, BLOCK)[: grid.size]
-    # Unproven samples and the proven sample on either side of each run of
-    # them: every sign change then lies between two neighbouring evaluated
-    # samples, and the windows are those of the full grid.
-    evaluated = unproven.copy()
-    evaluated[1:] |= unproven[:-1]
-    evaluated[:-1] |= unproven[1:]
+    travel = rate * half + PROOF_SLACK_RAD
+    unproven = [~(_central_angle(centres, angles) - limit > travel) for angles, limit, _ in targets]
+    # The evaluated samples of the union of the unproven blocks are the union
+    # of every target's evaluated samples.  The full grid, which ``first``
+    # views, is freed before the track is computed on them.
+    size = grid.size
+    evaluated = _evaluated(np.logical_or.reduce(unproven), size)
     times = grid[evaluated]
-    m = margin(psi(*subsatellite_track(sat, times)))
-    inside = m >= 0.0
-    # The sign changes between times[c] and times[c + 1] for each c in change.
-    change = np.flatnonzero(np.diff(inside))
-    crossings = _bisect_crossings(
-        lambda t: margin(psi(*subsatellite_track(sat, t))), times[change], times[change + 1], inside[change]
-    )
-    # Window edges in time order alternate start, end: t0 when the first
-    # sample is inside, every crossing, t1 when the last sample is inside.
-    edges = np.concatenate((times[:1][inside[:1]], crossings, times[-1:][inside[-1:]]))
-    run_first = np.concatenate((np.flatnonzero(inside[:1]), change[~inside[change]] + 1))
-    peaks = np.maximum.reduceat(np.where(inside, m, -np.inf), run_first)
-    return [
-        (float(start), float(end), float(peak))
-        for start, end, peak in zip(edges[0::2], edges[1::2], peaks)
-        if end > start
+    del grid, first, last
+    track = _track_angles(*subsatellite_track(sat, times))
+
+    runs, lo, hi, lo_inside = [], [], [], []
+    for k, ((angles, _, level), blocks) in enumerate(zip(targets, unproven)):
+        own = np.flatnonzero(_evaluated(blocks, size)[evaluated])
+        t = times[own]
+        psi = _central_angle(tuple(a[own] for a in track), angles)
+        m = _margin(psi, level, k < n_contact, sat.altitude_km)
+        inside = m >= 0.0
+        # The sign changes between t[c] and t[c + 1] for each c in change.
+        change = np.flatnonzero(np.diff(inside))
+        lo.append(t[change])
+        hi.append(t[change + 1])
+        lo_inside.append(inside[change])
+        run_first = np.concatenate((np.flatnonzero(inside[:1]), change[~inside[change]] + 1))
+        peaks = np.maximum.reduceat(np.where(inside, m, -np.inf), run_first)
+        # t0 when the first sample is inside, t1 when the last one is.
+        runs.append((t[:1][inside[:1]], t[-1:][inside[-1:]], peaks))
+    # Only per-crossing arrays are needed from here on.
+    del evaluated, times, track
+
+    # Every target's crossings in one bisection, stations' first: each
+    # crossing carries its target's angles and level.
+    counts = [c.size for c in lo]
+    *angles_x, level_x = np.repeat(np.array([(*angles, level) for angles, _, level in targets]), counts, axis=0).T
+    split = sum(counts[:n_contact])
+
+    def margin(t: np.ndarray) -> np.ndarray:
+        psi = _central_angle(_track_angles(*subsatellite_track(sat, t)), angles_x)
+        return np.concatenate((
+            _margin(psi[:split], level_x[:split], True, sat.altitude_km),
+            _margin(psi[split:], level_x[split:], False, sat.altitude_km),
+        ))
+
+    crossings = _bisect_crossings(margin, np.concatenate(lo), np.concatenate(hi), np.concatenate(lo_inside))
+    found = []
+    for (head, tail, peaks), stop, count in zip(runs, np.cumsum(counts), counts):
+        # Window edges in time order alternate start, end.
+        edges = np.concatenate((head, crossings[stop - count : stop], tail))
+        found.append([
+            (float(start), float(end), float(peak))
+            for start, end, peak in zip(edges[0::2], edges[1::2], peaks)
+            if end > start
+        ])
+    return found
+
+
+def satellite_windows(
+    sat: SatelliteSpec,
+    stations: Sequence[GroundStationSpec],
+    aois: Sequence[AreaOfInterest],
+    horizon: tuple[float, float],
+    coarse_step: float = DEFAULT_COARSE_STEP_S,
+) -> tuple[list[list[Window]], list[list[Window]]]:
+    """The contact windows of each station and the access windows of each
+    AOI, in their order, from one search over the satellite's track.
+
+    Each list is what ``contact_windows`` or ``access_windows`` gives for
+    that target alone.
+    """
+    targets = []
+    for station in stations:
+        mask = station.min_elevation_deg
+        targets.append((_target_angles(station.location.lat, station.location.lon),
+                        _contact_limit(sat.altitude_km, mask), mask))
+    for aoi in aois:
+        reach = sat.swath_km / 2.0 + aoi.radius_km
+        targets.append((_target_angles(aoi.center.lat, aoi.center.lon), reach / EARTH_RADIUS_KM, reach))
+    found = _find_windows(sat, targets, len(stations), *horizon, coarse_step)
+    contacts = [
+        [Window(start, end, peak_elevation_deg=peak + station.min_elevation_deg) for start, end, peak in windows]
+        for station, windows in zip(stations, found)
     ]
+    accesses = [[Window(start, end) for start, end, _ in windows] for windows in found[len(stations) :]]
+    return contacts, accesses
 
 
 def contact_windows(
@@ -249,17 +330,7 @@ def contact_windows(
     step can be missed; at LEO altitudes with the default 10 s step no
     pass above a practical mask is short enough for that to happen.
     """
-    t0, t1 = horizon
-    mask = station.min_elevation_deg
-
-    def margin(psi: np.ndarray) -> np.ndarray:
-        return _elevation(psi, sat.altitude_km) - mask
-
-    limit = _contact_limit(sat.altitude_km, mask)
-    return [
-        Window(start, end, peak_elevation_deg=peak + mask)
-        for start, end, peak in _find_windows(sat, station.location, limit, margin, t0, t1, coarse_step)
-    ]
+    return satellite_windows(sat, (station,), (), horizon, coarse_step)[0][0]
 
 
 def access_windows(
@@ -273,14 +344,4 @@ def access_windows(
     Access is all-or-nothing: the AOI is reachable when the subsatellite
     point lies within swath/2 + AOI radius of its center.
     """
-    t0, t1 = horizon
-    reach = sat.swath_km / 2.0 + aoi.radius_km
-
-    def margin(psi: np.ndarray) -> np.ndarray:
-        return reach - EARTH_RADIUS_KM * psi
-
-    limit = reach / EARTH_RADIUS_KM
-    return [
-        Window(start, end)
-        for start, end, _ in _find_windows(sat, aoi.center, limit, margin, t0, t1, coarse_step)
-    ]
+    return satellite_windows(sat, (), (aoi,), horizon, coarse_step)[1][0]

@@ -62,11 +62,16 @@ def _build(tp: Any, value: Any, path: str) -> Any:
         if value is None:
             return None
         tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
-    # bool("false") and int(3.7) would succeed; these two types take no conversion.
+    # bool("false"), int(3.7), float("550"), float(True) and str(5) would
+    # succeed; these types take no conversion, other than an int to a float.
     if tp is bool and not isinstance(value, bool):
         raise ValidationError(f"{path}: expected true or false, got {value!r}")
     if tp is int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
         raise ValidationError(f"{path}: expected an integer, got {value!r}")
+    if tp is float and (isinstance(value, bool) or not isinstance(value, (numbers.Integral, float))):
+        raise ValidationError(f"{path}: expected a number, got {value!r}")
+    if tp is str and not isinstance(value, str):
+        raise ValidationError(f"{path}: expected a string, got {value!r}")
     try:
         return tp(value)
     except (TypeError, ValueError, OverflowError) as exc:
@@ -85,8 +90,15 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    with open(path) as f:
-        doc = yaml.safe_load(f)
+    # Read as bytes, so the YAML reader also reports a file that is not text.
+    with open(path, "rb") as f:
+        try:
+            doc = yaml.safe_load(f)
+        except yaml.YAMLError as exc:
+            mark = getattr(exc, "problem_mark", None)
+            where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
+            problem = getattr(exc, "problem", None) or getattr(exc, "reason", None) or "malformed document"
+            raise ValidationError(f"{where}: invalid YAML: {problem}") from exc
     if not isinstance(doc, dict):
         raise ValidationError("scenario file must contain a single mapping document")
     return scenario_from_dict(doc)

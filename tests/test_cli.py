@@ -5,7 +5,7 @@ import time
 import pytest
 
 from eochain import orbit
-from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_SEED, main
 from eochain.presets import iride_heo
 from eochain.scenario_io import save_scenario, scenario_to_dict
 
@@ -162,6 +162,19 @@ class TestSweep:
         assert main(["sweep", "--preset", "iride-heo", "--runs", "0",
                      "--out", str(tmp_path)]) == EXIT_VALIDATION
 
+    @pytest.mark.parametrize("args", [
+        ["--seed", str(MAX_SEED), "--runs", "2"],
+        ["--seed", str(MAX_SEED - 2), "--runs", "4"],
+        ["--jobs", "0"],
+    ], ids=["last-seed-over", "range-over", "no-jobs"])
+    def test_bad_range_fails_before_any_run(self, tmp_path, capsys, args):
+        out = tmp_path / "out"
+        code = main(["sweep", "--preset", "effis-like", "--duration", DAY, "--out", str(out), *args])
+        assert code == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestValidate:
     @pytest.mark.parametrize("preset", ["iride-heo", "effis-like"])
@@ -190,9 +203,12 @@ class TestValidate:
         ("stations", "xband_rate_mbit_s", math.inf),
         ("stations", "location", {"lat": 40.65, "lon": math.nan}),
         ("satellites", "bands", math.inf),
-        # Bool and int fields take no conversion.
+        # Bool, int, float and str fields take no conversion.
         ("stations", "sband_available", "false"),
         ("satellites", "bands", 3.7),
+        ("satellites", "altitude_km", "550"),
+        ("archetype", "mmu_ha", True),
+        ("stations", "id", 5),
     ])
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, section, field, value):
         doc = scenario_to_dict(iride_heo())
@@ -208,6 +224,20 @@ class TestValidate:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and where in err
+
+    @pytest.mark.parametrize("text, where", [
+        (b"name: [unclosed\n", ":2:1: "),
+        (b"name: test\nstations:\n\t- id: gs-a\n", ":3:1: "),
+        (b"name: \xff\xfe\n", ": "),
+    ], ids=["unclosed-flow-sequence", "tab-indent", "not-utf8"])
+    def test_malformed_yaml_is_one_line_error(self, tmp_path, capsys, text, where):
+        path = tmp_path / "bad.yaml"
+        path.write_bytes(text)
+        assert main(["validate", "--scenario", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: {path}{where}invalid YAML: ")
 
     def test_unreadable_file_is_io_error(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "missing.yaml")]) == EXIT_IO

@@ -1,4 +1,5 @@
 import dataclasses
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -240,10 +241,12 @@ class TestGeometryTables:
 
     def test_second_run_computes_no_track(self, monkeypatch):
         sizes = []
+        calls = Counter()
         track = orbit.subsatellite_track
 
         def counting_track(sat, t):
             sizes.append(np.size(t))
+            calls[sat.id] += 1
             return track(sat, t)
 
         monkeypatch.setattr(orbit, "subsatellite_track", counting_track)
@@ -255,13 +258,20 @@ class TestGeometryTables:
         grid = len(np.arange(0.0, horizon, 10.0)) + 1
         blocks = -(-grid // orbit.BLOCK)
         pairs = len(s.satellites) * (len(s.stations) + len(s.aois))
-        # No call samples the whole grid.  Each satellite's track at the block
-        # centres is sampled once; every other call holds the unproven samples
-        # or the bisection midpoints of one search.
+        # No call samples the whole grid.  Each satellite's search samples the
+        # track at the block centres once, at its targets' samples once, and
+        # once per bisection step.
         assert max(sizes) < grid
         assert sizes.count(blocks) == len(s.satellites)
         assert sum(sizes) < 0.1 * pairs * grid
+        first_calls = dict(calls)
         sizes.clear()
         run(dataclasses.replace(s, seed=1))
         run(with_processing(s, ProcessingLocation.GROUND))
         assert sizes == []
+        # More AOIs, far apart, share each satellite's track and bisection.
+        calls.clear()
+        far = (make_aoi("aoi-c", -33.9, 151.2), make_aoi("aoi-d", 64.1, -21.9), make_aoi("aoi-e", 1.3, 103.8))
+        geometry_tables(dataclasses.replace(s, aois=s.aois + far))
+        assert calls.keys() == first_calls.keys()
+        assert all(calls[sid] <= first_calls[sid] for sid in calls)

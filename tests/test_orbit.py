@@ -20,6 +20,7 @@ from eochain.orbit import (
     contact_windows,
     elevation_angle,
     orbital_period,
+    satellite_windows,
     subsatellite_point,
     subsatellite_track,
 )
@@ -314,10 +315,11 @@ def reference_contacts(sat, station, horizon, step):
 
 def reference_access(sat, aoi, horizon, step):
     reach = sat.swath_km / 2.0 + aoi.radius_km
+    target = orbit._target_angles(aoi.center.lat, aoi.center.lon)
 
     def margin(times):
         lat, lon = subsatellite_track(sat, times)
-        return reach - EARTH_RADIUS_KM * orbit._central_angle(lat, lon, aoi.center.lat, aoi.center.lon)
+        return reach - EARTH_RADIUS_KM * orbit._central_angle(orbit._track_angles(lat, lon), target)
 
     return [Window(a, b) for a, b, _ in reference_windows(margin, horizon, step)]
 
@@ -352,7 +354,7 @@ class TestSharedTrack:
     @settings(max_examples=100, deadline=None)
     @given(sat_a=satellites, sat_b=satellites, station=stations, aoi=aois, horizon_step=horizons())
     def test_windows_equal_fresh_track_reference(self, sat_a, sat_b, station, aoi, horizon_step):
-        # Interleaving A, B, A proves the one cached track is never served stale.
+        # Interleaving A, B, A: no search reads a track another one computed.
         horizon, step = horizon_step
         for sat in (sat_a, sat_b, sat_a):
             assert contact_windows(sat, station, horizon, step) == reference_contacts(sat, station, horizon, step)
@@ -421,6 +423,42 @@ class TestBlockSearch:
     def test_central_angle_rate_bounded_by_mean_motion_plus_earth_rotation(self, sat, lat, lon, t, dt):
         rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
         track_lat, track_lon = subsatellite_track(sat, np.array([t, t + dt]))
-        psi = orbit._central_angle(track_lat, track_lon, lat, lon)
+        psi = orbit._central_angle(orbit._track_angles(track_lat, track_lon), orbit._target_angles(lat, lon))
         # Rounding in psi is what the proof slack allows for.
         assert abs(psi[1] - psi[0]) <= rate * dt + orbit.PROOF_SLACK_RAD / 2
+
+
+class TestSatelliteSearch:
+    @settings(max_examples=60, deadline=None)
+    @given(sat=block_satellites, stations=st.lists(block_stations, min_size=2, max_size=4),
+           aois=st.lists(block_aois, min_size=2, max_size=4), horizon_step=block_horizons())
+    def test_each_target_equals_its_full_grid_reference(self, sat, stations, aois, horizon_step):
+        # Targets scattered over the globe need different samples and
+        # crossings; each must get the windows it would get alone.
+        horizon, step = horizon_step
+        contacts, accesses = satellite_windows(sat, stations, aois, horizon, step)
+        assert contacts == [reference_contacts(sat, station, horizon, step) for station in stations]
+        assert accesses == [reference_access(sat, aoi, horizon, step) for aoi in aois]
+
+    @pytest.mark.parametrize("start, end, other", [(283.0, 315.0, (400.0, 500.0)), (315.0, 347.0, (100.0, 200.0))])
+    def test_edge_beside_own_proven_block_that_another_target_needs(self, start, end, other):
+        # The geometry of TestBlockSearch.test_window_edge_beside_proven_block,
+        # with a second AOI whose window lies in the block the first AOI's
+        # proof skips: the shared samples hold that block, and the first AOI
+        # must still read only its own.
+        sat = make_satellite(inclination=180.0, swath=40.0)
+        rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
+
+        def equator_aoi(aid, a, b):
+            radius = rate * (b - a) / 2.0 * EARTH_RADIUS_KM - sat.swath_km / 2.0
+            return make_aoi(aid, 0.0, -math.degrees(rate * (a + b) / 2.0), radius=radius)
+
+        aois = (equator_aoi("edge", start, end), equator_aoi("other", *other))
+        _, accesses = satellite_windows(sat, (), aois, (0.0, 2000.0))
+        assert accesses == [reference_access(sat, aoi, (0.0, 2000.0), 10.0) for aoi in aois]
+        assert [len(windows) for windows in accesses] == [1, 1]
+        window = accesses[0][0]
+        assert (window.start, window.end) == pytest.approx((start, end), abs=orbit.BISECTION_TOL_S)
+
+    def test_no_targets_find_nothing(self):
+        assert satellite_windows(make_satellite(), (), (), (0.0, DAY)) == ([], [])
