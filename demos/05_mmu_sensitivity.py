@@ -24,9 +24,7 @@ for mmu in (3.0, 10.0):
         base, archetype=dataclasses.replace(base.archetype, mmu_ha=mmu)
     )
     trace = run(scenario)
-    detected = set()
-    for outcome in trace.outcomes.values():
-        detected |= set(outcome.detected_event_ids)
+    detected = set().union(*trace.detections.values())
     detectable = [e for e in trace.fire_events if is_detectable(e.area_ha, mmu)]
     print(f"MMU {mmu:4.0f} ha: {len(trace.fire_events)} fires, "
           f"{len(detectable)} clear the unit, {len(detected)} detected")

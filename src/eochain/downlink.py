@@ -1,9 +1,11 @@
 """Contact-constrained, priority-ordered, resumable downlink scheduling.
 
 Each satellite owns one transmitter and one store-and-forward queue ordered
-by (priority, creation time, id).  Transfers drain the head of the queue at
-the station's X-band rate inside contact windows, pause at window ends and
-resume later with progress conserved exactly (integer bits).
+by (priority, creation time, id), where the priority follows the product
+kind.  Transfers drain the head of the queue at the station's X-band rate
+inside contact windows, pause at window ends and resume later with progress
+conserved exactly (integer bits).  The products are never written: progress
+is local to one call, and the transfer records are its only output.
 """
 
 from __future__ import annotations
@@ -13,10 +15,17 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .model import DataProduct, ValidationError
+from .model import DataProduct, ProductKind, ValidationError
 from .orbit import Window
 
 _TIME_EPS = 1e-9
+
+# Queue order by product kind: the mask first, then its chips, then raw scenes.
+DOWNLINK_PRIORITY = {ProductKind.THEMATIC_MASK: 0, ProductKind.ROI_CHIP: 1, ProductKind.RAW_SCENE: 2}
+
+
+def _queue_key(p: DataProduct) -> tuple[int, float, str]:
+    return (DOWNLINK_PRIORITY[p.kind], p.created, p.id)
 
 
 @dataclass(frozen=True)
@@ -70,6 +79,7 @@ def _drain_interval(
     arrivals: list[tuple[float, int, str]],
     ready: list[tuple[int, float, str]],
     products: Mapping[str, DataProduct],
+    moved: dict[str, int],
     records: list[TransferRecord],
     completions: dict[str, float],
 ) -> None:
@@ -77,21 +87,19 @@ def _drain_interval(
     while t < interval.end - _TIME_EPS:
         while arrivals and arrivals[0][0] <= t + _TIME_EPS:
             _, _, pid = heapq.heappop(arrivals)
-            p = products[pid]
-            heapq.heappush(ready, (p.priority, p.created, p.id))
+            heapq.heappush(ready, _queue_key(products[pid]))
         if not ready:
             if not arrivals or arrivals[0][0] >= interval.end - _TIME_EPS:
                 return
             t = arrivals[0][0]
             continue
         _, _, pid = ready[0]
-        product = products[pid]
-        remaining = product.remaining_bits
+        remaining = products[pid].volume_bits - moved[pid]
         span = interval.end - t
         bits_possible = math.floor(rate_bps * span + _TIME_EPS)
         if bits_possible >= remaining:
             end = min(t + remaining / rate_bps, interval.end)
-            product.transferred = product.volume_bits
+            moved[pid] += remaining
             records.append(TransferRecord(pid, interval.station_id, t, end, remaining))
             completions[pid] = end
             heapq.heappop(ready)
@@ -99,7 +107,7 @@ def _drain_interval(
         else:
             # Window exhausted mid-product: bank the partial progress.
             if bits_possible > 0:
-                product.transferred += bits_possible
+                moved[pid] += bits_possible
                 records.append(
                     TransferRecord(pid, interval.station_id, t, interval.end, bits_possible)
                 )
@@ -116,10 +124,10 @@ def simulate_transfers(
     ``queues`` maps each satellite to the products it stores, in any order;
     product ids must be unique within a satellite.  Products become eligible
     at their creation time; within a window the eligible queue minimum, by
-    (priority, creation time, id), drains non-preemptively until it completes
-    or the window closes.  Bit accounting is exact: partial progress persists
-    across windows and a product completes precisely when its whole volume
-    has moved.
+    (kind priority, creation time, id), drains non-preemptively until it
+    completes or the window closes.  Bit accounting is exact: partial
+    progress persists across windows and a product completes precisely when
+    its whole volume has moved.
     """
     records: list[TransferRecord] = []
     completions: dict[str, float] = {}
@@ -128,10 +136,11 @@ def simulate_transfers(
             stn_id: ws for (s, stn_id), ws in contact_table.items() if s == sat_id
         }
         intervals = exclusive_link_intervals(windows_by_station)
-        ordered = sorted(queues[sat_id], key=lambda p: (p.priority, p.created, p.id))
+        ordered = sorted(queues[sat_id], key=_queue_key)
         products = {p.id: p for p in ordered}
         if len(products) < len(ordered):
             raise ValidationError(f"duplicate product id in the queue of {sat_id}")
+        moved = dict.fromkeys(products, 0)
         arrivals: list[tuple[float, int, str]] = [
             (p.created, i, p.id) for i, p in enumerate(ordered)
         ]
@@ -139,6 +148,6 @@ def simulate_transfers(
         ready: list[tuple[int, float, str]] = []
         for interval in intervals:
             rate_bps = rates_mbit_s[interval.station_id] * 1e6
-            _drain_interval(interval, rate_bps, arrivals, ready, products, records, completions)
+            _drain_interval(interval, rate_bps, arrivals, ready, products, moved, records, completions)
     records.sort(key=lambda r: (r.start, r.end, r.product_id))
     return TransferResult(records=tuple(records), completion_times=completions)

@@ -39,7 +39,7 @@ from .model import (
     ValidationError,
     validate_scenario,
 )
-from .onboard import DetectionOutcome, Scene
+from .onboard import Scene
 from .orbit import Window, satellite_windows
 from .tasking import ObservationRequest, TaskingPlan
 
@@ -93,7 +93,7 @@ class AcquisitionRecord:
         return (self.satellite_id, self.aoi_id, self.window.start)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimulationTrace:
     """Timestamped record of every chain milestone of one run.
 
@@ -113,7 +113,7 @@ class SimulationTrace:
     plan: TaskingPlan
     acquisitions: tuple[AcquisitionRecord, ...]
     scenes: dict[str, Scene]
-    outcomes: dict[str, DetectionOutcome]
+    detections: dict[str, frozenset[str]]
     products: dict[str, DataProduct]
     never_enqueued_ids: tuple[str, ...]
     transfer_records: tuple[TransferRecord, ...]
@@ -152,7 +152,11 @@ class SimulationTrace:
         return sum(r.bits_moved for r in self.transfer_records)
 
     def residual_bits(self) -> dict[str, int]:
-        return {pid: p.remaining_bits for pid, p in self.products.items() if p.remaining_bits > 0}
+        """Bits not yet downlinked, per product with any: its volume less the bits its records moved."""
+        residual = {pid: p.volume_bits for pid, p in self.products.items()}
+        for r in self.transfer_records:
+            residual[r.product_id] -= r.bits_moved
+        return {pid: bits for pid, bits in residual.items() if bits > 0}
 
 
 def _validate_injected(fire_events: Sequence[FireEvent], horizon_s: float) -> None:
@@ -265,7 +269,7 @@ def _process_scenes(
     scenario: Scenario,
     acquisitions: Sequence[AcquisitionRecord],
     fire_events: tuple[FireEvent, ...],
-) -> tuple[dict[str, Scene], dict[str, DetectionOutcome], dict[str, DataProduct]]:
+) -> tuple[dict[str, Scene], dict[str, frozenset[str]], dict[str, DataProduct]]:
     """A scene for every acquisition; detection and products for every scene
     of a periodic product line, and only for event-triggered scenes of an
     event-driven one."""
@@ -274,7 +278,7 @@ def _process_scenes(
     events_by_id = {e.id: e for e in fire_events}
     periodic = scenario.archetype.triggering is Triggering.PERIODIC
     scenes: dict[str, Scene] = {}
-    outcomes: dict[str, DetectionOutcome] = {}
+    detections: dict[str, frozenset[str]] = {}
     products: dict[str, DataProduct] = {}
     for i, acq in enumerate(acquisitions):
         scene_id = f"scn-{i:05d}"
@@ -291,22 +295,20 @@ def _process_scenes(
         scenes[scene_id] = scene
         if not (periodic or acq.triggered):
             continue
-        outcome = onboard.classify_scene(
+        detected = onboard.classify_scene(
             scene,
             events_by_id,
             scenario.archetype.mmu_ha,
             scenario.detection.accuracy_p,
-            scenario.detection.fp_rate_per_scene,
             rng_stream(scenario.seed, "detection", scene_id),
-            rng_stream(scenario.seed, "fp", scene_id),
         )
-        outcomes[scene_id] = outcome
+        detections[scene_id] = detected
         location = scenario.archetype.processing_location
         if not sat.processor.enabled:
             location = ProcessingLocation.GROUND
         for p in onboard.build_products(
             scene,
-            outcome,
+            detected,
             events_by_id,
             location,
             scenario.cloud_model,
@@ -315,7 +317,7 @@ def _process_scenes(
             scenario.detection.chip_margin,
         ):
             products[p.id] = p
-    return scenes, outcomes, products
+    return scenes, detections, products
 
 
 def _downlink(
@@ -412,7 +414,7 @@ def run(
         requests, scenario.satellites, scenario.stations, contact_table, access_table
     )
     acquisitions = _acquisitions(scenario, requests, plan, access_table)
-    scenes, outcomes, products = _process_scenes(scenario, acquisitions, fire_events)
+    scenes, detections, products = _process_scenes(scenario, acquisitions, fire_events)
     never_enqueued, transfers = _downlink(scenario, scenes, products, contact_table)
     completions = transfers.completion_times
     pdgs_times, marketplace = _ground(scenario, products, completions)
@@ -432,7 +434,7 @@ def run(
         plan=plan,
         acquisitions=tuple(acquisitions),
         scenes=scenes,
-        outcomes=outcomes,
+        detections=detections,
         products=products,
         never_enqueued_ids=never_enqueued,
         transfer_records=transfers.records,

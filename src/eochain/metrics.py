@@ -121,9 +121,7 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
     ttfi_values = []
     never = 0
     detectable_ids = {e.id for e in trace.fire_events if is_detectable(e.area_ha, mmu_ha)}
-    detected_ids: set[str] = set()
-    for o in trace.outcomes.values():
-        detected_ids |= set(o.detected_event_ids)
+    detected_ids = set().union(*trace.detections.values())
     for e in trace.fire_events:
         ttfi = time_to_first_info(trace, e.id)
         if ttfi is None:

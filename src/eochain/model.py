@@ -163,10 +163,9 @@ class CloudModel:
 
 @dataclass(frozen=True)
 class DetectionSpec:
-    """Statistical detection/classification and product-shaping knobs."""
+    """Statistical detection and product-shaping knobs."""
 
     accuracy_p: float = 0.95
-    fp_rate_per_scene: float = 0.05
     chip_margin: float = 2.0
     mask_compression: float = 10.0
 
@@ -187,13 +186,9 @@ class Scenario:
     detection: DetectionSpec = field(default_factory=DetectionSpec)
 
 
-@dataclass
+@dataclass(frozen=True)
 class DataProduct:
-    """One unit of data moving through the chain.
-
-    ``transferred`` is mutated by the downlink scheduler; everything else is
-    fixed at creation.
-    """
+    """One unit of data moving through the chain; its progress lives in the transfer records."""
 
     id: str
     kind: ProductKind
@@ -201,12 +196,6 @@ class DataProduct:
     event_ids: frozenset[str]
     volume_bits: int
     created: float
-    priority: int
-    transferred: int = 0
-
-    @property
-    def remaining_bits(self) -> int:
-        return self.volume_bits - self.transferred
 
 
 def pixel_count(area_km2: float, gsd_m: float) -> int:
@@ -346,8 +335,6 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     det = s.detection
     _check(v, 0.0 < det.accuracy_p <= 1.0, "detection.accuracy_p",
            "detection probability must be in (0, 1]")
-    _check(v, det.fp_rate_per_scene >= 0, "detection.fp_rate_per_scene",
-           "false-positive rate must be non-negative")
     _check(v, det.chip_margin >= 1.0, "detection.chip_margin",
            "chip margin must be >= 1")
     _check(v, det.mask_compression >= 1.0, "detection.mask_compression",

@@ -1,9 +1,8 @@
 """Onboard segment: acquisition, parametric processing budget, detection, products.
 
 No imagery exists anywhere in the simulator.  Detection is a statistical
-model calibrated by a per-event success probability and a per-scene
-false-positive rate; the onboard processor is a throughput budget, not an
-inference engine.
+model calibrated by a per-event success probability; the onboard processor
+is a throughput budget, not an inference engine.
 """
 
 from __future__ import annotations
@@ -32,11 +31,6 @@ from .model import (
 from .events import is_detectable
 from .orbit import Window
 
-PRIORITY_MASK = 0
-PRIORITY_CHIP = 1
-PRIORITY_RAW = 2
-
-
 @dataclass(frozen=True)
 class Scene:
     """One acquisition of an AOI, with its sensor geometry frozen in."""
@@ -55,14 +49,6 @@ class Scene:
     @property
     def pixels(self) -> float:
         return self.area_km2 * 1e6 / self.gsd_m**2
-
-
-@dataclass(frozen=True)
-class DetectionOutcome:
-    scene_id: str
-    detected_event_ids: frozenset[str]
-    false_positive_count: int
-    correct_classification: Mapping[str, bool]
 
 
 def draw_cloud_fraction(cloud_model: CloudModel, rng: np.random.Generator) -> float:
@@ -120,42 +106,29 @@ def classify_scene(
     events_by_id: Mapping[str, FireEvent],
     mmu_ha: float,
     accuracy_p: float,
-    fp_rate_per_scene: float,
     rng: np.random.Generator,
-    fp_rng: np.random.Generator,
-) -> DetectionOutcome:
-    """Statistical detection of the events present in a scene.
+) -> frozenset[str]:
+    """Ids of the present events that the statistical detector finds.
 
-    A uniform draw is consumed for every present event in id order, whether
+    Two uniforms are consumed for every present event in id order, whether
     or not it clears the minimum mapping unit; this makes the detected set
-    antitone in the MMU for a fixed stream.  False positives come from an
-    independent stream so their draw count never perturbs detection.
+    antitone in the MMU for a fixed stream.  Only the first decides the
+    detection; the second is discarded, which keeps the layout of the
+    detection stream, and with it every pinned artifact digest, fixed.
     """
     if not 0.0 < accuracy_p <= 1.0:
         raise ValidationError("accuracy probability must be in (0, 1]")
-    if fp_rate_per_scene < 0:
-        raise ValidationError("false-positive rate must be non-negative")
     detected: set[str] = set()
-    correct: dict[str, bool] = {}
     for event_id in sorted(scene.event_ids_present):
-        u = rng.uniform()
-        v = rng.uniform()
-        event = events_by_id[event_id]
-        if is_detectable(event.area_ha, mmu_ha) and u < accuracy_p:
+        u, _ = rng.uniform(size=2)
+        if is_detectable(events_by_id[event_id].area_ha, mmu_ha) and u < accuracy_p:
             detected.add(event_id)
-            correct[event_id] = v < accuracy_p
-    fp_count = int(fp_rng.poisson(fp_rate_per_scene))
-    return DetectionOutcome(
-        scene_id=scene.id,
-        detected_event_ids=frozenset(detected),
-        false_positive_count=fp_count,
-        correct_classification=correct,
-    )
+    return frozenset(detected)
 
 
 def build_products(
     scene: Scene,
-    outcome: DetectionOutcome,
+    detected: frozenset[str],
     events_by_id: Mapping[str, FireEvent],
     location: ProcessingLocation,
     cloud_model: CloudModel,
@@ -179,10 +152,9 @@ def build_products(
                 id=f"{scene.id}-raw",
                 kind=ProductKind.RAW_SCENE,
                 scene_id=scene.id,
-                event_ids=outcome.detected_event_ids,
+                event_ids=detected,
                 volume_bits=raw_bits,
                 created=scene.acquired,
-                priority=PRIORITY_RAW,
             )
         ]
 
@@ -192,13 +164,12 @@ def build_products(
             id=f"{scene.id}-mask",
             kind=ProductKind.THEMATIC_MASK,
             scene_id=scene.id,
-            event_ids=outcome.detected_event_ids,
+            event_ids=detected,
             volume_bits=mask_volume(scene.area_km2, scene.gsd_m, compression),
             created=done,
-            priority=PRIORITY_MASK,
         )
     ]
-    for event_id in sorted(outcome.detected_event_ids):
+    for event_id in sorted(detected):
         chip_area_km2 = events_by_id[event_id].area_ha * KM2_PER_HA * chip_margin**2
         products.append(
             DataProduct(
@@ -208,7 +179,6 @@ def build_products(
                 event_ids=frozenset({event_id}),
                 volume_bits=scene_volume(chip_area_km2, scene.gsd_m, scene.bands, scene.bit_depth),
                 created=done,
-                priority=PRIORITY_CHIP,
             )
         )
     return products

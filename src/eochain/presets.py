@@ -56,7 +56,7 @@ _STATIONS = (
 _EVENT_MODEL = EventModel(rate_per_aoi_per_day=0.2, area_log_mean=1.6094379124341003, area_log_sd=1.0)
 _LATENCIES = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0)
 _CLOUDS = CloudModel(mean_fraction=0.1, onboard_threshold=0.5)
-_DETECTION = DetectionSpec(accuracy_p=0.95, fp_rate_per_scene=0.05, chip_margin=2.0, mask_compression=10.0)
+_DETECTION = DetectionSpec(accuracy_p=0.95, chip_margin=2.0, mask_compression=10.0)
 
 
 def _heo_constellation(n: int = 12) -> tuple[SatelliteSpec, ...]:

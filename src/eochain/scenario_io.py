@@ -3,7 +3,8 @@
 The document maps one-to-one onto the Scenario type: field names, nesting
 and defaults are read from the dataclasses in ``model``, which are the only
 schema.  The schema is closed: a key that is not a field (other than the
-top-level ``schema_version``) is an error.  See README for the full schema.
+top-level ``schema_version``) is an error, and so is a key given twice in
+one mapping.  See README for the full schema.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import numbers
 import typing
+from collections.abc import Hashable
 from enum import Enum
 from pathlib import Path
 from typing import Any
@@ -20,6 +22,26 @@ import yaml
 from .model import Scenario, ValidationError
 
 SCHEMA_VERSION = 1
+
+
+class _UniqueKeyLoader(yaml.SafeLoader):
+    """The safe loader, except that a mapping key given twice is an error, not an overwrite."""
+
+    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict[Any, Any]:
+        seen: set[Hashable] = set()
+        for key_node, _ in node.value:
+            # A merge key ``<<`` may repeat; an unhashable key is left for the
+            # base loader to report.
+            if key_node.tag == "tag:yaml.org,2002:merge":
+                continue
+            key = self.construct_object(key_node, deep=deep)
+            if isinstance(key, Hashable):
+                if key in seen:
+                    mark = key_node.start_mark  # its name is the path of the file read
+                    where = f"{mark.name}:{mark.line + 1}:{mark.column + 1}"
+                    raise ValidationError(f"{where}: duplicate key {key!r}")
+                seen.add(key)
+        return super().construct_mapping(node, deep=deep)
 
 
 def _plain(value: Any) -> Any:
@@ -93,7 +115,7 @@ def load_scenario(path: str | Path) -> Scenario:
     # Read as bytes, so the YAML reader also reports a file that is not text.
     with open(path, "rb") as f:
         try:
-            doc = yaml.safe_load(f)
+            doc = yaml.load(f, Loader=_UniqueKeyLoader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)

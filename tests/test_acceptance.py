@@ -163,17 +163,18 @@ def test_criterion_3_conservation():
         moved = {pid: 0 for pid in trace.products}
         for r in trace.transfer_records:
             moved[r.product_id] += r.bits_moved
+        residual = trace.residual_bits()
         generated = delivered = partial = never = 0
         for pid, p in trace.products.items():
-            assert moved[pid] + p.remaining_bits == p.volume_bits  # per product, exact
-            assert 0 <= p.transferred <= p.volume_bits
+            assert 0 <= moved[pid] <= p.volume_bits
+            assert (pid in trace.downlink_completions) == (moved[pid] == p.volume_bits)
+            assert residual.get(pid, 0) == p.volume_bits - moved[pid]  # per product, exact
             generated += p.volume_bits
             if pid in trace.downlink_completions:
-                assert p.remaining_bits == 0
                 delivered += p.volume_bits
-            elif p.transferred > 0:
-                partial += p.transferred
-                never += p.remaining_bits
+            elif moved[pid] > 0:
+                partial += moved[pid]
+                never += p.volume_bits - moved[pid]
             else:
                 never += p.volume_bits
         assert generated == delivered + partial + never  # aggregate, exact
@@ -257,14 +258,8 @@ def test_criterion_7_mmu_antitonicity():
             continue
         events_by_id = {e.id: e for e in events}
         scene = make_scene(present=frozenset(events_by_id))
-        coarse = classify_scene(
-            scene, events_by_id, 10.0, 0.95, 0.0,
-            rng_stream(seed, "detection", scene.id), rng_stream(seed, "fp", scene.id),
-        ).detected_event_ids
-        fine = classify_scene(
-            scene, events_by_id, 3.0, 0.95, 0.0,
-            rng_stream(seed, "detection", scene.id), rng_stream(seed, "fp", scene.id),
-        ).detected_event_ids
+        coarse = classify_scene(scene, events_by_id, 10.0, 0.95, rng_stream(seed, "detection", scene.id))
+        fine = classify_scene(scene, events_by_id, 3.0, 0.95, rng_stream(seed, "detection", scene.id))
         assert coarse <= fine
         checked += 1
     assert checked >= 45
@@ -278,10 +273,7 @@ def test_criterion_8_statistical_calibration():
     trials = 10_000
     hits = sum(
         "ev"
-        in classify_scene(
-            scene, events_by_id, 3.0, 0.95, 0.0,
-            rng_stream(seed, "detection", scene.id), rng_stream(seed, "fp", scene.id),
-        ).detected_event_ids
+        in classify_scene(scene, events_by_id, 3.0, 0.95, rng_stream(seed, "detection", scene.id))
         for seed in range(trials)
     )
     freq = hits / trials

@@ -199,6 +199,7 @@ class TestValidate:
         ("archetype", "name", "iride-heo"),
         ("archetype", "gsd_m", 3.0),
         ("latencies", "periodic_cycle_s", 86400.0),
+        ("detection", "fp_rate_per_scene", 0.05),
         # Non-finite numbers.
         ("stations", "xband_rate_mbit_s", math.inf),
         ("stations", "location", {"lat": 40.65, "lon": math.nan}),
@@ -229,7 +230,8 @@ class TestValidate:
         (b"name: [unclosed\n", ":2:1: "),
         (b"name: test\nstations:\n\t- id: gs-a\n", ":3:1: "),
         (b"name: \xff\xfe\n", ": "),
-    ], ids=["unclosed-flow-sequence", "tab-indent", "not-utf8"])
+        (b"? [name]\n: test\n", ":1:3: "),
+    ], ids=["unclosed-flow-sequence", "tab-indent", "not-utf8", "unhashable-key"])
     def test_malformed_yaml_is_one_line_error(self, tmp_path, capsys, text, where):
         path = tmp_path / "bad.yaml"
         path.write_bytes(text)
@@ -238,6 +240,20 @@ class TestValidate:
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: {path}{where}invalid YAML: ")
+
+    @pytest.mark.parametrize("section, key", [(None, "seed"), ("detection", "chip_margin")])
+    def test_duplicate_key_is_one_line_error(self, tmp_path, capsys, section, key):
+        lines = yaml.safe_dump(scenario_to_dict(iride_heo()), sort_keys=False).splitlines()
+        # Give the key once more at the head of its mapping: the original is then the repeat.
+        indent = "" if section is None else "  "
+        at = 0 if section is None else lines.index(f"{section}:") + 1
+        lines.insert(at, f"{indent}{key}: 1")
+        repeat = next(i for i in range(at + 1, len(lines)) if lines[i].startswith(f"{indent}{key}:"))
+        path = tmp_path / "dup.yaml"
+        path.write_text("\n".join(lines) + "\n")
+        assert main(["validate", "--scenario", str(path)]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert err == f"error: {path}:{repeat + 1}:{len(indent) + 1}: duplicate key '{key}'\n"
 
     def test_unreadable_file_is_io_error(self, tmp_path):
         assert main(["validate", "--scenario", str(tmp_path / "missing.yaml")]) == EXIT_IO

@@ -72,9 +72,8 @@ class TestRunBasics:
         assert a.fire_events == b.fire_events
         assert a.timeline == b.timeline
         assert a.marketplace == b.marketplace
-        assert [p.transferred for p in a.products.values()] == [
-            p.transferred for p in b.products.values()
-        ]
+        assert a.transfer_records == b.transfer_records
+        assert a.residual_bits() == b.residual_bits()
 
     def test_timeline_strictly_ordered_and_bounded(self):
         trace = run(make_scenario(seed=3))
@@ -124,7 +123,7 @@ class TestChainSemantics:
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
         trace = run(make_scenario(seed=5), injected_events=[ev])
         triggered = {f"scn-{i:05d}" for i, a in enumerate(trace.acquisitions) if a.triggered}
-        assert set(trace.outcomes) == triggered
+        assert set(trace.detections) == triggered
         assert {p.scene_id for p in trace.products.values()} <= triggered
 
     def test_periodic_processes_every_scene(self):
@@ -134,7 +133,7 @@ class TestChainSemantics:
             cycle=DAY,
         )
         trace = run(make_scenario(seed=5, archetype=arch, rate=0.5))
-        assert set(trace.outcomes) == set(trace.scenes)
+        assert set(trace.detections) == set(trace.scenes)
         assert len(trace.products) == len(trace.scenes)
         assert trace.mode is ProcessingLocation.GROUND
 
@@ -167,8 +166,11 @@ class TestChainSemantics:
         moved = {pid: 0 for pid in trace.products}
         for r in trace.transfer_records:
             moved[r.product_id] += r.bits_moved
+        residual_by_product = trace.residual_bits()
         for pid, p in trace.products.items():
-            assert moved[pid] + p.remaining_bits == p.volume_bits
+            assert 0 <= moved[pid] <= p.volume_bits
+            assert (pid in trace.downlink_completions) == (moved[pid] == p.volume_bits)
+            assert residual_by_product.get(pid, 0) == p.volume_bits - moved[pid]
         total_generated = trace.generated_bits()
         total_moved = trace.transferred_bits()
         residual = sum(trace.residual_bits().values())

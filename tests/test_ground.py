@@ -21,7 +21,7 @@ PERIODIC = make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0)
 def product(kind=ProductKind.THEMATIC_MASK, pid="p"):
     return DataProduct(
         id=pid, kind=kind, scene_id="scn", event_ids=frozenset({"ev"}),
-        volume_bits=100, created=0.0, priority=0,
+        volume_bits=100, created=0.0,
     )
 
 

@@ -192,7 +192,7 @@ class TestCompleteness:
         from eochain.model import DetectionSpec
 
         s = make_scenario(seed=3, cloud_mean=0.0,
-                          detection=DetectionSpec(accuracy_p=1.0, fp_rate_per_scene=0.0))
+                          detection=DetectionSpec(accuracy_p=1.0))
         ev = FireEvent("sure", GeoPoint(42.0, 13.0), 3600.0, 50.0)
         trace = run(s, injected_events=[ev])
         report = build_service_report(trace, mmu_ha=3.0)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 
+from eochain.downlink import DOWNLINK_PRIORITY
 from eochain.engine import rng_stream
 from eochain.model import (
     CloudModel,
@@ -131,26 +132,21 @@ class TestClassifyScene:
     def test_certain_detection(self):
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events))
-        out = classify_scene(scene, events, 3.0, 1.0, 0.0,
-                             rng_stream(0, "detection", "s"), rng_stream(0, "fp", "s"))
-        assert out.detected_event_ids == frozenset({"ev-1"})
-        assert out.false_positive_count == 0
+        out = classify_scene(scene, events, 3.0, 1.0, rng_stream(0, "detection", "s"))
+        assert out == frozenset({"ev-1"})
 
     def test_sub_mmu_event_never_detected(self):
         events = make_events(("small", 2.0))
         scene = make_scene(present=frozenset(events))
         for seed in range(50):
-            out = classify_scene(scene, events, 3.0, 1.0, 0.0,
-                                 rng_stream(seed, "detection", "s"), rng_stream(seed, "fp", "s"))
-            assert out.detected_event_ids == frozenset()
+            out = classify_scene(scene, events, 3.0, 1.0, rng_stream(seed, "detection", "s"))
+            assert out == frozenset()
 
     def test_detection_frequency_calibrated(self):
         events = make_events(("ev-1", 9.0))
         scene = make_scene(present=frozenset(events))
         hits = sum(
-            "ev-1" in classify_scene(scene, events, 3.0, 0.95, 0.0,
-                                     rng_stream(seed, "detection", "s"),
-                                     rng_stream(seed, "fp", "s")).detected_event_ids
+            "ev-1" in classify_scene(scene, events, 3.0, 0.95, rng_stream(seed, "detection", "s"))
             for seed in range(2000)
         )
         se = math.sqrt(0.95 * 0.05 / 2000)
@@ -160,64 +156,37 @@ class TestClassifyScene:
         events = make_events(("a", 2.0), ("b", 4.0), ("c", 8.0), ("d", 15.0), ("e", 40.0))
         scene = make_scene(present=frozenset(events))
         for seed in range(50):
-            coarse = classify_scene(scene, events, 10.0, 0.7, 0.0,
-                                    rng_stream(seed, "detection", "s"),
-                                    rng_stream(seed, "fp", "s")).detected_event_ids
-            fine = classify_scene(scene, events, 3.0, 0.7, 0.0,
-                                  rng_stream(seed, "detection", "s"),
-                                  rng_stream(seed, "fp", "s")).detected_event_ids
+            coarse = classify_scene(scene, events, 10.0, 0.7, rng_stream(seed, "detection", "s"))
+            fine = classify_scene(scene, events, 3.0, 0.7, rng_stream(seed, "detection", "s"))
             assert coarse <= fine
-
-    def test_false_positive_rate(self):
-        scene = make_scene()
-        total = sum(
-            classify_scene(scene, {}, 3.0, 0.95, 2.0,
-                           rng_stream(seed, "detection", "s"),
-                           rng_stream(seed, "fp", "s")).false_positive_count
-            for seed in range(1000)
-        )
-        assert total / 1000 == pytest.approx(2.0, abs=0.2)
 
     def test_bad_arguments_rejected(self):
         scene = make_scene()
         with pytest.raises(ValidationError):
-            classify_scene(scene, {}, 3.0, 0.0, 0.0,
-                           rng_stream(0, "detection", "s"), rng_stream(0, "fp", "s"))
-        with pytest.raises(ValidationError):
-            classify_scene(scene, {}, 3.0, 0.95, -1.0,
-                           rng_stream(0, "detection", "s"), rng_stream(0, "fp", "s"))
+            classify_scene(scene, {}, 3.0, 0.0, rng_stream(0, "detection", "s"))
 
 
 class TestBuildProducts:
-    def outcome(self, scene, events, detected):
-        from eochain.onboard import DetectionOutcome
-        return DetectionOutcome(
-            scene_id=scene.id,
-            detected_event_ids=frozenset(detected),
-            false_positive_count=0,
-            correct_classification={d: True for d in detected},
-        )
-
     def test_raw_only_single_product(self):
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events))
-        products = build_products(scene, self.outcome(scene, events, {"ev-1"}), events,
+        products = build_products(scene, frozenset({"ev-1"}), events,
                                   ProcessingLocation.GROUND, CLEAR, make_processor(), 10.0, 2.0)
         assert len(products) == 1
         raw = products[0]
         assert raw.kind is ProductKind.RAW_SCENE
         assert raw.volume_bits == scene_volume(scene.area_km2, 3.0, 4, 12)
         assert raw.created == scene.acquired
-        assert raw.priority == 2
+        assert DOWNLINK_PRIORITY[raw.kind] == 2
 
     def test_hybrid_mask_plus_chip(self):
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events))
-        products = build_products(scene, self.outcome(scene, events, {"ev-1"}), events,
+        products = build_products(scene, frozenset({"ev-1"}), events,
                                   ProcessingLocation.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
         assert [p.kind for p in products] == [ProductKind.THEMATIC_MASK, ProductKind.ROI_CHIP]
         mask, chip = products
-        assert mask.priority == 0 and chip.priority == 1
+        assert DOWNLINK_PRIORITY[mask.kind] == 0 and DOWNLINK_PRIORITY[chip.kind] == 1
         done = scene.acquired + pipeline_latency(scene, make_processor())
         assert mask.created == pytest.approx(done)
         assert chip.created == pytest.approx(done)
@@ -228,7 +197,7 @@ class TestBuildProducts:
     def test_cloud_deferral_falls_back_to_raw(self):
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events), cloud=0.9)
-        products = build_products(scene, self.outcome(scene, events, {"ev-1"}), events,
+        products = build_products(scene, frozenset({"ev-1"}), events,
                                   ProcessingLocation.HYBRID,
                                   CloudModel(mean_fraction=0.5, onboard_threshold=0.5),
                                   make_processor(), 10.0, 2.0)
@@ -237,9 +206,9 @@ class TestBuildProducts:
 
     def test_volume_ratio_against_model(self):
         scene = make_scene()
-        raw = build_products(scene, self.outcome(scene, {}, set()), {},
+        raw = build_products(scene, frozenset(), {},
                              ProcessingLocation.GROUND, CLEAR, make_processor(), 10.0, 2.0)
-        hybrid = build_products(scene, self.outcome(scene, {}, set()), {},
+        hybrid = build_products(scene, frozenset(), {},
                                 ProcessingLocation.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
         ratio = raw[0].volume_bits / hybrid[0].volume_bits
         assert 480.0 * (1 - 1e-6) <= ratio <= 480.0
@@ -247,7 +216,7 @@ class TestBuildProducts:
     def test_hybrid_volume_below_raw_for_small_chips(self):
         events = make_events(*[(f"ev-{k}", 20.0) for k in range(5)])
         scene = make_scene(present=frozenset(events))
-        hybrid = build_products(scene, self.outcome(scene, events, set(events)), events,
+        hybrid = build_products(scene, frozenset(events), events,
                                 ProcessingLocation.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
         raw = scene_volume(scene.area_km2, scene.gsd_m, scene.bands, scene.bit_depth)
         chip_area = sum(e.area_ha * 0.01 * 4.0 for e in events.values())
@@ -257,7 +226,7 @@ class TestBuildProducts:
     def test_completion_ordering(self):
         events = make_events(("ev-1", 5.0))
         scene = make_scene(present=frozenset(events))
-        hybrid = build_products(scene, self.outcome(scene, events, {"ev-1"}), events,
+        hybrid = build_products(scene, frozenset({"ev-1"}), events,
                                 ProcessingLocation.HYBRID, CLEAR, make_processor(), 10.0, 2.0)
         for p in hybrid:
             assert p.created >= scene.acquired + pipeline_latency(scene, make_processor()) - 1e-9

@@ -33,6 +33,18 @@ class TestRoundTrip:
         save_scenario(effis_like(), path)
         assert validate_scenario(load_scenario(path)) == []
 
+    def test_merge_keys_are_not_duplicates(self, tmp_path):
+        # Two merges into one mapping, one of whose keys is then set again
+        # explicitly: YAML allows both, so neither is a repeated key.
+        text = (SCENARIOS / "iride_heo.yaml").read_text()
+        plain = "latencies:\n  pdgs_raw_s: 7200.0\n  pdgs_mask_s: 600.0\n"
+        merged = ("latencies:\n  <<: {pdgs_raw_s: 1.0}\n  <<: {pdgs_mask_s: 600.0}\n"
+                  "  pdgs_raw_s: 7200.0\n")
+        assert plain in text
+        path = tmp_path / "merged.yaml"
+        path.write_text(text.replace(plain, merged))
+        assert load_scenario(path) == iride_heo()
+
 
 class TestCommittedFiles:
     @pytest.mark.parametrize("preset", [iride_heo, effis_like], ids=["iride_heo", "effis_like"])
