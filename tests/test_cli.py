@@ -199,7 +199,6 @@ class TestValidate:
         ("archetype", "name", "iride-heo"),
         ("archetype", "gsd_m", 3.0),
         ("latencies", "periodic_cycle_s", 86400.0),
-        ("detection", "fp_rate_per_scene", 0.05),
         # Non-finite numbers.
         ("stations", "xband_rate_mbit_s", math.inf),
         ("stations", "location", {"lat": 40.65, "lon": math.nan}),
@@ -210,6 +209,8 @@ class TestValidate:
         ("satellites", "altitude_km", "550"),
         ("archetype", "mmu_ha", True),
         ("stations", "id", 5),
+        # A removed field, listed last so the index-based ids above stay put.
+        ("detection", "fp_rate_per_scene", 0.05),
     ])
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, section, field, value):
         doc = scenario_to_dict(iride_heo())
