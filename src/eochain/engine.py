@@ -54,8 +54,12 @@ def rng_stream(master_seed: int, domain_label: str, entity_id: str = "") -> np.r
     draws of one domain cannot shift another's.
     """
     digest = hashlib.sha256(f"{domain_label}/{entity_id}".encode()).digest()
-    words = [int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12)]
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(master_seed), *words])))
+    # The seed's 32-bit words, low first, then four digest words: the
+    # entropy numpy derives from the list [seed, *words], built directly.
+    seed = int(master_seed)
+    head = seed.to_bytes(4 * max(1, (seed.bit_length() + 31) // 32), "little")
+    entropy = np.frombuffer(head + digest[:16], "<u4")
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
 class SimEventKind(str, Enum):
@@ -175,9 +179,11 @@ def _validate_injected(fire_events: Sequence[FireEvent], horizon_s: float) -> No
 
 def _ground_truth(
     scenario: Scenario, injected_events: Optional[Sequence[FireEvent]]
-) -> tuple[tuple[FireEvent, ...], tuple[str, ...], dict[str, float]]:
-    """Fire events (injected or drawn from per-AOI streams), the ids outside
-    every AOI, and each event's monitoring detection time."""
+) -> tuple[tuple[FireEvent, ...], dict[str, tuple[FireEvent, ...]], dict[str, Optional[str]],
+           tuple[str, ...], dict[str, float]]:
+    """Fire events (injected or drawn from per-AOI streams) in (start, id)
+    order, each AOI's member events and each event's home AOI, the ids
+    outside every AOI, and each event's monitoring detection time."""
     if injected_events is not None:
         _validate_injected(injected_events, scenario.horizon_s)
         fire_events = tuple(sorted(injected_events, key=lambda e: (e.start, e.id)))
@@ -190,14 +196,13 @@ def _ground_truth(
                 lambda aoi_id: rng_stream(scenario.seed, "events", aoi_id),
             )
         )
-    dropped = tuple(
-        e.id for e in fire_events if tasking.containing_aoi(e.location, scenario.aois) is None
-    )
+    members, home = events_mod.aoi_membership(fire_events, scenario.aois)
+    dropped = tuple(event_id for event_id, aoi_id in home.items() if aoi_id is None)
     detection_times = {
         e.id: events_mod.monitoring_detection_time(e, scenario.monitoring_delay_s)
         for e in fire_events
     }
-    return fire_events, dropped, detection_times
+    return fire_events, members, home, dropped, detection_times
 
 
 def geometry_tables(scenario: Scenario) -> tuple[WindowTable, WindowTable]:
@@ -269,6 +274,7 @@ def _process_scenes(
     scenario: Scenario,
     acquisitions: Sequence[AcquisitionRecord],
     fire_events: tuple[FireEvent, ...],
+    members: Mapping[str, Sequence[FireEvent]],
 ) -> tuple[dict[str, Scene], dict[str, frozenset[str]], dict[str, DataProduct]]:
     """A scene for every acquisition; detection and products for every scene
     of a periodic product line, and only for event-triggered scenes of an
@@ -288,7 +294,7 @@ def _process_scenes(
             sat,
             aois_by_id[acq.aoi_id],
             acq.window,
-            fire_events,
+            members[acq.aoi_id],
             scenario.cloud_model,
             rng_stream(scenario.seed, "clouds", scene_id),
         )
@@ -405,16 +411,16 @@ def run(
         raise ValidationError(
             "invalid scenario: " + "; ".join(str(v) for v in violations)
         )
-    fire_events, dropped, detection_times = _ground_truth(scenario, injected_events)
+    fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
     contact_table, access_table = geometry_tables(scenario)
     requests = tasking.build_requests(
-        fire_events, scenario.aois, scenario.monitoring_delay_s, scenario.archetype
+        fire_events, home, scenario.monitoring_delay_s, scenario.archetype
     )
     plan = tasking.plan(
         requests, scenario.satellites, scenario.stations, contact_table, access_table
     )
     acquisitions = _acquisitions(scenario, requests, plan, access_table)
-    scenes, detections, products = _process_scenes(scenario, acquisitions, fire_events)
+    scenes, detections, products = _process_scenes(scenario, acquisitions, fire_events, members)
     never_enqueued, transfers = _downlink(scenario, scenes, products, contact_table)
     completions = transfers.completion_times
     pdgs_times, marketplace = _ground(scenario, products, completions)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import csv
 import math
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .model import (
     FireEvent,
     GeoPoint,
     ValidationError,
+    great_circle_km,
 )
 
 SECONDS_PER_DAY = 86400.0
@@ -78,6 +79,24 @@ def generate_fire_events(
             )
     out.sort(key=lambda e: (e.start, e.id))
     return out
+
+
+def aoi_membership(
+    fire_events: Sequence[FireEvent], aois: Sequence[AreaOfInterest]
+) -> tuple[dict[str, tuple[FireEvent, ...]], dict[str, Optional[str]]]:
+    """Each AOI's member events, in the given order, and each event's home AOI id.
+
+    An event is a member of every AOI whose disc contains it.  Its home is the
+    nearest of those discs, ties broken by id, or None outside all of them.
+    """
+    members: dict[str, list[FireEvent]] = {aoi.id: [] for aoi in aois}
+    home: dict[str, Optional[str]] = {}
+    for e in fire_events:
+        inside = [(d, a.id) for a in aois if (d := great_circle_km(e.location, a.center)) <= a.radius_km]
+        for _, aoi_id in inside:
+            members[aoi_id].append(e)
+        home[e.id] = min(inside)[1] if inside else None
+    return {aoi_id: tuple(evs) for aoi_id, evs in members.items()}, home
 
 
 def monitoring_detection_time(event: FireEvent, monitoring_delay_s: float) -> float:

@@ -81,18 +81,17 @@ class Marketplace:
         return len(self._records)
 
 
+# One encoder for every record; ``json.dumps`` would build one per call.
+_ENCODER = json.JSONEncoder(sort_keys=True)
+
+
 def write_marketplace_dump(path: str | Path, records: Iterable[MarketplaceRecord]) -> None:
     """JSON-lines dump, one delivery per line."""
     with open(path, "w") as f:
         for r in records:
-            f.write(
-                json.dumps(
-                    {
-                        "product_id": r.product_id,
-                        "event_ids": sorted(r.event_ids),
-                        "delivered_s": round(r.delivered, 3),
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+            record = {
+                "product_id": r.product_id,
+                "event_ids": sorted(r.event_ids),
+                "delivered_s": round(r.delivered, 3),
+            }
+            f.write(_ENCODER.encode(record) + "\n")

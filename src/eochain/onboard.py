@@ -7,6 +7,7 @@ is a throughput budget, not an inference engine.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -24,7 +25,6 @@ from .model import (
     ProductKind,
     SatelliteSpec,
     ValidationError,
-    great_circle_km,
     mask_volume,
     scene_volume,
 )
@@ -67,17 +67,17 @@ def acquire_scene(
     sat: SatelliteSpec,
     aoi: AreaOfInterest,
     window: Window,
-    fire_events: Sequence[FireEvent],
+    members: Sequence[FireEvent],
     cloud_model: CloudModel,
     rng: np.random.Generator,
 ) -> Scene:
-    """Image the AOI at the window start; ground truth is causally filtered."""
+    """Image the AOI at the window start; ground truth is causally filtered.
+
+    ``members`` are the events inside the AOI's disc in (start, id) order
+    (``events.aoi_membership``), so those burning at acquisition are a prefix.
+    """
     acquired = window.start
-    present = frozenset(
-        e.id
-        for e in fire_events
-        if e.start <= acquired and great_circle_km(e.location, aoi.center) <= aoi.radius_km
-    )
+    present = members[: bisect_right(members, acquired, key=lambda e: e.start)]
     return Scene(
         id=scene_id,
         satellite_id=sat.id,
@@ -85,7 +85,7 @@ def acquire_scene(
         acquired=acquired,
         area_km2=aoi.area_km2,
         cloud_fraction=draw_cloud_fraction(cloud_model, rng),
-        event_ids_present=present,
+        event_ids_present=frozenset(e.id for e in present),
         gsd_m=sat.gsd_m,
         bands=sat.bands,
         bit_depth=sat.bit_depth,
@@ -110,20 +110,21 @@ def classify_scene(
 ) -> frozenset[str]:
     """Ids of the present events that the statistical detector finds.
 
-    Two uniforms are consumed for every present event in id order, whether
-    or not it clears the minimum mapping unit; this makes the detected set
-    antitone in the MMU for a fixed stream.  Only the first decides the
-    detection; the second is discarded, which keeps the layout of the
-    detection stream, and with it every pinned artifact digest, fixed.
+    Two uniforms are drawn for every present event in id order, in one
+    call, whether or not it clears the minimum mapping unit; this makes the
+    detected set antitone in the MMU for a fixed stream.  Only the first
+    decides the detection; the second is discarded, which keeps the layout
+    of the detection stream, and with it every pinned artifact digest, fixed.
     """
     if not 0.0 < accuracy_p <= 1.0:
         raise ValidationError("accuracy probability must be in (0, 1]")
-    detected: set[str] = set()
-    for event_id in sorted(scene.event_ids_present):
-        u, _ = rng.uniform(size=2)
-        if is_detectable(events_by_id[event_id].area_ha, mmu_ha) and u < accuracy_p:
-            detected.add(event_id)
-    return frozenset(detected)
+    present = sorted(scene.event_ids_present)
+    draws = rng.uniform(size=(len(present), 2))
+    return frozenset(
+        event_id
+        for event_id, u in zip(present, draws[:, 0])
+        if is_detectable(events_by_id[event_id].area_ha, mmu_ha) and u < accuracy_p
+    )
 
 
 def build_products(

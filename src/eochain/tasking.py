@@ -13,15 +13,12 @@ from typing import Mapping, Optional, Sequence
 
 from .model import (
     AcquisitionMode,
-    AreaOfInterest,
     FireEvent,
-    GeoPoint,
     GroundStationSpec,
     SatelliteSpec,
     ServiceArchetype,
     Triggering,
     ValidationError,
-    great_circle_km,
 )
 from .orbit import Window
 
@@ -48,41 +45,30 @@ class TaskingPlan:
     unmet_request_ids: tuple[str, ...]
 
 
-def containing_aoi(point: GeoPoint, aois: Sequence[AreaOfInterest]) -> Optional[AreaOfInterest]:
-    """AOI whose disc contains the point; nearest center wins, ties by id."""
-    candidates = [
-        (dist, aoi.id, aoi)
-        for aoi in aois
-        if (dist := great_circle_km(point, aoi.center)) <= aoi.radius_km
-    ]
-    if not candidates:
-        return None
-    return min(candidates, key=lambda c: (c[0], c[1]))[2]
-
-
 def build_requests(
     fire_events: Sequence[FireEvent],
-    aois: Sequence[AreaOfInterest],
+    home_aoi: Mapping[str, Optional[str]],
     monitoring_delay_s: float,
     archetype: ServiceArchetype,
 ) -> tuple[ObservationRequest, ...]:
     """One request per monitored event for event-driven service archetypes.
 
     Periodic archetypes issue no event requests: their acquisitions ride the
-    systematic cycle.  Events outside every AOI get no request.
+    systematic cycle.  Each request is for the event's home AOI
+    (``events.aoi_membership``); events outside every AOI get no request.
     No deduplication is performed: two events in one AOI yield two requests.
     """
     if archetype.triggering is Triggering.PERIODIC:
         return ()
     requests: list[ObservationRequest] = []
     for ev in fire_events:
-        aoi = containing_aoi(ev.location, aois)
-        if aoi is None:
+        aoi_id = home_aoi[ev.id]
+        if aoi_id is None:
             continue
         requests.append(
             ObservationRequest(
                 id=f"req-{ev.id}",
-                aoi_id=aoi.id,
+                aoi_id=aoi_id,
                 event_ids=frozenset({ev.id}),
                 issued=ev.start + monitoring_delay_s,
             )

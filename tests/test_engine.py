@@ -1,10 +1,12 @@
 import dataclasses
+import hashlib
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from eochain import orbit
+from eochain import model, orbit
 from eochain.engine import SimEventKind, geometry_tables, rng_stream, run
 from eochain.model import (
     AcquisitionMode,
@@ -50,6 +52,17 @@ class TestRngStream:
         a = rng_stream(7, "detection", "scn-1").uniform(size=4000)
         b = rng_stream(7, "fp", "scn-1").uniform(size=4000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 - 1, 2**64, 2**96 + 5])
+    def test_entropy_matches_list_form(self, seed):
+        # numpy turns the list [seed, *words] into the seed's 32-bit words,
+        # low first, then the four digest words; the stream must not change.
+        digest = hashlib.sha256(b"clouds/scn-00001").digest()
+        words = [int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12)]
+        expected = np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed, *words])))
+        actual = rng_stream(seed, "clouds", "scn-00001")
+        assert actual.bit_generator.state == expected.bit_generator.state
+        assert np.array_equal(actual.uniform(size=8), expected.uniform(size=8))
 
 
 class TestRunBasics:
@@ -116,6 +129,23 @@ class TestRunBasics:
         trace = run(make_scenario(horizon=DAY), injected_events=[inside, lost])
         assert trace.dropped_event_ids == ("lost",)
         assert [r.event_ids for r in trace.requests] == [frozenset({"inside"})]
+
+
+    def test_each_event_aoi_distance_computed_once(self, monkeypatch):
+        great_circle_km = model.great_circle_km
+        calls = []
+
+        def counting(a, b):
+            calls.append(None)
+            return great_circle_km(a, b)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("eochain") and getattr(module, "great_circle_km", None) is great_circle_km:
+                monkeypatch.setattr(module, "great_circle_km", counting)
+        scenario = make_scenario(horizon=DAY, rate=20.0)
+        trace = run(scenario)
+        assert len(trace.scenes) > 0 and len(trace.fire_events) > 0
+        assert len(calls) == len(trace.fire_events) * len(scenario.aois)
 
 
 class TestChainSemantics:

@@ -2,18 +2,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from eochain.engine import rng_stream
+from eochain.engine import _ground_truth, rng_stream
 from eochain.events import (
+    _destination,
+    aoi_membership,
     generate_fire_events,
     is_detectable,
     monitoring_detection_time,
     read_event_trace,
     write_event_trace,
 )
-from eochain.model import EventModel, FireEvent, GeoPoint, ValidationError, great_circle_km
+from eochain.model import CloudModel, EventModel, FireEvent, GeoPoint, ValidationError, great_circle_km
+from eochain.onboard import acquire_scene
+from eochain.orbit import Window
 
-from conftest import make_aoi
+from conftest import make_aoi, make_satellite, make_scenario
 
 DAY = 86400.0
 
@@ -24,6 +30,88 @@ def streams(seed):
 
 MODEL = EventModel(rate_per_aoi_per_day=1.0, area_log_mean=math.log(5.0), area_log_sd=1.0)
 AOIS = (make_aoi("aoi-a", 42.0, 13.0, 150.0), make_aoi("aoi-b", 44.0, 9.0, 120.0))
+CLEAR = CloudModel(mean_fraction=0.0, onboard_threshold=0.5)
+
+
+class TestAoiMembership:
+    EQ_AOI = make_aoi("eq-aoi", 0.0, 30.0, radius=100.0)
+
+    def home(self, point, aois):
+        return aoi_membership([FireEvent("ev", point, 0.0, 5.0)], aois)[1]["ev"]
+
+    def test_inside(self):
+        assert self.home(GeoPoint(0.0, 30.2), [self.EQ_AOI]) == "eq-aoi"
+
+    def test_outside(self):
+        assert self.home(GeoPoint(40.0, 30.0), [self.EQ_AOI]) is None
+
+    def test_nearest_center_wins(self):
+        near = make_aoi("near", 0.0, 30.0, radius=150.0)
+        far = make_aoi("far", 1.0, 30.0, radius=300.0)
+        assert self.home(GeoPoint(0.0, 30.1), [far, near]) == "near"
+
+    def test_tie_broken_by_id(self):
+        twins = [make_aoi(aid, 0.0, 30.0, radius=100.0) for aid in ("twin-b", "twin-a", "twin-c")]
+        assert self.home(GeoPoint(0.0, 30.1), twins) == "twin-a"
+
+    def test_members_of_every_containing_disc_in_given_order(self):
+        wide = make_aoi("wide", 0.0, 31.0, radius=300.0)
+        evs = [FireEvent(f"ev-{k}", GeoPoint(0.0, 30.0 + k), 10.0 * k, 5.0) for k in range(5)]
+        members, home = aoi_membership(evs, [self.EQ_AOI, wide])
+        assert [e.id for e in members["eq-aoi"]] == ["ev-0"]
+        assert [e.id for e in members["wide"]] == ["ev-0", "ev-1", "ev-2", "ev-3"]
+        assert home == {"ev-0": "eq-aoi", "ev-1": "wide", "ev-2": "wide", "ev-3": "wide", "ev-4": None}
+
+
+# Overlapping discs around one point; a repeated center gives exact ties.
+CENTERS = [GeoPoint(42.0, 13.0), GeoPoint(42.5, 13.5), GeoPoint(41.5, 12.0), GeoPoint(42.0, 14.5)]
+# Acquisition times; events start on them as well as between them.
+ACQUIRED = [0.0, 600.0, 1800.0, 3600.0]
+
+
+@st.composite
+def membership_cases(draw):
+    n_aois = draw(st.integers(1, 4))
+    aois = [
+        make_aoi(f"aoi-{k}", c.lat, c.lon, draw(st.sampled_from([40.0, 90.0, 150.0, 250.0])))
+        for k, c in enumerate(draw(st.lists(st.sampled_from(CENTERS), min_size=n_aois, max_size=n_aois)))
+    ]
+    events = []
+    for j in range(draw(st.integers(0, 25))):
+        aoi = draw(st.sampled_from(aois))
+        bearing = draw(st.floats(0.0, 2.0 * math.pi))
+        # Next to a disc edge half of the time, anywhere near the discs otherwise.
+        if draw(st.booleans()):
+            dist = aoi.radius_km * (1.0 + draw(st.sampled_from([-1e-9, -1e-12, 0.0, 1e-12, 1e-9])))
+        else:
+            dist = draw(st.floats(0.0, 1.5 * aoi.radius_km))
+        start = draw(st.sampled_from(ACQUIRED) | st.floats(0.0, 3600.0))
+        events.append(FireEvent(f"ev-{j:02d}", _destination(aoi.center, bearing, dist), start, 5.0))
+    return aois, events
+
+
+class TestMembershipMatchesBruteForce:
+    @settings(max_examples=200, deadline=None)
+    @given(case=membership_cases())
+    def test_present_sets_home_aois_and_dropped_ids(self, case):
+        aois, events = case
+        scenario = make_scenario(horizon=DAY, aois=aois)
+        fire_events, members, home, dropped, _ = _ground_truth(scenario, events)
+
+        def inside(e, aoi):
+            return great_circle_km(e.location, aoi.center) <= aoi.radius_km
+
+        sat = make_satellite()
+        for aoi in aois:
+            for t in ACQUIRED:
+                scene = acquire_scene("s", sat, aoi, Window(t, t + 60.0), members[aoi.id], CLEAR,
+                                      rng_stream(0, "clouds", "s"))
+                expected = {e.id for e in events if e.start <= t and inside(e, aoi)}
+                assert scene.event_ids_present == expected
+        for e in events:
+            containing = [(great_circle_km(e.location, a.center), a.id) for a in aois if inside(e, a)]
+            assert home[e.id] == (min(containing)[1] if containing else None)
+        assert dropped == tuple(e.id for e in fire_events if not any(inside(e, a) for a in aois))
 
 
 class TestGeneration:

@@ -12,7 +12,8 @@ import pytest
 
 from eochain.cli import EXIT_OK, main
 
-TRACE = Path(__file__).resolve().parent.parent / "scenarios" / "acceptance_trace.csv"
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+TRACE = SCENARIOS / "acceptance_trace.csv"
 
 GOLDEN = {
     "run-iride-heo": (
@@ -35,6 +36,22 @@ GOLDEN = {
             "run_report.csv": "b8bfa94876be57651b782d1da3383e80a38ca23c6a39479a811cbe7cd7d5ab44",
             "run_report.json": "85b74362f44d82ab19f9e24afe4add5a1cb5dea3339df193b8412daba2313f77",
             "transfers.csv": "cb9cf16a43910d421aaa72f075dd0a6740947ca1032a2bf98673f4524be4fdef",
+        },
+    ),
+    # The high-event-rate path: iride-heo at 50 events/AOI/day, so most
+    # scenes hold several fires and many events lie in two AOI discs.  Its
+    # digests were computed before the event-AOI membership table replaced
+    # the per-scene scan of every event.
+    "run-iride-heo-stress": (
+        ["run", "--scenario", str(SCENARIOS / "iride_heo_stress.yaml"), "--seed", "0",
+         "--duration", "86400"],
+        {
+            "events.csv": "867870ce151dc86b393b4f5fabb73b67ab95ae06e666581f88d5334f07e24905",
+            "marketplace.jsonl": "e54082c7a8ec2c3d9e8cacbdf5fc2d11ccb23f5fdbbd55c5986345b98acb96cc",
+            "plan.json": "11a34ebbaef39a8b63331d62797e2524fad060c98eda0f6e1c37eb7a43628de3",
+            "run_report.csv": "6e0c95572448281ed3b9ca35f6e9ca5b8171e4a14e7f6b0a02b0a263a9c552ba",
+            "run_report.json": "7de2068c7bf7df1c9357f527eadda952c2c3eddfb0ad90d437bf356318350706",
+            "transfers.csv": "55ba6ba195dd92fb87ec43e3847df5206ef9e096977dc167020cd97b51554fd8",
         },
     ),
     # Full horizon: the acceptance trace has events up to 451,555 s.

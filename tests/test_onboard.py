@@ -4,6 +4,7 @@ import pytest
 
 from eochain.downlink import DOWNLINK_PRIORITY
 from eochain.engine import rng_stream
+from eochain.events import aoi_membership
 from eochain.model import (
     CloudModel,
     DetectionSpec,
@@ -62,23 +63,29 @@ class TestAcquireScene:
             for i, start in enumerate(starts)
         ]
 
+    def acquire(self, evs, cloud_model=CLEAR, seed=0):
+        """Scene of the test AOI, given all events of the run in (start, id) order."""
+        members = aoi_membership(evs, [self.AOI])[0][self.AOI.id]
+        return acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, members, cloud_model,
+                             rng_stream(seed, "clouds", "s1"))
+
     def test_alignment_and_area(self):
-        scene = acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, [], CLEAR,
-                              rng_stream(0, "clouds", "s1"))
+        scene = self.acquire([])
         assert scene.acquired == 5000.0
         assert scene.area_km2 == pytest.approx(math.pi * 100.0**2)
         assert scene.gsd_m == self.SAT.gsd_m
 
     def test_future_event_excluded(self):
-        evs = self.events(4000.0, 6000.0)
-        scene = acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, evs, CLEAR,
-                              rng_stream(0, "clouds", "s1"))
+        scene = self.acquire(self.events(4000.0, 6000.0))
         assert scene.event_ids_present == frozenset({"ev-0"})
+
+    def test_event_starting_at_acquisition_present(self):
+        scene = self.acquire(self.events(0.0, 5000.0, 5000.0, 5000.5))
+        assert scene.event_ids_present == frozenset({"ev-0", "ev-1", "ev-2"})
 
     def test_event_outside_aoi_excluded(self):
         far = FireEvent("far", GeoPoint(10.0, 100.0), 0.0, 10.0)
-        scene = acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, [far], CLEAR,
-                              rng_stream(0, "clouds", "s1"))
+        scene = self.acquire([far])
         assert scene.event_ids_present == frozenset()
 
     def test_zero_mean_cloud_is_always_clear(self):
@@ -94,10 +101,8 @@ class TestAcquireScene:
 
     def test_deterministic(self):
         evs = self.events(0.0)
-        a = acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, evs,
-                          CloudModel(0.4, 0.5), rng_stream(7, "clouds", "s1"))
-        b = acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, evs,
-                          CloudModel(0.4, 0.5), rng_stream(7, "clouds", "s1"))
+        a = self.acquire(evs, CloudModel(0.4, 0.5), seed=7)
+        b = self.acquire(evs, CloudModel(0.4, 0.5), seed=7)
         assert a == b
 
 
@@ -164,6 +169,19 @@ class TestClassifyScene:
         scene = make_scene()
         with pytest.raises(ValidationError):
             classify_scene(scene, {}, 3.0, 0.0, rng_stream(0, "detection", "s"))
+
+    @pytest.mark.parametrize("n", [0, 1, 7])
+    def test_two_uniforms_per_present_event(self, n):
+        # The detector reads the first of each event's pair of uniforms, in
+        # id order, and leaves the stream after the last pair.
+        events = make_events(*((f"ev-{k}", 5.0) for k in range(n)))
+        scene = make_scene(present=frozenset(events))
+        rng = rng_stream(3, "detection", "s")
+        out = classify_scene(scene, events, 3.0, 0.5, rng)
+        reference = rng_stream(3, "detection", "s")
+        firsts = {eid: reference.uniform(size=2)[0] for eid in sorted(events)}
+        assert out == {eid for eid, u in firsts.items() if u < 0.5}
+        assert rng.uniform() == reference.uniform()
 
 
 class TestBuildProducts:

@@ -3,11 +3,11 @@ import dataclasses
 import pytest
 
 from eochain.engine import geometry_tables
+from eochain.events import aoi_membership
 from eochain.model import FireEvent, GeoPoint, Triggering, ValidationError
 from eochain.orbit import access_windows
 from eochain.tasking import (
     build_requests,
-    containing_aoi,
     periodic_acquisitions,
     plan,
 )
@@ -38,27 +38,19 @@ def tables(satellites=(EQ_SAT,), stations=(EQ_STATION,), aois=(EQ_AOI,), horizon
     return geometry_tables(scenario)
 
 
+def eq_requests(evs, monitoring_delay, archetype, aois=(EQ_AOI,)):
+    """Requests for the events, each for its home AOI among ``aois``."""
+    return build_requests(evs, aoi_membership(evs, aois)[1], monitoring_delay, archetype)
+
+
 def plan_eq(requests, satellites=(EQ_SAT,), stations=(EQ_STATION,)):
     """Plan over the equatorial AOI for one day."""
     return plan(requests, satellites, stations, *tables(satellites, stations))
 
 
-class TestContainingAoi:
-    def test_inside(self):
-        assert containing_aoi(GeoPoint(0.0, 30.2), [EQ_AOI]) is EQ_AOI
-
-    def test_outside(self):
-        assert containing_aoi(GeoPoint(40.0, 30.0), [EQ_AOI]) is None
-
-    def test_nearest_center_wins(self):
-        near = make_aoi("near", 0.0, 30.0, radius=150.0)
-        far = make_aoi("far", 1.0, 30.0, radius=300.0)
-        assert containing_aoi(GeoPoint(0.0, 30.1), [far, near]).id == "near"
-
-
 class TestBuildRequests:
     def test_single_event_single_request(self):
-        requests = build_requests([eq_event()], [EQ_AOI], 1800.0, make_archetype())
+        requests = eq_requests([eq_event()], 1800.0, make_archetype())
         assert len(requests) == 1
         req = requests[0]
         assert req.issued == 1800.0
@@ -68,29 +60,34 @@ class TestBuildRequests:
 
     def test_periodic_archetype_builds_nothing(self):
         arch = make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0)
-        requests = build_requests([eq_event()], [EQ_AOI], 1800.0, arch)
+        requests = eq_requests([eq_event()], 1800.0, arch)
         assert requests == ()
 
     def test_two_events_two_requests_no_dedup(self):
         evs = [eq_event("ev-1", 0.0), eq_event("ev-2", 10.0)]
-        requests = build_requests(evs, [EQ_AOI], 1800.0, make_archetype())
+        requests = eq_requests(evs, 1800.0, make_archetype())
         assert len(requests) == 2
 
     def test_event_outside_every_aoi_dropped(self):
         lost = FireEvent("lost", GeoPoint(45.0, 120.0), 0.0, 20.0)
-        requests = build_requests([lost, eq_event()], [EQ_AOI], 0.0, make_archetype())
+        requests = eq_requests([lost, eq_event()], 0.0, make_archetype())
         assert len(requests) == 1
         assert requests[0].event_ids == frozenset({"ev-1"})
 
+    def test_event_in_two_discs_gets_one_request_for_its_home_aoi(self):
+        wide = make_aoi("wide", 0.0, 31.0, radius=300.0)
+        requests = eq_requests([eq_event()], 0.0, make_archetype(), aois=(wide, EQ_AOI))
+        assert [r.aoi_id for r in requests] == ["eq-aoi"]
+
     def test_requests_sorted_by_issue_time(self):
         evs = [eq_event("ev-b", 500.0), eq_event("ev-a", 100.0)]
-        requests = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
+        requests = eq_requests(evs, 0.0, make_archetype())
         assert [r.issued for r in requests] == [100.0, 500.0]
 
 
 class TestPlan:
     def test_assignment_follows_first_full_contact(self):
-        requests = build_requests([eq_event(start=0.0)], [EQ_AOI], 0.0, make_archetype())
+        requests = eq_requests([eq_event(start=0.0)], 0.0, make_archetype())
         result = plan_eq(requests)
         assert result.unmet_request_ids == ()
         a = result.assignments[0]
@@ -103,33 +100,33 @@ class TestPlan:
 
     def test_no_sband_contact_means_unmet(self):
         xband_only = make_station(sid="gs-x", lat=0.0, lon=-30.0, sband=False)
-        requests = build_requests([eq_event()], [EQ_AOI], 0.0, make_archetype())
+        requests = eq_requests([eq_event()], 0.0, make_archetype())
         result = plan_eq(requests, stations=[xband_only])
         assert result.assignments == ()
         assert result.unmet_request_ids == (requests[0].id,)
 
     def test_tie_between_satellites_breaks_by_id(self):
         twin_b = make_satellite(sid="sat-b", inclination=0.0, raan=0.0, arg_lat=0.0, swath=40.0)
-        requests = build_requests([eq_event()], [EQ_AOI], 0.0, make_archetype())
+        requests = eq_requests([eq_event()], 0.0, make_archetype())
         result = plan_eq(requests, satellites=[twin_b, EQ_SAT])
         assert result.assignments[0].satellite_id == "sat-a"
 
     def test_no_overlapping_windows_per_satellite(self):
         evs = [eq_event("ev-1", 0.0), eq_event("ev-2", 1.0)]
-        requests = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
+        requests = eq_requests(evs, 0.0, make_archetype())
         result = plan_eq(requests)
         assert len(result.assignments) == 2
         w1, w2 = (a.window for a in result.assignments)
         assert w1.end <= w2.start or w2.end <= w1.start
 
     def test_request_after_last_contact_unmet(self):
-        requests = build_requests([eq_event(start=DAY - 100.0)], [EQ_AOI], 0.0, make_archetype())
+        requests = eq_requests([eq_event(start=DAY - 100.0)], 0.0, make_archetype())
         result = plan_eq(requests)
         assert result.unmet_request_ids == (requests[0].id,)
 
     def test_deterministic(self):
         evs = [eq_event(f"ev-{k}", 100.0 * k) for k in range(5)]
-        requests = build_requests(evs, [EQ_AOI], 0.0, make_archetype())
+        requests = eq_requests(evs, 0.0, make_archetype())
         args = (requests, [EQ_SAT], [EQ_STATION], *tables())
         assert plan(*args) == plan(*args)
 
