@@ -11,7 +11,6 @@ import csv
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Optional, Sequence
 
@@ -199,6 +198,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for k in range(args.runs)
     ]
     if args.jobs > 1:
+        # Imported here: the pool module costs every command over 10 ms of start-up.
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             for line in pool.map(_sweep_one, payloads):
                 print(line)

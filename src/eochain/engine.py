@@ -3,11 +3,11 @@
 A run is a pure function of (scenario, injected events).  Each stage of the
 service chain (ground truth, geometry, tasking, acquisitions, scene
 processing, downlink, ground and marketplace) is one function of the
-outputs before it; the timeline of chain milestones is assembled last.  All
-randomness derives from counter-based streams keyed by (master seed, domain
-label, entity id), so toggling the processing location of a scenario never
-perturbs event generation, cloud draws or detection draws: the two arms of
-an A/B comparison see common random numbers.
+outputs before it; the trace assembles the timeline of chain milestones on
+first read.  All randomness derives from counter-based streams keyed by
+(master seed, domain label, entity id), so toggling the processing location
+of a scenario never perturbs event generation, cloud draws or detection
+draws: the two arms of an A/B comparison see common random numbers.
 """
 
 from __future__ import annotations
@@ -101,9 +101,9 @@ class AcquisitionRecord:
 class SimulationTrace:
     """Timestamped record of every chain milestone of one run.
 
-    ``timeline`` holds the chain milestones in (time, seq) order.  Contact
-    windows are geometry inputs, not milestones, so they are not timeline
-    entries.
+    ``timeline`` holds the chain milestones in (time, seq) order, assembled
+    from the other fields on first read.  Contact windows are geometry
+    inputs, not milestones, so they are not timeline entries.
     """
 
     scenario_name: str
@@ -124,9 +124,39 @@ class SimulationTrace:
     downlink_completions: dict[str, float]
     pdgs_times: dict[str, float]
     marketplace: tuple[MarketplaceRecord, ...]
-    timeline: tuple[SimEvent, ...]
 
-    # Indices over the finished trace, built on first use.
+    # Views of the finished trace, built on first use.
+    @functools.cached_property
+    def timeline(self) -> tuple[SimEvent, ...]:
+        """Chain milestones within the horizon, ordered by (time, insertion order)."""
+        horizon, scenes, detection_times = self.horizon_s, self.scenes, self.detection_times
+        pipeline_done = {
+            p.scene_id: p.created
+            for p in self.products.values() if p.created > scenes[p.scene_id].acquired
+        }
+        K = SimEventKind
+        entries = [(e.start, K.FIRE_START, e.id) for e in self.fire_events]
+        entries += [
+            (detection_times[e.id], K.MONITORING_DETECTION, e.id)
+            for e in self.fire_events
+            if detection_times[e.id] <= horizon
+        ]
+        entries += [(a.uplink_time, K.UPLINK, a.request_id) for a in self.plan.assignments]
+        entries += [(s.acquired, K.ACQUISITION, s.id) for s in scenes.values()]
+        entries += [
+            (pipeline_done[sid], K.PIPELINE_DONE, sid)
+            for sid in sorted(pipeline_done)
+            if pipeline_done[sid] <= horizon
+        ]
+        completions, pdgs_times = self.downlink_completions, self.pdgs_times
+        entries += [(completions[pid], K.TRANSFER_DONE, pid) for pid in sorted(completions)]
+        entries += [(pdgs_times[pid], K.PDGS_DONE, pid) for pid in sorted(pdgs_times)]
+        entries += [(r.delivered, K.DELIVERY, r.product_id) for r in self.marketplace]
+        entries.append((horizon, K.SIM_END, ""))
+        timeline = [SimEvent(t, seq, kind, ref) for seq, (t, kind, ref) in enumerate(entries)]
+        timeline.sort(key=lambda e: e.time)
+        return tuple(timeline)
+
     @functools.cached_property
     def events_by_id(self) -> dict[str, FireEvent]:
         return {e.id: e for e in self.fire_events}
@@ -362,45 +392,6 @@ def _ground(
     return pdgs_times, marketplace.records()
 
 
-def _timeline(
-    scenario: Scenario,
-    fire_events: Sequence[FireEvent],
-    detection_times: Mapping[str, float],
-    plan: TaskingPlan,
-    scenes: Mapping[str, Scene],
-    products: Mapping[str, DataProduct],
-    completions: Mapping[str, float],
-    pdgs_times: Mapping[str, float],
-    marketplace: Sequence[MarketplaceRecord],
-) -> tuple[SimEvent, ...]:
-    """Chain milestones within the horizon, ordered by (time, insertion order)."""
-    horizon = scenario.horizon_s
-    pipeline_done = {
-        p.scene_id: p.created for p in products.values() if p.created > scenes[p.scene_id].acquired
-    }
-    K = SimEventKind
-    entries = [(e.start, K.FIRE_START, e.id) for e in fire_events]
-    entries += [
-        (detection_times[e.id], K.MONITORING_DETECTION, e.id)
-        for e in fire_events
-        if detection_times[e.id] <= horizon
-    ]
-    entries += [(a.uplink_time, K.UPLINK, a.request_id) for a in plan.assignments]
-    entries += [(s.acquired, K.ACQUISITION, s.id) for s in scenes.values()]
-    entries += [
-        (pipeline_done[sid], K.PIPELINE_DONE, sid)
-        for sid in sorted(pipeline_done)
-        if pipeline_done[sid] <= horizon
-    ]
-    entries += [(completions[pid], K.TRANSFER_DONE, pid) for pid in sorted(completions)]
-    entries += [(pdgs_times[pid], K.PDGS_DONE, pid) for pid in sorted(pdgs_times)]
-    entries += [(r.delivered, K.DELIVERY, r.product_id) for r in marketplace]
-    entries.append((horizon, K.SIM_END, ""))
-    timeline = [SimEvent(t, seq, kind, ref) for seq, (t, kind, ref) in enumerate(entries)]
-    timeline.sort(key=lambda e: e.time)
-    return tuple(timeline)
-
-
 def run(
     scenario: Scenario,
     injected_events: Optional[Sequence[FireEvent]] = None,
@@ -424,10 +415,6 @@ def run(
     never_enqueued, transfers = _downlink(scenario, scenes, products, contact_table)
     completions = transfers.completion_times
     pdgs_times, marketplace = _ground(scenario, products, completions)
-    timeline = _timeline(
-        scenario, fire_events, detection_times, plan, scenes, products,
-        completions, pdgs_times, marketplace,
-    )
     return SimulationTrace(
         scenario_name=scenario.name,
         seed=scenario.seed,
@@ -447,5 +434,4 @@ def run(
         downlink_completions=dict(completions),
         pdgs_times=pdgs_times,
         marketplace=marketplace,
-        timeline=timeline,
     )

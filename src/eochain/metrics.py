@@ -9,6 +9,7 @@ such, never imputed with horizon values.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -352,9 +353,33 @@ def comparison_report_csv_rows(report: ComparisonReport) -> list[dict]:
     ]
 
 
+@functools.cache
+def _json_encoder(depth: int) -> json.JSONEncoder:
+    """C encoder for a container at ``depth``: its item separator carries the indent."""
+    return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
+
+
+def _indented_json(value, depth: int = 0) -> str:
+    """``json.dumps(value, indent=2)`` for str keys, but each container of
+    scalars is one call of the C encoder, which ``indent`` would bypass."""
+    if not (value and isinstance(value, (dict, list, tuple))):
+        return _json_encoder(depth).encode(value)
+    is_dict = isinstance(value, dict)
+    sep = ",\n" + "  " * (depth + 1)
+    if not any(isinstance(v, (dict, list, tuple)) for v in (value.values() if is_dict else value)):
+        body = _json_encoder(depth).encode(value)[1:-1]
+    elif is_dict:
+        key = _json_encoder(depth).encode
+        body = sep.join(f"{key(k)}: {_indented_json(v, depth + 1)}" for k, v in value.items())
+    else:
+        body = sep.join(_indented_json(v, depth + 1) for v in value)
+    opening, closing = "{}" if is_dict else "[]"
+    return f"{opening}{sep[1:]}{body}\n{'  ' * depth}{closing}"
+
+
 def write_json_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:
     path = Path(path)
-    path.write_text(json.dumps(report.to_dict(), indent=2) + "\n")
+    path.write_text(_indented_json(report.to_dict()) + "\n")
     return path
 
 
@@ -367,8 +392,13 @@ def write_csv_report(report: ServiceReport | ComparisonReport, path: str | Path)
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(fields)
+        column = {field: i for i, field in enumerate(fields)}
         for row in rows:
-            w.writerow([_fmt(row.get(field)) for field in fields])
+            cells = [""] * len(fields)  # _fmt(None), for the fields a row lacks
+            for key, value in row.items():
+                if key in column:
+                    cells[column[key]] = _fmt(value)
+            w.writerow(cells)
     return path
 
 

@@ -24,8 +24,8 @@ from .model import Scenario, ValidationError
 SCHEMA_VERSION = 1
 
 
-class _UniqueKeyLoader(yaml.SafeLoader):
-    """The safe loader, except that a mapping key given twice is an error, not an overwrite."""
+class _UniqueKeyLoader(yaml.CSafeLoader):
+    """libyaml's safe loader, except that a mapping key given twice is an error, not an overwrite."""
 
     def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict[Any, Any]:
         seen: set[Hashable] = set()

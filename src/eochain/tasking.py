@@ -8,6 +8,7 @@ retask orbits: the planner only selects among nominal access windows.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
@@ -77,25 +78,6 @@ def build_requests(
     return tuple(requests)
 
 
-def _first_sband_contact_end(
-    contacts: Mapping[str, Sequence[Window]],
-    stations_by_id: dict[str, GroundStationSpec],
-    after: float,
-) -> Optional[float]:
-    """End of the first full S-band contact starting at or after ``after``."""
-    best: Optional[tuple[float, str, float]] = None
-    for stn_id, windows in contacts.items():
-        if not stations_by_id[stn_id].sband_available:
-            continue
-        for w in windows:
-            if w.start >= after:
-                key = (w.start, stn_id, w.end)
-                if best is None or key < best:
-                    best = key
-                break
-    return best[2] if best else None
-
-
 def plan(
     requests: Sequence[ObservationRequest],
     satellites: Sequence[SatelliteSpec],
@@ -113,36 +95,52 @@ def plan(
     satellites break by ascending satellite id.  The window tables are keyed
     by (satellite id, station id) and (satellite id, AOI id).
     """
-    stations_by_id = {s.id: s for s in stations}
-    contacts_per_sat: dict[str, dict[str, Sequence[Window]]] = {sat.id: {} for sat in satellites}
+    sband = {s.id for s in stations if s.sband_available}
+    sat_ids = sorted(sat.id for sat in satellites)
+    # Each satellite's S-band contacts as sorted (start, station id, end): the
+    # uplink is the first one starting at or after the issue time.
+    contacts: dict[str, list[tuple[float, str, float]]] = {sat_id: [] for sat_id in sat_ids}
     for (sat_id, stn_id), windows in contact_table.items():
-        contacts_per_sat.setdefault(sat_id, {})[stn_id] = windows
-
-    busy: dict[str, list[Window]] = {sat.id: [] for sat in satellites}
+        if stn_id in sband:
+            contacts.setdefault(sat_id, []).extend((w.start, stn_id, w.end) for w in windows)
+    for entries in contacts.values():
+        entries.sort()
+    contact_starts = {sat_id: [c[0] for c in entries] for sat_id, entries in contacts.items()}
+    accesses = {key: (windows, [w.start for w in windows]) for key, windows in access_table.items()}
+    # The windows assigned on each satellite are disjoint, so in start order
+    # their ends are in order too.
+    busy: dict[str, tuple[list[float], list[float]]] = {sat_id: ([], []) for sat_id in sat_ids}
     assignments: list[Assignment] = []
     unmet: list[str] = []
 
     for req in sorted(requests, key=lambda r: (r.issued, r.id)):
-        best: Optional[tuple[float, str, Window, float]] = None
-        for sat in sorted(satellites, key=lambda s: s.id):
-            uplink = _first_sband_contact_end(
-                contacts_per_sat.get(sat.id, {}), stations_by_id, req.issued
-            )
-            if uplink is None:
+        best: Optional[tuple[Window, str, float]] = None
+        for sat_id in sat_ids:
+            i = bisect_left(contact_starts[sat_id], req.issued)
+            if i == len(contact_starts[sat_id]):
                 continue
-            for w in access_table.get((sat.id, req.aoi_id), []):
-                if w.start <= uplink:
+            uplink = contacts[sat_id][i][2]
+            windows, starts = accesses.get((sat_id, req.aoi_id), ((), ()))
+            busy_starts, busy_ends = busy[sat_id]
+            for j in range(bisect_right(starts, uplink), len(windows)):
+                w = windows[j]
+                # Of the busy windows starting before this one ends, the last
+                # ends latest: only it can overlap.
+                k = bisect_left(busy_starts, w.end)
+                if k and busy_ends[k - 1] > w.start:
                     continue
-                if any(w.start < b.end and b.start < w.end for b in busy[sat.id]):
-                    continue
-                if best is None or (w.start, sat.id) < (best[0], best[1]):
-                    best = (w.start, sat.id, w, uplink)
+                # Satellites come in id order, so a tie keeps the lower id.
+                if best is None or w.start < best[0].start:
+                    best = (w, sat_id, uplink)
                 break
         if best is None:
             unmet.append(req.id)
         else:
-            _, sat_id, window, uplink = best
-            busy[sat_id].append(window)
+            window, sat_id, uplink = best
+            busy_starts, busy_ends = busy[sat_id]
+            k = bisect_left(busy_starts, window.start)
+            busy_starts.insert(k, window.start)
+            busy_ends.insert(k, window.end)
             assignments.append(
                 Assignment(request_id=req.id, satellite_id=sat_id, window=window, uplink_time=uplink)
             )

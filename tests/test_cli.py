@@ -1,9 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import eochain
 from eochain import orbit
 from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_SEED, main
 from eochain.presets import iride_heo
@@ -157,6 +162,12 @@ class TestSweep:
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1]
+
+    def test_import_leaves_out_the_process_pool(self):
+        code = "import sys, eochain.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+        src = str(Path(eochain.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
     def test_bad_run_count(self, tmp_path):
         assert main(["sweep", "--preset", "iride-heo", "--runs", "0",

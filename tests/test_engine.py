@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from eochain.model import (
     Triggering,
     ValidationError,
 )
+from eochain.scenario_io import load_scenario
 
 from conftest import make_aoi, make_archetype, make_satellite, make_scenario, make_station
 
@@ -95,6 +97,19 @@ class TestRunBasics:
         assert len(set(keys)) == len(keys)
         for e in trace.timeline:
             assert 0.0 <= e.time <= trace.horizon_s
+
+    def test_timeline_is_assembled_on_first_read(self):
+        # The digest of (time, seq, kind, ref) of every entry was taken when
+        # ``run`` still assembled the timeline itself.
+        path = Path(__file__).resolve().parents[1] / "scenarios" / "iride_heo_stress.yaml"
+        trace = run(dataclasses.replace(load_scenario(path), horizon_s=DAY))
+        assert "timeline" not in trace.__dict__
+        text = "\n".join(f"{e.time.hex()} {e.seq} {e.kind.value} {e.ref}" for e in trace.timeline)
+        assert len(trace.timeline) == 2653
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "a34dfdaf0593f60749b87a8df8e8d3ab48719eba9faa495636c4136ead573621"
+        )
+        assert trace.timeline is trace.timeline
 
     def test_sim_end_is_final_event(self):
         trace = run(make_scenario(seed=3))

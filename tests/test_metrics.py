@@ -1,9 +1,13 @@
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eochain.engine import run
 from eochain.metrics import (
+    _indented_json,
     build_service_report,
     compare_architectures,
     emit_report,
@@ -114,6 +118,25 @@ class TestServiceReport:
     def test_unknown_format_rejected(self, report, tmp_path):
         with pytest.raises(ValueError):
             emit_report(report, "xml", tmp_path / "r.xml")
+
+
+SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text()
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 2**70, -(2**70), "é\n\"\\\x00\u2028"])
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda children: st.lists(children) | st.lists(children).map(tuple)
+    | st.dictionaries(st.text(), children),
+    max_leaves=20,
+)
+
+
+class TestJsonWriter:
+    @settings(max_examples=150, deadline=None)
+    @given(value=JSON_VALUES)
+    def test_equals_json_dumps_with_indent(self, value):
+        assert _indented_json(value) == json.dumps(value, indent=2)
 
 
 @pytest.fixture(scope="module")

@@ -2,6 +2,7 @@ import re
 from pathlib import Path
 
 import pytest
+import yaml
 
 from eochain.model import ValidationError, validate_scenario
 from eochain.presets import effis_like, iride_heo
@@ -32,6 +33,16 @@ class TestRoundTrip:
         path = tmp_path / "scenario.yaml"
         save_scenario(effis_like(), path)
         assert validate_scenario(load_scenario(path)) == []
+
+    def test_loader_runs_on_libyaml(self, tmp_path, monkeypatch):
+        loaders = []
+        load = yaml.load
+        monkeypatch.setattr(yaml, "load", lambda stream, Loader: loaders.append(Loader) or load(stream, Loader))
+        path = tmp_path / "scenario.yaml"
+        save_scenario(iride_heo(), path)
+        assert load_scenario(path) == iride_heo()
+        assert yaml.__with_libyaml__
+        assert len(loaders) == 1 and issubclass(loaders[0], yaml.cyaml.CParser)
 
     def test_merge_keys_are_not_duplicates(self, tmp_path):
         # Two merges into one mapping, one of whose keys is then set again

@@ -1,12 +1,17 @@
 import dataclasses
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eochain.engine import geometry_tables
 from eochain.events import aoi_membership
 from eochain.model import FireEvent, GeoPoint, Triggering, ValidationError
-from eochain.orbit import access_windows
+from eochain.orbit import Window, access_windows
 from eochain.tasking import (
+    Assignment,
+    ObservationRequest,
+    TaskingPlan,
     build_requests,
     periodic_acquisitions,
     plan,
@@ -129,6 +134,110 @@ class TestPlan:
         requests = eq_requests(evs, 0.0, make_archetype())
         args = (requests, [EQ_SAT], [EQ_STATION], *tables())
         assert plan(*args) == plan(*args)
+
+
+def _reference_plan(requests, satellites, stations, contact_table, access_table):
+    """``plan`` by linear scans: every contact and window from the start of its table."""
+    stations_by_id = {s.id: s for s in stations}
+    contacts_per_sat = {sat.id: {} for sat in satellites}
+    for (sat_id, stn_id), windows in contact_table.items():
+        contacts_per_sat.setdefault(sat_id, {})[stn_id] = windows
+
+    def first_sband_contact_end(contacts, after):
+        best = None
+        for stn_id, windows in contacts.items():
+            if not stations_by_id[stn_id].sband_available:
+                continue
+            for w in windows:
+                if w.start >= after:
+                    key = (w.start, stn_id, w.end)
+                    if best is None or key < best:
+                        best = key
+                    break
+        return best[2] if best else None
+
+    busy = {sat.id: [] for sat in satellites}
+    assignments = []
+    unmet = []
+    for req in sorted(requests, key=lambda r: (r.issued, r.id)):
+        best = None
+        for sat in sorted(satellites, key=lambda s: s.id):
+            uplink = first_sband_contact_end(contacts_per_sat.get(sat.id, {}), req.issued)
+            if uplink is None:
+                continue
+            for w in access_table.get((sat.id, req.aoi_id), []):
+                if w.start <= uplink:
+                    continue
+                if any(w.start < b.end and b.start < w.end for b in busy[sat.id]):
+                    continue
+                if best is None or (w.start, sat.id) < (best[0], best[1]):
+                    best = (w.start, sat.id, w, uplink)
+                break
+        if best is None:
+            unmet.append(req.id)
+        else:
+            _, sat_id, window, uplink = best
+            busy[sat_id].append(window)
+            assignments.append(
+                Assignment(request_id=req.id, satellite_id=sat_id, window=window, uplink_time=uplink)
+            )
+    return TaskingPlan(assignments=tuple(assignments), unmet_request_ids=tuple(unmet))
+
+
+# Every time is a multiple of 10 s below 160 s, so contacts of two stations
+# share starts, requests fall on contact starts and uplinks end on access starts.
+GRID = st.integers(0, 15).map(lambda k: 10.0 * k)
+
+
+@st.composite
+def windows(draw):
+    """Disjoint windows of positive length, in start order."""
+    edges = sorted(draw(st.sets(GRID, max_size=8)))
+    return tuple(Window(a, b) for a, b in zip(edges[::2], edges[1::2]))
+
+
+@st.composite
+def planner_cases(draw):
+    sat_ids = draw(st.permutations("abc"))[:draw(st.integers(1, 3))]
+    satellites = [make_satellite(sid=f"sat-{k}") for k in sat_ids]
+    stations = [
+        make_station(sid=f"gs-{k}", sband=draw(st.booleans())) for k in range(draw(st.integers(1, 3)))
+    ]
+    aoi_ids = [f"aoi-{k}" for k in range(draw(st.integers(1, 3)))]
+    contact_table = {(sat.id, stn.id): draw(windows()) for sat in satellites for stn in stations}
+    # One satellite's windows over two AOIs are drawn independently, so they may overlap.
+    access_table = {(sat.id, aoi_id): draw(windows()) for sat in satellites for aoi_id in aoi_ids}
+    requests = [
+        ObservationRequest(f"req-{k:02d}", draw(st.sampled_from(aoi_ids)), frozenset(), draw(GRID))
+        for k in range(draw(st.integers(0, 15)))
+    ]
+    return requests, satellites, stations, contact_table, access_table
+
+
+class TestPlanMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(case=planner_cases())
+    def test_same_assignments_and_unmet_ids(self, case):
+        assert plan(*case) == _reference_plan(*case)
+
+    def test_windows_touching_a_busy_window_are_free(self):
+        # Over two AOIs, one satellite's windows meet a busy one end to start on either side.
+        sat, station = make_satellite(), make_station()
+        contact_table = {(sat.id, station.id): (Window(0.0, 5.0),)}
+        access_table = {
+            (sat.id, "aoi-0"): (Window(20.0, 30.0),),
+            (sat.id, "aoi-1"): (Window(10.0, 20.0), Window(30.0, 40.0)),
+        }
+        requests = [
+            ObservationRequest(f"req-{k}", aoi_id, frozenset(), 0.0)
+            for k, aoi_id in enumerate(["aoi-0", "aoi-1", "aoi-1"])
+        ]
+        args = (requests, [sat], [station], contact_table, access_table)
+        result = plan(*args)
+        assert [(a.window.start, a.window.end) for a in result.assignments] == [
+            (20.0, 30.0), (10.0, 20.0), (30.0, 40.0)
+        ]
+        assert result == _reference_plan(*args)
 
 
 class TestPeriodicAcquisitions:
