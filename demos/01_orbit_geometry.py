@@ -11,6 +11,7 @@ from eochain.model import AreaOfInterest, GeoPoint, GroundStationSpec, OnboardPr
 from eochain.orbit import (
     access_windows,
     contact_windows,
+    elevation_angle,
     orbital_period,
     subsatellite_point,
     subsatellite_track,
@@ -52,8 +53,10 @@ contacts = contact_windows(sat, station, (0.0, DAY))
 print(f"\nContacts with a station at ({station.location.lat}, {station.location.lon}) "
       f"over 24 h: {len(contacts)}")
 for w in contacts:
+    # The peak elevation, sampled at 1 s across the pass.
+    peak = elevation_angle(sat, station, np.linspace(w.start, w.end, int(w.duration) + 2)).max()
     print(f"  {w.start:8.1f} .. {w.end:8.1f} s  ({w.duration:5.1f} s, "
-          f"peak elevation {w.peak_elevation_deg:5.1f} deg)")
+          f"peak elevation {peak:5.1f} deg)")
 
 aoi = AreaOfInterest(id="demo-cell", center=GeoPoint(42.0, 13.0), radius_km=180.0)
 accesses = access_windows(sat, aoi, (0.0, DAY))

@@ -11,7 +11,6 @@ from .metrics import (
     ServiceReport,
     build_service_report,
     compare_architectures,
-    emit_report,
     end_to_end_latency,
     time_to_first_info,
 )
@@ -35,7 +34,7 @@ from .model import (
     scene_volume,
     validate_scenario,
 )
-from .presets import builtin_presets, effis_like, get_preset, iride_heo
+from .presets import effis_like, get_preset, iride_heo
 from .scenario_io import load_scenario, save_scenario
 
 __version__ = "0.1.0"
@@ -60,10 +59,8 @@ __all__ = [
     "SimulationTrace",
     "ValidationError",
     "build_service_report",
-    "builtin_presets",
     "compare_architectures",
     "effis_like",
-    "emit_report",
     "end_to_end_latency",
     "get_preset",
     "iride_heo",

@@ -90,7 +90,6 @@ class AcquisitionRecord:
     aoi_id: str
     window: Window
     triggered: bool
-    request_ids: tuple[str, ...] = ()
 
     @property
     def key(self) -> tuple[str, str, float]:
@@ -119,7 +118,6 @@ class SimulationTrace:
     scenes: dict[str, Scene]
     detections: dict[str, frozenset[str]]
     products: dict[str, DataProduct]
-    never_enqueued_ids: tuple[str, ...]
     transfer_records: tuple[TransferRecord, ...]
     downlink_completions: dict[str, float]
     pdgs_times: dict[str, float]
@@ -280,24 +278,15 @@ def _acquisitions(
     aoi_of_request = {r.id: r.aoi_id for r in requests}
     if scenario.archetype.acquisition_mode is AcquisitionMode.ON_DEMAND:
         acquisitions = [
-            AcquisitionRecord(
-                a.satellite_id, aoi_of_request[a.request_id], a.window,
-                triggered=True, request_ids=(a.request_id,),
-            )
+            AcquisitionRecord(a.satellite_id, aoi_of_request[a.request_id], a.window, triggered=True)
             for a in plan.assignments
         ]
         return sorted(acquisitions, key=lambda r: (r.window.start, r.satellite_id, r.aoi_id))
-    triggered: dict[tuple[str, str, float], list[str]] = {}
-    for a in plan.assignments:
-        key = (a.satellite_id, aoi_of_request[a.request_id], a.window.start)
-        triggered.setdefault(key, []).append(a.request_id)
-    acquisitions = []
-    for sat_id, aoi_id, window in tasking.periodic_acquisitions(scenario.archetype, access_table):
-        reqs = tuple(triggered.get((sat_id, aoi_id, window.start), ()))
-        acquisitions.append(
-            AcquisitionRecord(sat_id, aoi_id, window, triggered=bool(reqs), request_ids=reqs)
-        )
-    return acquisitions
+    triggered = {(a.satellite_id, aoi_of_request[a.request_id], a.window.start) for a in plan.assignments}
+    return [
+        AcquisitionRecord(sat_id, aoi_id, window, triggered=(sat_id, aoi_id, window.start) in triggered)
+        for sat_id, aoi_id, window in tasking.periodic_acquisitions(scenario.archetype, access_table)
+    ]
 
 
 def _process_scenes(
@@ -361,17 +350,14 @@ def _downlink(
     scenes: Mapping[str, Scene],
     products: Mapping[str, DataProduct],
     contact_table: WindowTable,
-) -> tuple[tuple[str, ...], TransferResult]:
+) -> TransferResult:
     """Store-and-forward downlink of every product created inside the horizon."""
     queues: dict[str, list[DataProduct]] = {sat.id: [] for sat in scenario.satellites}
-    never_enqueued: list[str] = []
     for p in sorted(products.values(), key=lambda p: (p.created, p.id)):
-        if p.created > scenario.horizon_s:
-            never_enqueued.append(p.id)
-        else:
+        if p.created <= scenario.horizon_s:
             queues[scenes[p.scene_id].satellite_id].append(p)
     rates = {stn.id: stn.xband_rate_mbit_s for stn in scenario.stations}
-    return tuple(never_enqueued), simulate_transfers(queues, contact_table, rates)
+    return simulate_transfers(queues, contact_table, rates)
 
 
 def _ground(
@@ -412,7 +398,7 @@ def run(
     )
     acquisitions = _acquisitions(scenario, requests, plan, access_table)
     scenes, detections, products = _process_scenes(scenario, acquisitions, fire_events, members)
-    never_enqueued, transfers = _downlink(scenario, scenes, products, contact_table)
+    transfers = _downlink(scenario, scenes, products, contact_table)
     completions = transfers.completion_times
     pdgs_times, marketplace = _ground(scenario, products, completions)
     return SimulationTrace(
@@ -429,7 +415,6 @@ def run(
         scenes=scenes,
         detections=detections,
         products=products,
-        never_enqueued_ids=never_enqueued,
         transfer_records=transfers.records,
         downlink_completions=dict(completions),
         pdgs_times=pdgs_times,

@@ -401,11 +401,3 @@ def write_csv_report(report: ServiceReport | ComparisonReport, path: str | Path)
             w.writerow(cells)
     return path
 
-
-def emit_report(report: ServiceReport | ComparisonReport, fmt: str, destination: str | Path) -> Path:
-    """Write the report in the requested format; output is byte-stable."""
-    if fmt == "json":
-        return write_json_report(report, destination)
-    if fmt == "csv":
-        return write_csv_report(report, destination)
-    raise ValueError(f"unknown report format: {fmt}")

@@ -6,31 +6,32 @@ Visibility windows (station contacts and AOI access) are found by coarse
 sampling followed by bisection of the boundary crossings, in one search
 per satellite over all of its stations and AOIs.
 
-Each margin is a function of the central angle psi between the
-subsatellite point and the target, and holds exactly while psi is at most a
-limit: reach / R for access, and for a contact above mask E,
-``acos(k cos E) - E`` with k = R / (R + h).  The subsatellite point moves
-over the Earth at an angular rate of at most n + w_E (mean motion plus the
-Earth's rotation), so psi changes no faster than that.  The coarse grid is
-cut into blocks of ``BLOCK`` samples, and the search samples the track at
-the block centres once: a block whose centre is further beyond a target's
-limit than psi can travel to its farthest sample holds no window of that
-target, and its margin is not computed (after Alfano, Negron & Moore,
-"Rapid Determination of Satellite Visibility Periods", J. Astronaut. Sci.
-40(2), 1992).  The track is then computed once on the union of the samples
-the targets evaluate, and each target's margin on its own samples; every
-bisection step evaluates the track once for the crossings of all targets.
-Every sample and midpoint is evaluated exactly as on the full grid, so the
-windows are the ones the full grid gives, whatever other targets share the
-search.  No track is kept between searches; ``engine.geometry_tables``
-reuses whole tables across seeds and A/B arms.
+A target is visible while the central angle psi between the subsatellite
+point and the target is at most a limit: reach / R for access, and for a
+contact above mask E, ``acos(k cos E) - E`` with k = R / (R + h), since
+elevation falls strictly as psi grows.  This one test serves the block
+proof, the coarse samples and every bisection midpoint.  The subsatellite
+point moves over the Earth at an angular rate of at most n + w_E (mean
+motion plus the Earth's rotation), so psi changes no faster than that.  The
+coarse grid is cut into blocks of ``BLOCK`` samples, and the search samples
+the track at the block centres once: a block whose centre is further beyond
+a target's limit than psi can travel to its farthest sample holds no window
+of that target, and its samples are not tested (after Alfano, Negron &
+Moore, "Rapid Determination of Satellite Visibility Periods", J. Astronaut.
+Sci. 40(2), 1992).  The track is then computed once on the union of the
+samples the targets evaluate, and each target is tested on its own samples;
+every bisection step evaluates the track once for the crossings of all
+targets.  Every sample and midpoint is evaluated exactly as on the full
+grid, so the windows are the ones the full grid gives, whatever other
+targets share the search.  No track is kept between searches;
+``engine.geometry_tables`` reuses whole tables across seeds and A/B arms.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -62,7 +63,6 @@ class Window:
 
     start: float
     end: float
-    peak_elevation_deg: Optional[float] = None
 
     @property
     def duration(self) -> float:
@@ -160,38 +160,29 @@ def _coarse_grid(t0: float, t1: float, step: float) -> np.ndarray:
 
 
 def _bisect_crossings(
-    margin: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, lo_inside: np.ndarray
+    visible: Callable[[np.ndarray], np.ndarray], lo: np.ndarray, hi: np.ndarray, lo_inside: np.ndarray
 ) -> np.ndarray:
-    """Refine the sign change of ``margin`` inside each [lo, hi] to BISECTION_TOL_S.
+    """Refine the change of ``visible`` inside each [lo, hi] to BISECTION_TOL_S.
 
     All brackets are halved in lockstep; a bracket stops moving once it is
     no wider than the tolerance, so each one follows the midpoints of a
-    scalar bisection.  ``lo_inside`` is ``margin >= 0`` at each ``lo``.
+    scalar bisection.  ``lo_inside`` is ``visible`` at each ``lo``.
     """
     active = hi - lo > BISECTION_TOL_S
     while active.any():
         mid = 0.5 * (lo + hi)
-        same = (margin(mid) >= 0.0) == lo_inside
+        same = visible(mid) == lo_inside
         lo = np.where(active & same, mid, lo)
         hi = np.where(active & ~same, mid, hi)
         active = hi - lo > BISECTION_TOL_S
     return 0.5 * (lo + hi)
 
 
-def _margin(psi: np.ndarray, level: FloatOrArray, contact: bool, altitude_km: float) -> np.ndarray:
-    """Non-negative exactly while the target is visible: the elevation above
-    the mask ``level`` for a station, the reach ``level`` less the ground
-    distance for an AOI."""
-    if contact:
-        return _elevation(psi, altitude_km) - level
-    return level - EARTH_RADIUS_KM * psi
-
-
 def _evaluated(unproven: np.ndarray, size: int) -> np.ndarray:
     """The samples of the unproven blocks and the proven sample on either
     side of each run of them, as a mask over a grid of ``size`` samples:
-    every sign change then lies between two neighbouring evaluated samples,
-    and the windows are those of the full grid."""
+    every visibility change then lies between two neighbouring evaluated
+    samples, and the windows are those of the full grid."""
     samples = np.repeat(unproven, BLOCK)[:size]
     evaluated = samples.copy()
     evaluated[1:] |= samples[:-1]
@@ -200,21 +191,20 @@ def _evaluated(unproven: np.ndarray, size: int) -> np.ndarray:
 
 
 def _find_windows(
-    sat: SatelliteSpec, targets: Sequence[tuple], n_contact: int, t0: float, t1: float, coarse_step: float
-) -> list[list[tuple[float, float, float]]]:
-    """For each target, the maximal intervals where its margin is >= 0, as
-    (start, end, peak margin).  A target is (angles from ``_target_angles``,
-    the largest central angle at which its margin can be >= 0, level): the
-    first ``n_contact`` are stations, whose level is the elevation mask, and
-    the others AOIs, whose level is the reach.
+    sat: SatelliteSpec, targets: Sequence[tuple[tuple[float, float, float], float]], t0: float, t1: float,
+    coarse_step: float,
+) -> list[list[tuple[float, float]]]:
+    """For each target, the maximal (start, end) intervals where it is
+    visible.  A target is (angles from ``_target_angles``, limit), and it is
+    visible while psi is at most its limit.
 
-    A run of coarse samples with margin >= 0 is a window; its edges are the
-    horizon ends or the refined sign changes next to the run, and its peak
-    is the largest margin sampled inside it.  Blocks proven to hold no such
-    sample for a target are skipped for it: this changes no window.  The
-    track is computed once on the samples some target evaluates, and once
-    per bisection step for all targets' crossings together; each target
-    reads only its own samples, so its windows do not depend on the others.
+    A run of visible coarse samples is a window; its edges are the horizon
+    ends or the refined visibility changes next to the run.  Blocks proven
+    to hold no visible sample for a target are skipped for it: this changes
+    no window.  The track is computed once on the samples some target
+    evaluates, and once per bisection step for all targets' crossings
+    together; each target reads only its own samples, so its windows do not
+    depend on the others.
     """
     if t0 >= t1:
         raise ValidationError("horizon must satisfy t0 < t1")
@@ -232,7 +222,7 @@ def _find_windows(
     # than psi can change on the way to the block's farthest sample.
     rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
     travel = rate * half + PROOF_SLACK_RAD
-    unproven = [~(_central_angle(centres, angles) - limit > travel) for angles, limit, _ in targets]
+    unproven = [~(_central_angle(centres, angles) - limit > travel) for angles, limit in targets]
     # The evaluated samples of the union of the unproven blocks are the union
     # of every target's evaluated samples.  The full grid, which ``first``
     # views, is freed before the track is computed on them.
@@ -243,47 +233,34 @@ def _find_windows(
     track = _track_angles(*subsatellite_track(sat, times))
 
     runs, lo, hi, lo_inside = [], [], [], []
-    for k, ((angles, _, level), blocks) in enumerate(zip(targets, unproven)):
+    for (angles, limit), blocks in zip(targets, unproven):
         own = np.flatnonzero(_evaluated(blocks, size)[evaluated])
         t = times[own]
-        psi = _central_angle(tuple(a[own] for a in track), angles)
-        m = _margin(psi, level, k < n_contact, sat.altitude_km)
-        inside = m >= 0.0
-        # The sign changes between t[c] and t[c + 1] for each c in change.
+        inside = _central_angle(tuple(a[own] for a in track), angles) <= limit
+        # Visibility changes between t[c] and t[c + 1] for each c in change.
         change = np.flatnonzero(np.diff(inside))
         lo.append(t[change])
         hi.append(t[change + 1])
         lo_inside.append(inside[change])
-        run_first = np.concatenate((np.flatnonzero(inside[:1]), change[~inside[change]] + 1))
-        peaks = np.maximum.reduceat(np.where(inside, m, -np.inf), run_first)
         # t0 when the first sample is inside, t1 when the last one is.
-        runs.append((t[:1][inside[:1]], t[-1:][inside[-1:]], peaks))
+        runs.append((t[:1][inside[:1]], t[-1:][inside[-1:]]))
     # Only per-crossing arrays are needed from here on.
     del evaluated, times, track
 
-    # Every target's crossings in one bisection, stations' first: each
-    # crossing carries its target's angles and level.
+    # Every target's crossings in one bisection: each crossing carries its
+    # target's angles and limit.
     counts = [c.size for c in lo]
-    *angles_x, level_x = np.repeat(np.array([(*angles, level) for angles, _, level in targets]), counts, axis=0).T
-    split = sum(counts[:n_contact])
+    *angles_x, limit_x = np.repeat(np.array([(*angles, limit) for angles, limit in targets]), counts, axis=0).T
 
-    def margin(t: np.ndarray) -> np.ndarray:
-        psi = _central_angle(_track_angles(*subsatellite_track(sat, t)), angles_x)
-        return np.concatenate((
-            _margin(psi[:split], level_x[:split], True, sat.altitude_km),
-            _margin(psi[split:], level_x[split:], False, sat.altitude_km),
-        ))
+    def visible(t: np.ndarray) -> np.ndarray:
+        return _central_angle(_track_angles(*subsatellite_track(sat, t)), angles_x) <= limit_x
 
-    crossings = _bisect_crossings(margin, np.concatenate(lo), np.concatenate(hi), np.concatenate(lo_inside))
+    crossings = _bisect_crossings(visible, np.concatenate(lo), np.concatenate(hi), np.concatenate(lo_inside))
     found = []
-    for (head, tail, peaks), stop, count in zip(runs, np.cumsum(counts), counts):
+    for (head, tail), stop, count in zip(runs, np.cumsum(counts), counts):
         # Window edges in time order alternate start, end.
         edges = np.concatenate((head, crossings[stop - count : stop], tail))
-        found.append([
-            (float(start), float(end), float(peak))
-            for start, end, peak in zip(edges[0::2], edges[1::2], peaks)
-            if end > start
-        ])
+        found.append([(float(start), float(end)) for start, end in zip(edges[0::2], edges[1::2]) if end > start])
     return found
 
 
@@ -297,24 +274,19 @@ def satellite_windows(
     """The contact windows of each station and the access windows of each
     AOI, in their order, from one search over the satellite's track.
 
-    Each list is what ``contact_windows`` or ``access_windows`` gives for
-    that target alone.
+    A station is visible while psi is at most ``_contact_limit`` of its mask,
+    an AOI while psi is at most its reach over R.  Each list is what
+    ``contact_windows`` or ``access_windows`` gives for that target alone.
     """
-    targets = []
-    for station in stations:
-        mask = station.min_elevation_deg
-        targets.append((_target_angles(station.location.lat, station.location.lon),
-                        _contact_limit(sat.altitude_km, mask), mask))
-    for aoi in aois:
-        reach = sat.swath_km / 2.0 + aoi.radius_km
-        targets.append((_target_angles(aoi.center.lat, aoi.center.lon), reach / EARTH_RADIUS_KM, reach))
-    found = _find_windows(sat, targets, len(stations), *horizon, coarse_step)
-    contacts = [
-        [Window(start, end, peak_elevation_deg=peak + station.min_elevation_deg) for start, end, peak in windows]
-        for station, windows in zip(stations, found)
+    targets = [
+        (_target_angles(s.location.lat, s.location.lon), _contact_limit(sat.altitude_km, s.min_elevation_deg))
+        for s in stations
+    ] + [
+        (_target_angles(a.center.lat, a.center.lon), (sat.swath_km / 2.0 + a.radius_km) / EARTH_RADIUS_KM)
+        for a in aois
     ]
-    accesses = [[Window(start, end) for start, end, _ in windows] for windows in found[len(stations) :]]
-    return contacts, accesses
+    found = [[Window(*w) for w in windows] for windows in _find_windows(sat, targets, *horizon, coarse_step)]
+    return found[: len(stations)], found[len(stations) :]
 
 
 def contact_windows(

@@ -158,11 +158,6 @@ BUILTIN_PRESETS = {
 }
 
 
-def builtin_presets(seed: int = 0, horizon_s: float = SEVEN_DAYS_S) -> list[Scenario]:
-    """All built-in scenarios, instantiated with the given seed and horizon."""
-    return [factory(seed=seed, horizon_s=horizon_s) for factory in BUILTIN_PRESETS.values()]
-
-
 def get_preset(name: str, seed: int = 0, horizon_s: float = SEVEN_DAYS_S) -> Scenario:
     if name not in BUILTIN_PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {sorted(BUILTIN_PRESETS)}")

@@ -11,6 +11,8 @@ from pathlib import Path
 import pytest
 
 from eochain.cli import EXIT_OK, main
+from eochain.engine import geometry_tables
+from eochain.presets import get_preset
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 TRACE = SCENARIOS / "acceptance_trace.csv"
@@ -72,3 +74,24 @@ def test_artifacts_match_pinned_digests(name, tmp_path):
     assert main([*argv, "--out", str(tmp_path)]) == EXIT_OK
     digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in tmp_path.iterdir()}
     assert digests == expected
+
+
+# Every window of both presets over their default 7-day horizon, as
+# "satellite target start end" lines with the float reprs, contact table
+# first.  The digests were computed before the window search read one
+# visibility test, psi <= limit, for stations and AOIs alike.
+WINDOW_DIGESTS = {
+    "effis-like": (124, "47ac24b73f90c8a33a41594b8a52bbd6dd9b57a2dd5f8c8339ce01f282d5f144"),
+    "iride-heo": (1872, "d8b7aab051a4a0e7e181d2116484291164a349055b10378f65db75efff996f86"),
+}
+
+
+@pytest.mark.parametrize("preset", sorted(WINDOW_DIGESTS))
+def test_geometry_tables_match_pinned_digest(preset):
+    digest, count = hashlib.sha256(), 0
+    for table in geometry_tables(get_preset(preset)):
+        for (sat_id, target_id), windows in table.items():
+            for w in windows:
+                digest.update(f"{sat_id} {target_id} {w.start!r} {w.end!r}\n".encode())
+                count += 1
+    assert (count, digest.hexdigest()) == WINDOW_DIGESTS[preset]

@@ -10,7 +10,6 @@ from eochain.metrics import (
     _indented_json,
     build_service_report,
     compare_architectures,
-    emit_report,
     end_to_end_latency,
     percentile,
     time_to_first_info,
@@ -102,11 +101,11 @@ class TestServiceReport:
         assert loaded["schema_version"] == 1
 
     def test_emit_byte_identical(self, report, tmp_path):
-        a = emit_report(report, "json", tmp_path / "a.json")
-        b = emit_report(report, "json", tmp_path / "b.json")
+        a = write_json_report(report, tmp_path / "a.json")
+        b = write_json_report(report, tmp_path / "b.json")
         assert a.read_bytes() == b.read_bytes()
-        c = emit_report(report, "csv", tmp_path / "a.csv")
-        d = emit_report(report, "csv", tmp_path / "b.csv")
+        c = write_csv_report(report, tmp_path / "a.csv")
+        d = write_csv_report(report, tmp_path / "b.csv")
         assert c.read_bytes() == d.read_bytes()
 
     def test_csv_row_count(self, report, tmp_path):
@@ -114,10 +113,6 @@ class TestServiceReport:
         lines = path.read_text().splitlines()
         expected = len(report.per_event) + len(report.per_product) + 1  # + summary
         assert len(lines) == expected + 1  # + header
-
-    def test_unknown_format_rejected(self, report, tmp_path):
-        with pytest.raises(ValueError):
-            emit_report(report, "xml", tmp_path / "r.xml")
 
 
 SCALARS = (
@@ -177,8 +172,8 @@ class TestComparison:
         assert a.to_dict() == b.to_dict()
 
     def test_csv_and_json_emission(self, comparison, tmp_path):
-        j = emit_report(comparison, "json", tmp_path / "c.json")
-        c = emit_report(comparison, "csv", tmp_path / "c.csv")
+        j = write_json_report(comparison, tmp_path / "c.json")
+        c = write_csv_report(comparison, tmp_path / "c.csv")
         assert json.loads(j.read_text())["schema_version"] == 1
         lines = c.read_text().splitlines()
         assert len(lines) == len(comparison.per_event) + 1 + 1

@@ -272,8 +272,8 @@ class TestAccessWindows:
 
 
 def reference_windows(margin, horizon, step):
-    """(start, end, peak) of each window of ``margin(times)``: the margin of
-    the grid, a sample-by-sample scan for runs and one scalar bisection per
+    """(start, end) of each window of ``margin(times)``: the margin of the
+    grid, a sample-by-sample scan for runs and one scalar bisection per
     crossing."""
     t0, t1 = horizon
 
@@ -287,30 +287,29 @@ def reference_windows(margin, horizon, step):
         return 0.5 * (lo + hi)
 
     grid = orbit._coarse_grid(t0, t1, step)
-    m = margin(grid)
-    windows, start, peak = [], None, None
-    for i, value in enumerate(m):
+    windows, start = [], None
+    for i, value in enumerate(margin(grid)):
         if value >= 0.0:
             if start is None:
                 start = t0 if i == 0 else crossing(grid[i - 1], grid[i], False)
-                peak = value
-            peak = max(peak, value)
         elif start is not None:
-            windows.append((start, crossing(grid[i - 1], grid[i], True), peak))
+            windows.append((start, crossing(grid[i - 1], grid[i], True)))
             start = None
     if start is not None:
-        windows.append((start, t1, peak))
-    return [(float(a), float(b), float(p)) for a, b, p in windows if b > a]
+        windows.append((start, t1))
+    return [Window(float(a), float(b)) for a, b in windows if b > a]
 
 
-# The reference margins evaluate a fresh track at every call.
+# The reference margins evaluate a fresh track at every call: the elevation
+# above the mask and the reach less the ground distance, independent of the
+# search's psi <= limit test.
 def reference_contacts(sat, station, horizon, step):
     mask = station.min_elevation_deg
 
     def margin(times):
         return elevation_angle(sat, station, times) - mask
 
-    return [Window(a, b, p + mask) for a, b, p in reference_windows(margin, horizon, step)]
+    return reference_windows(margin, horizon, step)
 
 
 def reference_access(sat, aoi, horizon, step):
@@ -321,7 +320,7 @@ def reference_access(sat, aoi, horizon, step):
         lat, lon = subsatellite_track(sat, times)
         return reach - EARTH_RADIUS_KM * orbit._central_angle(orbit._track_angles(lat, lon), target)
 
-    return [Window(a, b) for a, b, _ in reference_windows(margin, horizon, step)]
+    return reference_windows(margin, horizon, step)
 
 
 satellites = st.builds(
