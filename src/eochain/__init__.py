@@ -5,7 +5,7 @@ between remote-only (downlink-first) processing and hybrid onboard/ground
 processing for an event-driven burnt-area mapping service.
 """
 
-from .engine import SimulationTrace, rng_stream, run
+from .engine import SimulationTrace, rng_stream, rng_streams, run
 from .metrics import (
     ComparisonReport,
     ServiceReport,
@@ -67,6 +67,7 @@ __all__ = [
     "load_scenario",
     "mask_volume",
     "rng_stream",
+    "rng_streams",
     "run",
     "save_scenario",
     "scene_volume",

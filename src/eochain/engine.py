@@ -14,11 +14,12 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
 from types import MappingProxyType
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -46,20 +47,136 @@ from .tasking import ObservationRequest, TaskingPlan
 WindowTable = Mapping[tuple[str, str], tuple[Window, ...]]
 
 
-def rng_stream(master_seed: int, domain_label: str, entity_id: str = "") -> np.random.Generator:
-    """Independent, reproducible generator for one (domain, entity) pair.
+# numpy's SeedSequence hash constants (numpy/random/bit_generator.pyx).  Its
+# mixing is fixed 32-bit hashing whose constants never depend on the data, so
+# the pools of any number of entropy arrays of one width mix in lockstep.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
 
-    The (label, id) pair is hashed into seed-sequence entropy words, so
-    streams never collide or correlate across domains or entities and the
-    draws of one domain cannot shift another's.
+_HashStep = tuple[np.ndarray, np.ndarray]
+
+
+def _hash_chain(init: int, mult: int, steps: int) -> list[int]:
+    """The hash constant before the first step and after each of ``steps`` steps."""
+    chain = [init]
+    for _ in range(steps):
+        chain.append(chain[-1] * mult & 0xFFFFFFFF)
+    return chain
+
+
+def _side_by_side(chain: list[int], k: int, n: int, skip: Optional[int] = None) -> _HashStep:
+    """Hash steps k, ..., k + n - 1 of ``chain`` as (xor, multiply) rows: step j
+    xors with ``chain[j]`` and multiplies by ``chain[j + 1]``.  Column ``skip``
+    gets a placeholder step whose result the caller discards."""
+    xor, mul = chain[k : k + n], chain[k + 1 : k + n + 1]
+    if skip is not None:
+        xor.insert(skip, 0)
+        mul.insert(skip, 0)
+    return np.array(xor, np.uint32), np.array(mul, np.uint32)
+
+
+@functools.cache
+def _hash_steps(width: int) -> tuple[_HashStep, tuple[_HashStep, ...], tuple[_HashStep, ...], _HashStep]:
+    """The lockstep hash steps for entropy of ``width`` words: the pool fill,
+    the mix of each pool word into the other three, the mix of each entropy
+    word beyond the pool into all four, and the eight output words."""
+    n = _POOL_SIZE
+    a = _hash_chain(_INIT_A, _MULT_A, n * width)
+    fill = _side_by_side(a, 0, n)
+    cross = tuple(_side_by_side(a, n + src * (n - 1), n - 1, skip=src) for src in range(n))
+    extra = tuple(_side_by_side(a, n * n + i * n, n) for i in range(width - n))
+    output = _side_by_side(_hash_chain(_INIT_B, _MULT_B, 2 * n), 0, 2 * n)
+    return fill, cross, extra, output
+
+
+def _hashmix(value: np.ndarray, step: _HashStep) -> np.ndarray:
+    """numpy's ``hashmix``, one hash step per column."""
+    value = (value ^ step[0]) * step[1]
+    value ^= value >> 16
+    return value
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """numpy's ``mix`` of a hashed word ``y`` into pool words ``x``."""
+    value = _MIX_MULT_L * x
+    value -= _MIX_MULT_R * y
+    value ^= value >> 16
+    return value
+
+
+def _seed_states(master_seed: int, domain_label: str, entity_ids: Sequence[str]) -> np.ndarray:
+    """PCG64 seed words, one row of four uint64 per entity, mixed in one pass.
+
+    Row i equals ``SeedSequence([seed, *words]).generate_state(4, np.uint64)``,
+    where ``words`` are the first four little-endian words of the sha256 of
+    ``f"{domain_label}/{entity_ids[i]}"``.
     """
-    digest = hashlib.sha256(f"{domain_label}/{entity_id}".encode()).digest()
     # The seed's 32-bit words, low first, then four digest words: the
     # entropy numpy derives from the list [seed, *words], built directly.
     seed = int(master_seed)
-    head = seed.to_bytes(4 * max(1, (seed.bit_length() + 31) // 32), "little")
-    entropy = np.frombuffer(head + digest[:16], "<u4")
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    head = np.frombuffer(seed.to_bytes(4 * max(1, (seed.bit_length() + 31) // 32), "little"), "<u4")
+    digests = b"".join(hashlib.sha256(f"{domain_label}/{e}".encode()).digest()[:16] for e in entity_ids)
+    tails = np.frombuffer(digests, "<u4").reshape(-1, 4)
+    entropy = np.concatenate((np.broadcast_to(head, (len(tails), len(head))), tails), axis=1, dtype=np.uint32)
+    fill, cross, extra, output = _hash_steps(entropy.shape[1])
+    pool = _hashmix(entropy[:, :_POOL_SIZE], fill)
+    for src, step in enumerate(cross):
+        mixed = _mix(pool, _hashmix(pool[:, src : src + 1], step))
+        mixed[:, src] = pool[:, src]
+        pool = mixed
+    for src, step in enumerate(extra, _POOL_SIZE):
+        pool = _mix(pool, _hashmix(entropy[:, src : src + 1], step))
+    # generate_state(4, uint64): eight words drawn cyclically from the pool,
+    # paired little-endian into uint64.
+    words = _hashmix(np.tile(pool, 2), output)
+    return words.astype("<u4", copy=False).view("<u8").astype(np.uint64, copy=False)
+
+
+class _SeedState:
+    """A precomputed seed-sequence state, given to PCG64 as its ISeedSequence."""
+
+    __slots__ = ("words",)
+
+    def __init__(self, words: np.ndarray) -> None:
+        self.words = words
+
+    def generate_state(self, n_words: int, dtype=np.uint32) -> np.ndarray:
+        if (n_words, dtype) != (4, np.uint64):
+            raise ValueError("a precomputed state serves PCG64's four uint64 words only")
+        return self.words
+
+
+@functools.cache
+def _numpy_random():
+    """numpy.random, imported at the first stream, with ``_SeedState`` registered."""
+    import numpy.random
+
+    numpy.random.bit_generator.ISeedSequence.register(_SeedState)
+    return numpy.random
+
+
+def rng_streams(
+    master_seed: int, domain_label: str, entity_ids: Sequence[str]
+) -> Iterator[np.random.Generator]:
+    """Independent, reproducible generators for the entities of one domain, in order.
+
+    Each (label, id) pair is hashed into seed-sequence entropy words, so
+    streams never collide or correlate across domains or entities and the
+    draws of one domain cannot shift another's.  Every stream equals
+    ``Generator(PCG64(SeedSequence([seed, *words])))``; the seed-sequence
+    states of all the entities are computed in one pass, and each generator
+    is built only when the iterator reaches it.
+    """
+    random = _numpy_random()
+    for words in _seed_states(master_seed, domain_label, entity_ids):
+        yield random.Generator(random.PCG64(_SeedState(words)))
+
+
+def rng_stream(master_seed: int, domain_label: str, entity_id: str = "") -> np.random.Generator:
+    """The generator of one (domain, entity) pair: a batch of one of ``rng_streams``."""
+    return next(rng_streams(master_seed, domain_label, (entity_id,)))
 
 
 class SimEventKind(str, Enum):
@@ -221,7 +338,7 @@ def _ground_truth(
                 scenario.event_model,
                 scenario.aois,
                 scenario.horizon_s,
-                lambda aoi_id: rng_stream(scenario.seed, "events", aoi_id),
+                rng_streams(scenario.seed, "events", [aoi.id for aoi in scenario.aois]),
             )
         )
     members, home = events_mod.aoi_membership(fire_events, scenario.aois)
@@ -302,11 +419,14 @@ def _process_scenes(
     sats_by_id = {s.id: s for s in scenario.satellites}
     events_by_id = {e.id: e for e in fire_events}
     periodic = scenario.archetype.triggering is Triggering.PERIODIC
+    scene_ids = [f"scn-{i:05d}" for i in range(len(acquisitions))]
+    processed = [periodic or acq.triggered for acq in acquisitions]
+    clouds = rng_streams(scenario.seed, "clouds", scene_ids)
+    detection = rng_streams(scenario.seed, "detection", list(itertools.compress(scene_ids, processed)))
     scenes: dict[str, Scene] = {}
     detections: dict[str, frozenset[str]] = {}
     products: dict[str, DataProduct] = {}
-    for i, acq in enumerate(acquisitions):
-        scene_id = f"scn-{i:05d}"
+    for scene_id, acq, cloud_rng, process in zip(scene_ids, acquisitions, clouds, processed):
         sat = sats_by_id[acq.satellite_id]
         scene = onboard.acquire_scene(
             scene_id,
@@ -315,17 +435,17 @@ def _process_scenes(
             acq.window,
             members[acq.aoi_id],
             scenario.cloud_model,
-            rng_stream(scenario.seed, "clouds", scene_id),
+            cloud_rng,
         )
         scenes[scene_id] = scene
-        if not (periodic or acq.triggered):
+        if not process:
             continue
         detected = onboard.classify_scene(
             scene,
             events_by_id,
             scenario.archetype.mmu_ha,
             scenario.detection.accuracy_p,
-            rng_stream(scenario.seed, "detection", scene_id),
+            next(detection),
         )
         detections[scene_id] = detected
         location = scenario.archetype.processing_location

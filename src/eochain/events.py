@@ -16,6 +16,7 @@ import numpy as np
 
 from .model import (
     EARTH_RADIUS_KM,
+    SECONDS_PER_DAY,
     AreaOfInterest,
     EventModel,
     FireEvent,
@@ -23,8 +24,6 @@ from .model import (
     ValidationError,
     great_circle_km,
 )
-
-SECONDS_PER_DAY = 86400.0
 
 EVENT_TRACE_FIELDS = ["id", "lat", "lon", "start_s", "area_ha"]
 
@@ -49,20 +48,19 @@ def generate_fire_events(
     model: EventModel,
     aois: Sequence[AreaOfInterest],
     horizon_s: float,
-    stream_for_aoi,
+    streams: Iterable[np.random.Generator],
 ) -> list[FireEvent]:
     """Draw ground-truth events; fully determined by the per-AOI streams.
 
-    ``stream_for_aoi`` maps an AOI id to an independent ``numpy.random.Generator``
-    so that the events of one AOI never depend on how many were drawn for
-    another.
+    ``streams`` yields one independent generator per AOI, in the order of
+    ``aois``, so that the events of one AOI never depend on how many were
+    drawn for another.
     """
     if horizon_s <= 0:
         raise ValidationError("horizon must be positive")
     out: list[FireEvent] = []
     lam_per_aoi = model.rate_per_aoi_per_day * horizon_s / SECONDS_PER_DAY
-    for aoi in aois:
-        rng: np.random.Generator = stream_for_aoi(aoi.id)
+    for aoi, rng in zip(aois, streams, strict=True):
         n = int(rng.poisson(lam_per_aoi))
         starts = np.sort(rng.uniform(0.0, horizon_s, size=n))
         for j, start in enumerate(starts):

@@ -18,11 +18,16 @@ MU_EARTH_M3_S2 = 3.986004418e14
 EARTH_ROTATION_RAD_S = 7.2921159e-5
 
 KM2_PER_HA = 0.01
+SECONDS_PER_DAY = 86400.0
 
 # Window search: the coarse sampling step, and the most samples a horizon may
 # span at that step (2**22 samples of 10 s: about 485 days).
 DEFAULT_COARSE_STEP_S = 10.0
 MAX_GRID_SAMPLES = 2**22
+
+# The most fire events a scenario may expect over its horizon (rate x AOIs x
+# days); the stress scenario expects about 650.
+MAX_EVENTS = 10**5
 
 
 class ValidationError(ValueError):
@@ -300,7 +305,9 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _check(v, aoi.id not in seen_ids, f"{p}.id", "duplicate identifier")
         seen_ids.add(aoi.id)
         _check_point(v, aoi.center, f"{p}.center")
-        _check(v, aoi.radius_km > 0, f"{p}.radius_km", "radius must be positive")
+        _check(v, 0 < aoi.radius_km <= math.pi * EARTH_RADIUS_KM, f"{p}.radius_km",
+               f"radius must be positive and at most half the Earth's circumference "
+               f"({math.pi * EARTH_RADIUS_KM:.0f} km)")
 
     a = s.archetype
     _check(v, a.mmu_ha > 0, "archetype.mmu_ha", "minimum mapping unit must be positive")
@@ -315,6 +322,11 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     em = s.event_model
     _check(v, em.rate_per_aoi_per_day >= 0, "event_model.rate_per_aoi_per_day",
            "event rate must be non-negative")
+    # The event budget is judged against a horizon that passed its own checks.
+    if math.isfinite(em.rate_per_aoi_per_day) and all(x.path != "horizon_s" for x in v):
+        _check(v, em.rate_per_aoi_per_day * len(s.aois) * s.horizon_s / SECONDS_PER_DAY <= MAX_EVENTS,
+               "event_model.rate_per_aoi_per_day",
+               f"rate x AOIs x horizon days must expect at most {MAX_EVENTS} events")
     _check(v, em.area_log_sd > 0, "event_model.area_log_sd",
            "log-area spread must be positive")
 

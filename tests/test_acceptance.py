@@ -15,7 +15,7 @@ import pytest
 
 from eochain import metrics
 from eochain.cli import main as cli_main
-from eochain.engine import rng_stream, run
+from eochain.engine import rng_stream, rng_streams, run
 from eochain.events import generate_fire_events, read_event_trace
 from eochain.model import (
     CloudModel,
@@ -252,7 +252,7 @@ def test_criterion_7_mmu_antitonicity():
     checked = 0
     for seed in range(50):
         events = generate_fire_events(
-            model, aois, 7 * DAY, lambda aoi_id: rng_stream(seed, "events", aoi_id)
+            model, aois, 7 * DAY, rng_streams(seed, "events", [aoi.id for aoi in aois])
         )
         if not events:
             continue
@@ -286,7 +286,7 @@ def test_criterion_8_statistical_calibration():
     runs = 1000
     counts = [
         len(generate_fire_events(model, aois, 7 * DAY,
-                                 lambda aoi_id: rng_stream(seed, "events", aoi_id)))
+                                 rng_streams(seed, "events", [aoi.id for aoi in aois])))
         for seed in range(runs)
     ]
     expected = 0.5 * len(aois) * 7

@@ -163,11 +163,18 @@ class TestSweep:
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1]
 
-    def test_import_leaves_out_the_process_pool(self):
-        code = "import sys, eochain.cli; sys.exit('concurrent.futures.process' in sys.modules)"
+    @staticmethod
+    def import_cli_leaves_out(module):
+        code = f"import sys, eochain.cli; sys.exit({module!r} in sys.modules)"
         src = str(Path(eochain.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+        return subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+    def test_import_leaves_out_the_process_pool(self):
+        assert self.import_cli_leaves_out("concurrent.futures.process")
+
+    def test_import_leaves_out_numpy_random(self):
+        assert self.import_cli_leaves_out("numpy.random")
 
     def test_bad_run_count(self, tmp_path):
         assert main(["sweep", "--preset", "iride-heo", "--runs", "0",
@@ -222,6 +229,11 @@ class TestValidate:
         ("stations", "id", 5),
         # A removed field, listed last so the index-based ids above stay put.
         ("detection", "fp_rate_per_scene", 0.05),
+        # Values over a budget: an AOI wider than half the Earth's
+        # circumference, and more expected events than MAX_EVENTS.
+        ("aois", "radius_km", 1e300),
+        ("event_model", "rate_per_aoi_per_day", 1e30),
+        ("event_model", "rate_per_aoi_per_day", 1e300),
     ])
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, section, field, value):
         doc = scenario_to_dict(iride_heo())

@@ -6,9 +6,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eochain import model, orbit
-from eochain.engine import SimEventKind, geometry_tables, rng_stream, run
+from eochain.engine import SimEventKind, geometry_tables, rng_stream, rng_streams, run
 from eochain.model import (
     AcquisitionMode,
     FireEvent,
@@ -65,6 +67,23 @@ class TestRngStream:
         actual = rng_stream(seed, "clouds", "scn-00001")
         assert actual.bit_generator.state == expected.bit_generator.state
         assert np.array_equal(actual.uniform(size=8), expected.uniform(size=8))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**128 - 1),
+        label=st.text(max_size=12),
+        ids=st.lists(st.text(max_size=12), max_size=64),
+    )
+    def test_batched_streams_match_numpy(self, seed, label, ids):
+        streams = list(rng_streams(seed, label, ids))
+        assert len(streams) == len(ids)
+        for entity_id, stream in zip(ids, streams):
+            digest = hashlib.sha256(f"{label}/{entity_id}".encode()).digest()
+            words = [int.from_bytes(digest[i : i + 4], "little") for i in (0, 4, 8, 12)]
+            expected = np.random.PCG64(np.random.SeedSequence([seed, *words]))
+            assert stream.bit_generator.state == expected.state
+            # A row does not depend on the rows beside it.
+            assert rng_stream(seed, label, entity_id).bit_generator.state == expected.state
 
 
 class TestRunBasics:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eochain.engine import _ground_truth, rng_stream
+from eochain.engine import _ground_truth, rng_stream, rng_streams
 from eochain.events import (
     _destination,
     aoi_membership,
@@ -25,7 +25,7 @@ DAY = 86400.0
 
 
 def streams(seed):
-    return lambda aoi_id: rng_stream(seed, "events", aoi_id)
+    return rng_streams(seed, "events", [aoi.id for aoi in AOIS])
 
 
 MODEL = EventModel(rate_per_aoi_per_day=1.0, area_log_mean=math.log(5.0), area_log_sd=1.0)

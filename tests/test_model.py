@@ -1,11 +1,14 @@
 import dataclasses
 import math
 import random
+import sys
 
 import pytest
 
 from eochain.model import (
     DEFAULT_COARSE_STEP_S,
+    EARTH_RADIUS_KM,
+    MAX_EVENTS,
     MAX_GRID_SAMPLES,
     GeoPoint,
     ValidationError,
@@ -182,6 +185,27 @@ class TestValidateScenario:
             violations = validate_scenario(dataclasses.replace(make_scenario(), horizon_s=horizon))
             assert [v.path for v in violations] == ["horizon_s"]
             assert "samples" in violations[0].message
+
+    def test_expected_events_within_budget(self):
+        s = make_scenario(horizon=2 * 86400.0)  # two AOIs over two days
+        at_budget = MAX_EVENTS / 4
+        assert validate_scenario(dataclasses.replace(
+            s, event_model=dataclasses.replace(s.event_model, rate_per_aoi_per_day=at_budget))) == []
+        for rate in (at_budget * (1 + 1e-12), 1e30, 1e300, sys.float_info.max):
+            bad = dataclasses.replace(s, event_model=dataclasses.replace(s.event_model, rate_per_aoi_per_day=rate))
+            violations = validate_scenario(bad)
+            assert [v.path for v in violations] == ["event_model.rate_per_aoi_per_day"]
+            assert "events" in violations[0].message
+
+    def test_aoi_radius_at_most_half_the_circumference(self):
+        s = make_scenario()
+        longest = math.pi * EARTH_RADIUS_KM
+        aoi = dataclasses.replace(s.aois[0], radius_km=longest)
+        assert validate_scenario(dataclasses.replace(s, aois=(aoi, s.aois[1]))) == []
+        for radius in (longest * (1 + 1e-12), 1e300, 0.0):
+            aoi = dataclasses.replace(s.aois[0], radius_km=radius)
+            violations = validate_scenario(dataclasses.replace(s, aois=(aoi, s.aois[1])))
+            assert [v.path for v in violations] == ["aois[0].radius_km"]
 
     def test_empty_asset_lists_flagged(self):
         s = make_scenario()
