@@ -15,8 +15,8 @@ trace = run(scenario)
 print(f"Scenario '{scenario.name}', seed {scenario.seed}, "
       f"{scenario.horizon_s / 86400:.0f} simulated days")
 print(f"  fire events:        {len(trace.fire_events)}")
-print(f"  systematic scenes:  {len(trace.acquisitions)}")
-print(f"  triggered scenes:   {sum(1 for a in trace.acquisitions if a.triggered)}")
+print(f"  systematic scenes:  {len(trace.scenes)}")
+print(f"  triggered scenes:   {sum(1 for s in trace.scenes.values() if s.triggered)}")
 print(f"  products built:     {len(trace.products)}")
 print(f"  products delivered: {len(trace.marketplace)}")
 print(f"  unmet requests:     {len(trace.plan.unmet_request_ids)}")

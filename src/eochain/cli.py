@@ -1,7 +1,8 @@
 """Command-line entry point: run, compare, sweep, validate, list presets.
 
-All randomness flows from --seed (default 0, never wall-clock), so any
-invocation is reproducible byte for byte.
+All randomness flows from the scenario's seed (0 for a preset, never
+wall-clock), which --seed overrides, so any invocation is reproducible
+byte for byte.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def _build_parser() -> _Parser:
     def add_common(p: argparse.ArgumentParser, with_events: bool = True) -> None:
         p.add_argument("--scenario", type=Path, help="scenario YAML file")
         p.add_argument("--preset", choices=sorted(BUILTIN_PRESETS), help="built-in scenario")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--seed", type=int, help="master seed (default: the scenario's own, 0 for a preset)")
         p.add_argument("--duration", type=float, help="override horizon, seconds")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--format", choices=["json", "csv", "both"], default="both")

@@ -26,7 +26,7 @@ import numpy as np
 from . import events as events_mod
 from . import onboard, tasking
 from .downlink import TransferRecord, TransferResult, simulate_transfers
-from .ground import Marketplace, MarketplaceRecord, pdgs_done, pdgs_process
+from .ground import MarketplaceRecord, pdgs_done, pdgs_process
 from .model import (
     AcquisitionMode,
     AreaOfInterest,
@@ -202,18 +202,6 @@ class SimEvent:
 
 
 @dataclass(frozen=True)
-class AcquisitionRecord:
-    satellite_id: str
-    aoi_id: str
-    window: Window
-    triggered: bool
-
-    @property
-    def key(self) -> tuple[str, str, float]:
-        return (self.satellite_id, self.aoi_id, self.window.start)
-
-
-@dataclass(frozen=True)
 class SimulationTrace:
     """Timestamped record of every chain milestone of one run.
 
@@ -231,7 +219,6 @@ class SimulationTrace:
     detection_times: dict[str, float]
     requests: tuple[ObservationRequest, ...]
     plan: TaskingPlan
-    acquisitions: tuple[AcquisitionRecord, ...]
     scenes: dict[str, Scene]
     detections: dict[str, frozenset[str]]
     products: dict[str, DataProduct]
@@ -389,51 +376,54 @@ def _acquisitions(
     requests: Sequence[ObservationRequest],
     plan: TaskingPlan,
     access_table: WindowTable,
-) -> list[AcquisitionRecord]:
-    """Systematic imaging covers every access window; pure on-demand
-    archetypes image only what the planner scheduled."""
+) -> list[tuple[str, str, Window, bool]]:
+    """Every acquisition as (satellite id, AOI id, window, triggered), in
+    (start, satellite, AOI) order.  Systematic imaging covers every access
+    window; pure on-demand archetypes image only what the planner scheduled."""
     aoi_of_request = {r.id: r.aoi_id for r in requests}
     if scenario.archetype.acquisition_mode is AcquisitionMode.ON_DEMAND:
         acquisitions = [
-            AcquisitionRecord(a.satellite_id, aoi_of_request[a.request_id], a.window, triggered=True)
-            for a in plan.assignments
+            (a.satellite_id, aoi_of_request[a.request_id], a.window, True) for a in plan.assignments
         ]
-        return sorted(acquisitions, key=lambda r: (r.window.start, r.satellite_id, r.aoi_id))
+        return sorted(acquisitions, key=lambda r: (r[2].start, r[0], r[1]))
     triggered = {(a.satellite_id, aoi_of_request[a.request_id], a.window.start) for a in plan.assignments}
     return [
-        AcquisitionRecord(sat_id, aoi_id, window, triggered=(sat_id, aoi_id, window.start) in triggered)
+        (sat_id, aoi_id, window, (sat_id, aoi_id, window.start) in triggered)
         for sat_id, aoi_id, window in tasking.periodic_acquisitions(scenario.archetype, access_table)
     ]
 
 
 def _process_scenes(
     scenario: Scenario,
-    acquisitions: Sequence[AcquisitionRecord],
+    acquisitions: Sequence[tuple[str, str, Window, bool]],
     fire_events: tuple[FireEvent, ...],
     members: Mapping[str, Sequence[FireEvent]],
 ) -> tuple[dict[str, Scene], dict[str, frozenset[str]], dict[str, DataProduct]]:
-    """A scene for every acquisition; detection and products for every scene
-    of a periodic product line, and only for event-triggered scenes of an
-    event-driven one."""
+    """Scene ``scn-i`` for acquisition i; detection and products for every
+    scene of a periodic product line, and only for event-triggered scenes of
+    an event-driven one."""
     aois_by_id = {a.id: a for a in scenario.aois}
     sats_by_id = {s.id: s for s in scenario.satellites}
     events_by_id = {e.id: e for e in fire_events}
     periodic = scenario.archetype.triggering is Triggering.PERIODIC
     scene_ids = [f"scn-{i:05d}" for i in range(len(acquisitions))]
-    processed = [periodic or acq.triggered for acq in acquisitions]
+    processed = [periodic or triggered for *_, triggered in acquisitions]
     clouds = rng_streams(scenario.seed, "clouds", scene_ids)
     detection = rng_streams(scenario.seed, "detection", list(itertools.compress(scene_ids, processed)))
     scenes: dict[str, Scene] = {}
     detections: dict[str, frozenset[str]] = {}
     products: dict[str, DataProduct] = {}
-    for scene_id, acq, cloud_rng, process in zip(scene_ids, acquisitions, clouds, processed):
-        sat = sats_by_id[acq.satellite_id]
+    for scene_id, (sat_id, aoi_id, window, triggered), cloud_rng, process in zip(
+        scene_ids, acquisitions, clouds, processed
+    ):
+        sat = sats_by_id[sat_id]
         scene = onboard.acquire_scene(
             scene_id,
             sat,
-            aois_by_id[acq.aoi_id],
-            acq.window,
-            members[acq.aoi_id],
+            aois_by_id[aoi_id],
+            window,
+            triggered,
+            members[aoi_id],
             scenario.cloud_model,
             cloud_rng,
         )
@@ -485,17 +475,19 @@ def _ground(
     products: Mapping[str, DataProduct],
     completions: Mapping[str, float],
 ) -> tuple[dict[str, float], tuple[MarketplaceRecord, ...]]:
-    """PDGS completion times and marketplace deliveries that fall inside the horizon."""
+    """PDGS completion times and the marketplace deliveries that fall inside
+    the horizon, one per product, in (delivered, product id) order."""
     pdgs_times: dict[str, float] = {}
-    marketplace = Marketplace()
+    marketplace: list[MarketplaceRecord] = []
     for pid, done in completions.items():
         pdgs = pdgs_done(products[pid], done, scenario.latencies)
         if pdgs <= scenario.horizon_s:
             pdgs_times[pid] = pdgs
         delivered = pdgs_process(products[pid], done, scenario.latencies, scenario.archetype)
         if delivered <= scenario.horizon_s:
-            marketplace.deliver(products[pid], delivered)
-    return pdgs_times, marketplace.records()
+            marketplace.append(MarketplaceRecord(pid, products[pid].event_ids, delivered))
+    marketplace.sort(key=lambda r: (r.delivered, r.product_id))
+    return pdgs_times, tuple(marketplace)
 
 
 def run(
@@ -510,9 +502,7 @@ def run(
         )
     fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
     contact_table, access_table = geometry_tables(scenario)
-    requests = tasking.build_requests(
-        fire_events, home, scenario.monitoring_delay_s, scenario.archetype
-    )
+    requests = tasking.build_requests(fire_events, home, detection_times, scenario.archetype)
     plan = tasking.plan(
         requests, scenario.satellites, scenario.stations, contact_table, access_table
     )
@@ -531,7 +521,6 @@ def run(
         detection_times=detection_times,
         requests=requests,
         plan=plan,
-        acquisitions=tuple(acquisitions),
         scenes=scenes,
         detections=detections,
         products=products,

@@ -57,30 +57,6 @@ def pdgs_process(
     return t
 
 
-class Marketplace:
-    """Append-only delivery ledger; one record per product."""
-
-    def __init__(self) -> None:
-        self._records: list[MarketplaceRecord] = []
-        self._seen: set[str] = set()
-
-    def deliver(self, product: DataProduct, delivered: float) -> MarketplaceRecord:
-        if not math.isfinite(delivered):
-            raise ValidationError("delivery time must be finite")
-        if product.id in self._seen:
-            raise ValidationError(f"duplicate delivery for product {product.id}")
-        self._seen.add(product.id)
-        rec = MarketplaceRecord(product_id=product.id, event_ids=product.event_ids, delivered=delivered)
-        self._records.append(rec)
-        return rec
-
-    def records(self) -> tuple[MarketplaceRecord, ...]:
-        return tuple(sorted(self._records, key=lambda r: (r.delivered, r.product_id)))
-
-    def __len__(self) -> int:
-        return len(self._records)
-
-
 # One encoder for every record; ``json.dumps`` would build one per call.
 _ENCODER = json.JSONEncoder(sort_keys=True)
 

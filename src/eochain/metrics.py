@@ -188,7 +188,7 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
         "delivered_product_count": len(trace.marketplace),
         "undelivered_product_count": len(trace.products) - len(trace.downlink_completions),
         "unmet_request_count": len(trace.plan.unmet_request_ids),
-        "acquisition_count": len(trace.acquisitions),
+        "acquisition_count": len(trace.scenes),
         "generated_bits_total": trace.generated_bits(),
         "transferred_bits_total": trace.transferred_bits(),
         "delivered_bits_total": trace.delivered_bits(),
@@ -260,14 +260,9 @@ def _with_processing(scenario: Scenario, location: ProcessingLocation) -> Scenar
 def _assert_common_randomness(a: SimulationTrace, b: SimulationTrace) -> None:
     if a.fire_events != b.fire_events:
         raise StreamIsolationError("fire event lists differ between architecture modes")
-    keys_a = [(r.key, r.triggered) for r in a.acquisitions]
-    keys_b = [(r.key, r.triggered) for r in b.acquisitions]
-    if keys_a != keys_b:
-        raise StreamIsolationError("acquisition lists differ between architecture modes")
-    clouds_a = [a.scenes[s].cloud_fraction for s in sorted(a.scenes)]
-    clouds_b = [b.scenes[s].cloud_fraction for s in sorted(b.scenes)]
-    if clouds_a != clouds_b:
-        raise StreamIsolationError("cloud draws differ between architecture modes")
+    # A scene holds its acquisition (satellite, AOI, time, trigger) and its cloud draw.
+    if a.scenes != b.scenes:
+        raise StreamIsolationError("scenes differ between architecture modes")
 
 
 def compare_architectures(
@@ -331,7 +326,7 @@ def compare_architectures(
         "transferred_bits_hybrid": bits_h,
         "transferred_bits_raw": bits_r,
         "transfer_ratio": _round_sig(bits_h / bits_r) if bits_r else None,
-        "acquisition_count": len(hybrid_trace.acquisitions),
+        "acquisition_count": len(hybrid_trace.scenes),
     }
     return ComparisonReport(
         scenario_name=scenario.name,

@@ -277,16 +277,17 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _check(v, 0.0 <= sat.inclination_deg <= 180.0, f"{p}.inclination_deg",
                "inclination must be in [0, 180] degrees")
         _check(v, sat.swath_km > 0, f"{p}.swath_km", "swath must be positive")
-        _check(v, sat.gsd_m > 0, f"{p}.gsd_m", "gsd must be positive")
+        _check(v, 0.01 <= sat.gsd_m <= 1e4, f"{p}.gsd_m", "gsd must be in [0.01, 10000] m")
         _check(v, sat.bands >= 1, f"{p}.bands", "at least one band required")
         _check(v, sat.bit_depth >= 1, f"{p}.bit_depth", "bit depth must be >= 1")
         if sat.processor.enabled:
-            _check(v, sat.processor.preprocess_rate_mpx_s > 0,
+            # At least one pixel per second, so a pipeline latency stays finite.
+            _check(v, sat.processor.preprocess_rate_mpx_s >= 1e-6,
                    f"{p}.processor.preprocess_rate_mpx_s",
-                   "preprocess rate must be positive when enabled")
-            _check(v, sat.processor.inference_rate_mpx_s > 0,
+                   "preprocess rate must be at least 1e-6 Mpx/s when enabled")
+            _check(v, sat.processor.inference_rate_mpx_s >= 1e-6,
                    f"{p}.processor.inference_rate_mpx_s",
-                   "inference rate must be positive when enabled")
+                   "inference rate must be at least 1e-6 Mpx/s when enabled")
 
     seen_ids = set()
     for i, stn in enumerate(s.stations):
@@ -296,8 +297,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _check_point(v, stn.location, f"{p}.location")
         _check(v, 0.0 <= stn.min_elevation_deg < 90.0, f"{p}.min_elevation_deg",
                "minimum elevation must be in [0, 90) degrees")
-        _check(v, stn.xband_rate_mbit_s > 0, f"{p}.xband_rate_mbit_s",
-               "X-band rate must be positive")
+        _check(v, 0 < stn.xband_rate_mbit_s <= 1e6, f"{p}.xband_rate_mbit_s",
+               "X-band rate must be positive and at most 1e6 Mbit/s")
 
     seen_ids = set()
     for i, aoi in enumerate(s.aois):
@@ -305,16 +306,18 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _check(v, aoi.id not in seen_ids, f"{p}.id", "duplicate identifier")
         seen_ids.add(aoi.id)
         _check_point(v, aoi.center, f"{p}.center")
-        _check(v, 0 < aoi.radius_km <= math.pi * EARTH_RADIUS_KM, f"{p}.radius_km",
-               f"radius must be positive and at most half the Earth's circumference "
+        # At least 1 m, so the disc's area does not underflow to 0.
+        _check(v, 1e-3 <= aoi.radius_km <= math.pi * EARTH_RADIUS_KM, f"{p}.radius_km",
+               f"radius must be at least 0.001 km and at most half the Earth's circumference "
                f"({math.pi * EARTH_RADIUS_KM:.0f} km)")
 
     a = s.archetype
     _check(v, a.mmu_ha > 0, "archetype.mmu_ha", "minimum mapping unit must be positive")
     if a.triggering is Triggering.PERIODIC:
-        _check(v, a.periodic_cycle_s is not None and a.periodic_cycle_s > 0,
+        # At least 1 s, so a delivery time over the cycle stays finite.
+        _check(v, a.periodic_cycle_s is not None and a.periodic_cycle_s >= 1.0,
                "archetype.periodic_cycle_s",
-               "periodic triggering requires a positive periodic cycle")
+               "periodic triggering requires a periodic cycle of at least 1 s")
     else:
         _check(v, a.periodic_cycle_s is None, "archetype.periodic_cycle_s",
                "periodic cycle is only meaningful for periodic triggering")
@@ -327,14 +330,18 @@ def validate_scenario(s: Scenario) -> list[Violation]:
         _check(v, em.rate_per_aoi_per_day * len(s.aois) * s.horizon_s / SECONDS_PER_DAY <= MAX_EVENTS,
                "event_model.rate_per_aoi_per_day",
                f"rate x AOIs x horizon days must expect at most {MAX_EVENTS} events")
-    _check(v, em.area_log_sd > 0, "event_model.area_log_sd",
-           "log-area spread must be positive")
+    # Burn areas exp(mean + sd * z) then stay positive and finite, chips included,
+    # for any normal draw |z| < 100.
+    _check(v, -20.0 <= em.area_log_mean <= 20.0, "event_model.area_log_mean",
+           "log-area mean must be in [-20, 20]")
+    _check(v, 0 < em.area_log_sd <= 5.0, "event_model.area_log_sd",
+           "log-area spread must be in (0, 5]")
 
     lat = s.latencies
     _check(v, lat.pdgs_raw_s >= 0, "latencies.pdgs_raw_s", "must be non-negative")
     _check(v, lat.pdgs_mask_s >= 0, "latencies.pdgs_mask_s", "must be non-negative")
     _check(v, lat.pdgs_mask_s <= lat.pdgs_raw_s, "latencies.pdgs_mask_s",
-           "mask validation cannot take longer than full raw processing")
+           "mask validation cannot take longer than latencies.pdgs_raw_s")
 
     _check(v, s.monitoring_delay_s >= 0, "monitoring_delay_s", "must be non-negative")
 
@@ -347,8 +354,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     det = s.detection
     _check(v, 0.0 < det.accuracy_p <= 1.0, "detection.accuracy_p",
            "detection probability must be in (0, 1]")
-    _check(v, det.chip_margin >= 1.0, "detection.chip_margin",
-           "chip margin must be >= 1")
+    _check(v, 1.0 <= det.chip_margin <= 100.0, "detection.chip_margin",
+           "chip margin must be in [1, 100]")
     _check(v, det.mask_compression >= 1.0, "detection.mask_compression",
            "mask compression must be >= 1")
 

@@ -33,12 +33,13 @@ from .orbit import Window
 
 @dataclass(frozen=True)
 class Scene:
-    """One acquisition of an AOI, with its sensor geometry frozen in."""
+    """One acquisition of an AOI, with its sensor geometry frozen in; ``triggered`` if planned for an event."""
 
     id: str
     satellite_id: str
     aoi_id: str
     acquired: float
+    triggered: bool
     area_km2: float
     cloud_fraction: float
     event_ids_present: frozenset[str]
@@ -67,6 +68,7 @@ def acquire_scene(
     sat: SatelliteSpec,
     aoi: AreaOfInterest,
     window: Window,
+    triggered: bool,
     members: Sequence[FireEvent],
     cloud_model: CloudModel,
     rng: np.random.Generator,
@@ -83,6 +85,7 @@ def acquire_scene(
         satellite_id=sat.id,
         aoi_id=aoi.id,
         acquired=acquired,
+        triggered=triggered,
         area_km2=aoi.area_km2,
         cloud_fraction=draw_cloud_fraction(cloud_model, rng),
         event_ids_present=frozenset(e.id for e in present),

@@ -10,6 +10,7 @@ one mapping.  See README for the full schema.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import numbers
 import typing
 from collections.abc import Hashable
@@ -22,6 +23,9 @@ import yaml
 from .model import Scenario, ValidationError
 
 SCHEMA_VERSION = 1
+
+# Each dataclass's field types, resolved once per type, not once per value.
+_field_types = functools.cache(typing.get_type_hints)
 
 
 class _UniqueKeyLoader(yaml.CSafeLoader):
@@ -65,7 +69,7 @@ def _build(tp: Any, value: Any, path: str) -> Any:
         unknown = [k for k in value if k not in names]
         if unknown:
             raise ValidationError(f"{prefix}{unknown[0]}: unknown field")
-        hints = typing.get_type_hints(tp)
+        hints = _field_types(tp)
         kwargs = {}
         for f in dataclasses.fields(tp):
             sub = prefix + f.name

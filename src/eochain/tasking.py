@@ -49,31 +49,24 @@ class TaskingPlan:
 def build_requests(
     fire_events: Sequence[FireEvent],
     home_aoi: Mapping[str, Optional[str]],
-    monitoring_delay_s: float,
+    detection_times: Mapping[str, float],
     archetype: ServiceArchetype,
 ) -> tuple[ObservationRequest, ...]:
     """One request per monitored event for event-driven service archetypes.
 
     Periodic archetypes issue no event requests: their acquisitions ride the
     systematic cycle.  Each request is for the event's home AOI
-    (``events.aoi_membership``); events outside every AOI get no request.
-    No deduplication is performed: two events in one AOI yield two requests.
+    (``events.aoi_membership``) and is issued at the event's monitoring
+    detection time; events outside every AOI get no request.  No
+    deduplication is performed: two events in one AOI yield two requests.
     """
     if archetype.triggering is Triggering.PERIODIC:
         return ()
-    requests: list[ObservationRequest] = []
-    for ev in fire_events:
-        aoi_id = home_aoi[ev.id]
-        if aoi_id is None:
-            continue
-        requests.append(
-            ObservationRequest(
-                id=f"req-{ev.id}",
-                aoi_id=aoi_id,
-                event_ids=frozenset({ev.id}),
-                issued=ev.start + monitoring_delay_s,
-            )
-        )
+    requests = [
+        ObservationRequest(f"req-{ev.id}", home_aoi[ev.id], frozenset({ev.id}), detection_times[ev.id])
+        for ev in fire_events
+        if home_aoi[ev.id] is not None
+    ]
     requests.sort(key=lambda r: (r.issued, r.id))
     return tuple(requests)
 

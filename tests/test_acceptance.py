@@ -312,8 +312,6 @@ def test_criterion_9_stream_isolation(table_comparison):
         )
     )
     assert hybrid.fire_events == raw.fire_events
-    assert [a.key for a in hybrid.acquisitions] == [a.key for a in raw.acquisitions]
-    assert [hybrid.scenes[k].cloud_fraction for k in sorted(hybrid.scenes)] == [
-        raw.scenes[k].cloud_fraction for k in sorted(raw.scenes)
-    ]
+    # A scene carries its acquisition (satellite, AOI, time, trigger) and its cloud draw.
+    assert hybrid.scenes == raw.scenes
     _ok(9, "architecture toggle leaves fire events, acquisitions and clouds bit-identical")

@@ -1,6 +1,9 @@
+import functools
 import json
 import math
+import operator
 import os
+import shutil
 import subprocess
 import sys
 import time
@@ -11,7 +14,7 @@ import pytest
 import eochain
 from eochain import orbit
 from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_SEED, main
-from eochain.presets import iride_heo
+from eochain.presets import get_preset, iride_heo
 from eochain.scenario_io import save_scenario, scenario_to_dict
 
 import yaml
@@ -234,6 +237,8 @@ class TestValidate:
         ("aois", "radius_km", 1e300),
         ("event_model", "rate_per_aoi_per_day", 1e30),
         ("event_model", "rate_per_aoi_per_day", 1e300),
+        # An AOI whose area underflows to 0.
+        ("aois", "radius_km", 1e-200),
     ])
     def test_bad_value_is_one_line_error(self, tmp_path, capsys, section, field, value):
         doc = scenario_to_dict(iride_heo())
@@ -290,3 +295,94 @@ class TestPresets:
         assert "iride-heo" in out
         assert "effis-like" in out
         assert "Hybrid" in out and "Ground" in out
+
+
+class TestScenarioSeed:
+    def test_file_seed_applies_without_the_flag(self, tmp_path):
+        path = tmp_path / "s.yaml"
+        save_scenario(get_preset("effis-like", seed=7, horizon_s=float(DAY)), path)
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "file")]) == EXIT_OK
+        assert main(["run", "--scenario", str(path), "--seed", "7", "--out", str(tmp_path / "flag")]) == EXIT_OK
+        events = [(tmp_path / run / "events.csv").read_bytes() for run in ("file", "flag")]
+        assert events[0] == events[1]
+
+    def test_negative_file_seed_is_one_line_error(self, tmp_path, capsys):
+        doc = scenario_to_dict(get_preset("effis-like", horizon_s=float(DAY)))
+        doc["seed"] = -1
+        path = tmp_path / "s.yaml"
+        path.write_text(yaml.safe_dump(doc))
+        assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "seed" in err
+
+
+# Each numeric leaf of a preset is set to each of these in turn.
+MUTATION_VALUES = (0, -1, 1e-200, 1e300, 10**30, -800.0, 800.0)
+
+
+def _numeric_leaves(node, path="", keys=()):
+    """(field path, key chain) of every int or float leaf of a scenario document.
+
+    Only the first entry of a list is visited: every entry is checked alike.
+    """
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _numeric_leaves(value, f"{path}.{key}" if path else key, (*keys, key))
+    elif isinstance(node, list):
+        if node:
+            yield from _numeric_leaves(node[0], f"{path}[0]", (*keys, 0))
+    elif isinstance(node, (int, float)) and not isinstance(node, bool):
+        yield path, keys
+
+
+def _refuse_constant(name):
+    raise ValueError(f"the report holds {name}, which is not JSON")
+
+
+class TestNoTraceback:
+    """Every single-leaf mutation of a preset exits 0 with finite outputs, or
+    exits 1 with one ``error:`` line that names the leaf."""
+
+    # The presets share their stations and AOIs, so iride-heo leaves them to effis-like.
+    @pytest.mark.parametrize("preset, horizon_s, skipped", [
+        ("effis-like", 3 * 86400.0, {"schema_version"}),
+        ("iride-heo", 86400.0, {"schema_version", "stations", "aois"}),
+    ])
+    def test_numeric_leaf_mutations(self, tmp_path, capsys, preset, horizon_s, skipped):
+        doc = scenario_to_dict(get_preset(preset, horizon_s=horizon_s))
+        shared = scenario_to_dict(get_preset("effis-like"))
+        assert all(doc[section] == shared[section] for section in skipped)
+        scenario_path, out = tmp_path / "s.yaml", tmp_path / "out"
+        failures = []
+        for path, keys in _numeric_leaves({k: v for k, v in doc.items() if k not in skipped}):
+            parent = functools.reduce(operator.getitem, keys[:-1], doc)
+            original = parent[keys[-1]]
+            for value in MUTATION_VALUES:
+                # 800 events/AOI/day is a valid load far from any bound; it
+                # would take most of this test's time.
+                if path == "event_model.rate_per_aoi_per_day" and value == 800.0:
+                    continue
+                parent[keys[-1]] = value
+                scenario_path.write_text(yaml.dump(doc, Dumper=yaml.CSafeDumper))
+                shutil.rmtree(out, ignore_errors=True)
+                case = f"{path} = {value!r}"
+                try:
+                    code = main(["run", "--scenario", str(scenario_path), "--out", str(out), "--format", "json"])
+                except Exception as exc:
+                    failures.append(f"{case}: raised {exc!r}")
+                    capsys.readouterr()
+                    continue
+                err = capsys.readouterr().err
+                errors = [line for line in err.splitlines() if line.startswith("error:")]
+                if "Traceback" in err or code not in (EXIT_OK, EXIT_VALIDATION):
+                    failures.append(f"{case}: exit {code}: {err.strip()}")
+                elif code == EXIT_VALIDATION and not (len(errors) == 1 and path in errors[0]):
+                    failures.append(f"{case}: {err.strip()}")
+                elif code == EXIT_OK:
+                    try:
+                        json.loads((out / "run_report.json").read_text(), parse_constant=_refuse_constant)
+                    except ValueError as exc:
+                        failures.append(f"{case}: {exc}")
+            parent[keys[-1]] = original
+        assert not failures, "\n".join(failures)

@@ -98,7 +98,7 @@ class TestRunBasics:
         assert trace.fire_events == ()
         assert trace.products == {}
         assert trace.marketplace == ()
-        assert len(trace.acquisitions) > 0  # systematic imaging continues
+        assert len(trace.scenes) > 0  # systematic imaging continues
 
     def test_identical_runs_are_bit_identical(self):
         s = make_scenario(seed=7, rate=1.5)
@@ -186,7 +186,7 @@ class TestChainSemantics:
     def test_event_driven_processes_only_triggered_scenes(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
         trace = run(make_scenario(seed=5), injected_events=[ev])
-        triggered = {f"scn-{i:05d}" for i, a in enumerate(trace.acquisitions) if a.triggered}
+        triggered = {scene.id for scene in trace.scenes.values() if scene.triggered}
         assert set(trace.detections) == triggered
         assert {p.scene_id for p in trace.products.values()} <= triggered
 
@@ -205,8 +205,8 @@ class TestChainSemantics:
         arch = make_archetype(acquisition=AcquisitionMode.ON_DEMAND)
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
         trace = run(make_scenario(seed=5, archetype=arch), injected_events=[ev])
-        assert all(a.triggered for a in trace.acquisitions)
-        assert len(trace.acquisitions) == len(trace.plan.assignments)
+        assert all(scene.triggered for scene in trace.scenes.values())
+        assert len(trace.scenes) == len(trace.plan.assignments)
 
     def test_hybrid_event_gets_mask_delivery(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
@@ -247,12 +247,7 @@ class TestStreamIsolation:
         hybrid = run(with_processing(s, ProcessingLocation.HYBRID))
         raw = run(with_processing(s, ProcessingLocation.GROUND))
         assert hybrid.fire_events == raw.fire_events
-        assert [(a.key, a.triggered) for a in hybrid.acquisitions] == [
-            (a.key, a.triggered) for a in raw.acquisitions
-        ]
-        clouds_h = [hybrid.scenes[k].cloud_fraction for k in sorted(hybrid.scenes)]
-        clouds_r = [raw.scenes[k].cloud_fraction for k in sorted(raw.scenes)]
-        assert clouds_h == clouds_r
+        assert hybrid.scenes == raw.scenes
 
     def test_modes_differ_in_products_not_acquisitions(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)

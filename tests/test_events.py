@@ -104,7 +104,7 @@ class TestMembershipMatchesBruteForce:
         sat = make_satellite()
         for aoi in aois:
             for t in ACQUIRED:
-                scene = acquire_scene("s", sat, aoi, Window(t, t + 60.0), members[aoi.id], CLEAR,
+                scene = acquire_scene("s", sat, aoi, Window(t, t + 60.0), False, members[aoi.id], CLEAR,
                                       rng_stream(0, "clouds", "s"))
                 expected = {e.id for e in events if e.start <= t and inside(e, aoi)}
                 assert scene.event_ids_present == expected

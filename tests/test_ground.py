@@ -1,8 +1,7 @@
-import math
-
 import pytest
 
-from eochain.ground import Marketplace, pdgs_process, write_marketplace_dump
+from eochain.engine import _ground
+from eochain.ground import pdgs_process, write_marketplace_dump
 from eochain.model import (
     DataProduct,
     GroundLatencySpec,
@@ -11,7 +10,7 @@ from eochain.model import (
     ValidationError,
 )
 
-from conftest import make_archetype
+from conftest import make_archetype, make_scenario
 
 LATENCIES = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0)
 EVENT_DRIVEN = make_archetype(triggering=Triggering.EVENT_DRIVEN)
@@ -66,36 +65,32 @@ class TestPdgsProcess:
 
 
 class TestMarketplace:
+    """The engine's ground stage: one delivery per downlinked product inside the horizon."""
+
+    SCENARIO = make_scenario(horizon=10_000.0, pdgs_raw=7200.0, pdgs_mask=600.0)
+
+    def deliveries(self, completions):
+        products = {pid: product(pid=pid) for pid in completions}
+        return _ground(self.SCENARIO, products, completions)[1]
+
     def test_one_record_per_product(self):
-        m = Marketplace()
-        rec = m.deliver(product(pid="p1"), 1000.0)
+        (rec,) = self.deliveries({"p1": 1000.0})
         assert rec.product_id == "p1"
         assert rec.event_ids == frozenset({"ev"})
-        assert len(m) == 1
-
-    def test_duplicate_delivery_rejected(self):
-        m = Marketplace()
-        m.deliver(product(pid="p1"), 1000.0)
-        with pytest.raises(ValidationError):
-            m.deliver(product(pid="p1"), 2000.0)
+        assert rec.delivered == 1600.0
 
     def test_records_sorted_by_delivery_time(self):
-        m = Marketplace()
-        m.deliver(product(pid="late"), 2000.0)
-        m.deliver(product(pid="early"), 1000.0)
-        assert [r.product_id for r in m.records()] == ["early", "late"]
+        records = self.deliveries({"late": 2000.0, "early": 1000.0, "tie-b": 1500.0, "tie-a": 1500.0})
+        assert [r.product_id for r in records] == ["early", "tie-a", "tie-b", "late"]
 
-    def test_non_finite_delivery_rejected(self):
-        m = Marketplace()
-        with pytest.raises(ValidationError):
-            m.deliver(product(pid="p"), math.inf)
+    def test_delivery_after_horizon_dropped(self):
+        records = self.deliveries({"p1": 9000.0, "p2": 9400.0, "p3": 9401.0})
+        assert [r.product_id for r in records] == ["p1", "p2"]
 
     def test_dump_is_stable(self, tmp_path):
-        m = Marketplace()
-        m.deliver(product(pid="p1"), 1234.5678)
-        m.deliver(product(pid="p2"), 999.0)
+        records = self.deliveries({"p1": 1234.5678, "p2": 999.0})
         path_a, path_b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        write_marketplace_dump(path_a, m.records())
-        write_marketplace_dump(path_b, m.records())
+        write_marketplace_dump(path_a, records)
+        write_marketplace_dump(path_b, records)
         assert path_a.read_bytes() == path_b.read_bytes()
         assert len(path_a.read_text().splitlines()) == 2

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -5,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eochain import metrics
 from eochain.engine import run
 from eochain.metrics import (
+    StreamIsolationError,
     _indented_json,
     build_service_report,
     compare_architectures,
@@ -177,6 +180,30 @@ class TestComparison:
         assert json.loads(j.read_text())["schema_version"] == 1
         lines = c.read_text().splitlines()
         assert len(lines) == len(comparison.per_event) + 1 + 1
+
+
+class TestStreamIsolationCheck:
+    """compare_architectures refuses arms whose scenes do not match."""
+
+    @pytest.mark.parametrize("change", [
+        lambda scene: {"acquired": scene.acquired + 1.0},
+        lambda scene: {"triggered": not scene.triggered},
+        lambda scene: {"cloud_fraction": scene.cloud_fraction + 0.01},
+    ], ids=["acquired", "triggered", "cloud_fraction"])
+    def test_diverging_scene_is_refused(self, trace, monkeypatch, change):
+        scene_id = max(trace.scenes)
+        scene = trace.scenes[scene_id]
+        altered = dataclasses.replace(
+            trace, scenes={**trace.scenes, scene_id: dataclasses.replace(scene, **change(scene))}
+        )
+        arms = iter([trace, altered])
+        monkeypatch.setattr(metrics, "run", lambda scenario, injected_events=None: next(arms))
+        with pytest.raises(StreamIsolationError, match="scenes differ"):
+            compare_architectures(make_scenario(seed=5), injected_events=[EVENT])
+
+    def test_matching_arms_pass(self, trace, monkeypatch):
+        monkeypatch.setattr(metrics, "run", lambda scenario, injected_events=None: trace)
+        compare_architectures(make_scenario(seed=5), injected_events=[EVENT])
 
 
 class TestZeroEvents:

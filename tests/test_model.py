@@ -1,6 +1,9 @@
 import dataclasses
+import functools
 import math
+import operator
 import random
+import re
 import sys
 
 import pytest
@@ -11,6 +14,7 @@ from eochain.model import (
     MAX_EVENTS,
     MAX_GRID_SAMPLES,
     GeoPoint,
+    Triggering,
     ValidationError,
     mask_volume,
     pixel_count,
@@ -20,7 +24,7 @@ from eochain.model import (
 from eochain.presets import effis_like, iride_heo
 from eochain.scenario_io import scenario_from_dict, scenario_to_dict
 
-from conftest import make_satellite, make_scenario
+from conftest import make_archetype, make_satellite, make_scenario
 
 
 class TestGeoPoint:
@@ -227,6 +231,23 @@ class TestValidateScenario:
         arch = dataclasses.replace(s.archetype, periodic_cycle_s=86400.0)
         s3 = dataclasses.replace(s, archetype=arch)
         assert any(v.path == "archetype.periodic_cycle_s" for v in validate_scenario(s3))
+
+    @pytest.mark.parametrize("keys, lowest, too_small", [
+        (("archetype", "periodic_cycle_s"), 1.0, 1e-305),
+        (("satellites", 0, "processor", "preprocess_rate_mpx_s"), 1e-6, 1e-305),
+        (("satellites", 0, "processor", "inference_rate_mpx_s"), 1e-6, 1e-305),
+    ])
+    def test_divisors_have_a_floor(self, keys, lowest, too_small):
+        # A time divided by the cycle, or a pixel count by a rate, overflowed
+        # to infinity: a traceback or an Infinity in the report.
+        periodic = make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0)
+        doc = scenario_to_dict(make_scenario(archetype=periodic))
+        holder = functools.reduce(operator.getitem, keys[:-1], doc)
+        holder[keys[-1]] = lowest
+        assert validate_scenario(scenario_from_dict(doc)) == []
+        holder[keys[-1]] = too_small
+        path = re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, keys)))
+        assert [v.path for v in validate_scenario(scenario_from_dict(doc))] == [path]
 
     def test_disabled_processor_needs_no_rates(self):
         from conftest import make_processor

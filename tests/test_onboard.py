@@ -38,6 +38,7 @@ def make_scene(area_km2=900.0, gsd=3.0, bands=4, bit_depth=12, cloud=0.0,
         satellite_id="sat-a",
         aoi_id="aoi-a",
         acquired=acquired,
+        triggered=False,
         area_km2=area_km2,
         cloud_fraction=cloud,
         event_ids_present=present,
@@ -66,7 +67,7 @@ class TestAcquireScene:
     def acquire(self, evs, cloud_model=CLEAR, seed=0):
         """Scene of the test AOI, given all events of the run in (start, id) order."""
         members = aoi_membership(evs, [self.AOI])[0][self.AOI.id]
-        return acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, members, cloud_model,
+        return acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, False, members, cloud_model,
                              rng_stream(seed, "clouds", "s1"))
 
     def test_alignment_and_area(self):

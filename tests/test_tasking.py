@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eochain.engine import geometry_tables
-from eochain.events import aoi_membership
+from eochain.events import aoi_membership, monitoring_detection_time
 from eochain.model import FireEvent, GeoPoint, Triggering, ValidationError
 from eochain.orbit import Window, access_windows
 from eochain.tasking import (
@@ -45,7 +45,8 @@ def tables(satellites=(EQ_SAT,), stations=(EQ_STATION,), aois=(EQ_AOI,), horizon
 
 def eq_requests(evs, monitoring_delay, archetype, aois=(EQ_AOI,)):
     """Requests for the events, each for its home AOI among ``aois``."""
-    return build_requests(evs, aoi_membership(evs, aois)[1], monitoring_delay, archetype)
+    detection_times = {e.id: monitoring_detection_time(e, monitoring_delay) for e in evs}
+    return build_requests(evs, aoi_membership(evs, aois)[1], detection_times, archetype)
 
 
 def plan_eq(requests, satellites=(EQ_SAT,), stations=(EQ_STATION,)):

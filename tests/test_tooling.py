@@ -1,8 +1,12 @@
-"""The suite's own configuration reports failures instead of crashing on them."""
+"""The suite's own configuration reports failures instead of crashing on them,
+and the benchmark's tracer still finds every function it wraps."""
 
+import importlib.util
 import subprocess
 import sys
 from pathlib import Path
+
+import eochain.cli
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -29,3 +33,28 @@ def test_failing_property_test_reports_its_example(tmp_path):
     # Exit 1 is "tests failed"; 3 would be an internal error of the session.
     assert result.returncode == 1, result.stdout + result.stderr
     assert "Falsifying example" in result.stdout
+
+
+def test_tracer_finds_every_wrapped_function(tmp_path, monkeypatch):
+    # bench/tracer.py wraps eochain functions by module and name; a name that
+    # is gone would read 0 in every traced benchmark run.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("bench_tracer", ROOT / "bench" / "tracer.py")
+    tracer_module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer_module)
+    modules = [m for name, m in sys.modules.items() if name == "eochain" or name.startswith("eochain.")]
+    saved = [(module, dict(vars(module))) for module in modules]
+    tracer = tracer_module.Tracer()
+    try:
+        tracer.install()
+        code = eochain.cli.main(["compare", "--preset", "iride-heo", "--baseline", "effis-like",
+                                 "--duration", "21600", "--out", str(tmp_path / "out")])
+    finally:
+        for module, names in saved:
+            for name, value in names.items():
+                setattr(module, name, value)
+    assert tracer.missing == []
+    assert code == 0
+    summary = tracer.summary()
+    assert summary["engine.run.calls"] == 3
+    assert summary["metrics.compare_architectures.calls"] == 1
