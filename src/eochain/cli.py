@@ -57,7 +57,9 @@ def _build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare", help="A/B comparison of hybrid vs remote-only")
     add_common(p_cmp)
     p_cmp.add_argument("--baseline", choices=sorted(BUILTIN_PRESETS),
-                       help="also run this preset on the same events")
+                       help="also run this preset over the scenario's horizon and seed; it sees the "
+                            "same events only with --events, or when the scenario shares the "
+                            "preset's AOIs and event model")
 
     p_sweep = sub.add_parser("sweep", help="run a range of seeds")
     add_common(p_sweep)
@@ -155,9 +157,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    baseline = get_preset(args.baseline, seed=scenario.seed) if args.baseline else None
-    if baseline is not None and args.duration is not None:
-        baseline = dataclasses.replace(baseline, horizon_s=float(args.duration))
+    baseline = (get_preset(args.baseline, seed=scenario.seed, horizon_s=scenario.horizon_s)
+                if args.baseline else None)
     report = metrics.compare_architectures(
         scenario, injected_events=_injected(args), baseline_scenario=baseline
     )
@@ -191,6 +192,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("--jobs must be at least 1")
     if scenario.seed + args.runs - 1 > MAX_SEED:
         raise ValidationError("the last seed of the sweep must fit in an unsigned 64-bit integer")
+    engine.require_valid(scenario)
     injected = _injected(args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)

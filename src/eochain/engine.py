@@ -490,16 +490,19 @@ def _ground(
     return pdgs_times, tuple(marketplace)
 
 
+def require_valid(scenario: Scenario) -> None:
+    """Raise ValidationError naming every violation of the scenario, if it has any."""
+    violations = validate_scenario(scenario)
+    if violations:
+        raise ValidationError("invalid scenario: " + "; ".join(str(v) for v in violations))
+
+
 def run(
     scenario: Scenario,
     injected_events: Optional[Sequence[FireEvent]] = None,
 ) -> SimulationTrace:
     """Execute the full service chain and return the complete trace."""
-    violations = validate_scenario(scenario)
-    if violations:
-        raise ValidationError(
-            "invalid scenario: " + "; ".join(str(v) for v in violations)
-        )
+    require_valid(scenario)
     fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
     contact_table, access_table = geometry_tables(scenario)
     requests = tasking.build_requests(fire_events, home, detection_times, scenario.archetype)

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Iterator, Optional
+from typing import Any, Optional
 
 # Spherical-Earth constants used throughout.
 EARTH_RADIUS_KM = 6371.0
@@ -32,6 +32,14 @@ MAX_EVENTS = 10**5
 
 class ValidationError(ValueError):
     """Raised when an operation receives arguments outside its contract."""
+
+
+def within(lo: float, hi: float, ends: str = "[]", when: Optional[str] = None, **kwargs: Any) -> Any:
+    """A dataclass field that ``validate_scenario`` bounds to the interval from ``lo`` to ``hi``, with
+    ``ends`` its brackets, ``[ ]`` closed and ``( )`` open; if ``when`` names a bool field of the record,
+    only while that is true.  ``kwargs`` go to ``dataclasses.field``."""
+    interval = "{}{}, {}{}".format(ends[0], *(repr(x).removesuffix(".0") for x in (lo, hi)), ends[1])
+    return field(metadata={"lo": lo, "hi": hi, "ends": ends, "interval": interval, "when": when}, **kwargs)
 
 
 class ProcessingLocation(str, Enum):
@@ -64,7 +72,7 @@ class ProductKind(str, Enum):
 class GeoPoint:
     """Geographic point; longitude is normalized into [-180, 180) on construction."""
 
-    lat: float
+    lat: float = within(-90.0, 90.0)
     lon: float
 
     def __post_init__(self) -> None:
@@ -83,7 +91,9 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
 class AreaOfInterest:
     id: str
     center: GeoPoint
-    radius_km: float
+    # At least 1 m, so the disc's area does not underflow to 0; at most half the
+    # Earth's circumference.
+    radius_km: float = within(1e-3, math.pi * EARTH_RADIUS_KM)
 
     @property
     def area_km2(self) -> float:
@@ -94,8 +104,9 @@ class AreaOfInterest:
 class OnboardProcessorSpec:
     """Parametric throughput budget of the onboard compute chain."""
 
-    preprocess_rate_mpx_s: float
-    inference_rate_mpx_s: float
+    # At least one pixel per second, so a pipeline latency stays finite.
+    preprocess_rate_mpx_s: float = within(1e-6, math.inf, "[)", when="enabled")
+    inference_rate_mpx_s: float = within(1e-6, math.inf, "[)", when="enabled")
     precision_mode: PrecisionMode = PrecisionMode.FP16
     enabled: bool = True
 
@@ -108,14 +119,14 @@ PRECISION_RATE_FACTOR = {PrecisionMode.FP16: 1.0, PrecisionMode.INT8: 2.0}
 @dataclass(frozen=True)
 class SatelliteSpec:
     id: str
-    altitude_km: float
-    inclination_deg: float
+    altitude_km: float = within(300.0, 2000.0)
+    inclination_deg: float = within(0.0, 180.0)
     raan_deg: float
     initial_arg_lat_deg: float
-    swath_km: float
-    gsd_m: float
-    bands: int
-    bit_depth: int
+    swath_km: float = within(0.0, math.inf, "()")
+    gsd_m: float = within(0.01, 1e4)
+    bands: int = within(1, math.inf, "[)")
+    bit_depth: int = within(1, math.inf, "[)")
     processor: OnboardProcessorSpec
 
 
@@ -123,8 +134,8 @@ class SatelliteSpec:
 class GroundStationSpec:
     id: str
     location: GeoPoint
-    min_elevation_deg: float
-    xband_rate_mbit_s: float
+    min_elevation_deg: float = within(0.0, 90.0, "[)")
+    xband_rate_mbit_s: float = within(0.0, 1e6, "(]")
     sband_available: bool = True
 
 
@@ -141,44 +152,47 @@ class ServiceArchetype:
     """Service-level character of a product line (one Table-style column)."""
 
     processing_location: ProcessingLocation
-    mmu_ha: float
+    mmu_ha: float = within(0.0, math.inf, "()")
     acquisition_mode: AcquisitionMode
     triggering: Triggering
-    periodic_cycle_s: Optional[float] = None
+    # At least 1 s, so a delivery time over the cycle stays finite.
+    periodic_cycle_s: Optional[float] = within(1.0, math.inf, "[)", default=None)
 
 
 @dataclass(frozen=True)
 class EventModel:
-    rate_per_aoi_per_day: float
-    area_log_mean: float
-    area_log_sd: float
+    rate_per_aoi_per_day: float = within(0.0, math.inf, "[)")
+    # Burn areas exp(mean + sd * z) then stay positive and finite, chips included,
+    # for any normal draw |z| < 100.
+    area_log_mean: float = within(-20.0, 20.0)
+    area_log_sd: float = within(0.0, 5.0, "(]")
 
 
 @dataclass(frozen=True)
 class GroundLatencySpec:
-    pdgs_raw_s: float
-    pdgs_mask_s: float
+    pdgs_raw_s: float = within(0.0, math.inf, "[)")
+    pdgs_mask_s: float = within(0.0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
 class CloudModel:
-    mean_fraction: float
-    onboard_threshold: float
+    mean_fraction: float = within(0.0, 1.0)
+    onboard_threshold: float = within(0.0, 1.0)
 
 
 @dataclass(frozen=True)
 class DetectionSpec:
     """Statistical detection and product-shaping knobs."""
 
-    accuracy_p: float = 0.95
-    chip_margin: float = 2.0
-    mask_compression: float = 10.0
+    accuracy_p: float = within(0.0, 1.0, "(]", default=0.95)
+    chip_margin: float = within(1.0, 100.0, default=2.0)
+    mask_compression: float = within(1.0, math.inf, "[)", default=10.0)
 
 
 @dataclass(frozen=True)
 class Scenario:
     name: str
-    seed: int
+    seed: int = within(0, 2**64, "[)")
     horizon_s: float
     satellites: tuple[SatelliteSpec, ...]
     stations: tuple[GroundStationSpec, ...]
@@ -186,7 +200,7 @@ class Scenario:
     archetype: ServiceArchetype
     event_model: EventModel
     latencies: GroundLatencySpec
-    monitoring_delay_s: float
+    monitoring_delay_s: float = within(0.0, math.inf, "[)")
     cloud_model: CloudModel
     detection: DetectionSpec = field(default_factory=DetectionSpec)
 
@@ -233,134 +247,54 @@ class Violation:
         return f"{self.path}: {self.message}"
 
 
-def _check(out: list[Violation], ok: bool, path: str, message: str) -> None:
-    if not ok:
-        out.append(Violation(path, message))
-
-
-def _check_point(out: list[Violation], p: GeoPoint, path: str) -> None:
-    _check(out, -90.0 <= p.lat <= 90.0, f"{path}.lat", "latitude must be in [-90, 90]")
-
-
-def _non_finite_paths(value: object, path: str) -> Iterator[str]:
-    """Field path of every non-finite float inside a scenario value."""
-    if is_dataclass(value):
-        for f in fields(value):
-            yield from _non_finite_paths(getattr(value, f.name), f"{path}.{f.name}" if path else f.name)
-    elif isinstance(value, tuple):
-        for i, item in enumerate(value):
-            yield from _non_finite_paths(item, f"{path}[{i}]")
-    elif isinstance(value, float) and not math.isfinite(value):
-        yield path
+def _leaf_violations(record: object, path: str, out: dict[str, str]) -> None:
+    """Flag each number inside ``record`` outside its field's interval or, with no interval that
+    applies, not finite; a path already in ``out`` is not flagged again."""
+    for f in fields(record):
+        value, m = getattr(record, f.name), f.metadata
+        sub = f"{path}.{f.name}" if path else f.name
+        if isinstance(value, tuple):
+            for i, item in enumerate(value):
+                _leaf_violations(item, f"{sub}[{i}]", out)
+        elif is_dataclass(value):
+            _leaf_violations(value, sub, out)
+        elif sub in out or value is None:
+            continue
+        elif m and (m["when"] is None or getattr(record, m["when"])):
+            if not ((m["lo"] < value if m["ends"][0] == "(" else m["lo"] <= value)
+                    and (value < m["hi"] if m["ends"][1] == ")" else value <= m["hi"])):
+                out[sub] = f"must be in {m['interval']}"
+        elif isinstance(value, float) and not math.isfinite(value):
+            out[sub] = "must be finite"
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
-    """Check every type invariant; returns violations sorted by field path."""
-    v: list[Violation] = []
-    _check(v, 0 <= s.seed < 2**64, "seed", "seed must fit in an unsigned 64-bit integer")
-    _check(v, math.isfinite(s.horizon_s) and s.horizon_s > 0, "horizon_s",
-           "horizon must be finite and positive")
-    _check(v, not math.isfinite(s.horizon_s) or s.horizon_s / DEFAULT_COARSE_STEP_S <= MAX_GRID_SAMPLES,
-           "horizon_s", f"horizon must span at most {MAX_GRID_SAMPLES} samples of "
-           f"{DEFAULT_COARSE_STEP_S:g} s (about 485 days)")
-    _check(v, len(s.satellites) >= 1, "satellites", "at least one satellite required")
-    _check(v, len(s.stations) >= 1, "stations", "at least one ground station required")
-    _check(v, len(s.aois) >= 1, "aois", "at least one AOI required")
-
-    seen_ids: set[str] = set()
-    for i, sat in enumerate(s.satellites):
-        p = f"satellites[{i}]"
-        _check(v, sat.id not in seen_ids, f"{p}.id", "duplicate identifier")
-        seen_ids.add(sat.id)
-        _check(v, 300.0 <= sat.altitude_km <= 2000.0, f"{p}.altitude_km",
-               "altitude must be in [300, 2000] km")
-        _check(v, 0.0 <= sat.inclination_deg <= 180.0, f"{p}.inclination_deg",
-               "inclination must be in [0, 180] degrees")
-        _check(v, sat.swath_km > 0, f"{p}.swath_km", "swath must be positive")
-        _check(v, 0.01 <= sat.gsd_m <= 1e4, f"{p}.gsd_m", "gsd must be in [0.01, 10000] m")
-        _check(v, sat.bands >= 1, f"{p}.bands", "at least one band required")
-        _check(v, sat.bit_depth >= 1, f"{p}.bit_depth", "bit depth must be >= 1")
-        if sat.processor.enabled:
-            # At least one pixel per second, so a pipeline latency stays finite.
-            _check(v, sat.processor.preprocess_rate_mpx_s >= 1e-6,
-                   f"{p}.processor.preprocess_rate_mpx_s",
-                   "preprocess rate must be at least 1e-6 Mpx/s when enabled")
-            _check(v, sat.processor.inference_rate_mpx_s >= 1e-6,
-                   f"{p}.processor.inference_rate_mpx_s",
-                   "inference rate must be at least 1e-6 Mpx/s when enabled")
-
-    seen_ids = set()
-    for i, stn in enumerate(s.stations):
-        p = f"stations[{i}]"
-        _check(v, stn.id not in seen_ids, f"{p}.id", "duplicate identifier")
-        seen_ids.add(stn.id)
-        _check_point(v, stn.location, f"{p}.location")
-        _check(v, 0.0 <= stn.min_elevation_deg < 90.0, f"{p}.min_elevation_deg",
-               "minimum elevation must be in [0, 90) degrees")
-        _check(v, 0 < stn.xband_rate_mbit_s <= 1e6, f"{p}.xband_rate_mbit_s",
-               "X-band rate must be positive and at most 1e6 Mbit/s")
-
-    seen_ids = set()
-    for i, aoi in enumerate(s.aois):
-        p = f"aois[{i}]"
-        _check(v, aoi.id not in seen_ids, f"{p}.id", "duplicate identifier")
-        seen_ids.add(aoi.id)
-        _check_point(v, aoi.center, f"{p}.center")
-        # At least 1 m, so the disc's area does not underflow to 0.
-        _check(v, 1e-3 <= aoi.radius_km <= math.pi * EARTH_RADIUS_KM, f"{p}.radius_km",
-               f"radius must be at least 0.001 km and at most half the Earth's circumference "
-               f"({math.pi * EARTH_RADIUS_KM:.0f} km)")
-
-    a = s.archetype
-    _check(v, a.mmu_ha > 0, "archetype.mmu_ha", "minimum mapping unit must be positive")
-    if a.triggering is Triggering.PERIODIC:
-        # At least 1 s, so a delivery time over the cycle stays finite.
-        _check(v, a.periodic_cycle_s is not None and a.periodic_cycle_s >= 1.0,
-               "archetype.periodic_cycle_s",
-               "periodic triggering requires a periodic cycle of at least 1 s")
-    else:
-        _check(v, a.periodic_cycle_s is None, "archetype.periodic_cycle_s",
-               "periodic cycle is only meaningful for periodic triggering")
-
-    em = s.event_model
-    _check(v, em.rate_per_aoi_per_day >= 0, "event_model.rate_per_aoi_per_day",
-           "event rate must be non-negative")
-    # The event budget is judged against a horizon that passed its own checks.
-    if math.isfinite(em.rate_per_aoi_per_day) and all(x.path != "horizon_s" for x in v):
-        _check(v, em.rate_per_aoi_per_day * len(s.aois) * s.horizon_s / SECONDS_PER_DAY <= MAX_EVENTS,
-               "event_model.rate_per_aoi_per_day",
-               f"rate x AOIs x horizon days must expect at most {MAX_EVENTS} events")
-    # Burn areas exp(mean + sd * z) then stay positive and finite, chips included,
-    # for any normal draw |z| < 100.
-    _check(v, -20.0 <= em.area_log_mean <= 20.0, "event_model.area_log_mean",
-           "log-area mean must be in [-20, 20]")
-    _check(v, 0 < em.area_log_sd <= 5.0, "event_model.area_log_sd",
-           "log-area spread must be in (0, 5]")
-
-    lat = s.latencies
-    _check(v, lat.pdgs_raw_s >= 0, "latencies.pdgs_raw_s", "must be non-negative")
-    _check(v, lat.pdgs_mask_s >= 0, "latencies.pdgs_mask_s", "must be non-negative")
-    _check(v, lat.pdgs_mask_s <= lat.pdgs_raw_s, "latencies.pdgs_mask_s",
-           "mask validation cannot take longer than latencies.pdgs_raw_s")
-
-    _check(v, s.monitoring_delay_s >= 0, "monitoring_delay_s", "must be non-negative")
-
-    cm = s.cloud_model
-    _check(v, 0.0 <= cm.mean_fraction <= 1.0, "cloud_model.mean_fraction",
-           "mean cloud fraction must be in [0, 1]")
-    _check(v, 0.0 <= cm.onboard_threshold <= 1.0, "cloud_model.onboard_threshold",
-           "onboard cloud threshold must be in [0, 1]")
-
-    det = s.detection
-    _check(v, 0.0 < det.accuracy_p <= 1.0, "detection.accuracy_p",
-           "detection probability must be in (0, 1]")
-    _check(v, 1.0 <= det.chip_margin <= 100.0, "detection.chip_margin",
-           "chip margin must be in [1, 100]")
-    _check(v, det.mask_compression >= 1.0, "detection.mask_compression",
-           "mask compression must be >= 1")
-
-    # Every float must be finite; a field its own check already flagged is not
-    # reported twice.
-    flagged = {x.path for x in v}
-    v.extend(Violation(p, "must be finite") for p in _non_finite_paths(s, "") if p not in flagged)
-    return sorted(v, key=lambda x: x.path)
+    """Check every type invariant; returns one violation per flagged field path, sorted by path."""
+    out: dict[str, str] = {}
+    if not (math.isfinite(s.horizon_s) and s.horizon_s > 0):
+        out["horizon_s"] = "horizon must be finite and positive"
+    elif s.horizon_s / DEFAULT_COARSE_STEP_S > MAX_GRID_SAMPLES:
+        out["horizon_s"] = (f"horizon must span at most {MAX_GRID_SAMPLES} samples of "
+                            f"{DEFAULT_COARSE_STEP_S:g} s (about 485 days)")
+    for name, items in (("satellites", s.satellites), ("stations", s.stations), ("aois", s.aois)):
+        if not items:
+            out[name] = "must not be empty"
+        seen: set[str] = set()
+        for i, item in enumerate(items):
+            if item.id in seen:
+                out[f"{name}[{i}].id"] = "duplicate identifier"
+            seen.add(item.id)
+    cycle_given = s.archetype.periodic_cycle_s is not None
+    if (s.archetype.triggering is Triggering.PERIODIC) != cycle_given:
+        out["archetype.periodic_cycle_s"] = ("periodic cycle is only meaningful for periodic triggering"
+                                             if cycle_given else "periodic triggering requires a periodic cycle")
+    _leaf_violations(s, "", out)
+    # A rule across fields is judged only when each of its fields passed its own checks.
+    lat, rate = s.latencies, s.event_model.rate_per_aoi_per_day
+    if not {"latencies.pdgs_raw_s", "latencies.pdgs_mask_s"} & out.keys() and lat.pdgs_mask_s > lat.pdgs_raw_s:
+        out["latencies.pdgs_mask_s"] = "mask validation cannot take longer than latencies.pdgs_raw_s"
+    if (not {"horizon_s", "event_model.rate_per_aoi_per_day"} & out.keys()
+            and rate * len(s.aois) * s.horizon_s / SECONDS_PER_DAY > MAX_EVENTS):
+        out["event_model.rate_per_aoi_per_day"] = (
+            f"rate x AOIs x horizon days must expect at most {MAX_EVENTS} events")
+    return [Violation(path, message) for path, message in sorted(out.items())]

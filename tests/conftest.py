@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import typing
 
 import pytest
 
@@ -92,6 +94,21 @@ def make_scenario(seed=0, horizon=2 * 86400.0, satellites=None, stations=None,
         cloud_model=CloudModel(mean_fraction=cloud_mean, onboard_threshold=cloud_threshold),
         detection=detection or DetectionSpec(),
     )
+
+
+def numeric_fields(record_type=Scenario):
+    """``{"Record.field": field}`` for every int or float field reachable from a scenario record type."""
+    found = {}
+    hints = typing.get_type_hints(record_type)
+    for f in dataclasses.fields(record_type):
+        tp = hints[f.name]
+        if typing.get_origin(tp) in (tuple, typing.Union):
+            tp = typing.get_args(tp)[0]  # the item of a tuple[X, ...], the X of an Optional[X]
+        if dataclasses.is_dataclass(tp):
+            found.update(numeric_fields(tp))
+        elif tp in (int, float):
+            found[f"{record_type.__name__}.{f.name}"] = f
+    return found
 
 
 @pytest.fixture

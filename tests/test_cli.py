@@ -133,6 +133,18 @@ class TestCompare:
         doc = json.loads((out / "compare_report.json").read_text())
         assert "baseline" in doc
 
+    def test_baseline_runs_over_the_scenario_horizon(self, tmp_path):
+        # A scenario file with a 1-day horizon and the preset cut to 1 day by
+        # --duration are the same scenario, so they get the same baseline.
+        path = tmp_path / "day.yaml"
+        save_scenario(get_preset("iride-heo", horizon_s=float(DAY)), path)
+        for name, source in (("file", ["--scenario", str(path)]),
+                             ("preset", ["--preset", "iride-heo", "--duration", DAY])):
+            assert main(["compare", *source, "--baseline", "effis-like",
+                         "--format", "json", "--out", str(tmp_path / name)]) == EXIT_OK
+        assert ((tmp_path / "file" / "compare_report.json").read_bytes()
+                == (tmp_path / "preset" / "compare_report.json").read_bytes())
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path):
@@ -187,7 +199,8 @@ class TestSweep:
         ["--seed", str(MAX_SEED), "--runs", "2"],
         ["--seed", str(MAX_SEED - 2), "--runs", "4"],
         ["--jobs", "0"],
-    ], ids=["last-seed-over", "range-over", "no-jobs"])
+        ["--duration", "-5", "--jobs", "2"],
+    ], ids=["last-seed-over", "range-over", "no-jobs", "bad-duration"])
     def test_bad_range_fails_before_any_run(self, tmp_path, capsys, args):
         out = tmp_path / "out"
         code = main(["sweep", "--preset", "effis-like", "--duration", DAY, "--out", str(out), *args])

@@ -24,7 +24,7 @@ from eochain.model import (
 from eochain.presets import effis_like, iride_heo
 from eochain.scenario_io import scenario_from_dict, scenario_to_dict
 
-from conftest import make_archetype, make_satellite, make_scenario
+from conftest import make_archetype, make_satellite, make_scenario, numeric_fields
 
 
 class TestGeoPoint:
@@ -254,3 +254,77 @@ class TestValidateScenario:
         sat = make_satellite(processor=make_processor(enabled=False, pre=-1.0, inf=-1.0))
         s = make_scenario(satellites=(sat,))
         assert validate_scenario(s) == []
+
+    @pytest.mark.parametrize("raw, mask, path", [
+        (-5.0, 600.0, "latencies.pdgs_raw_s"),
+        (math.nan, 600.0, "latencies.pdgs_raw_s"),
+        (7200.0, math.nan, "latencies.pdgs_mask_s"),
+    ])
+    def test_cross_field_rule_is_judged_only_on_fields_within_bounds(self, raw, mask, path):
+        # pdgs_mask_s <= pdgs_raw_s says nothing when either side already failed its
+        # own interval; the failed field is the one violation.
+        violations = validate_scenario(make_scenario(pdgs_raw=raw, pdgs_mask=mask))
+        assert [v.path for v in violations] == [path]
+
+
+def bounded_leaves(record, keys=()):
+    """(document keys, field) of every field with a declared interval inside a scenario value."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, tuple):
+            for i, item in enumerate(value):
+                yield from bounded_leaves(item, keys + (f.name, i))
+        elif dataclasses.is_dataclass(value):
+            yield from bounded_leaves(value, keys + (f.name,))
+        elif "interval" in f.metadata:
+            yield keys + (f.name,), f
+
+
+class TestDeclaredIntervals:
+    def test_every_number_declares_its_interval(self):
+        fields = numeric_fields()
+        unbounded = {name for name, f in fields.items() if "interval" not in f.metadata}
+        # Angles that wrap, and the horizon, whose two checks are written out by hand.
+        assert unbounded == {"SatelliteSpec.raan_deg", "SatelliteSpec.initial_arg_lat_deg",
+                             "GeoPoint.lon", "Scenario.horizon_s"}
+        # The fields with no finite upper end; each still rejects infinity.
+        no_upper_end = {name for name, f in fields.items()
+                        if "interval" in f.metadata and f.metadata["hi"] == math.inf}
+        assert no_upper_end == {
+            "SatelliteSpec.swath_km", "SatelliteSpec.bands", "SatelliteSpec.bit_depth",
+            "OnboardProcessorSpec.preprocess_rate_mpx_s", "OnboardProcessorSpec.inference_rate_mpx_s",
+            "ServiceArchetype.mmu_ha", "ServiceArchetype.periodic_cycle_s",
+            "EventModel.rate_per_aoi_per_day", "GroundLatencySpec.pdgs_raw_s",
+            "GroundLatencySpec.pdgs_mask_s", "Scenario.monitoring_delay_s", "DetectionSpec.mask_compression",
+        }
+        assert all(fields[name].metadata["ends"][1] == ")" for name in no_upper_end)
+
+    def test_each_end_is_where_the_declaration_puts_it(self):
+        # Periodic, so the cycle is bounded; a mask latency of 0, so the raw one
+        # may go down to its own lower end.
+        base = make_scenario(archetype=make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0),
+                             pdgs_mask=0.0)
+        assert validate_scenario(base) == []
+        doc = scenario_to_dict(base)
+        checked = 0
+        for keys, f in bounded_leaves(base):
+            holder = functools.reduce(operator.getitem, keys[:-1], doc)
+            good = holder[keys[-1]]
+            path = re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, keys)))
+            m = f.metadata
+            for end, outward, is_open in ((m["lo"], -1, m["ends"][0] == "("), (m["hi"], 1, m["ends"][1] == ")")):
+                if math.isinf(end):
+                    # An open end at infinity; an int field cannot hold it.
+                    values = {} if isinstance(good, int) else {end: [path]}
+                elif isinstance(end, int):
+                    values = {end - outward: [], end: [path]} if is_open else {end: [], end + outward: [path]}
+                else:
+                    before, after = (math.nextafter(end, d * math.inf) for d in (-outward, outward))
+                    values = {before: [], end: [path]} if is_open else {end: [], after: [path]}
+                for value, expected in values.items():
+                    holder[keys[-1]] = value
+                    found = [v.path for v in validate_scenario(scenario_from_dict(doc))]
+                    assert found == expected, (path, value)
+                    checked += 1
+            holder[keys[-1]] = good
+        assert checked > 100

@@ -1,12 +1,20 @@
 """The suite's own configuration reports failures instead of crashing on them,
-and the benchmark's tracer still finds every function it wraps."""
+the benchmark's tracer still finds every function it wraps, and the README's
+scenario schema matches the code."""
 
 import importlib.util
+import re
 import subprocess
 import sys
 from pathlib import Path
 
+import yaml
+
 import eochain.cli
+from eochain.model import validate_scenario
+from eochain.scenario_io import scenario_from_dict
+
+from conftest import numeric_fields
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -58,3 +66,15 @@ def test_tracer_finds_every_wrapped_function(tmp_path, monkeypatch):
     summary = tracer.summary()
     assert summary["engine.run.calls"] == 3
     assert summary["metrics.compare_architectures.calls"] == 1
+
+
+def test_readme_schema_validates_and_states_each_declared_interval():
+    readme = (ROOT / "README.md").read_text()
+    block = re.search(r"```yaml\n(schema_version:.*?)```", readme, re.S).group(1)
+    assert validate_scenario(scenario_from_dict(yaml.safe_load(block))) == []
+    declared = {name.split(".")[1]: f.metadata["interval"]
+                for name, f in numeric_fields().items() if "interval" in f.metadata}
+    # A line "key: value  # [lo, hi] ..." states the interval of field ``key``.
+    stated = re.findall(r"^\s*(?:- )?(\w+):[^#\n]*#\s*([\[(][^\])\n]*[\])])", block, re.M)
+    assert stated and all(declared.get(key) == interval for key, interval in stated), stated
+    assert {key for key, _ in stated} == set(declared)
