@@ -26,7 +26,7 @@ import numpy as np
 from . import events as events_mod
 from . import onboard, tasking
 from .downlink import TransferRecord, TransferResult, simulate_transfers
-from .ground import MarketplaceRecord, pdgs_done, pdgs_process
+from .ground import MarketplaceRecord, delivery_time, pdgs_done
 from .model import (
     AcquisitionMode,
     AreaOfInterest,
@@ -483,7 +483,7 @@ def _ground(
         pdgs = pdgs_done(products[pid], done, scenario.latencies)
         if pdgs <= scenario.horizon_s:
             pdgs_times[pid] = pdgs
-        delivered = pdgs_process(products[pid], done, scenario.latencies, scenario.archetype)
+        delivered = delivery_time(pdgs, scenario.archetype)
         if delivered <= scenario.horizon_s:
             marketplace.append(MarketplaceRecord(pid, products[pid].event_ids, delivered))
     marketplace.sort(key=lambda r: (r.delivered, r.product_id))

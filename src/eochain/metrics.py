@@ -12,6 +12,7 @@ import csv
 import functools
 import json
 import math
+from itertools import repeat
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional, Sequence
@@ -29,20 +30,10 @@ class StreamIsolationError(RuntimeError):
     """Raised when an A/B comparison detects diverging common random numbers."""
 
 
-def _round_sig(x: float, digits: int = 6) -> float:
+def _round_sig(x: float) -> float:
     if x == 0 or not math.isfinite(x):
         return x
-    return float(f"{x:.{digits}g}")
-
-
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, bool):
-        return "true" if x else "false"
-    if isinstance(x, float):
-        return f"{x:.6g}"
-    return str(x)
+    return float(f"{x:.6g}")
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -123,8 +114,10 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
     never = 0
     detectable_ids = {e.id for e in trace.fire_events if is_detectable(e.area_ha, mmu_ha)}
     detected_ids = set().union(*trace.detections.values())
+    first_delivery = trace.first_delivery_by_event
     for e in trace.fire_events:
-        ttfi = time_to_first_info(trace, e.id)
+        first = first_delivery.get(e.id)
+        ttfi = None if first is None else first[0] - e.start
         if ttfi is None:
             never += 1
         else:
@@ -136,7 +129,7 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
                 "area_ha": _round_sig(e.area_ha),
                 "detectable": e.id in detectable_ids,
                 "ttfi_s": None if ttfi is None else _round_sig(ttfi),
-                "first_product_id": first_info_product(trace, e.id),
+                "first_product_id": None if first is None else first[1],
             }
         )
 
@@ -146,21 +139,24 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
     delivered_by_kind = {k.value: 0 for k in ProductKind}
     for r in trace.transfer_records:
         transferred_by_kind[trace.products[r.product_id].kind.value] += r.bits_moved
+    delivered_by_product = trace.delivered_by_product
     for pid in sorted(trace.products):
         p = trace.products[pid]
+        scene = trace.scenes[p.scene_id]
         downlinked = trace.downlink_completions.get(pid)
-        delivered = trace.delivered_by_product.get(pid)
-        e2e = end_to_end_latency(trace, pid)
+        delivered = delivered_by_product.get(pid)
+        e2e = None if delivered is None else delivered - scene.acquired
         if e2e is not None:
             e2e_values.append(e2e)
+        kind = p.kind.value
         if downlinked is not None:
-            delivered_by_kind[p.kind.value] += p.volume_bits
+            delivered_by_kind[kind] += p.volume_bits
         per_product.append(
             {
                 "id": pid,
-                "kind": p.kind.value,
+                "kind": kind,
                 "scene_id": p.scene_id,
-                "satellite_id": trace.scenes[p.scene_id].satellite_id,
+                "satellite_id": scene.satellite_id,
                 "volume_bits": p.volume_bits,
                 "created_s": _round_sig(p.created),
                 "downlinked_s": None if downlinked is None else _round_sig(downlinked),
@@ -205,16 +201,6 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
         per_product=tuple(per_product),
         summary=summary,
     )
-
-
-def service_report_csv_rows(report: ServiceReport) -> list[dict]:
-    """One row per event, per product and for the summary; the CSV writer
-    keeps the keys named in ``SERVICE_CSV_FIELDS``."""
-    return [
-        *({"record_type": "event", **e} for e in report.per_event),
-        *({"record_type": "product", **p} for p in report.per_product),
-        {"record_type": "summary", **report.summary},
-    ]
 
 
 @dataclass(frozen=True)
@@ -339,24 +325,40 @@ def compare_architectures(
     )
 
 
-def comparison_report_csv_rows(report: ComparisonReport) -> list[dict]:
-    """One row per event and one for the summary; the CSV writer keeps the
-    keys named in ``COMPARISON_CSV_FIELDS``."""
-    return [
-        *({"record_type": "event", **e} for e in report.per_event),
-        {"record_type": "summary", **report.summary},
-    ]
-
-
 @functools.cache
 def _json_encoder(depth: int) -> json.JSONEncoder:
     """C encoder for a container at ``depth``: its item separator carries the indent."""
     return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
 
 
+_SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
+_BLOCK_ROWS = 256
+
+
+def _is_table(value) -> bool:
+    """A list of non-empty dicts whose values are all scalars."""
+    return isinstance(value, (list, tuple)) and all(
+        type(row) is dict and row and _SCALAR_TYPES.issuperset(map(type, row.values())) for row in value
+    )
+
+
+def _table_json(rows, depth: int) -> str:
+    """Body of ``_indented_json(rows, depth)`` for a table: one encoder call per
+    block of rows.  In a block, ``},`` and a newline mark a row boundary and
+    nothing else, since JSON escapes every newline inside a string."""
+    outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
+    boundary, row_sep = "}," + inner + "{", outer + "}," + outer + "{" + inner
+    encode = _json_encoder(depth + 1).encode
+    return ("," + outer).join(
+        "{" + inner + encode(rows[i:i + _BLOCK_ROWS])[2:-2].replace(boundary, row_sep) + outer + "}"
+        for i in range(0, len(rows), _BLOCK_ROWS)
+    )
+
+
 def _indented_json(value, depth: int = 0) -> str:
     """``json.dumps(value, indent=2)`` for str keys, but each container of
-    scalars is one call of the C encoder, which ``indent`` would bypass."""
+    scalars, and each block of rows of a table, is one call of the C encoder,
+    which ``indent`` would bypass."""
     if not (value and isinstance(value, (dict, list, tuple))):
         return _json_encoder(depth).encode(value)
     is_dict = isinstance(value, dict)
@@ -366,6 +368,8 @@ def _indented_json(value, depth: int = 0) -> str:
     elif is_dict:
         key = _json_encoder(depth).encode
         body = sep.join(f"{key(k)}: {_indented_json(v, depth + 1)}" for k, v in value.items())
+    elif _is_table(value):
+        body = _table_json(value, depth)
     else:
         body = sep.join(_indented_json(v, depth + 1) for v in value)
     opening, closing = "{}" if is_dict else "[]"
@@ -373,26 +377,43 @@ def _indented_json(value, depth: int = 0) -> str:
 
 
 def write_json_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:
+    """``_indented_json`` of the report, written one top-level member at a time."""
     path = Path(path)
-    path.write_text(_indented_json(report.to_dict()) + "\n")
+    key = _json_encoder(0).encode
+    with open(path, "w") as f:
+        opening = "{\n  "
+        for k, v in report.to_dict().items():
+            f.write(f"{opening}{key(k)}: {_indented_json(v, 1)}")
+            opening = ",\n  "
+        f.write("\n}\n")
     return path
+
+
+# CSV cell of each type of value a report row holds.
+_CSV_CELL = {type(None): lambda x: "", bool: lambda x: "true" if x else "false",
+             int: str, float: lambda x: f"{x:.6g}", str: str}
+
+
+def _csv_table(record_type: str, rows: Sequence[dict], fields: list[str]):
+    """CSV rows of a table of dicts that share their keys: ``record_type``, then
+    one column per further field, empty where the dicts lack it."""
+    columns = [
+        [_CSV_CELL[type(v)](v) for v in [row[k] for row in rows]] if rows and k in rows[0] else repeat("")
+        for k in fields[1:]
+    ]
+    return zip(repeat(record_type, len(rows)), *columns)
 
 
 def write_csv_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:
+    """One ``event`` row per event, one ``product`` row per product of a run report, one ``summary`` row."""
     path = Path(path)
     if isinstance(report, ComparisonReport):
-        fields, rows = COMPARISON_CSV_FIELDS, comparison_report_csv_rows(report)
+        fields, tables = COMPARISON_CSV_FIELDS, [("event", report.per_event)]
     else:
-        fields, rows = SERVICE_CSV_FIELDS, service_report_csv_rows(report)
+        fields, tables = SERVICE_CSV_FIELDS, [("event", report.per_event), ("product", report.per_product)]
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(fields)
-        column = {field: i for i, field in enumerate(fields)}
-        for row in rows:
-            cells = [""] * len(fields)  # _fmt(None), for the fields a row lacks
-            for key, value in row.items():
-                if key in column:
-                    cells[column[key]] = _fmt(value)
-            w.writerow(cells)
+        for record_type, rows in [*tables, ("summary", [report.summary])]:
+            w.writerows(_csv_table(record_type, rows, fields))
     return path
-

@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from eochain.engine import _ground
-from eochain.ground import pdgs_process, write_marketplace_dump
+from eochain.ground import MarketplaceRecord, pdgs_process, write_marketplace_dump
 from eochain.model import (
     DataProduct,
     GroundLatencySpec,
@@ -94,3 +96,23 @@ class TestMarketplace:
         write_marketplace_dump(path_b, records)
         assert path_a.read_bytes() == path_b.read_bytes()
         assert len(path_a.read_text().splitlines()) == 2
+
+    # Ids holding the pieces of a record boundary, quotes and newlines.
+    ODD = ['}, {"', "x}, {", '"', "\n", '}, {"delivered_s": ', "é"]
+
+    @pytest.mark.parametrize("n", [0, 1, 255, 256, 257])
+    def test_dump_equals_one_json_dumps_per_record(self, tmp_path, n):
+        odd = self.ODD
+        records = [
+            MarketplaceRecord(f"p{i}{odd[i % len(odd)]}",
+                              frozenset({"ev", f"e{i}{odd[(i + 1) % len(odd)]}"}), 1000.0 + i / 7)
+            for i in range(n)
+        ]
+        path = tmp_path / "m.jsonl"
+        write_marketplace_dump(path, records)
+        expected = "".join(
+            json.dumps({"product_id": r.product_id, "event_ids": sorted(r.event_ids),
+                        "delivered_s": round(r.delivered, 3)}, sort_keys=True) + "\n"
+            for r in records
+        )
+        assert path.read_bytes() == expected.encode()

@@ -1,6 +1,8 @@
+import csv
 import dataclasses
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +22,13 @@ from eochain.metrics import (
     write_json_report,
 )
 from eochain.model import FireEvent, GeoPoint
+from eochain.presets import get_preset
+from eochain.scenario_io import load_scenario
 
 from conftest import make_scenario
 
 EVENT = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
+STRESS = Path(__file__).resolve().parents[1] / "scenarios" / "iride_heo_stress.yaml"
 
 
 @pytest.fixture(scope="module")
@@ -130,11 +135,107 @@ JSON_VALUES = st.recursive(
 )
 
 
+# Text that holds the pieces of a row boundary, so a writer that splits an
+# encoded block of rows inside a string shows.
+TABLE_TEXT = st.text(max_size=8) | st.sampled_from(
+    ['"},\n    {"', '}, {"', "\n", " ", "\\", "é€\u2028", "},\n", "x}, {", "},", "{"]
+)
+TABLE_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | TABLE_TEXT
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 2**70, -(2**70)])
+)
+FLAT_ROW = st.dictionaries(TABLE_TEXT, TABLE_SCALARS, min_size=1, max_size=5)
+# Up to 600 rows, so tables cross one and two block boundaries of 256 rows.
+TABLE_LENGTH = st.integers(0, 600) | st.sampled_from([1, 255, 256, 257, 511, 512, 513])
+
+
+def placed(table, depth, in_dict):
+    """``table`` nested ``depth`` lists deep, optionally as a member of a dict."""
+    for _ in range(depth):
+        table = [table, 1]
+    return {"before": [], "rows": table, "after": 1.5} if in_dict else table
+
+
 class TestJsonWriter:
     @settings(max_examples=150, deadline=None)
     @given(value=JSON_VALUES)
     def test_equals_json_dumps_with_indent(self, value):
         assert _indented_json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(FLAT_ROW, min_size=1, max_size=6), n=TABLE_LENGTH,
+           depth=st.integers(0, 2), in_dict=st.booleans())
+    def test_table_equals_json_dumps_with_indent(self, rows, n, depth, in_dict):
+        table = [rows[i % len(rows)] for i in range(n)]
+        assert metrics._is_table(table)
+        value = placed(table, depth, in_dict)
+        assert _indented_json(value) == json.dumps(value, indent=2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=st.lists(FLAT_ROW, min_size=1, max_size=6), n=st.integers(1, 600),
+           odd=st.sampled_from([{}, {"a": {"b": 1}}, {"a": {}}, {"a": []}, {"a": [1, "x"]}]),
+           at=st.floats(0.0, 1.0), depth=st.integers(0, 2), in_dict=st.booleans())
+    def test_list_with_one_nested_or_empty_dict_takes_general_path(self, rows, n, odd, at, depth, in_dict):
+        table = [rows[i % len(rows)] for i in range(n)]
+        table.insert(int(at * n), odd)
+        assert not metrics._is_table(table)
+        value = placed(table, depth, in_dict)
+        assert _indented_json(value) == json.dumps(value, indent=2)
+
+
+def _fmt(x) -> str:
+    if x is None:
+        return ""
+    if isinstance(x, bool):
+        return "true" if x else "false"
+    if isinstance(x, float):
+        return f"{x:.6g}"
+    return str(x)
+
+
+def reference_csv(report, path):
+    """The CSV writer as it was, one row and one ``_fmt`` call per cell at a time."""
+    if isinstance(report, metrics.ComparisonReport):
+        fields = metrics.COMPARISON_CSV_FIELDS
+        rows = [*({"record_type": "event", **e} for e in report.per_event),
+                {"record_type": "summary", **report.summary}]
+    else:
+        fields = metrics.SERVICE_CSV_FIELDS
+        rows = [*({"record_type": "event", **e} for e in report.per_event),
+                *({"record_type": "product", **p} for p in report.per_product),
+                {"record_type": "summary", **report.summary}]
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(fields)
+        column = {field: i for i, field in enumerate(fields)}
+        for row in rows:
+            cells = [""] * len(fields)
+            for key, value in row.items():
+                if key in column:
+                    cells[column[key]] = _fmt(value)
+            w.writerow(cells)
+
+
+def _run_report(scenario):
+    return build_service_report(run(scenario), scenario.archetype.mmu_ha)
+
+
+CSV_REPORTS = {
+    "stress": lambda: _run_report(load_scenario(STRESS)),
+    "iride-heo": lambda: _run_report(get_preset("iride-heo")),
+    "effis-like": lambda: _run_report(get_preset("effis-like")),
+    "compare": lambda: compare_architectures(get_preset("iride-heo"), baseline_scenario=get_preset("effis-like")),
+}
+
+
+class TestCsvWriter:
+    @pytest.mark.parametrize("name", sorted(CSV_REPORTS))
+    def test_equals_row_at_a_time_writer(self, name, tmp_path):
+        report = CSV_REPORTS[name]()
+        assert report.per_event
+        reference_csv(report, tmp_path / "reference.csv")
+        write_csv_report(report, tmp_path / "table.csv")
+        assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 @pytest.fixture(scope="module")
