@@ -117,11 +117,18 @@ def _write_plan_dump(trace: engine.SimulationTrace, path: Path) -> None:
 
 
 def _write_transfer_log(trace: engine.SimulationTrace, path: Path) -> None:
+    """One row per transfer record, built column by column and written in one call."""
+    records = trace.transfer_records
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["product_id", "station_id", "start_s", "end_s", "bits"])
-        for r in trace.transfer_records:
-            w.writerow([r.product_id, r.station_id, f"{r.start:.3f}", f"{r.end:.3f}", r.bits_moved])
+        w.writerows(zip(
+            [r.product_id for r in records],
+            [r.station_id for r in records],
+            [f"{r.start:.3f}" for r in records],
+            [f"{r.end:.3f}" for r in records],
+            [r.bits_moved for r in records],
+        ))
 
 
 def _emit(report, out: Path, stem: str, fmt: str) -> list[Path]:

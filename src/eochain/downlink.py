@@ -37,7 +37,7 @@ class TransferRecord:
     bits_moved: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LinkInterval:
     """Exclusive use of one station's window by the satellite's transmitter."""
 
@@ -71,6 +71,15 @@ def exclusive_link_intervals(windows_by_station: Mapping[str, Sequence[Window]])
             out.append(LinkInterval(usable_start, end, stn_id))
             busy_until = end
     return out
+
+
+def link_schedule(contact_table: Mapping[tuple[str, str], Sequence[Window]]) -> dict[str, tuple[LinkInterval, ...]]:
+    """Each satellite's ``exclusive_link_intervals`` over its contact windows,
+    from a table keyed by (satellite id, station id)."""
+    by_satellite: dict[str, dict[str, Sequence[Window]]] = {}
+    for (sat_id, stn_id), windows in contact_table.items():
+        by_satellite.setdefault(sat_id, {})[stn_id] = windows
+    return {sat_id: tuple(exclusive_link_intervals(windows)) for sat_id, windows in by_satellite.items()}
 
 
 def _drain_interval(
@@ -116,26 +125,23 @@ def _drain_interval(
 
 def simulate_transfers(
     queues: Mapping[str, Sequence[DataProduct]],
-    contact_table: Mapping[tuple[str, str], Sequence[Window]],
+    links: Mapping[str, Sequence[LinkInterval]],
     rates_mbit_s: Mapping[str, float],
 ) -> TransferResult:
-    """Run every satellite's queue through its contact windows.
+    """Run every satellite's queue through its link schedule.
 
     ``queues`` maps each satellite to the products it stores, in any order;
-    product ids must be unique within a satellite.  Products become eligible
-    at their creation time; within a window the eligible queue minimum, by
-    (kind priority, creation time, id), drains non-preemptively until it
-    completes or the window closes.  Bit accounting is exact: partial
-    progress persists across windows and a product completes precisely when
-    its whole volume has moved.
+    product ids must be unique within a satellite.  ``links`` maps each
+    satellite to its ``link_schedule``; a satellite without one never
+    transmits.  Products become eligible at their creation time; within an
+    interval the eligible queue minimum, by (kind priority, creation time,
+    id), drains non-preemptively until it completes or the interval closes.
+    Bit accounting is exact: partial progress persists across intervals and
+    a product completes precisely when its whole volume has moved.
     """
     records: list[TransferRecord] = []
     completions: dict[str, float] = {}
     for sat_id in sorted(queues):
-        windows_by_station: dict[str, Sequence[Window]] = {
-            stn_id: ws for (s, stn_id), ws in contact_table.items() if s == sat_id
-        }
-        intervals = exclusive_link_intervals(windows_by_station)
         ordered = sorted(queues[sat_id], key=_queue_key)
         products = {p.id: p for p in ordered}
         if len(products) < len(ordered):
@@ -146,7 +152,10 @@ def simulate_transfers(
         ]
         heapq.heapify(arrivals)
         ready: list[tuple[int, float, str]] = []
-        for interval in intervals:
+        for interval in links.get(sat_id, ()):
+            # An interval with no product pending or ready moves nothing.
+            if not (arrivals or ready):
+                break
             rate_bps = rates_mbit_s[interval.station_id] * 1e6
             _drain_interval(interval, rate_bps, arrivals, ready, products, moved, records, completions)
     records.sort(key=lambda r: (r.start, r.end, r.product_id))

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import events as events_mod
 from . import onboard, tasking
-from .downlink import TransferRecord, TransferResult, simulate_transfers
+from .downlink import LinkInterval, TransferRecord, TransferResult, link_schedule, simulate_transfers
 from .ground import MarketplaceRecord, delivery_time, pdgs_done
 from .model import (
     AcquisitionMode,
@@ -41,7 +41,7 @@ from .model import (
     validate_scenario,
 )
 from .onboard import Scene
-from .orbit import Window, satellite_windows
+from .orbit import Window, constellation_windows
 from .tasking import ObservationRequest, TaskingPlan
 
 WindowTable = Mapping[tuple[str, str], tuple[Window, ...]]
@@ -337,45 +337,73 @@ def _ground_truth(
     return fire_events, members, home, dropped, detection_times
 
 
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """The window tables of one geometry, and what runs derive from them
+    alone, each built on first use and shared read-only by every run of the
+    geometry: each satellite's exclusive link schedule, the systematic
+    acquisition order and the planner's index."""
+
+    satellites: tuple[SatelliteSpec, ...]
+    stations: tuple[GroundStationSpec, ...]
+    tables: tuple[WindowTable, WindowTable]
+
+    @functools.cached_property
+    def links(self) -> Mapping[str, tuple[LinkInterval, ...]]:
+        return MappingProxyType(link_schedule(self.tables[0]))
+
+    @functools.cached_property
+    def systematic(self) -> tuple[tuple[str, str, Window], ...]:
+        return tuple(tasking.periodic_acquisitions(self.tables[1]))
+
+    @functools.cached_property
+    def opportunities(self) -> tasking.Opportunities:
+        return tasking.opportunities(self.satellites, self.stations, *self.tables)
+
+
 def geometry_tables(scenario: Scenario) -> tuple[WindowTable, WindowTable]:
     """Contact windows per (satellite, station) and access windows per (satellite, AOI).
 
-    This is the only place the tables are computed; planner, acquisitions
-    and downlink all read them.  They depend on the geometry alone, not on
-    the seed or the archetype, so runs that share satellites, stations,
-    AOIs and horizon share one read-only pair of tables.
+    The tables are computed only here, in one ``Geometry``, from which
+    planner, acquisitions and downlink read.  They depend on the geometry
+    alone, not on the seed or the archetype, so runs that share satellites,
+    stations, AOIs and horizon share one read-only pair of tables.
     """
-    return _geometry_tables(scenario.satellites, scenario.stations, scenario.aois, scenario.horizon_s)
+    return _geometry(scenario).tables
+
+
+def _geometry(scenario: Scenario) -> Geometry:
+    return _cached_geometry(scenario.satellites, scenario.stations, scenario.aois, scenario.horizon_s)
 
 
 # A compare holds two geometries (the preset and its baseline); a few more
 # slots keep interleaved callers from evicting each other.
 @functools.lru_cache(maxsize=4)
-def _geometry_tables(
+def _cached_geometry(
     satellites: tuple[SatelliteSpec, ...],
     stations: tuple[GroundStationSpec, ...],
     aois: tuple[AreaOfInterest, ...],
     horizon_s: float,
-) -> tuple[WindowTable, WindowTable]:
-    horizon = (0.0, horizon_s)
+) -> Geometry:
     contact_table: dict[tuple[str, str], tuple[Window, ...]] = {}
     access_table: dict[tuple[str, str], tuple[Window, ...]] = {}
-    # One search per satellite finds all its windows; each table keeps its
-    # (satellite, target) key order.
-    for sat in satellites:
-        contacts, accesses = satellite_windows(sat, stations, aois, horizon)
+    # One search of the whole constellation finds every window; each table
+    # keeps its (satellite, target) key order.
+    for sat, (contacts, accesses) in zip(
+        satellites, constellation_windows(satellites, stations, aois, (0.0, horizon_s))
+    ):
         for stn, windows in zip(stations, contacts):
             contact_table[sat.id, stn.id] = tuple(windows)
         for aoi, windows in zip(aois, accesses):
             access_table[sat.id, aoi.id] = tuple(windows)
-    return MappingProxyType(contact_table), MappingProxyType(access_table)
+    return Geometry(satellites, stations, (MappingProxyType(contact_table), MappingProxyType(access_table)))
 
 
 def _acquisitions(
     scenario: Scenario,
     requests: Sequence[ObservationRequest],
     plan: TaskingPlan,
-    access_table: WindowTable,
+    geometry: Geometry,
 ) -> list[tuple[str, str, Window, bool]]:
     """Every acquisition as (satellite id, AOI id, window, triggered), in
     (start, satellite, AOI) order.  Systematic imaging covers every access
@@ -389,7 +417,7 @@ def _acquisitions(
     triggered = {(a.satellite_id, aoi_of_request[a.request_id], a.window.start) for a in plan.assignments}
     return [
         (sat_id, aoi_id, window, (sat_id, aoi_id, window.start) in triggered)
-        for sat_id, aoi_id, window in tasking.periodic_acquisitions(scenario.archetype, access_table)
+        for sat_id, aoi_id, window in geometry.systematic
     ]
 
 
@@ -459,7 +487,7 @@ def _downlink(
     scenario: Scenario,
     scenes: Mapping[str, Scene],
     products: Mapping[str, DataProduct],
-    contact_table: WindowTable,
+    links: Mapping[str, Sequence[LinkInterval]],
 ) -> TransferResult:
     """Store-and-forward downlink of every product created inside the horizon."""
     queues: dict[str, list[DataProduct]] = {sat.id: [] for sat in scenario.satellites}
@@ -467,7 +495,7 @@ def _downlink(
         if p.created <= scenario.horizon_s:
             queues[scenes[p.scene_id].satellite_id].append(p)
     rates = {stn.id: stn.xband_rate_mbit_s for stn in scenario.stations}
-    return simulate_transfers(queues, contact_table, rates)
+    return simulate_transfers(queues, links, rates)
 
 
 def _ground(
@@ -504,14 +532,12 @@ def run(
     """Execute the full service chain and return the complete trace."""
     require_valid(scenario)
     fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
-    contact_table, access_table = geometry_tables(scenario)
+    geometry = _geometry(scenario)
     requests = tasking.build_requests(fire_events, home, detection_times, scenario.archetype)
-    plan = tasking.plan(
-        requests, scenario.satellites, scenario.stations, contact_table, access_table
-    )
-    acquisitions = _acquisitions(scenario, requests, plan, access_table)
+    plan = tasking.plan(requests, geometry.opportunities)
+    acquisitions = _acquisitions(scenario, requests, plan, geometry)
     scenes, detections, products = _process_scenes(scenario, acquisitions, fire_events, members)
-    transfers = _downlink(scenario, scenes, products, contact_table)
+    transfers = _downlink(scenario, scenes, products, geometry.links)
     completions = transfers.completion_times
     pdgs_times, marketplace = _ground(scenario, products, completions)
     return SimulationTrace(

@@ -3,8 +3,9 @@
 Propagation is closed-form: a satellite moves on a circle of radius
 R + h at constant angular rate while the Earth rotates underneath it.
 Visibility windows (station contacts and AOI access) are found by coarse
-sampling followed by bisection of the boundary crossings, in one search
-per satellite over all of its stations and AOIs.
+sampling followed by bisection of the boundary crossings: each satellite
+samples its own track for all of its stations and AOIs, and the crossings
+of the whole constellation are bisected together.
 
 A target is visible while the central angle psi between the subsatellite
 point and the target is at most a limit: reach / R for access, and for a
@@ -19,11 +20,15 @@ a target's limit than psi can travel to its farthest sample holds no window
 of that target, and its samples are not tested (after Alfano, Negron &
 Moore, "Rapid Determination of Satellite Visibility Periods", J. Astronaut.
 Sci. 40(2), 1992).  The track is then computed once on the union of the
-samples the targets evaluate, and each target is tested on its own samples;
-every bisection step evaluates the track once for the crossings of all
-targets.  Every sample and midpoint is evaluated exactly as on the full
-grid, so the windows are the ones the full grid gives, whatever other
-targets share the search.  No track is kept between searches;
+samples the targets evaluate, and each target is tested on its own samples.
+Every bisection step evaluates the track once for the crossings of every
+satellite and target: each crossing carries its satellite's elements, and
+``_ground_track`` is the one track formula, for one satellite's elements or
+for one per time.  So a search takes two track calls per satellite and
+about seven per constellation, one per halving of a 10 s bracket to 0.1 s.
+Every sample and midpoint is evaluated exactly as on the full grid, so the
+windows are the ones the full grid gives, whatever other targets and
+satellites share the search.  No track is kept between searches;
 ``engine.geometry_tables`` reuses whole tables across seeds and A/B arms.
 """
 
@@ -77,17 +82,36 @@ def orbital_period(altitude_km: float) -> float:
     return 2.0 * math.pi * math.sqrt(a_m**3 / MU_EARTH_M3_S2)
 
 
-def subsatellite_track(sat: SatelliteSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-track latitude/longitude in degrees for an array of times."""
-    period = orbital_period(sat.altitude_km)
-    u = math.radians(sat.initial_arg_lat_deg) + 2.0 * math.pi * np.asarray(t, dtype=float) / period
+OrbitElements = tuple[FloatOrArray, FloatOrArray, FloatOrArray, FloatOrArray, FloatOrArray]
+
+
+def _elements(sat: SatelliteSpec) -> OrbitElements:
+    """What the ground track needs of a satellite: its period (s), the argument
+    of latitude at t = 0 and the RAAN in radians, and the sine and cosine of
+    its inclination."""
     inc = math.radians(sat.inclination_deg)
+    return (orbital_period(sat.altitude_km), math.radians(sat.initial_arg_lat_deg), math.sin(inc),
+            math.cos(inc), math.radians(sat.raan_deg))
+
+
+def _ground_track(elements: OrbitElements, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-track latitude/longitude in degrees at times ``t``, for one
+    satellite's elements or for one satellite's elements per time: every
+    element-wise operation is the same either way."""
+    period, u0, sin_inc, cos_inc, raan = elements
+    t = np.asarray(t, dtype=float)
+    u = u0 + 2.0 * math.pi * t / period
     sin_u = np.sin(u)
-    lat = np.arcsin(np.clip(math.sin(inc) * sin_u, -1.0, 1.0))
-    lon_inertial = math.radians(sat.raan_deg) + np.arctan2(math.cos(inc) * sin_u, np.cos(u))
-    lon = lon_inertial - EARTH_ROTATION_RAD_S * np.asarray(t, dtype=float)
+    lat = np.arcsin(np.clip(sin_inc * sin_u, -1.0, 1.0))
+    lon_inertial = raan + np.arctan2(cos_inc * sin_u, np.cos(u))
+    lon = lon_inertial - EARTH_ROTATION_RAD_S * t
     lon = (np.degrees(lon) + 180.0) % 360.0 - 180.0
     return np.degrees(lat), lon
+
+
+def subsatellite_track(sat: SatelliteSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-track latitude/longitude in degrees for an array of times."""
+    return _ground_track(_elements(sat), t)
 
 
 def subsatellite_point(sat: SatelliteSpec, t: float) -> GeoPoint:
@@ -190,37 +214,32 @@ def _evaluated(unproven: np.ndarray, size: int) -> np.ndarray:
     return evaluated
 
 
-def _find_windows(
-    sat: SatelliteSpec, targets: Sequence[tuple[tuple[float, float, float], float]], t0: float, t1: float,
+def _scan(
+    elements: OrbitElements, targets: Sequence[tuple[tuple[float, float, float], float]], t0: float, t1: float,
     coarse_step: float,
-) -> list[list[tuple[float, float]]]:
-    """For each target, the maximal (start, end) intervals where it is
-    visible.  A target is (angles from ``_target_angles``, limit), and it is
-    visible while psi is at most its limit.
+) -> tuple[list[tuple[list[float], list[float]]], list[int], np.ndarray, np.ndarray, np.ndarray]:
+    """One satellite's search on its coarse samples, over targets given as
+    (angles from ``_target_angles``, limit), each visible while psi is at
+    most its limit.  For each target, the horizon ends that open or close a
+    window (t0 when its first sample is visible, t1 when its last one is)
+    and its number of visibility changes; then every change of every
+    target, in target order, as a bracket (lo, hi) of neighbouring
+    evaluated samples with the visibility at lo.
 
-    A run of visible coarse samples is a window; its edges are the horizon
-    ends or the refined visibility changes next to the run.  Blocks proven
-    to hold no visible sample for a target are skipped for it: this changes
-    no window.  The track is computed once on the samples some target
-    evaluates, and once per bisection step for all targets' crossings
-    together; each target reads only its own samples, so its windows do not
-    depend on the others.
+    Blocks proven to hold no visible sample for a target are skipped for it:
+    this changes no bracket.  The track is computed once on the samples some
+    target evaluates; each target reads only its own samples, so its
+    brackets do not depend on the others.
     """
-    if t0 >= t1:
-        raise ValidationError("horizon must satisfy t0 < t1")
-    if coarse_step <= 0:
-        raise ValidationError("coarse step must be positive")
-    if not targets:
-        return []
     grid = _coarse_grid(t0, t1, coarse_step)
     first = grid[::BLOCK]
     last = grid[np.minimum(np.arange(1, first.size + 1) * BLOCK, grid.size) - 1]
     half = 0.5 * (last - first)
-    centres = _track_angles(*subsatellite_track(sat, 0.5 * (first + last)))
+    centres = _track_angles(*_ground_track(elements, 0.5 * (first + last)))
 
     # A block is proven empty when psi at its centre exceeds the limit by more
     # than psi can change on the way to the block's farthest sample.
-    rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
+    rate = 2.0 * math.pi / elements[0] + EARTH_ROTATION_RAD_S
     travel = rate * half + PROOF_SLACK_RAD
     unproven = [~(_central_angle(centres, angles) - limit > travel) for angles, limit in targets]
     # The evaluated samples of the union of the unproven blocks are the union
@@ -230,9 +249,9 @@ def _find_windows(
     evaluated = _evaluated(np.logical_or.reduce(unproven), size)
     times = grid[evaluated]
     del grid, first, last
-    track = _track_angles(*subsatellite_track(sat, times))
+    track = _track_angles(*_ground_track(elements, times))
 
-    runs, lo, hi, lo_inside = [], [], [], []
+    ends, counts, lo, hi, lo_inside = [], [], [], [], []
     for (angles, limit), blocks in zip(targets, unproven):
         own = np.flatnonzero(_evaluated(blocks, size)[evaluated])
         t = times[own]
@@ -242,26 +261,72 @@ def _find_windows(
         lo.append(t[change])
         hi.append(t[change + 1])
         lo_inside.append(inside[change])
-        # t0 when the first sample is inside, t1 when the last one is.
-        runs.append((t[:1][inside[:1]], t[-1:][inside[-1:]]))
-    # Only per-crossing arrays are needed from here on.
-    del evaluated, times, track
+        counts.append(change.size)
+        ends.append((t[:1][inside[:1]].tolist(), t[-1:][inside[-1:]].tolist()))
+    return ends, counts, np.concatenate(lo), np.concatenate(hi), np.concatenate(lo_inside)
 
-    # Every target's crossings in one bisection: each crossing carries its
-    # target's angles and limit.
-    counts = [c.size for c in lo]
-    *angles_x, limit_x = np.repeat(np.array([(*angles, limit) for angles, limit in targets]), counts, axis=0).T
+
+def constellation_windows(
+    satellites: Sequence[SatelliteSpec],
+    stations: Sequence[GroundStationSpec],
+    aois: Sequence[AreaOfInterest],
+    horizon: tuple[float, float],
+    coarse_step: float = DEFAULT_COARSE_STEP_S,
+) -> list[tuple[list[list[Window]], list[list[Window]]]]:
+    """For each satellite, the contact windows of each station and the access
+    windows of each AOI, in their order, from one search of the whole
+    constellation.  Each list is what ``contact_windows`` or
+    ``access_windows`` gives for that satellite and target alone.
+
+    A station is visible while psi is at most ``_contact_limit`` of its mask,
+    an AOI while psi is at most its reach over R.  A run of visible coarse
+    samples is a window; its edges are the horizon ends or the refined
+    visibility changes next to the run.  Each satellite is scanned on its
+    own samples, and no grid outlives its scan.  Then the crossings of every
+    satellite and target are bisected together, each one carrying its
+    satellite's elements and its target's angles and limit, so the track is
+    evaluated once per bisection step for the whole constellation and every
+    crossing follows the midpoints it would follow alone.
+    """
+    t0, t1 = horizon
+    if t0 >= t1:
+        raise ValidationError("horizon must satisfy t0 < t1")
+    if coarse_step <= 0:
+        raise ValidationError("coarse step must be positive")
+    if not (satellites and (stations or aois)):
+        return [([], []) for _ in satellites]
+    ends, counts, rows, brackets = [], [], [], []
+    for sat in satellites:
+        elements = _elements(sat)
+        targets = [
+            (_target_angles(s.location.lat, s.location.lon), _contact_limit(sat.altitude_km, s.min_elevation_deg))
+            for s in stations
+        ] + [
+            (_target_angles(a.center.lat, a.center.lon), (sat.swath_km / 2.0 + a.radius_km) / EARTH_RADIUS_KM)
+            for a in aois
+        ]
+        sat_ends, sat_counts, *sat_brackets = _scan(elements, targets, t0, t1, coarse_step)
+        ends += sat_ends
+        counts += sat_counts
+        brackets.append(sat_brackets)
+        rows += [(*elements, *angles, limit) for angles, limit in targets]
+    lo, hi, lo_inside = (np.concatenate(b) for b in zip(*brackets))
+    del brackets
+    period, u0, sin_inc, cos_inc, raan, *angles_x, limit_x = np.repeat(np.array(rows), counts, axis=0).T
+    elements_x = (period, u0, sin_inc, cos_inc, raan)
 
     def visible(t: np.ndarray) -> np.ndarray:
-        return _central_angle(_track_angles(*subsatellite_track(sat, t)), angles_x) <= limit_x
+        return _central_angle(_track_angles(*_ground_track(elements_x, t)), angles_x) <= limit_x
 
-    crossings = _bisect_crossings(visible, np.concatenate(lo), np.concatenate(hi), np.concatenate(lo_inside))
-    found = []
-    for (head, tail), stop, count in zip(runs, np.cumsum(counts), counts):
+    crossings = _bisect_crossings(visible, lo, hi, lo_inside).tolist()
+    found, stop = [], 0
+    for (head, tail), count in zip(ends, counts):
         # Window edges in time order alternate start, end.
-        edges = np.concatenate((head, crossings[stop - count : stop], tail))
-        found.append([(float(start), float(end)) for start, end in zip(edges[0::2], edges[1::2]) if end > start])
-    return found
+        edges = head + crossings[stop : stop + count] + tail
+        stop += count
+        found.append([Window(start, end) for start, end in zip(edges[0::2], edges[1::2]) if end > start])
+    windows = iter(found)
+    return [([next(windows) for _ in stations], [next(windows) for _ in aois]) for _ in satellites]
 
 
 def satellite_windows(
@@ -272,21 +337,8 @@ def satellite_windows(
     coarse_step: float = DEFAULT_COARSE_STEP_S,
 ) -> tuple[list[list[Window]], list[list[Window]]]:
     """The contact windows of each station and the access windows of each
-    AOI, in their order, from one search over the satellite's track.
-
-    A station is visible while psi is at most ``_contact_limit`` of its mask,
-    an AOI while psi is at most its reach over R.  Each list is what
-    ``contact_windows`` or ``access_windows`` gives for that target alone.
-    """
-    targets = [
-        (_target_angles(s.location.lat, s.location.lon), _contact_limit(sat.altitude_km, s.min_elevation_deg))
-        for s in stations
-    ] + [
-        (_target_angles(a.center.lat, a.center.lon), (sat.swath_km / 2.0 + a.radius_km) / EARTH_RADIUS_KM)
-        for a in aois
-    ]
-    found = [[Window(*w) for w in windows] for windows in _find_windows(sat, targets, *horizon, coarse_step)]
-    return found[: len(stations)], found[len(stations) :]
+    AOI, in their order: the one-satellite case of ``constellation_windows``."""
+    return constellation_windows((sat,), stations, aois, horizon, coarse_step)[0]
 
 
 def contact_windows(

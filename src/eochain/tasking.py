@@ -13,13 +13,11 @@ from dataclasses import dataclass
 from typing import Mapping, Optional, Sequence
 
 from .model import (
-    AcquisitionMode,
     FireEvent,
     GroundStationSpec,
     SatelliteSpec,
     ServiceArchetype,
     Triggering,
-    ValidationError,
 )
 from .orbit import Window
 
@@ -71,35 +69,52 @@ def build_requests(
     return tuple(requests)
 
 
-def plan(
-    requests: Sequence[ObservationRequest],
+@dataclass(frozen=True)
+class Opportunities:
+    """The planner's index of the window tables, which depends on the
+    geometry alone: the satellite ids in order; the starts and ends of each
+    satellite's S-band contacts, sorted by (start, station id, end); and the
+    access windows of each (satellite id, AOI id) with their starts."""
+
+    satellite_ids: tuple[str, ...]
+    contacts: Mapping[str, tuple[list[float], list[float]]]
+    accesses: Mapping[tuple[str, str], tuple[Sequence[Window], list[float]]]
+
+
+def opportunities(
     satellites: Sequence[SatelliteSpec],
     stations: Sequence[GroundStationSpec],
     contact_table: Mapping[tuple[str, str], Sequence[Window]],
     access_table: Mapping[tuple[str, str], Sequence[Window]],
-) -> TaskingPlan:
-    """Greedy assignment of requests to access windows.
-
-    Requests are processed in (issued, id) order.  A request is
-    assigned the earliest access window over its AOI, across all satellites,
-    whose start strictly exceeds that satellite's uplink time (the end of
-    the first S-band contact after the request was issued).  Windows already
-    assigned on a satellite are never reused or overlapped.  Ties between
-    satellites break by ascending satellite id.  The window tables are keyed
-    by (satellite id, station id) and (satellite id, AOI id).
-    """
+) -> Opportunities:
+    """The ``Opportunities`` of window tables keyed by (satellite id, station
+    id) and (satellite id, AOI id)."""
     sband = {s.id for s in stations if s.sband_available}
-    sat_ids = sorted(sat.id for sat in satellites)
-    # Each satellite's S-band contacts as sorted (start, station id, end): the
-    # uplink is the first one starting at or after the issue time.
+    sat_ids = tuple(sorted(sat.id for sat in satellites))
     contacts: dict[str, list[tuple[float, str, float]]] = {sat_id: [] for sat_id in sat_ids}
     for (sat_id, stn_id), windows in contact_table.items():
         if stn_id in sband:
             contacts.setdefault(sat_id, []).extend((w.start, stn_id, w.end) for w in windows)
     for entries in contacts.values():
         entries.sort()
-    contact_starts = {sat_id: [c[0] for c in entries] for sat_id, entries in contacts.items()}
-    accesses = {key: (windows, [w.start for w in windows]) for key, windows in access_table.items()}
+    return Opportunities(
+        sat_ids,
+        {sat_id: ([c[0] for c in entries], [c[2] for c in entries]) for sat_id, entries in contacts.items()},
+        {key: (windows, [w.start for w in windows]) for key, windows in access_table.items()},
+    )
+
+
+def plan(requests: Sequence[ObservationRequest], opportunities: Opportunities) -> TaskingPlan:
+    """Greedy assignment of requests to access windows.
+
+    Requests are processed in (issued, id) order.  A request is
+    assigned the earliest access window over its AOI, across all satellites,
+    whose start strictly exceeds that satellite's uplink time (the end of
+    the first S-band contact starting at or after the request was issued).
+    Windows already assigned on a satellite are never reused or overlapped.
+    Ties between satellites break by ascending satellite id.
+    """
+    sat_ids, contacts, accesses = opportunities.satellite_ids, opportunities.contacts, opportunities.accesses
     # The windows assigned on each satellite are disjoint, so in start order
     # their ends are in order too.
     busy: dict[str, tuple[list[float], list[float]]] = {sat_id: ([], []) for sat_id in sat_ids}
@@ -109,10 +124,12 @@ def plan(
     for req in sorted(requests, key=lambda r: (r.issued, r.id)):
         best: Optional[tuple[Window, str, float]] = None
         for sat_id in sat_ids:
-            i = bisect_left(contact_starts[sat_id], req.issued)
-            if i == len(contact_starts[sat_id]):
+            # The uplink ends the first S-band contact starting at or after the issue time.
+            contact_starts, contact_ends = contacts[sat_id]
+            i = bisect_left(contact_starts, req.issued)
+            if i == len(contact_starts):
                 continue
-            uplink = contacts[sat_id][i][2]
+            uplink = contact_ends[i]
             windows, starts = accesses.get((sat_id, req.aoi_id), ((), ()))
             busy_starts, busy_ends = busy[sat_id]
             for j in range(bisect_right(starts, uplink), len(windows)):
@@ -141,13 +158,10 @@ def plan(
 
 
 def periodic_acquisitions(
-    archetype: ServiceArchetype,
     access_table: Mapping[tuple[str, str], Sequence[Window]],
 ) -> list[tuple[str, str, Window]]:
-    """Every access window, as (satellite id, AOI id, window), becomes a
-    systematic acquisition opportunity; ordered by (start, satellite, AOI)."""
-    if archetype.acquisition_mode is not AcquisitionMode.SYSTEMATIC:
-        raise ValidationError("periodic acquisitions require a systematic archetype")
+    """Every access window, as (satellite id, AOI id, window), is a systematic
+    acquisition opportunity; ordered by (start, satellite, AOI)."""
     out = [
         (sat_id, aoi_id, w) for (sat_id, aoi_id), windows in access_table.items() for w in windows
     ]

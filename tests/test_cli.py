@@ -1,3 +1,4 @@
+import csv
 import functools
 import json
 import math
@@ -12,10 +13,11 @@ from pathlib import Path
 import pytest
 
 import eochain
-from eochain import orbit
+from eochain import cli, orbit
 from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_SEED, main
+from eochain.engine import run
 from eochain.presets import get_preset, iride_heo
-from eochain.scenario_io import save_scenario, scenario_to_dict
+from eochain.scenario_io import load_scenario, save_scenario, scenario_to_dict
 
 import yaml
 
@@ -92,10 +94,10 @@ class TestRun:
         assert err.startswith("error: ") and "horizon_s" in err
 
     def test_horizon_over_sample_budget_fails_before_any_work(self, tmp_path, capsys, monkeypatch):
-        def no_track(sat, t):
+        def no_track(elements, t):
             raise AssertionError("track sampled for an invalid horizon")
 
-        monkeypatch.setattr(orbit, "subsatellite_track", no_track)
+        monkeypatch.setattr(orbit, "_ground_track", no_track)
         start = time.perf_counter()
         code = main(["run", "--preset", "effis-like", "--duration", "1e12",
                      "--out", str(tmp_path / "out")])
@@ -114,6 +116,29 @@ class TestRun:
         with pytest.raises(SystemExit) as exc:
             main(["run", "--preset", "nope", "--out", str(tmp_path)])
         assert exc.value.code == EXIT_VALIDATION
+
+
+def reference_transfer_log(trace, path):
+    """The transfer log written one row at a time."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f)
+        w.writerow(["product_id", "station_id", "start_s", "end_s", "bits"])
+        for r in trace.transfer_records:
+            w.writerow([r.product_id, r.station_id, f"{r.start:.3f}", f"{r.end:.3f}", r.bits_moved])
+
+
+STRESS = Path(__file__).resolve().parents[1] / "scenarios" / "iride_heo_stress.yaml"
+
+
+class TestTransferLog:
+    @pytest.mark.parametrize("scenario", [lambda: load_scenario(STRESS), lambda: get_preset("iride-heo"),
+                                          lambda: get_preset("effis-like")], ids=["stress", "iride-heo", "effis-like"])
+    def test_equals_row_at_a_time_writer(self, scenario, tmp_path):
+        trace = run(scenario())
+        assert trace.transfer_records
+        reference_transfer_log(trace, tmp_path / "reference.csv")
+        cli._write_transfer_log(trace, tmp_path / "transfers.csv")
+        assert (tmp_path / "transfers.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
 
 
 class TestCompare:

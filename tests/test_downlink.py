@@ -6,6 +6,7 @@ import pytest
 from eochain.downlink import (
     LinkInterval,
     exclusive_link_intervals,
+    link_schedule,
     simulate_transfers,
 )
 from eochain.model import DataProduct, ProductKind, ValidationError
@@ -32,7 +33,7 @@ def run(products, windows, rate=1.0, station="gs-a"):
     """One satellite, one station at `rate` Mbit/s."""
     return simulate_transfers(
         {"sat-a": list(products)},
-        {("sat-a", station): windows},
+        link_schedule({("sat-a", station): windows}),
         {station: rate},
     )
 
@@ -196,7 +197,7 @@ class TestTransfers:
         pb = make_product("pb", 1_000_000)
         result = simulate_transfers(
             {"sat-a": [pa], "sat-b": [pb]},
-            {("sat-a", "gs-a"): [Window(0.0, 10.0)], ("sat-b", "gs-a"): [Window(0.0, 10.0)]},
+            link_schedule({("sat-a", "gs-a"): [Window(0.0, 10.0)], ("sat-b", "gs-a"): [Window(0.0, 10.0)]}),
             {"gs-a": 1.0},
         )
         assert result.completion_times["pa"] == pytest.approx(1.0)
@@ -214,10 +215,10 @@ class TestPurity:
             ]
             for sat in ("sat-a", "sat-b")
         }
-        contacts = {
+        contacts = link_schedule({
             ("sat-a", "gs-a"): [Window(10.0, 40.0), Window(300.0, 330.0)],
             ("sat-b", "gs-a"): [Window(50.0, 70.0)],
-        }
+        })
         first = simulate_transfers(queues, contacts, {"gs-a": 1.0})
         second = simulate_transfers(queues, contacts, {"gs-a": 1.0})
         assert first.records  # the case moves bits, so a leaked state would show

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import sys
 from collections import Counter
 from pathlib import Path
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eochain import model, orbit
+from eochain import downlink, model, orbit, tasking
 from eochain.engine import SimEventKind, geometry_tables, rng_stream, rng_streams, run
 from eochain.model import (
     AcquisitionMode,
@@ -302,15 +303,13 @@ class TestGeometryTables:
 
     def test_second_run_computes_no_track(self, monkeypatch):
         sizes = []
-        calls = Counter()
-        track = orbit.subsatellite_track
+        track = orbit._ground_track
 
-        def counting_track(sat, t):
+        def counting_track(elements, t):
             sizes.append(np.size(t))
-            calls[sat.id] += 1
-            return track(sat, t)
+            return track(elements, t)
 
-        monkeypatch.setattr(orbit, "subsatellite_track", counting_track)
+        monkeypatch.setattr(orbit, "_ground_track", counting_track)
         # A horizon no other test uses, so the first run finds nothing cached.
         horizon = 2 * DAY + 5.0
         s = make_scenario(horizon=horizon)
@@ -319,20 +318,46 @@ class TestGeometryTables:
         grid = len(np.arange(0.0, horizon, 10.0)) + 1
         blocks = -(-grid // orbit.BLOCK)
         pairs = len(s.satellites) * (len(s.stations) + len(s.aois))
-        # No call samples the whole grid.  Each satellite's search samples the
-        # track at the block centres once, at its targets' samples once, and
-        # once per bisection step.
+        # Halving a 10 s bracket down to the bisection tolerance.
+        steps = math.ceil(math.log2(10.0 / orbit.BISECTION_TOL_S))
+        # No call samples the whole grid.  Each satellite's scan samples the
+        # track at its block centres once and at its targets' samples once;
+        # each bisection step samples it once for the whole constellation.
         assert max(sizes) < grid
         assert sizes.count(blocks) == len(s.satellites)
+        assert len(sizes) == 2 * len(s.satellites) + steps
         assert sum(sizes) < 0.1 * pairs * grid
-        first_calls = dict(calls)
+        first_calls = len(sizes)
         sizes.clear()
         run(dataclasses.replace(s, seed=1))
         run(with_processing(s, ProcessingLocation.GROUND))
         assert sizes == []
-        # More AOIs, far apart, share each satellite's track and bisection.
-        calls.clear()
+        # More AOIs, far apart, share each satellite's scan and the one bisection.
         far = (make_aoi("aoi-c", -33.9, 151.2), make_aoi("aoi-d", 64.1, -21.9), make_aoi("aoi-e", 1.3, 103.8))
         geometry_tables(dataclasses.replace(s, aois=s.aois + far))
-        assert calls.keys() == first_calls.keys()
-        assert all(calls[sid] <= first_calls[sid] for sid in calls)
+        assert len(sizes) == first_calls
+
+    def test_second_run_derives_nothing_from_the_tables(self, monkeypatch):
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(downlink, "exclusive_link_intervals")
+        counted(tasking, "periodic_acquisitions")
+        counted(tasking, "opportunities")
+        # A horizon no other test uses, so the first run finds nothing cached.
+        s = make_scenario(horizon=DAY + 15.0)
+        run(s)
+        assert calls == {"exclusive_link_intervals": len(s.satellites), "periodic_acquisitions": 1,
+                         "opportunities": 1}
+        calls.clear()
+        run(dataclasses.replace(s, seed=1))
+        run(with_processing(s, ProcessingLocation.GROUND))
+        assert calls == {}

@@ -17,6 +17,7 @@ from eochain.model import (
 from eochain.orbit import (
     Window,
     access_windows,
+    constellation_windows,
     contact_windows,
     elevation_angle,
     orbital_period,
@@ -461,3 +462,27 @@ class TestSatelliteSearch:
 
     def test_no_targets_find_nothing(self):
         assert satellite_windows(make_satellite(), (), (), (0.0, DAY)) == ([], [])
+
+
+class TestConstellationSearch:
+    @settings(max_examples=40, deadline=None)
+    @given(sats=st.lists(block_satellites, min_size=1, max_size=4),
+           stations=st.lists(block_stations, min_size=1, max_size=3),
+           aois=st.lists(block_aois, min_size=1, max_size=3), horizon_step=block_horizons())
+    def test_each_satellite_equals_its_search_alone(self, sats, stations, aois, horizon_step):
+        # All the satellites' crossings share one bisection; each crossing
+        # must follow its own satellite's track and reach the bit-identical
+        # edge it reaches when its satellite is searched alone.
+        horizon, step = horizon_step
+        found = constellation_windows(sats, stations, aois, horizon, step)
+        assert len(found) == len(sats)
+        for sat, windows in zip(sats, found):
+            reference = (
+                [reference_contacts(sat, station, horizon, step) for station in stations],
+                [reference_access(sat, aoi, horizon, step) for aoi in aois],
+            )
+            assert repr(windows) == repr(satellite_windows(sat, stations, aois, horizon, step))
+            assert repr(windows) == repr(reference)
+
+    def test_no_satellites_find_nothing(self):
+        assert constellation_windows((), (make_station(),), (make_aoi(),), (0.0, DAY)) == []

@@ -6,13 +6,14 @@ from hypothesis import strategies as st
 
 from eochain.engine import geometry_tables
 from eochain.events import aoi_membership, monitoring_detection_time
-from eochain.model import FireEvent, GeoPoint, Triggering, ValidationError
+from eochain.model import FireEvent, GeoPoint, Triggering
 from eochain.orbit import Window, access_windows
 from eochain.tasking import (
     Assignment,
     ObservationRequest,
     TaskingPlan,
     build_requests,
+    opportunities,
     periodic_acquisitions,
     plan,
 )
@@ -49,9 +50,14 @@ def eq_requests(evs, monitoring_delay, archetype, aois=(EQ_AOI,)):
     return build_requests(evs, aoi_membership(evs, aois)[1], detection_times, archetype)
 
 
+def plan_over(requests, satellites, stations, contact_table, access_table):
+    """``plan`` over the opportunities of the window tables."""
+    return plan(requests, opportunities(satellites, stations, contact_table, access_table))
+
+
 def plan_eq(requests, satellites=(EQ_SAT,), stations=(EQ_STATION,)):
     """Plan over the equatorial AOI for one day."""
-    return plan(requests, satellites, stations, *tables(satellites, stations))
+    return plan_over(requests, satellites, stations, *tables(satellites, stations))
 
 
 class TestBuildRequests:
@@ -134,7 +140,7 @@ class TestPlan:
         evs = [eq_event(f"ev-{k}", 100.0 * k) for k in range(5)]
         requests = eq_requests(evs, 0.0, make_archetype())
         args = (requests, [EQ_SAT], [EQ_STATION], *tables())
-        assert plan(*args) == plan(*args)
+        assert plan_over(*args) == plan_over(*args)
 
 
 def _reference_plan(requests, satellites, stations, contact_table, access_table):
@@ -219,7 +225,7 @@ class TestPlanMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(case=planner_cases())
     def test_same_assignments_and_unmet_ids(self, case):
-        assert plan(*case) == _reference_plan(*case)
+        assert plan_over(*case) == _reference_plan(*case)
 
     def test_windows_touching_a_busy_window_are_free(self):
         # Over two AOIs, one satellite's windows meet a busy one end to start on either side.
@@ -234,7 +240,7 @@ class TestPlanMatchesReference:
             for k, aoi_id in enumerate(["aoi-0", "aoi-1", "aoi-1"])
         ]
         args = (requests, [sat], [station], contact_table, access_table)
-        result = plan(*args)
+        result = plan_over(*args)
         assert [(a.window.start, a.window.end) for a in result.assignments] == [
             (20.0, 30.0), (10.0, 20.0), (30.0, 40.0)
         ]
@@ -243,20 +249,17 @@ class TestPlanMatchesReference:
 
 class TestPeriodicAcquisitions:
     def test_zero_aois(self):
-        arch = make_archetype()
-        assert periodic_acquisitions(arch, tables(aois=())[1]) == []
+        assert periodic_acquisitions(tables(aois=())[1]) == []
 
     def test_matches_access_windows_exactly(self):
-        arch = make_archetype()
-        out = periodic_acquisitions(arch, tables()[1])
+        out = periodic_acquisitions(tables()[1])
         expected = access_windows(EQ_SAT, EQ_AOI, (0.0, DAY))
         assert [w for (_, _, w) in out] == expected
         assert all(sid == "sat-a" and aid == "eq-aoi" for (sid, aid, _) in out)
 
     def test_ordering_and_horizon_growth(self):
-        arch = make_archetype()
-        short = periodic_acquisitions(arch, tables(horizon=DAY / 2)[1])
-        full = periodic_acquisitions(arch, tables()[1])
+        short = periodic_acquisitions(tables(horizon=DAY / 2)[1])
+        full = periodic_acquisitions(tables()[1])
         starts = [w.start for (_, _, w) in full]
         assert starts == sorted(starts)
         # Doubling the horizon never removes an opportunity.
@@ -264,9 +267,3 @@ class TestPeriodicAcquisitions:
         full_starts = {round(w.start, 1) for (_, _, w) in full}
         for w in kept:
             assert round(w.start, 1) in full_starts
-
-    def test_on_demand_archetype_rejected(self):
-        from eochain.model import AcquisitionMode
-        arch = make_archetype(acquisition=AcquisitionMode.ON_DEMAND)
-        with pytest.raises(ValidationError):
-            periodic_acquisitions(arch, tables()[1])
