@@ -1,13 +1,13 @@
 """Deterministic simulation kernel: a pipeline of pure stages and rng streams.
 
 A run is a pure function of (scenario, injected events).  Each stage of the
-service chain (ground truth, geometry, tasking, acquisitions, scene
-processing, downlink, ground and marketplace) is one function of the
-outputs before it; the trace assembles the timeline of chain milestones on
-first read.  All randomness derives from counter-based streams keyed by
-(master seed, domain label, entity id), so toggling the processing location
-of a scenario never perturbs event generation, cloud draws or detection
-draws: the two arms of an A/B comparison see common random numbers.
+service chain (ground truth, geometry, tasking, acquisitions, scenes and
+detections, products, downlink, ground and marketplace) is one function of
+the outputs before it; the trace assembles the timeline of chain milestones
+on first read.  All randomness derives from counter-based streams keyed by
+(master seed, domain label, entity id), and no stage before products reads
+the processing location, so the two arms of an A/B comparison share one
+observation: they see common random numbers.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterator, Mapping, Optional, Sequence
@@ -216,11 +216,11 @@ class SimulationTrace:
     horizon_s: float
     fire_events: tuple[FireEvent, ...]
     dropped_event_ids: tuple[str, ...]
-    detection_times: dict[str, float]
+    detection_times: Mapping[str, float]
     requests: tuple[ObservationRequest, ...]
     plan: TaskingPlan
-    scenes: dict[str, Scene]
-    detections: dict[str, frozenset[str]]
+    scenes: Mapping[str, Scene]
+    detections: Mapping[str, frozenset[str]]
     products: dict[str, DataProduct]
     transfer_records: tuple[TransferRecord, ...]
     downlink_completions: dict[str, float]
@@ -421,66 +421,66 @@ def _acquisitions(
     ]
 
 
-def _process_scenes(
-    scenario: Scenario,
-    acquisitions: Sequence[tuple[str, str, Window, bool]],
-    fire_events: tuple[FireEvent, ...],
-    members: Mapping[str, Sequence[FireEvent]],
-) -> tuple[dict[str, Scene], dict[str, frozenset[str]], dict[str, DataProduct]]:
-    """Scene ``scn-i`` for acquisition i; detection and products for every
-    scene of a periodic product line, and only for event-triggered scenes of
-    an event-driven one."""
+# The arms of a compare run one after the other, so one slot serves them both.
+@functools.lru_cache(maxsize=1)
+def _observation(
+    scenario: Scenario, injected_events: Optional[tuple[FireEvent, ...]]
+) -> tuple[tuple[FireEvent, ...], tuple[str, ...], Mapping[str, float], tuple[ObservationRequest, ...],
+           TaskingPlan, Mapping[str, Scene], Mapping[str, frozenset[str]]]:
+    """Fire events, dropped ids, detection times, requests, plan, scenes and
+    detections: the stages before products, which read no processing location,
+    so every run of the observation shares them and the mappings are read-only.
+    Scene ``scn-i`` is acquisition i.  Only a processed scene draws clouds and
+    detections: every scene of a periodic product line, and only the
+    event-triggered scenes of an event-driven one."""
+    fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
+    geometry = _geometry(scenario)
+    requests = tasking.build_requests(fire_events, home, detection_times, scenario.archetype)
+    plan = tasking.plan(requests, geometry.opportunities)
+    acquisitions = _acquisitions(scenario, requests, plan, geometry)
     aois_by_id = {a.id: a for a in scenario.aois}
     sats_by_id = {s.id: s for s in scenario.satellites}
     events_by_id = {e.id: e for e in fire_events}
     periodic = scenario.archetype.triggering is Triggering.PERIODIC
     scene_ids = [f"scn-{i:05d}" for i in range(len(acquisitions))]
     processed = [periodic or triggered for *_, triggered in acquisitions]
-    clouds = rng_streams(scenario.seed, "clouds", scene_ids)
-    detection = rng_streams(scenario.seed, "detection", list(itertools.compress(scene_ids, processed)))
+    processed_ids = list(itertools.compress(scene_ids, processed))
+    clouds = rng_streams(scenario.seed, "clouds", processed_ids)
+    detection = rng_streams(scenario.seed, "detection", processed_ids)
     scenes: dict[str, Scene] = {}
     detections: dict[str, frozenset[str]] = {}
-    products: dict[str, DataProduct] = {}
-    for scene_id, (sat_id, aoi_id, window, triggered), cloud_rng, process in zip(
-        scene_ids, acquisitions, clouds, processed
-    ):
-        sat = sats_by_id[sat_id]
+    for scene_id, (sat_id, aoi_id, window, triggered), process in zip(scene_ids, acquisitions, processed):
+        cloud_fraction = onboard.draw_cloud_fraction(scenario.cloud_model, next(clouds)) if process else None
         scene = onboard.acquire_scene(
-            scene_id,
-            sat,
-            aois_by_id[aoi_id],
-            window,
-            triggered,
-            members[aoi_id],
-            scenario.cloud_model,
-            cloud_rng,
+            scene_id, sats_by_id[sat_id], aois_by_id[aoi_id], window, triggered, members[aoi_id], cloud_fraction
         )
         scenes[scene_id] = scene
-        if not process:
-            continue
-        detected = onboard.classify_scene(
-            scene,
-            events_by_id,
-            scenario.archetype.mmu_ha,
-            scenario.detection.accuracy_p,
-            next(detection),
-        )
-        detections[scene_id] = detected
-        location = scenario.archetype.processing_location
-        if not sat.processor.enabled:
-            location = ProcessingLocation.GROUND
-        for p in onboard.build_products(
-            scene,
-            detected,
-            events_by_id,
-            location,
-            scenario.cloud_model,
-            sat.processor,
-            scenario.detection.mask_compression,
-            scenario.detection.chip_margin,
-        ):
+        if process:
+            detections[scene_id] = onboard.classify_scene(
+                scene, events_by_id, scenario.archetype.mmu_ha, scenario.detection.accuracy_p, next(detection)
+            )
+    return (fire_events, dropped, MappingProxyType(detection_times), requests, plan,
+            MappingProxyType(scenes), MappingProxyType(detections))
+
+
+def _products(
+    scenario: Scenario, fire_events: Sequence[FireEvent], scenes: Mapping[str, Scene],
+    detections: Mapping[str, frozenset[str]],
+) -> dict[str, DataProduct]:
+    """The products of the processed scenes, in scene order; a satellite
+    without an enabled processor sends its scenes to ground."""
+    sats_by_id = {s.id: s for s in scenario.satellites}
+    events_by_id = {e.id: e for e in fire_events}
+    spec = scenario.detection
+    products: dict[str, DataProduct] = {}
+    for scene_id, detected in detections.items():
+        scene = scenes[scene_id]
+        sat = sats_by_id[scene.satellite_id]
+        location = scenario.archetype.processing_location if sat.processor.enabled else ProcessingLocation.GROUND
+        for p in onboard.build_products(scene, detected, events_by_id, location, scenario.cloud_model,
+                                        sat.processor, spec.mask_compression, spec.chip_margin):
             products[p.id] = p
-    return scenes, detections, products
+    return products
 
 
 def _downlink(
@@ -531,13 +531,12 @@ def run(
 ) -> SimulationTrace:
     """Execute the full service chain and return the complete trace."""
     require_valid(scenario)
-    fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
-    geometry = _geometry(scenario)
-    requests = tasking.build_requests(fire_events, home, detection_times, scenario.archetype)
-    plan = tasking.plan(requests, geometry.opportunities)
-    acquisitions = _acquisitions(scenario, requests, plan, geometry)
-    scenes, detections, products = _process_scenes(scenario, acquisitions, fire_events, members)
-    transfers = _downlink(scenario, scenes, products, geometry.links)
+    # With the processing location erased, runs that differ only in it share one observation.
+    unlocated = replace(scenario, archetype=replace(scenario.archetype, processing_location=None))
+    injected = None if injected_events is None else tuple(injected_events)
+    fire_events, dropped, detection_times, requests, plan, scenes, detections = _observation(unlocated, injected)
+    products = _products(scenario, fire_events, scenes, detections)
+    transfers = _downlink(scenario, scenes, products, _geometry(scenario).links)
     completions = transfers.completion_times
     pdgs_times, marketplace = _ground(scenario, products, completions)
     return SimulationTrace(

@@ -246,7 +246,8 @@ def _with_processing(scenario: Scenario, location: ProcessingLocation) -> Scenar
 def _assert_common_randomness(a: SimulationTrace, b: SimulationTrace) -> None:
     if a.fire_events != b.fire_events:
         raise StreamIsolationError("fire event lists differ between architecture modes")
-    # A scene holds its acquisition (satellite, AOI, time, trigger) and its cloud draw.
+    # A scene holds its acquisition (satellite, AOI, time, trigger) and, if processed, its cloud draw.
+    # The arms' runs share one cached observation; were it computed afresh, the streams would repeat it.
     if a.scenes != b.scenes:
         raise StreamIsolationError("scenes differ between architecture modes")
 

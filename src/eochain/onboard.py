@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -33,7 +33,8 @@ from .orbit import Window
 
 @dataclass(frozen=True)
 class Scene:
-    """One acquisition of an AOI, with its sensor geometry frozen in; ``triggered`` if planned for an event."""
+    """One acquisition of an AOI, with its sensor geometry frozen in; ``triggered`` if planned for an
+    event.  Only a processed scene draws its ``cloud_fraction``; any other's is ``None``."""
 
     id: str
     satellite_id: str
@@ -41,7 +42,7 @@ class Scene:
     acquired: float
     triggered: bool
     area_km2: float
-    cloud_fraction: float
+    cloud_fraction: Optional[float]
     event_ids_present: frozenset[str]
     gsd_m: float
     bands: int
@@ -70,8 +71,7 @@ def acquire_scene(
     window: Window,
     triggered: bool,
     members: Sequence[FireEvent],
-    cloud_model: CloudModel,
-    rng: np.random.Generator,
+    cloud_fraction: Optional[float],
 ) -> Scene:
     """Image the AOI at the window start; ground truth is causally filtered.
 
@@ -87,7 +87,7 @@ def acquire_scene(
         acquired=acquired,
         triggered=triggered,
         area_km2=aoi.area_km2,
-        cloud_fraction=draw_cloud_fraction(cloud_model, rng),
+        cloud_fraction=cloud_fraction,
         event_ids_present=frozenset(e.id for e in present),
         gsd_m=sat.gsd_m,
         bands=sat.bands,

@@ -20,6 +20,7 @@ from eochain.model import (
     Triggering,
     ValidationError,
 )
+from eochain.onboard import draw_cloud_fraction
 from eochain.scenario_io import load_scenario
 
 from conftest import make_aoi, make_archetype, make_satellite, make_scenario, make_station
@@ -166,7 +167,7 @@ class TestRunBasics:
         assert [r.event_ids for r in trace.requests] == [frozenset({"inside"})]
 
 
-    def test_each_event_aoi_distance_computed_once(self, monkeypatch):
+    def test_each_event_aoi_distance_computed_once(self, monkeypatch, cold_engine):
         great_circle_km = model.great_circle_km
         calls = []
 
@@ -201,6 +202,22 @@ class TestChainSemantics:
         assert set(trace.detections) == set(trace.scenes)
         assert len(trace.products) == len(trace.scenes)
         assert trace.mode is ProcessingLocation.GROUND
+
+    @pytest.mark.parametrize("triggering", [Triggering.EVENT_DRIVEN, Triggering.PERIODIC])
+    def test_only_processed_scenes_draw_clouds(self, triggering):
+        arch = make_archetype(triggering=triggering, cycle=DAY if triggering is Triggering.PERIODIC else None)
+        s = make_scenario(seed=5, archetype=arch, cloud_mean=0.4)
+        ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
+        trace = run(s, injected_events=[ev])
+        assert trace.detections
+        for scene_id, scene in trace.scenes.items():
+            if scene_id in trace.detections:
+                stream = rng_stream(s.seed, "clouds", scene_id)
+                assert scene.cloud_fraction == draw_cloud_fraction(s.cloud_model, stream)
+            else:
+                assert scene.cloud_fraction is None
+        unprocessed = len(trace.scenes) - len(trace.detections)
+        assert unprocessed == 0 if triggering is Triggering.PERIODIC else unprocessed > 0
 
     def test_on_demand_images_only_planned_windows(self):
         arch = make_archetype(acquisition=AcquisitionMode.ON_DEMAND)
@@ -301,7 +318,7 @@ class TestGeometryTables:
                 del table[key]
             assert all(isinstance(windows, tuple) for windows in table.values())
 
-    def test_second_run_computes_no_track(self, monkeypatch):
+    def test_second_run_computes_no_track(self, monkeypatch, cold_engine):
         sizes = []
         track = orbit._ground_track
 
@@ -310,7 +327,6 @@ class TestGeometryTables:
             return track(elements, t)
 
         monkeypatch.setattr(orbit, "_ground_track", counting_track)
-        # A horizon no other test uses, so the first run finds nothing cached.
         horizon = 2 * DAY + 5.0
         s = make_scenario(horizon=horizon)
         run(s)
@@ -337,7 +353,7 @@ class TestGeometryTables:
         geometry_tables(dataclasses.replace(s, aois=s.aois + far))
         assert len(sizes) == first_calls
 
-    def test_second_run_derives_nothing_from_the_tables(self, monkeypatch):
+    def test_second_run_derives_nothing_from_the_tables(self, monkeypatch, cold_engine):
         calls = Counter()
 
         def counted(module, name):
@@ -352,8 +368,7 @@ class TestGeometryTables:
         counted(downlink, "exclusive_link_intervals")
         counted(tasking, "periodic_acquisitions")
         counted(tasking, "opportunities")
-        # A horizon no other test uses, so the first run finds nothing cached.
-        s = make_scenario(horizon=DAY + 15.0)
+        s = make_scenario(horizon=DAY)
         run(s)
         assert calls == {"exclusive_link_intervals": len(s.satellites), "periodic_acquisitions": 1,
                          "opportunities": 1}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eochain.engine import _ground_truth, rng_stream, rng_streams
+from eochain.engine import _ground_truth, rng_streams
 from eochain.events import (
     _destination,
     aoi_membership,
@@ -15,7 +15,7 @@ from eochain.events import (
     read_event_trace,
     write_event_trace,
 )
-from eochain.model import CloudModel, EventModel, FireEvent, GeoPoint, ValidationError, great_circle_km
+from eochain.model import EventModel, FireEvent, GeoPoint, ValidationError, great_circle_km
 from eochain.onboard import acquire_scene
 from eochain.orbit import Window
 
@@ -30,7 +30,6 @@ def streams(seed):
 
 MODEL = EventModel(rate_per_aoi_per_day=1.0, area_log_mean=math.log(5.0), area_log_sd=1.0)
 AOIS = (make_aoi("aoi-a", 42.0, 13.0, 150.0), make_aoi("aoi-b", 44.0, 9.0, 120.0))
-CLEAR = CloudModel(mean_fraction=0.0, onboard_threshold=0.5)
 
 
 class TestAoiMembership:
@@ -104,8 +103,7 @@ class TestMembershipMatchesBruteForce:
         sat = make_satellite()
         for aoi in aois:
             for t in ACQUIRED:
-                scene = acquire_scene("s", sat, aoi, Window(t, t + 60.0), False, members[aoi.id], CLEAR,
-                                      rng_stream(0, "clouds", "s"))
+                scene = acquire_scene("s", sat, aoi, Window(t, t + 60.0), False, members[aoi.id], None)
                 expected = {e.id for e in events if e.start <= t and inside(e, aoi)}
                 assert scene.event_ids_present == expected
         for e in events:

@@ -2,13 +2,14 @@ import csv
 import dataclasses
 import json
 import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eochain import metrics
+from eochain import events, metrics, tasking
 from eochain.engine import run
 from eochain.metrics import (
     StreamIsolationError,
@@ -292,7 +293,8 @@ class TestStreamIsolationCheck:
         lambda scene: {"cloud_fraction": scene.cloud_fraction + 0.01},
     ], ids=["acquired", "triggered", "cloud_fraction"])
     def test_diverging_scene_is_refused(self, trace, monkeypatch, change):
-        scene_id = max(trace.scenes)
+        # A processed scene, the only kind that draws a cloud fraction.
+        scene_id = max(trace.detections)
         scene = trace.scenes[scene_id]
         altered = dataclasses.replace(
             trace, scenes={**trace.scenes, scene_id: dataclasses.replace(scene, **change(scene))}
@@ -305,6 +307,52 @@ class TestStreamIsolationCheck:
     def test_matching_arms_pass(self, trace, monkeypatch):
         monkeypatch.setattr(metrics, "run", lambda scenario, injected_events=None: trace)
         compare_architectures(make_scenario(seed=5), injected_events=[EVENT])
+
+
+class TestSharedObservation:
+    """The arms of a compare share one observation, and sharing it changes no result."""
+
+    @pytest.mark.parametrize("preset", ["iride-heo", "effis-like"])
+    def test_arms_equal_cold_runs(self, monkeypatch, cold_engine, preset):
+        arms = []
+
+        def recording_run(scenario, injected_events=None):
+            arms.append((scenario, run(scenario, injected_events)))
+            return arms[-1][1]
+
+        monkeypatch.setattr(metrics, "run", recording_run)
+        compare_architectures(get_preset(preset))
+        (_, hybrid), (_, raw) = arms
+        assert hybrid.scenes is raw.scenes
+        assert hybrid.fire_events is raw.fire_events
+        for scenario, trace in arms:
+            cold_engine()
+            assert run(scenario) == trace
+
+    def test_shared_mappings_are_read_only(self, trace):
+        for mapping in (trace.detection_times, trace.scenes, trace.detections):
+            key = next(iter(mapping))
+            with pytest.raises(TypeError):
+                mapping[key] = mapping[key]
+
+    def test_presets_compare_observes_each_scenario_once(self, monkeypatch, cold_engine):
+        calls = Counter()
+
+        def counted(module, name):
+            original = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(tasking, "plan")
+        counted(events, "generate_fire_events")
+        scenario = get_preset("iride-heo")
+        baseline = get_preset("effis-like", seed=scenario.seed, horizon_s=scenario.horizon_s)
+        compare_architectures(scenario, baseline_scenario=baseline)
+        assert calls == {"plan": 2, "generate_fire_events": 2}
 
 
 class TestZeroEvents:

@@ -67,8 +67,8 @@ class TestAcquireScene:
     def acquire(self, evs, cloud_model=CLEAR, seed=0):
         """Scene of the test AOI, given all events of the run in (start, id) order."""
         members = aoi_membership(evs, [self.AOI])[0][self.AOI.id]
-        return acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, False, members, cloud_model,
-                             rng_stream(seed, "clouds", "s1"))
+        return acquire_scene("s1", self.SAT, self.AOI, self.WINDOW, False, members,
+                             draw_cloud_fraction(cloud_model, rng_stream(seed, "clouds", "s1")))
 
     def test_alignment_and_area(self):
         scene = self.acquire([])
