@@ -4,32 +4,36 @@ Propagation is closed-form: a satellite moves on a circle of radius
 R + h at constant angular rate while the Earth rotates underneath it.
 Visibility windows (station contacts and AOI access) are found by coarse
 sampling followed by bisection of the boundary crossings: each satellite
-samples its own track for all of its stations and AOIs, and the crossings
+scans the coarse grid for all of its stations and AOIs, and the crossings
 of the whole constellation are bisected together.
 
 A target is visible while the central angle psi between the subsatellite
 point and the target is at most a limit: reach / R for access, and for a
 contact above mask E, ``acos(k cos E) - E`` with k = R / (R + h), since
 elevation falls strictly as psi grows.  This one test serves the block
-proof, the coarse samples and every bisection midpoint.  The subsatellite
+proofs, the coarse samples and every bisection midpoint.  The subsatellite
 point moves over the Earth at an angular rate of at most n + w_E (mean
-motion plus the Earth's rotation), so psi changes no faster than that.  The
-coarse grid is cut into blocks of ``BLOCK`` samples, and the search samples
-the track at the block centres once: a block whose centre is further beyond
-a target's limit than psi can travel to its farthest sample holds no window
-of that target, and its samples are not tested (after Alfano, Negron &
-Moore, "Rapid Determination of Satellite Visibility Periods", J. Astronaut.
-Sci. 40(2), 1992).  The track is then computed once on the union of the
-samples the targets evaluate, and each target is tested on its own samples.
-Every bisection step evaluates the track once for the crossings of every
-satellite and target: each crossing carries its satellite's elements, and
-``_ground_track`` is the one track formula, for one satellite's elements or
-for one per time.  So a search takes two track calls per satellite and
-about seven per constellation, one per halving of a 10 s bracket to 0.1 s.
-Every sample and midpoint is evaluated exactly as on the full grid, so the
-windows are the ones the full grid gives, whatever other targets and
-satellites share the search.  No track is kept between searches;
-``engine.geometry_tables`` reuses whole tables across seeds and A/B arms.
+motion plus the Earth's rotation), so psi changes no faster than that.  A
+block of coarse samples whose centre is further from a target's limit than
+psi can travel to the block's farthest sample is on one side of the limit
+at every sample: proven empty beyond it, proven full within it (after
+Alfano, Negron & Moore, "Rapid Determination of Satellite Visibility
+Periods", J. Astronaut. Sci. 40(2), 1992).  The search proves blocks of
+``LEVELS`` samples, 128, then 32, then 8: each level tests only the
+children of the blocks still open, and only the samples of the 8-sample
+blocks still open are evaluated.  Each level computes the track once per
+satellite, at the distinct blocks its targets need.  Every bisection step
+evaluates the track once for the crossings of every satellite and target:
+each crossing carries its satellite's elements, and ``_ground_track`` is
+the one track formula, for one satellite's elements or for one per time.
+On the 7-day ``iride-heo`` geometry (12 satellites, 10 targets, 60,481
+samples each) the scans compute the track at 71,844 of the 725,772
+satellite samples and psi for 169,116 of the 7.26 M sample-target pairs, in
+4 calls per satellite; the bisection adds 7 calls.  Every sample and
+midpoint reads what it reads on the full grid, so the windows are the ones
+the full grid gives, whatever other targets and satellites share the
+search.  No track is kept between searches; ``engine.geometry_tables``
+reuses whole tables across seeds and A/B arms.
 """
 
 from __future__ import annotations
@@ -53,8 +57,9 @@ from .model import (
 )
 
 BISECTION_TOL_S = 0.1
-# Coarse samples per block of the window search.
-BLOCK = 32
+# Coarse samples per block at each level of the window search, largest first;
+# each size divides the one before it.
+LEVELS = (128, 32, 8)
 # Allowance for rounding in the computed central angle (radians, about 6 m on
 # the ground).  The worst case is acos near 0 or pi, about 2e-8 rad.
 PROOF_SLACK_RAD = 1e-6
@@ -202,68 +207,94 @@ def _bisect_crossings(
     return 0.5 * (lo + hi)
 
 
-def _evaluated(unproven: np.ndarray, size: int) -> np.ndarray:
-    """The samples of the unproven blocks and the proven sample on either
-    side of each run of them, as a mask over a grid of ``size`` samples:
-    every visibility change then lies between two neighbouring evaluated
-    samples, and the windows are those of the full grid."""
-    samples = np.repeat(unproven, BLOCK)[:size]
-    evaluated = samples.copy()
-    evaluated[1:] |= samples[:-1]
-    evaluated[:-1] |= samples[1:]
-    return evaluated
+def _block_bounds(grid: np.ndarray, size: int, blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Centre time and half-width of the given blocks of ``size`` samples."""
+    first = blocks * size
+    last = grid[np.minimum(first + size, grid.size) - 1]
+    first = grid[first]
+    return 0.5 * (first + last), 0.5 * (last - first)
 
 
 def _scan(
-    elements: OrbitElements, targets: Sequence[tuple[tuple[float, float, float], float]], t0: float, t1: float,
-    coarse_step: float,
-) -> tuple[list[tuple[list[float], list[float]]], list[int], np.ndarray, np.ndarray, np.ndarray]:
-    """One satellite's search on its coarse samples, over targets given as
-    (angles from ``_target_angles``, limit), each visible while psi is at
-    most its limit.  For each target, the horizon ends that open or close a
-    window (t0 when its first sample is visible, t1 when its last one is)
-    and its number of visibility changes; then every change of every
-    target, in target order, as a bracket (lo, hi) of neighbouring
-    evaluated samples with the visibility at lo.
+    elements: OrbitElements, angles: tuple[np.ndarray, ...], limits: np.ndarray, grid: np.ndarray,
+    top: tuple[np.ndarray, np.ndarray],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One satellite's search on the coarse ``grid`` over targets given by
+    their ``angles`` (``_target_angles`` as arrays) and ``limits``, each
+    visible while psi is at most its limit; ``top`` is ``_block_bounds`` of
+    the first level's blocks, as one row.  For each target, whether its
+    first and its last sample are visible and its number of visibility
+    changes; then every change of every target, in target order, as a
+    bracket (lo, hi) of neighbouring grid samples with the visibility at lo.
 
-    Blocks proven to hold no visible sample for a target are skipped for it:
-    this changes no bracket.  The track is computed once on the samples some
-    target evaluates; each target reads only its own samples, so its
-    brackets do not depend on the others.
+    Each target's grid is a list of blocks [lo, hi) in time order, each
+    proven empty, proven full or open, and a run of blocks proven alike is
+    one block.  Each level cuts the open blocks into blocks of its size and
+    tests their centres; then the samples of the blocks still open are read.
+    The track is computed once per level, at the children of the distinct
+    open blocks of all targets.  Every sample's visibility is then known,
+    so every change lies between two neighbouring samples.
     """
-    grid = _coarse_grid(t0, t1, coarse_step)
-    first = grid[::BLOCK]
-    last = grid[np.minimum(np.arange(1, first.size + 1) * BLOCK, grid.size) - 1]
-    half = 0.5 * (last - first)
-    centres = _track_angles(*_ground_track(elements, 0.5 * (first + last)))
-
-    # A block is proven empty when psi at its centre exceeds the limit by more
-    # than psi can change on the way to the block's farthest sample.
+    n, count = grid.size, limits.size
     rate = 2.0 * math.pi / elements[0] + EARTH_ROTATION_RAD_S
-    travel = rate * half + PROOF_SLACK_RAD
-    unproven = [~(_central_angle(centres, angles) - limit > travel) for angles, limit in targets]
-    # The evaluated samples of the union of the unproven blocks are the union
-    # of every target's evaluated samples.  The full grid, which ``first``
-    # views, is freed before the track is computed on them.
-    size = grid.size
-    evaluated = _evaluated(np.logical_or.reduce(unproven), size)
-    times = grid[evaluated]
-    del grid, first, last
-    track = _track_angles(*_ground_track(elements, times))
-
-    ends, counts, lo, hi, lo_inside = [], [], [], [], []
-    for (angles, limit), blocks in zip(targets, unproven):
-        own = np.flatnonzero(_evaluated(blocks, size)[evaluated])
-        t = times[own]
-        inside = _central_angle(tuple(a[own] for a in track), angles) <= limit
-        # Visibility changes between t[c] and t[c + 1] for each c in change.
-        change = np.flatnonzero(np.diff(inside))
-        lo.append(t[change])
-        hi.append(t[change + 1])
-        lo_inside.append(inside[change])
-        counts.append(change.size)
-        ends.append((t[:1][inside[:1]].tolist(), t[-1:][inside[-1:]].tolist()))
-    return ends, counts, np.concatenate(lo), np.concatenate(hi), np.concatenate(lo_inside)
+    # Each target's list starts as one open block of the whole grid.
+    parent = LEVELS[0] * top[0].size
+    target, lo, hi = np.arange(count), np.zeros(count, int), np.full(count, n)
+    unproven, visible = np.ones(count, bool), np.zeros(count, bool)
+    for size in LEVELS + (1,):
+        # Psi at the children of each open block, one row per block; a child
+        # past the grid's end repeats its last block.
+        ratio, rows = parent // size, np.flatnonzero(unproven)
+        up, own = lo[rows] // parent, target[rows]
+        needed = np.zeros(-(-n // parent), bool)
+        needed[up] = True
+        distinct = np.flatnonzero(needed)
+        blocks = np.minimum(distinct[:, None] * ratio + np.arange(ratio), (n - 1) // size)
+        centre, half = top if size == LEVELS[0] else _block_bounds(grid, size, blocks)
+        track = _track_angles(*_ground_track(elements, centre.ravel()))
+        where = np.zeros(needed.size, int)
+        where[distinct] = np.arange(distinct.size)
+        where = where[up]
+        margin = _central_angle(tuple(a.reshape(-1, ratio)[where] for a in track),
+                                tuple(a[own, None] for a in angles)) - limits[own, None]
+        if size == 1:
+            break
+        # A child is proven full (empty) when psi at its centre is within
+        # (beyond) the limit by at least as far as psi can travel to its
+        # farthest sample.
+        travel = rate * half[where] + PROOF_SLACK_RAD
+        # A child lies inside the grid unless its first sample, capped at n, is n.
+        inside = (np.minimum(lo[rows, None] + np.arange(ratio) * size, n) - n).astype(bool)
+        full, open_ = (margin <= -travel)[inside], ((margin > -travel) & (margin < travel))[inside]
+        parts = np.where(unproven, -(-(hi - lo) // size), 1)
+        which = np.repeat(np.arange(parts.size), parts)
+        lo = lo[which] + (np.arange(which.size) - np.repeat(np.cumsum(parts) - parts, parts)) * size
+        target, hi, unproven, visible = target[which], hi[which], unproven[which], visible[which]
+        hi = np.where(unproven, np.minimum(lo + size, hi), hi)
+        fresh = np.flatnonzero(unproven)
+        visible[fresh], unproven[fresh] = full, open_
+        # lo is 0 only at a target's first block.
+        alike = ~(unproven[1:] | unproven[:-1]) & (visible[1:] == visible[:-1]) & lo[1:].astype(bool)
+        keep = np.flatnonzero(np.append(True, ~alike))
+        hi = hi[np.append(keep[1:], lo.size) - 1]
+        target, lo, unproven, visible = target[keep], lo[keep], unproven[keep], visible[keep]
+        parent = size
+        # Free this level's arrays before the next level builds its own.
+        del margin, travel, which, fresh, keep
+    # Each block's samples in a row: a proven block's state, an open block's
+    # samples read exactly (psi - limit <= 0 just when psi <= limit).  A
+    # change just before a row's first sample is a change from the last
+    # sample of the block before it.
+    samples = np.repeat(visible, ratio).reshape(-1, ratio)
+    samples[rows] = margin <= 0.0
+    flat, first = samples.ravel(), ~lo.astype(bool)
+    step = np.append(False, flat[1:] != flat[:-1]).reshape(-1, ratio)
+    step[:, 0] &= ~first
+    block, sample = np.nonzero(step)
+    change = block * ratio + sample
+    sample += lo[block]
+    return (samples[first, 0], samples[np.append(first[1:], True), -1], np.bincount(target[block], minlength=count),
+            grid[sample - 1], grid[sample], flat[change - 1])
 
 
 def constellation_windows(
@@ -281,12 +312,13 @@ def constellation_windows(
     A station is visible while psi is at most ``_contact_limit`` of its mask,
     an AOI while psi is at most its reach over R.  A run of visible coarse
     samples is a window; its edges are the horizon ends or the refined
-    visibility changes next to the run.  Each satellite is scanned on its
-    own samples, and no grid outlives its scan.  Then the crossings of every
-    satellite and target are bisected together, each one carrying its
-    satellite's elements and its target's angles and limit, so the track is
-    evaluated once per bisection step for the whole constellation and every
-    crossing follows the midpoints it would follow alone.
+    visibility changes next to the run.  The coarse grid and its first-level
+    blocks are built once, each satellite is scanned on them, and no grid
+    outlives the scans.  Then the crossings of every satellite and target
+    are bisected together, each one carrying its satellite's elements and
+    its target's angles and limit, so the track is evaluated once per
+    bisection step for the whole constellation and every crossing follows
+    the midpoints it would follow alone.
     """
     t0, t1 = horizon
     if t0 >= t1:
@@ -295,21 +327,23 @@ def constellation_windows(
         raise ValidationError("coarse step must be positive")
     if not (satellites and (stations or aois)):
         return [([], []) for _ in satellites]
-    ends, counts, rows, brackets = [], [], [], []
+    grid = _coarse_grid(t0, t1, coarse_step)
+    top = _block_bounds(grid, LEVELS[0], np.arange(-(-grid.size // LEVELS[0]))[None, :])
+    points = [_target_angles(s.location.lat, s.location.lon) for s in stations]
+    points += [_target_angles(a.center.lat, a.center.lon) for a in aois]
+    angles = tuple(np.array(a) for a in zip(*points))
+    heads, tails, counts, rows, brackets = [], [], [], [], []
     for sat in satellites:
         elements = _elements(sat)
-        targets = [
-            (_target_angles(s.location.lat, s.location.lon), _contact_limit(sat.altitude_km, s.min_elevation_deg))
-            for s in stations
-        ] + [
-            (_target_angles(a.center.lat, a.center.lon), (sat.swath_km / 2.0 + a.radius_km) / EARTH_RADIUS_KM)
-            for a in aois
-        ]
-        sat_ends, sat_counts, *sat_brackets = _scan(elements, targets, t0, t1, coarse_step)
-        ends += sat_ends
-        counts += sat_counts
-        brackets.append(sat_brackets)
-        rows += [(*elements, *angles, limit) for angles, limit in targets]
+        limits = np.array([_contact_limit(sat.altitude_km, s.min_elevation_deg) for s in stations]
+                          + [(sat.swath_km / 2.0 + a.radius_km) / EARTH_RADIUS_KM for a in aois])
+        head, tail, count, *found = _scan(elements, angles, limits, grid, top)
+        heads += head.tolist()
+        tails += tail.tolist()
+        counts += count.tolist()
+        brackets.append(found)
+        rows += [(*elements, *a, limit) for a, limit in zip(points, limits.tolist())]
+    del grid, top
     lo, hi, lo_inside = (np.concatenate(b) for b in zip(*brackets))
     del brackets
     period, u0, sin_inc, cos_inc, raan, *angles_x, limit_x = np.repeat(np.array(rows), counts, axis=0).T
@@ -320,9 +354,9 @@ def constellation_windows(
 
     crossings = _bisect_crossings(visible, lo, hi, lo_inside).tolist()
     found, stop = [], 0
-    for (head, tail), count in zip(ends, counts):
+    for head, tail, count in zip(heads, tails, counts):
         # Window edges in time order alternate start, end.
-        edges = head + crossings[stop : stop + count] + tail
+        edges = [t0] * head + crossings[stop : stop + count] + [t1] * tail
         stop += count
         found.append([Window(start, end) for start, end in zip(edges[0::2], edges[1::2]) if end > start])
     windows = iter(found)
@@ -350,9 +384,9 @@ def contact_windows(
     """Intervals where the satellite sits above the station's elevation mask.
 
     Boundaries are refined by bisection to 0.1 s; windows are sorted,
-    disjoint and clipped to the horizon.  Passes shorter than the coarse
-    step can be missed; at LEO altitudes with the default 10 s step no
-    pass above a practical mask is short enough for that to happen.
+    disjoint and clipped to the horizon.  A pass shorter than the coarse
+    step, such as a grazing pass that barely clears the mask, can fall
+    between two samples and be missed.
     """
     return satellite_windows(sat, (station,), (), horizon, coarse_step)[0][0]
 

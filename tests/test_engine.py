@@ -332,17 +332,19 @@ class TestGeometryTables:
         run(s)
         # The 10 s grid: multiples of the step in [0, horizon), then the horizon.
         grid = len(np.arange(0.0, horizon, 10.0)) + 1
-        blocks = -(-grid // orbit.BLOCK)
+        blocks = -(-grid // orbit.LEVELS[0])
         pairs = len(s.satellites) * (len(s.stations) + len(s.aois))
         # Halving a 10 s bracket down to the bisection tolerance.
         steps = math.ceil(math.log2(10.0 / orbit.BISECTION_TOL_S))
         # No call samples the whole grid.  Each satellite's scan samples the
-        # track at its block centres once and at its targets' samples once;
-        # each bisection step samples it once for the whole constellation.
+        # track once per level, at every first-level block first, and once at
+        # its open samples; each bisection step samples it once for the
+        # whole constellation.
+        scan = len(orbit.LEVELS) + 1
         assert max(sizes) < grid
-        assert sizes.count(blocks) == len(s.satellites)
-        assert len(sizes) == 2 * len(s.satellites) + steps
-        assert sum(sizes) < 0.1 * pairs * grid
+        assert sizes[: scan * len(s.satellites) : scan] == [blocks] * len(s.satellites)
+        assert len(sizes) == scan * len(s.satellites) + steps
+        assert sum(sizes) < 0.02 * pairs * grid
         first_calls = len(sizes)
         sizes.clear()
         run(dataclasses.replace(s, seed=1))

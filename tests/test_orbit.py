@@ -380,17 +380,26 @@ block_aois = st.builds(make_aoi, lat=st.floats(-80.0, 80.0), lon=st.floats(-180.
 
 @st.composite
 def block_horizons(draw):
-    """(horizon, step): t0 and t1 on or off the grid, shorter or longer than one block."""
+    """(horizon, step): t0 and t1 on or off the grid, and a length shorter than
+    the smallest block, between two block sizes or longer than the largest."""
     step = draw(st.sampled_from([10.0, 0.3]))
     if draw(st.booleans()):
         t0 = draw(st.integers(0, 20000)) * step
     else:
         t0 = draw(st.floats(0.0, 86400.0))
-    if draw(st.booleans()):
-        length = draw(st.floats(0.01, orbit.BLOCK * step))
-    else:
-        length = draw(st.floats(orbit.BLOCK * step, 8640.0 * step))
+    bounds = (0.01, *(size * step for size in sorted(orbit.LEVELS)), 8640.0 * step)
+    shortest = draw(st.integers(0, len(bounds) - 2))
+    length = draw(st.floats(bounds[shortest], bounds[shortest + 1]))
     return (t0, t0 + length), step
+
+
+def equator_aoi(sat, aid, start, end):
+    """An AOI on the equator that a retrograde equatorial satellite, whose
+    subsatellite point moves west at the full rate n + w_E, reaches over
+    exactly [start, end] from its first revolution."""
+    rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
+    radius = rate * (end - start) / 2.0 * EARTH_RADIUS_KM - sat.swath_km / 2.0
+    return make_aoi(aid, 0.0, -math.degrees(rate * (start + end) / 2.0), radius=radius)
 
 
 class TestBlockSearch:
@@ -403,19 +412,53 @@ class TestBlockSearch:
 
     @pytest.mark.parametrize("start, end", [(283.0, 315.0), (315.0, 347.0)])
     def test_window_edge_beside_proven_block(self, start, end):
-        # A retrograde equatorial orbit moves the subsatellite point along the
-        # equator at the full rate n + w_E.  A window edge at 315 s lies
-        # between grid samples 31 and 32, the first block boundary, and the
-        # block on its far side is proven empty.
+        # A window edge at 315 s lies between grid samples 31 and 32, on the
+        # boundary of the first two 32-sample blocks, and the block on its
+        # far side is proven empty.
         sat = make_satellite(inclination=180.0, swath=40.0)
-        rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
-        centre_lon = -math.degrees(rate * (start + end) / 2.0)
-        aoi = make_aoi("equator", 0.0, centre_lon, radius=rate * (end - start) / 2.0 * EARTH_RADIUS_KM - 20.0)
+        aoi = equator_aoi(sat, "equator", start, end)
         windows = access_windows(sat, aoi, (0.0, 2000.0))
         assert windows == reference_access(sat, aoi, (0.0, 2000.0), 10.0)
         assert len(windows) == 1
         assert windows[0].start == pytest.approx(start, abs=orbit.BISECTION_TOL_S)
         assert windows[0].end == pytest.approx(end, abs=orbit.BISECTION_TOL_S)
+
+    @pytest.mark.parametrize("size, blocks", [(8, 1), (32, 1), (128, 1), (128, 3)])
+    def test_full_blocks_beside_empty_blocks(self, size, blocks):
+        # The window's edges lie halfway between the samples at both ends of
+        # the run of blocks [size, (1 + blocks) * size), which is proven full;
+        # the blocks on either side of it are proven empty.  The last case is
+        # a pass longer than a first-level block.
+        sat = make_satellite(inclination=180.0, swath=40.0)
+        start, end = (size - 0.5) * 10.0, ((1 + blocks) * size - 0.5) * 10.0
+        aoi = equator_aoi(sat, "wide", start, end)
+        horizon = (0.0, (2 + blocks) * size * 10.0 + 100.0)
+        windows = access_windows(sat, aoi, horizon)
+        assert windows == reference_access(sat, aoi, horizon, 10.0)
+        assert len(windows) == 1
+        assert (windows[0].start, windows[0].end) == pytest.approx((start, end), abs=orbit.BISECTION_TOL_S)
+
+    def test_window_to_the_end_of_a_partial_last_block(self):
+        # The horizon ends 275 s into the second first-level block: a partial
+        # block that lies wholly inside the window and is proven full.
+        sat = make_satellite(inclination=180.0, swath=40.0)
+        aoi = equator_aoi(sat, "tail", 1275.0, 2555.0)
+        windows = access_windows(sat, aoi, (0.0, 1555.0))
+        assert windows == reference_access(sat, aoi, (0.0, 1555.0), 10.0)
+        assert len(windows) == 1
+        assert windows[0].start == pytest.approx(1275.0, abs=orbit.BISECTION_TOL_S)
+        assert windows[0].end == 1555.0
+
+    def test_full_proof_allows_for_rounding(self):
+        # The window starts 2.5e-6 s after sample 8 (80 s), the first of its
+        # block of 8 samples, and its centre is 5e-6 s after the block's.  Psi
+        # at the block's centre, about 6e-9 rad, computes as 0, so without
+        # the slack the block would be proven full, sample 8 included.
+        sat = make_satellite(inclination=180.0, swath=40.0)
+        aoi = equator_aoi(sat, "edge", 80.0 + 2.5e-6, 150.0 + 7.5e-6)
+        windows = access_windows(sat, aoi, (0.0, 2000.0))
+        assert windows == reference_access(sat, aoi, (0.0, 2000.0), 10.0)
+        assert windows[0].start == pytest.approx(80.0, abs=orbit.BISECTION_TOL_S)
 
     @settings(max_examples=300, deadline=None)
     @given(sat=block_satellites, lat=st.floats(-90.0, 90.0), lon=st.floats(-180.0, 180.0),
@@ -447,13 +490,7 @@ class TestSatelliteSearch:
         # proof skips: the shared samples hold that block, and the first AOI
         # must still read only its own.
         sat = make_satellite(inclination=180.0, swath=40.0)
-        rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
-
-        def equator_aoi(aid, a, b):
-            radius = rate * (b - a) / 2.0 * EARTH_RADIUS_KM - sat.swath_km / 2.0
-            return make_aoi(aid, 0.0, -math.degrees(rate * (a + b) / 2.0), radius=radius)
-
-        aois = (equator_aoi("edge", start, end), equator_aoi("other", *other))
+        aois = (equator_aoi(sat, "edge", start, end), equator_aoi(sat, "other", *other))
         _, accesses = satellite_windows(sat, (), aois, (0.0, 2000.0))
         assert accesses == [reference_access(sat, aoi, (0.0, 2000.0), 10.0) for aoi in aois]
         assert [len(windows) for windows in accesses] == [1, 1]

@@ -1,17 +1,21 @@
 """The suite's own configuration reports failures instead of crashing on them,
-the benchmark's tracer still finds every function it wraps, and the README's
+the benchmark's tracer still finds every function it wraps, the window
+search stays within the memory the benchmark allows, and the README's
 scenario schema matches the code."""
 
 import importlib.util
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import yaml
 
 import eochain.cli
 from eochain.model import validate_scenario
+from eochain.orbit import constellation_windows
+from eochain.presets import iride_heo
 from eochain.scenario_io import scenario_from_dict
 
 from conftest import numeric_fields
@@ -66,6 +70,26 @@ def test_tracer_finds_every_wrapped_function(tmp_path, monkeypatch):
     summary = tracer.summary()
     assert summary["engine.run.calls"] == 3
     assert summary["metrics.compare_architectures.calls"] == 1
+
+
+# The traced peak of the search before its three-level block proof, 1,095.8
+# KiB with numpy 2.4.6, on the second call in a process (the first one also
+# allocates numpy's own caches).
+SEARCH_PEAK_BYTES = 1_122_120
+
+
+def test_window_search_peak_memory_does_not_grow():
+    # The 7-day iride-heo geometry, whose coarse grid alone is 473 KiB.
+    s = iride_heo()
+    geometry = (s.satellites, s.stations, s.aois, (0.0, s.horizon_s))
+    constellation_windows(*geometry)
+    tracemalloc.start()
+    try:
+        constellation_windows(*geometry)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SEARCH_PEAK_BYTES
 
 
 def test_readme_schema_validates_and_states_each_declared_interval():
