@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .model import DataProduct, ProductKind, ValidationError
 from .orbit import Window
@@ -28,8 +27,7 @@ def _queue_key(p: DataProduct) -> tuple[int, float, str]:
     return (DOWNLINK_PRIORITY[p.kind], p.created, p.id)
 
 
-@dataclass(frozen=True)
-class TransferRecord:
+class TransferRecord(NamedTuple):
     product_id: str
     station_id: str
     start: float
@@ -37,8 +35,7 @@ class TransferRecord:
     bits_moved: int
 
 
-@dataclass(frozen=True, slots=True)
-class LinkInterval:
+class LinkInterval(NamedTuple):
     """Exclusive use of one station's window by the satellite's transmitter."""
 
     start: float
@@ -46,8 +43,7 @@ class LinkInterval:
     station_id: str
 
 
-@dataclass(frozen=True)
-class TransferResult:
+class TransferResult(NamedTuple):
     records: tuple[TransferRecord, ...]
     completion_times: dict[str, float]
 

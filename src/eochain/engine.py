@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, replace
 from enum import Enum
 from types import MappingProxyType
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -191,8 +191,7 @@ class SimEventKind(str, Enum):
     SIM_END = "SimEnd"
 
 
-@dataclass(frozen=True)
-class SimEvent:
+class SimEvent(NamedTuple):
     """One timeline entry; ``seq`` is its insertion index, the tie-break at equal times."""
 
     time: float

@@ -4,10 +4,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .model import (
     DataProduct,
@@ -19,8 +18,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
-class MarketplaceRecord:
+class MarketplaceRecord(NamedTuple):
     product_id: str
     event_ids: frozenset[str]
     delivered: float

@@ -13,9 +13,9 @@ import functools
 import json
 import math
 from itertools import repeat
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .engine import SimulationTrace, run
 from .events import is_detectable
@@ -71,8 +71,7 @@ def end_to_end_latency(trace: SimulationTrace, product_id: str) -> Optional[floa
     return delivered - scene.acquired
 
 
-@dataclass(frozen=True)
-class ServiceReport:
+class ServiceReport(NamedTuple):
     """Single-run figures of merit, ready for serialization."""
 
     scenario_name: str
@@ -203,8 +202,7 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
     )
 
 
-@dataclass(frozen=True)
-class ComparisonReport:
+class ComparisonReport(NamedTuple):
     """Paired hybrid vs remote-only comparison under common random numbers."""
 
     scenario_name: str

@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional
 
 # Spherical-Earth constants used throughout.
 EARTH_RADIUS_KM = 6371.0
@@ -89,6 +89,8 @@ def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
 
 @dataclass(frozen=True)
 class AreaOfInterest:
+    """A monitored disc on the Earth's surface."""
+
     id: str
     center: GeoPoint
     # At least 1 m, so the disc's area does not underflow to 0; at most half the
@@ -118,6 +120,8 @@ PRECISION_RATE_FACTOR = {PrecisionMode.FP16: 1.0, PrecisionMode.INT8: 2.0}
 
 @dataclass(frozen=True)
 class SatelliteSpec:
+    """One satellite: its circular orbit, its imager and its onboard processor."""
+
     id: str
     altitude_km: float = within(300.0, 2000.0)
     inclination_deg: float = within(0.0, 180.0)
@@ -132,6 +136,8 @@ class SatelliteSpec:
 
 @dataclass(frozen=True)
 class GroundStationSpec:
+    """One ground station: its X-band downlink, and S-band uplink if available."""
+
     id: str
     location: GeoPoint
     min_elevation_deg: float = within(0.0, 90.0, "[)")
@@ -139,8 +145,7 @@ class GroundStationSpec:
     sband_available: bool = True
 
 
-@dataclass(frozen=True)
-class FireEvent:
+class FireEvent(NamedTuple):
     id: str
     location: GeoPoint
     start: float
@@ -161,6 +166,8 @@ class ServiceArchetype:
 
 @dataclass(frozen=True)
 class EventModel:
+    """Poisson fire starts per AOI, with log-normal burn areas."""
+
     rate_per_aoi_per_day: float = within(0.0, math.inf, "[)")
     # Burn areas exp(mean + sd * z) then stay positive and finite, chips included,
     # for any normal draw |z| < 100.
@@ -170,12 +177,16 @@ class EventModel:
 
 @dataclass(frozen=True)
 class GroundLatencySpec:
+    """Payload-data ground segment (PDGS) processing time per product kind, seconds."""
+
     pdgs_raw_s: float = within(0.0, math.inf, "[)")
     pdgs_mask_s: float = within(0.0, math.inf, "[)")
 
 
 @dataclass(frozen=True)
 class CloudModel:
+    """Mean cloud fraction of a scene, and the fraction above which a scene goes to ground raw."""
+
     mean_fraction: float = within(0.0, 1.0)
     onboard_threshold: float = within(0.0, 1.0)
 
@@ -191,6 +202,8 @@ class DetectionSpec:
 
 @dataclass(frozen=True)
 class Scenario:
+    """One simulated service: constellation, stations, AOIs, service and event models, seed, horizon."""
+
     name: str
     seed: int = within(0, 2**64, "[)")
     horizon_s: float
@@ -205,8 +218,7 @@ class Scenario:
     detection: DetectionSpec = field(default_factory=DetectionSpec)
 
 
-@dataclass(frozen=True)
-class DataProduct:
+class DataProduct(NamedTuple):
     """One unit of data moving through the chain; its progress lives in the transfer records."""
 
     id: str
@@ -238,8 +250,7 @@ def mask_volume(area_km2: float, gsd_m: float, compression: float) -> int:
     return math.ceil(pixel_count(area_km2, gsd_m) / compression)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     path: str
     message: str
 

@@ -8,8 +8,7 @@ is a throughput budget, not an inference engine.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -31,8 +30,7 @@ from .model import (
 from .events import is_detectable
 from .orbit import Window
 
-@dataclass(frozen=True)
-class Scene:
+class Scene(NamedTuple):
     """One acquisition of an AOI, with its sensor geometry frozen in; ``triggered`` if planned for an
     event.  Only a processed scene draws its ``cloud_fraction``; any other's is ``None``."""
 

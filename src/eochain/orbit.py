@@ -39,8 +39,7 @@ reuses whole tables across seeds and A/B arms.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -67,8 +66,7 @@ PROOF_SLACK_RAD = 1e-6
 FloatOrArray = float | np.ndarray
 
 
-@dataclass(frozen=True)
-class Window:
+class Window(NamedTuple):
     """Half-open interval of time during which a geometric condition holds."""
 
     start: float

@@ -9,8 +9,7 @@ retask orbits: the planner only selects among nominal access windows.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, NamedTuple, Optional, Sequence
 
 from .model import (
     FireEvent,
@@ -22,24 +21,21 @@ from .model import (
 from .orbit import Window
 
 
-@dataclass(frozen=True)
-class ObservationRequest:
+class ObservationRequest(NamedTuple):
     id: str
     aoi_id: str
     event_ids: frozenset[str]
     issued: float
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(NamedTuple):
     request_id: str
     satellite_id: str
     window: Window
     uplink_time: float
 
 
-@dataclass(frozen=True)
-class TaskingPlan:
+class TaskingPlan(NamedTuple):
     assignments: tuple[Assignment, ...]
     unmet_request_ids: tuple[str, ...]
 
@@ -69,8 +65,7 @@ def build_requests(
     return tuple(requests)
 
 
-@dataclass(frozen=True)
-class Opportunities:
+class Opportunities(NamedTuple):
     """The planner's index of the window tables, which depends on the
     geometry alone: the satellite ids in order; the starts and ends of each
     satellite's S-band contacts, sorted by (start, station id, end); and the

@@ -4,7 +4,7 @@ import typing
 
 import pytest
 
-from eochain import engine
+from eochain import downlink, engine, ground, metrics, model, onboard, orbit, tasking
 from eochain.model import (
     AcquisitionMode,
     AreaOfInterest,
@@ -21,6 +21,14 @@ from eochain.model import (
     Scenario,
     ServiceArchetype,
     Triggering,
+)
+
+# The record types a run builds, each a NamedTuple.
+RECORD_TYPES = (
+    orbit.Window, downlink.LinkInterval, downlink.TransferRecord, downlink.TransferResult,
+    ground.MarketplaceRecord, model.DataProduct, model.FireEvent, model.Violation, onboard.Scene,
+    tasking.ObservationRequest, tasking.Assignment, tasking.TaskingPlan, tasking.Opportunities,
+    engine.SimEvent, metrics.ServiceReport, metrics.ComparisonReport,
 )
 
 

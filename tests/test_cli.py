@@ -3,16 +3,12 @@ import functools
 import json
 import math
 import operator
-import os
 import shutil
-import subprocess
-import sys
 import time
 from pathlib import Path
 
 import pytest
 
-import eochain
 from eochain import cli, orbit
 from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_SEED, main
 from eochain.engine import run
@@ -202,19 +198,6 @@ class TestSweep:
             outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
         assert len(outputs[0]) == 4
         assert outputs[0] == outputs[1]
-
-    @staticmethod
-    def import_cli_leaves_out(module):
-        code = f"import sys, eochain.cli; sys.exit({module!r} in sys.modules)"
-        src = str(Path(eochain.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        return subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
-
-    def test_import_leaves_out_the_process_pool(self):
-        assert self.import_cli_leaves_out("concurrent.futures.process")
-
-    def test_import_leaves_out_numpy_random(self):
-        assert self.import_cli_leaves_out("numpy.random")
 
     def test_bad_run_count(self, tmp_path):
         assert main(["sweep", "--preset", "iride-heo", "--runs", "0",

@@ -1,4 +1,3 @@
-import dataclasses
 import random
 
 import pytest
@@ -11,6 +10,8 @@ from eochain.downlink import (
 )
 from eochain.model import DataProduct, ProductKind, ValidationError
 from eochain.orbit import Window
+
+from conftest import RECORD_TYPES
 
 
 MASK, CHIP, RAW = ProductKind.THEMATIC_MASK, ProductKind.ROI_CHIP, ProductKind.RAW_SCENE
@@ -224,8 +225,13 @@ class TestPurity:
         assert first.records  # the case moves bits, so a leaked state would show
         assert second == first
 
-    def test_products_are_frozen(self):
-        p = make_product("p", 10)
-        for f in dataclasses.fields(DataProduct):
-            with pytest.raises(dataclasses.FrozenInstanceError):
-                setattr(p, f.name, getattr(p, f.name))
+    @pytest.mark.parametrize("record_type", RECORD_TYPES, ids=lambda t: t.__name__)
+    def test_products_are_frozen(self, record_type):
+        values = tuple(range(len(record_type._fields)))
+        record = record_type._make(values)
+        for name in record_type._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, name, getattr(record, name))
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert record == values

@@ -297,7 +297,7 @@ class TestStreamIsolationCheck:
         scene_id = max(trace.detections)
         scene = trace.scenes[scene_id]
         altered = dataclasses.replace(
-            trace, scenes={**trace.scenes, scene_id: dataclasses.replace(scene, **change(scene))}
+            trace, scenes={**trace.scenes, scene_id: scene._replace(**change(scene))}
         )
         arms = iter([trace, altered])
         monkeypatch.setattr(metrics, "run", lambda scenario, injected_events=None: next(arms))

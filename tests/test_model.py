@@ -1,19 +1,26 @@
 import dataclasses
 import functools
+import importlib
 import math
 import operator
+import pkgutil
 import random
 import re
 import sys
+import typing
+from enum import Enum
 
 import pytest
 
+import eochain
+from eochain.engine import Geometry, SimulationTrace
 from eochain.model import (
     DEFAULT_COARSE_STEP_S,
     EARTH_RADIUS_KM,
     MAX_EVENTS,
     MAX_GRID_SAMPLES,
     GeoPoint,
+    Scenario,
     Triggering,
     ValidationError,
     mask_volume,
@@ -24,7 +31,7 @@ from eochain.model import (
 from eochain.presets import effis_like, iride_heo
 from eochain.scenario_io import scenario_from_dict, scenario_to_dict
 
-from conftest import make_archetype, make_satellite, make_scenario, numeric_fields
+from conftest import RECORD_TYPES, make_archetype, make_satellite, make_scenario, numeric_fields
 
 
 class TestGeoPoint:
@@ -328,3 +335,41 @@ class TestDeclaredIntervals:
                     checked += 1
             holder[keys[-1]] = good
         assert checked > 100
+
+
+def scenario_types():
+    """``Scenario`` and every eochain type that its field annotations reach."""
+    found, todo = set(), [Scenario]
+    while todo:
+        tp = todo.pop()
+        found.add(tp)
+        for hint in typing.get_type_hints(tp).values():
+            for arg in (hint, *typing.get_args(hint)):
+                if (isinstance(arg, type) and arg.__module__.startswith("eochain.")
+                        and not issubclass(arg, Enum) and arg not in found):
+                    todo.append(arg)
+    return found
+
+
+def defined_types():
+    """Every class that an eochain module defines at its top level."""
+    modules = [importlib.import_module(f"eochain.{m.name}") for m in pkgutil.iter_modules(eochain.__path__)]
+    return {value for module in modules for value in vars(module).values()
+            if isinstance(value, type) and value.__module__ == module.__name__}
+
+
+class TestTypeRule:
+    """Scenario types are dataclasses; what a run builds is a NamedTuple."""
+
+    def test_scenario_types_are_dataclasses(self):
+        # Validation and the scenario loader read a tuple value as a list of records.
+        types = scenario_types()
+        assert len(types) == 11
+        assert [tp.__name__ for tp in types if not dataclasses.is_dataclass(tp) or issubclass(tp, tuple)] == []
+
+    def test_only_scenario_types_and_cached_views_are_dataclasses(self):
+        # A trace and a geometry build views on first use, which needs an instance dict.
+        defined = defined_types()
+        expected = {tp.__name__ for tp in scenario_types() | {SimulationTrace, Geometry}}
+        assert {tp.__name__ for tp in defined if dataclasses.is_dataclass(tp)} == expected
+        assert {tp for tp in defined if issubclass(tp, tuple)} == set(RECORD_TYPES)

@@ -1,15 +1,18 @@
 """The suite's own configuration reports failures instead of crashing on them,
-the benchmark's tracer still finds every function it wraps, the window
-search stays within the memory the benchmark allows, and the README's
-scenario schema matches the code."""
+the benchmark's tracer still finds every function it wraps, importing the CLI
+leaves out the modules only some commands need, the window search stays
+within the memory the benchmark allows, and the README's scenario schema
+matches the code."""
 
 import importlib.util
+import os
 import re
 import subprocess
 import sys
 import tracemalloc
 from pathlib import Path
 
+import pytest
 import yaml
 
 import eochain.cli
@@ -70,6 +73,16 @@ def test_tracer_finds_every_wrapped_function(tmp_path, monkeypatch):
     summary = tracer.summary()
     assert summary["engine.run.calls"] == 3
     assert summary["metrics.compare_architectures.calls"] == 1
+
+
+# numpy.random (about 9 ms) loads at a run's first rng stream, and the process
+# pool only for ``sweep --jobs N``.
+@pytest.mark.parametrize("module", ["numpy.random", "concurrent.futures"])
+def test_cli_import_leaves_out(module):
+    code = f"import sys, eochain.cli; sys.exit({module!r} in sys.modules)"
+    src = str(Path(eochain.cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # The traced peak of the search before its three-level block proof, 1,095.8
