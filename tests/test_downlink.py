@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eochain.downlink import (
     LinkInterval,
@@ -205,7 +207,32 @@ class TestTransfers:
         assert result.completion_times["pb"] == pytest.approx(1.0)
 
 
+# Two satellites' queues: products with few distinct ids, volumes and creation
+# times, so ties in (kind priority, creation time) are common and broken by id.
+QUEUES = st.fixed_dictionaries({
+    sat: st.lists(
+        st.tuples(st.integers(0, 30), st.integers(1, 40_000_000), st.integers(0, 8).map(lambda t: 25.0 * t),
+                  st.sampled_from(BY_PRIORITY)),
+        max_size=12, unique_by=lambda spec: spec[0],
+    ).map(lambda specs, sat=sat: [make_product(f"{sat}-p{k}", v, created, kind) for k, v, created, kind in specs])
+    for sat in ("sat-a", "sat-b")
+})
+
+
 class TestPurity:
+    @settings(max_examples=80, deadline=None)
+    @given(queues=QUEUES, data=st.data())
+    def test_queue_order_does_not_matter(self, queues, data):
+        contacts = link_schedule({
+            ("sat-a", "gs-a"): [Window(10.0, 40.0), Window(100.0, 130.0), Window(300.0, 330.0)],
+            ("sat-b", "gs-a"): [Window(50.0, 70.0), Window(150.0, 260.0)],
+        })
+        shuffled = {sat: data.draw(st.permutations(queue), label=sat) for sat, queue in queues.items()}
+        first = simulate_transfers(queues, contacts, {"gs-a": 1.0})
+        second = simulate_transfers(shuffled, contacts, {"gs-a": 1.0})
+        assert second == first
+        assert list(second.completion_times.items()) == list(first.completion_times.items())
+
     def test_repeated_call_gives_equal_result(self):
         rng = random.Random(107)
         queues = {

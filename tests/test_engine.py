@@ -260,10 +260,12 @@ class TestChainSemantics:
 
 
 class TestStreamIsolation:
-    def test_mode_toggle_leaves_common_randomness_intact(self):
+    def test_mode_toggle_leaves_common_randomness_intact(self, cold_engine):
         s = make_scenario(seed=21, rate=1.0)
         hybrid = run(with_processing(s, ProcessingLocation.HYBRID))
+        cold_engine()
         raw = run(with_processing(s, ProcessingLocation.GROUND))
+        assert hybrid.scenes is not raw.scenes
         assert hybrid.fire_events == raw.fire_events
         assert hybrid.scenes == raw.scenes
 

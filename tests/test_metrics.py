@@ -1,7 +1,10 @@
 import csv
-import dataclasses
+import functools
 import json
 import math
+import struct
+import sys
+import textwrap
 from collections import Counter
 from pathlib import Path
 
@@ -12,8 +15,8 @@ from hypothesis import strategies as st
 from eochain import events, metrics, tasking
 from eochain.engine import run
 from eochain.metrics import (
-    StreamIsolationError,
     _indented_json,
+    _json_pieces,
     build_service_report,
     compare_architectures,
     end_to_end_latency,
@@ -229,6 +232,54 @@ CSV_REPORTS = {
 }
 
 
+@functools.cache
+def built_report(name):
+    """``CSV_REPORTS[name]``, built once for the tests that only read it."""
+    return CSV_REPORTS[name]()
+
+
+class TestJsonPieces:
+    """Reports are written a piece at a time, and the pieces join to ``json.dumps``."""
+
+    @pytest.mark.parametrize("name", ["stress", "compare"])
+    def test_pieces_join_to_json_dumps_with_indent(self, name):
+        d = built_report(name).to_dict()
+        assert "".join(_json_pieces(d)) == json.dumps(d, indent=2)
+
+    def test_no_piece_is_longer_than_one_block_of_products(self):
+        d = built_report("stress").to_dict()
+        products = d["products"]
+        assert len(products) > 2 * metrics._BLOCK_ROWS
+        # A block of rows as the report holds it: one level deep, under the top-level dict.
+        block = max(
+            len(textwrap.indent(json.dumps(products[i:i + metrics._BLOCK_ROWS], indent=2), "  "))
+            for i in range(0, len(products), metrics._BLOCK_ROWS)
+        )
+        assert max(map(len, _json_pieces(d))) <= block
+
+
+def format_round_sig(x: float) -> float:
+    """``_round_sig`` as it was, through a format spec."""
+    if x == 0 or not math.isfinite(x):
+        return x
+    return float(f"{x:.6g}")
+
+
+# Every double, from its bits, next to the cases at the edges of the formula.
+ANY_DOUBLE = st.integers(0, 2**64 - 1).map(lambda bits: struct.unpack("<d", bits.to_bytes(8, "little"))[0])
+EDGE_DOUBLES = st.sampled_from([
+    0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -5e-324,
+    sys.float_info.max, -sys.float_info.max, sys.float_info.min, 999999.5, 9999995.0, 1e16,
+])
+
+
+class TestRoundSig:
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats() | ANY_DOUBLE | EDGE_DOUBLES)
+    def test_equals_format_spec_formula(self, x):
+        assert repr(metrics._round_sig(x)) == repr(format_round_sig(x))
+
+
 class TestCsvWriter:
     @pytest.mark.parametrize("name", sorted(CSV_REPORTS))
     def test_equals_row_at_a_time_writer(self, name, tmp_path):
@@ -282,31 +333,6 @@ class TestComparison:
         assert json.loads(j.read_text())["schema_version"] == 1
         lines = c.read_text().splitlines()
         assert len(lines) == len(comparison.per_event) + 1 + 1
-
-
-class TestStreamIsolationCheck:
-    """compare_architectures refuses arms whose scenes do not match."""
-
-    @pytest.mark.parametrize("change", [
-        lambda scene: {"acquired": scene.acquired + 1.0},
-        lambda scene: {"triggered": not scene.triggered},
-        lambda scene: {"cloud_fraction": scene.cloud_fraction + 0.01},
-    ], ids=["acquired", "triggered", "cloud_fraction"])
-    def test_diverging_scene_is_refused(self, trace, monkeypatch, change):
-        # A processed scene, the only kind that draws a cloud fraction.
-        scene_id = max(trace.detections)
-        scene = trace.scenes[scene_id]
-        altered = dataclasses.replace(
-            trace, scenes={**trace.scenes, scene_id: scene._replace(**change(scene))}
-        )
-        arms = iter([trace, altered])
-        monkeypatch.setattr(metrics, "run", lambda scenario, injected_events=None: next(arms))
-        with pytest.raises(StreamIsolationError, match="scenes differ"):
-            compare_architectures(make_scenario(seed=5), injected_events=[EVENT])
-
-    def test_matching_arms_pass(self, trace, monkeypatch):
-        monkeypatch.setattr(metrics, "run", lambda scenario, injected_events=None: trace)
-        compare_architectures(make_scenario(seed=5), injected_events=[EVENT])
 
 
 class TestSharedObservation:
