@@ -11,12 +11,27 @@ A target is visible while the central angle psi between the subsatellite
 point and the target is at most a limit: reach / R for access, and for a
 contact above mask E, ``acos(k cos E) - E`` with k = R / (R + h), since
 elevation falls strictly as psi grows.  This one test serves the block
-proofs, the coarse samples and every bisection midpoint.  The subsatellite
-point moves over the Earth at an angular rate of at most n + w_E (mean
-motion plus the Earth's rotation), so psi changes no faster than that.  A
-block of coarse samples whose centre is further from a target's limit than
-psi can travel to the block's farthest sample is on one side of the limit
-at every sample: proven empty beyond it, proven full within it (after
+proofs, the coarse samples and every bisection midpoint.
+
+The search computes psi as ``acos(r . t)`` of two Earth-fixed unit vectors:
+``_ground_vector`` gives the subsatellite point r from the cosine and sine
+of the argument of latitude and of the node's Earth-fixed longitude, four
+calls per track point, and each target's t is computed once per search, so
+psi costs one call per sample and target.  The latitude/longitude kernel,
+``_central_angle`` over ``_track_angles`` of ``_ground_track``, stays the
+definition of visibility: it is the one behind ``subsatellite_track`` and
+``elevation_angle``.  The two kernels differ only by rounding, at most about
+3e-8 rad where psi is near 0 or pi and about 1e-12 rad elsewhere, so where a
+sample or a midpoint lies within ``PROOF_SLACK_RAD`` of its limit the
+latitude/longitude kernel decides it again (``_within``).  Every visibility
+decision is therefore that kernel's, and every window is the one it gives.
+
+The subsatellite point moves over the Earth at an angular rate of at most
+n + w_E (mean motion plus the Earth's rotation), so psi changes no faster
+than that.  A block of coarse samples whose centre is further from a
+target's limit than psi can travel to the block's farthest sample, plus
+``PROOF_SLACK_RAD`` for the rounding of either kernel, is on one side of the
+limit at every sample: proven empty beyond it, proven full within it (after
 Alfano, Negron & Moore, "Rapid Determination of Satellite Visibility
 Periods", J. Astronaut. Sci. 40(2), 1992).  The search proves blocks of
 ``LEVELS`` samples, 128, then 32, then 8: each level tests only the
@@ -24,16 +39,18 @@ children of the blocks still open, and only the samples of the 8-sample
 blocks still open are evaluated.  Each level computes the track once per
 satellite, at the distinct blocks its targets need.  Every bisection step
 evaluates the track once for the crossings of every satellite and target:
-each crossing carries its satellite's elements, and ``_ground_track`` is
-the one track formula, for one satellite's elements or for one per time.
-On the 7-day ``iride-heo`` geometry (12 satellites, 10 targets, 60,481
-samples each) the scans compute the track at 71,844 of the 725,772
-satellite samples and psi for 169,116 of the 7.26 M sample-target pairs, in
-4 calls per satellite; the bisection adds 7 calls.  Every sample and
-midpoint reads what it reads on the full grid, so the windows are the ones
-the full grid gives, whatever other targets and satellites share the
-search.  No track is kept between searches; ``engine.geometry_tables``
-reuses whole tables across seeds and A/B arms.
+each crossing carries its satellite's elements, and each kernel takes one
+satellite's elements or one per time.  On the 7-day ``iride-heo`` geometry
+(12 satellites, 10 targets, 60,481 samples each) the scans compute the track
+at 71,844 of the 725,772 satellite samples and psi for 169,116 of the
+7.26 M sample-target pairs, in 4 calls per satellite; the bisection adds 7
+calls for its 3,741 crossings, 26,187 midpoints.  The latitude/longitude
+kernel decides 128 of these 195,303 evaluations again, all of them
+midpoints, in 7 calls.  Every sample and midpoint reads what it reads on
+the full grid, so the windows are the ones the full grid gives, whatever
+other targets and satellites share the search.  No track is kept between
+searches; ``engine.geometry_tables`` reuses whole tables across seeds and
+A/B arms.
 """
 
 from __future__ import annotations
@@ -60,7 +77,7 @@ BISECTION_TOL_S = 0.1
 # each size divides the one before it.
 LEVELS = (128, 32, 8)
 # Allowance for rounding in the computed central angle (radians, about 6 m on
-# the ground).  The worst case is acos near 0 or pi, about 2e-8 rad.
+# the ground).  The worst case is acos near 0 or pi, about 3e-8 rad.
 PROOF_SLACK_RAD = 1e-6
 
 FloatOrArray = float | np.ndarray
@@ -146,6 +163,55 @@ def _central_angle(track: tuple[np.ndarray, ...], target: tuple[FloatOrArray, ..
     return np.arccos(np.clip(cos_psi, -1.0, 1.0))
 
 
+def _ground_vector(elements: OrbitElements, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Earth-fixed unit vector of the subsatellite point at times ``t``, for one
+    satellite's elements or for one satellite's elements per time: the point at
+    argument of latitude u on a circle inclined at i to the equator, whose
+    ascending node is at Earth-fixed longitude N = RAAN - w_E t."""
+    period, u0, sin_inc, cos_inc, raan = elements
+    u = u0 + 2.0 * math.pi * t / period
+    node = raan - EARTH_ROTATION_RAD_S * t
+    cos_u, sin_u, cos_node, sin_node = np.cos(u), np.sin(u), np.cos(node), np.sin(node)
+    across = cos_inc * sin_u
+    return cos_u * cos_node - across * sin_node, cos_u * sin_node + across * cos_node, sin_inc * sin_u
+
+
+def _target_vector(angles: tuple[float, float, float]) -> tuple[float, float, float]:
+    """Earth-fixed unit vector of a target given by ``_target_angles``."""
+    sin_lat, cos_lat, lon = angles
+    return cos_lat * math.cos(lon), cos_lat * math.sin(lon), sin_lat
+
+
+def _psi(track: tuple[np.ndarray, ...], target: tuple[FloatOrArray, ...]) -> np.ndarray:
+    """Central angle (radians) between unit vectors: track points given by
+    ``_ground_vector`` and targets, one target or one per point."""
+    dot = track[0] * target[0]
+    dot += track[1] * target[1]
+    dot += track[2] * target[2]
+    return np.arccos(np.clip(dot, -1.0, 1.0, out=dot), out=dot)
+
+
+def _reference_within(elements: OrbitElements, t: np.ndarray, target: tuple[FloatOrArray, ...],
+                      limit: FloatOrArray) -> np.ndarray:
+    """Whether psi is at most ``limit`` at times ``t`` by the latitude/longitude
+    kernel of ``subsatellite_track`` and ``elevation_angle``, for targets given
+    by ``_target_angles``."""
+    return _central_angle(_track_angles(*_ground_track(elements, t)), target) <= limit
+
+
+def _within(psi: np.ndarray, limit: FloatOrArray, reference: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """Whether each ``psi`` is at most its limit.  Where psi lies within
+    ``PROOF_SLACK_RAD`` of the limit, rounding could put the two kernels on
+    either side of it, so ``reference`` decides, given those elements' flat
+    indices: every decision is the latitude/longitude kernel's."""
+    margin = psi - limit
+    inside = margin <= 0.0
+    ties = np.flatnonzero(np.abs(margin, out=margin) <= PROOF_SLACK_RAD)
+    if ties.size:
+        inside.flat[ties] = reference(ties)
+    return inside
+
+
 def _elevation(psi: np.ndarray, altitude_km: float) -> np.ndarray:
     """Elevation (degrees) above a ground point's horizon of a satellite at
     ``altitude_km`` whose subsatellite point is the central angle ``psi`` away."""
@@ -214,16 +280,17 @@ def _block_bounds(grid: np.ndarray, size: int, blocks: np.ndarray) -> tuple[np.n
 
 
 def _scan(
-    elements: OrbitElements, angles: tuple[np.ndarray, ...], limits: np.ndarray, grid: np.ndarray,
-    top: tuple[np.ndarray, np.ndarray],
+    elements: OrbitElements, angles: tuple[np.ndarray, ...], vectors: tuple[np.ndarray, ...], limits: np.ndarray,
+    grid: np.ndarray, top: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One satellite's search on the coarse ``grid`` over targets given by
-    their ``angles`` (``_target_angles`` as arrays) and ``limits``, each
-    visible while psi is at most its limit; ``top`` is ``_block_bounds`` of
-    the first level's blocks, as one row.  For each target, whether its
-    first and its last sample are visible and its number of visibility
-    changes; then every change of every target, in target order, as a
-    bracket (lo, hi) of neighbouring grid samples with the visibility at lo.
+    their ``angles`` (``_target_angles`` as arrays), their unit ``vectors``
+    and ``limits``, each visible while psi is at most its limit (``_within``);
+    ``top`` is ``_block_bounds`` of the first level's blocks, as one row.  For
+    each target, whether its first and its last sample are visible and its
+    number of visibility changes; then every change of every target, in
+    target order, as a bracket (lo, hi) of neighbouring grid samples with the
+    visibility at lo.
 
     Each target's grid is a list of blocks [lo, hi) in time order, each
     proven empty, proven full or open, and a run of blocks proven alike is
@@ -249,14 +316,14 @@ def _scan(
         distinct = np.flatnonzero(needed)
         blocks = np.minimum(distinct[:, None] * ratio + np.arange(ratio), (n - 1) // size)
         centre, half = top if size == LEVELS[0] else _block_bounds(grid, size, blocks)
-        track = _track_angles(*_ground_track(elements, centre.ravel()))
+        track = _ground_vector(elements, centre.ravel())
         where = np.zeros(needed.size, int)
         where[distinct] = np.arange(distinct.size)
         where = where[up]
-        margin = _central_angle(tuple(a.reshape(-1, ratio)[where] for a in track),
-                                tuple(a[own, None] for a in angles)) - limits[own, None]
+        psi = _psi(tuple(a.reshape(-1, ratio)[where] for a in track), tuple(a[own, None] for a in vectors))
         if size == 1:
             break
+        margin = np.subtract(psi, limits[own, None], out=psi)
         # A child is proven full (empty) when psi at its centre is within
         # (beyond) the limit by at least as far as psi can travel to its
         # farthest sample.
@@ -278,13 +345,19 @@ def _scan(
         target, lo, unproven, visible = target[keep], lo[keep], unproven[keep], visible[keep]
         parent = size
         # Free this level's arrays before the next level builds its own.
-        del margin, travel, which, fresh, keep
+        del psi, margin, travel, which, fresh, keep
+
+    def settle(ties: np.ndarray) -> np.ndarray:
+        row, col = np.divmod(ties, ratio)
+        own_ties = own[row]
+        return _reference_within(elements, centre.ravel()[where[row] * ratio + col],
+                                 tuple(a[own_ties] for a in angles), limits[own_ties])
+
     # Each block's samples in a row: a proven block's state, an open block's
-    # samples read exactly (psi - limit <= 0 just when psi <= limit).  A
-    # change just before a row's first sample is a change from the last
-    # sample of the block before it.
+    # samples read exactly.  A change just before a row's first sample is a
+    # change from the last sample of the block before it.
     samples = np.repeat(visible, ratio).reshape(-1, ratio)
-    samples[rows] = margin <= 0.0
+    samples[rows] = _within(psi, limits[own, None], settle)
     flat, first = samples.ravel(), ~lo.astype(bool)
     step = np.append(False, flat[1:] != flat[:-1]).reshape(-1, ratio)
     step[:, 0] &= ~first
@@ -314,9 +387,9 @@ def constellation_windows(
     blocks are built once, each satellite is scanned on them, and no grid
     outlives the scans.  Then the crossings of every satellite and target
     are bisected together, each one carrying its satellite's elements and
-    its target's angles and limit, so the track is evaluated once per
-    bisection step for the whole constellation and every crossing follows
-    the midpoints it would follow alone.
+    its target's angles, unit vector and limit, so the track is evaluated
+    once per bisection step for the whole constellation and every crossing
+    follows the midpoints it would follow alone.
     """
     t0, t1 = horizon
     if t0 >= t1:
@@ -330,25 +403,32 @@ def constellation_windows(
     points = [_target_angles(s.location.lat, s.location.lon) for s in stations]
     points += [_target_angles(a.center.lat, a.center.lon) for a in aois]
     angles = tuple(np.array(a) for a in zip(*points))
+    units = [_target_vector(p) for p in points]
+    vectors = tuple(np.array(a) for a in zip(*units))
     heads, tails, counts, rows, brackets = [], [], [], [], []
     for sat in satellites:
         elements = _elements(sat)
         limits = np.array([_contact_limit(sat.altitude_km, s.min_elevation_deg) for s in stations]
                           + [(sat.swath_km / 2.0 + a.radius_km) / EARTH_RADIUS_KM for a in aois])
-        head, tail, count, *found = _scan(elements, angles, limits, grid, top)
+        head, tail, count, *found = _scan(elements, angles, vectors, limits, grid, top)
         heads += head.tolist()
         tails += tail.tolist()
         counts += count.tolist()
         brackets.append(found)
-        rows += [(*elements, *a, limit) for a, limit in zip(points, limits.tolist())]
+        rows += [(*elements, *a, *v, limit) for a, v, limit in zip(points, units, limits.tolist())]
     del grid, top
     lo, hi, lo_inside = (np.concatenate(b) for b in zip(*brackets))
     del brackets
-    period, u0, sin_inc, cos_inc, raan, *angles_x, limit_x = np.repeat(np.array(rows), counts, axis=0).T
-    elements_x = (period, u0, sin_inc, cos_inc, raan)
+    columns = np.repeat(np.array(rows), counts, axis=0).T
+    elements_x, angles_x, vectors_x = tuple(columns[:5]), tuple(columns[5:8]), tuple(columns[8:11])
+    limit_x = columns[11]
 
     def visible(t: np.ndarray) -> np.ndarray:
-        return _central_angle(_track_angles(*_ground_track(elements_x, t)), angles_x) <= limit_x
+        def settle(ties: np.ndarray) -> np.ndarray:
+            return _reference_within(tuple(e[ties] for e in elements_x), t[ties], tuple(a[ties] for a in angles_x),
+                                     limit_x[ties])
+
+        return _within(_psi(_ground_vector(elements_x, t), vectors_x), limit_x, settle)
 
     crossings = _bisect_crossings(visible, lo, hi, lo_inside).tolist()
     found, stop = [], 0

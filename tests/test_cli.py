@@ -93,6 +93,8 @@ class TestRun:
         def no_track(elements, t):
             raise AssertionError("track sampled for an invalid horizon")
 
+        # The search's kernel, and the latitude/longitude one that decides ties.
+        monkeypatch.setattr(orbit, "_ground_vector", no_track)
         monkeypatch.setattr(orbit, "_ground_track", no_track)
         start = time.perf_counter()
         code = main(["run", "--preset", "effis-like", "--duration", "1e12",

@@ -261,10 +261,12 @@ class TestChainSemantics:
 
 class TestStreamIsolation:
     def test_mode_toggle_leaves_common_randomness_intact(self, cold_engine):
-        s = make_scenario(seed=21, rate=1.0)
+        # With a nonzero cloud mean every processed scene draws from its cloud stream.
+        s = make_scenario(seed=21, rate=1.0, cloud_mean=0.3)
         hybrid = run(with_processing(s, ProcessingLocation.HYBRID))
         cold_engine()
         raw = run(with_processing(s, ProcessingLocation.GROUND))
+        assert any(0.0 < (scene.cloud_fraction or 0.0) < 1.0 for scene in hybrid.scenes.values())
         assert hybrid.scenes is not raw.scenes
         assert hybrid.fire_events == raw.fire_events
         assert hybrid.scenes == raw.scenes
@@ -321,14 +323,20 @@ class TestGeometryTables:
             assert all(isinstance(windows, tuple) for windows in table.values())
 
     def test_second_run_computes_no_track(self, monkeypatch, cold_engine):
-        sizes = []
-        track = orbit._ground_track
+        sizes, ties = [], []
 
-        def counting_track(elements, t):
-            sizes.append(np.size(t))
-            return track(elements, t)
+        def counting(name, counts):
+            track = getattr(orbit, name)
 
-        monkeypatch.setattr(orbit, "_ground_track", counting_track)
+            def counted(elements, t):
+                counts.append(np.size(t))
+                return track(elements, t)
+
+            monkeypatch.setattr(orbit, name, counted)
+
+        # The search's kernel, and the latitude/longitude one that decides ties.
+        counting("_ground_vector", sizes)
+        counting("_ground_track", ties)
         horizon = 2 * DAY + 5.0
         s = make_scenario(horizon=horizon)
         run(s)
@@ -347,11 +355,13 @@ class TestGeometryTables:
         assert sizes[: scan * len(s.satellites) : scan] == [blocks] * len(s.satellites)
         assert len(sizes) == scan * len(s.satellites) + steps
         assert sum(sizes) < 0.02 * pairs * grid
+        assert sum(ties) < 0.01 * sum(sizes)
         first_calls = len(sizes)
         sizes.clear()
+        ties.clear()
         run(dataclasses.replace(s, seed=1))
         run(with_processing(s, ProcessingLocation.GROUND))
-        assert sizes == []
+        assert sizes == ties == []
         # More AOIs, far apart, share each satellite's scan and the one bisection.
         far = (make_aoi("aoi-c", -33.9, 151.2), make_aoi("aoi-d", 64.1, -21.9), make_aoi("aoi-e", 1.3, 103.8))
         geometry_tables(dataclasses.replace(s, aois=s.aois + far))

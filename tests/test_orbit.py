@@ -25,6 +25,7 @@ from eochain.orbit import (
     subsatellite_point,
     subsatellite_track,
 )
+from eochain.presets import effis_like, iride_heo
 
 from conftest import make_aoi, make_satellite, make_station
 
@@ -471,6 +472,32 @@ class TestBlockSearch:
         assert abs(psi[1] - psi[0]) <= rate * dt + orbit.PROOF_SLACK_RAD / 2
 
 
+class TestVectorKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(sat=block_satellites, t=st.floats(0.0, 400.0 * DAY),
+           place=st.sampled_from(["anywhere", "below", "antipode"]), lat=st.floats(-90.0, 90.0),
+           lon=st.floats(-180.0, 180.0), nudge=st.sampled_from([0.0]) | st.floats(-1e-6, 1e-6))
+    def test_psi_equals_latitude_longitude_kernel(self, sat, t, place, lat, lon, nudge):
+        # The search's psi, from unit vectors, against the kernel behind
+        # subsatellite_track and elevation_angle, for any target and for the
+        # subsatellite point itself, its antipode and points a hair from
+        # either.  Both take acos of a cosine a few ulps from its true value,
+        # which near cos psi = +-1 is off by up to sqrt(2 * 4 ulps), 3e-8 rad;
+        # elsewhere the two agree to about 1e-12 rad.
+        times = np.array([t])
+        track_lat, track_lon = subsatellite_track(sat, times)
+        if place == "below":
+            lat, lon = track_lat[0] + nudge, track_lon[0] + nudge
+        elif place == "antipode":
+            lat, lon = nudge - track_lat[0], track_lon[0] + 180.0 + nudge
+        target = orbit._target_angles(lat, lon)
+        reference = orbit._central_angle(orbit._track_angles(track_lat, track_lon), target)[0]
+        psi = orbit._psi(orbit._ground_vector(orbit._elements(sat), times), orbit._target_vector(target))[0]
+        assert abs(psi - reference) < orbit.PROOF_SLACK_RAD / 20
+        if 1e-3 < reference < math.pi - 1e-3:
+            assert abs(psi - reference) < orbit.PROOF_SLACK_RAD / 100
+
+
 class TestSatelliteSearch:
     @settings(max_examples=60, deadline=None)
     @given(sat=block_satellites, stations=st.lists(block_stations, min_size=2, max_size=4),
@@ -523,3 +550,41 @@ class TestConstellationSearch:
 
     def test_no_satellites_find_nothing(self):
         assert constellation_windows((), (make_station(),), (make_aoi(),), (0.0, DAY)) == []
+
+
+def analytic_access_fraction(inclination_deg, lat_deg, reach_rad, nodes=20000):
+    """Long-run fraction of time that a point at latitude ``lat_deg`` lies
+    within central angle ``reach_rad`` of the subsatellite point of a circular
+    orbit.  The argument of latitude u is uniform in time, and over many
+    revolutions the Earth's rotation makes the longitude difference uniform
+    and independent of u.  At subsatellite latitude beta, sin beta = sin i sin u,
+    the point is within reach over a longitude width dlon(beta); the fraction
+    is the mean over u of dlon / 2 pi, by the midpoint rule."""
+    u = (np.arange(nodes) + 0.5) * (2.0 * math.pi / nodes)
+    sin_beta = math.sin(math.radians(inclination_deg)) * np.sin(u)
+    cos_beta = np.sqrt(1.0 - sin_beta**2)
+    phi = math.radians(lat_deg)
+    cos_dlon = (math.cos(reach_rad) - sin_beta * math.sin(phi)) / (cos_beta * math.cos(phi))
+    dlon = 2.0 * np.arccos(np.clip(cos_dlon, -1.0, 1.0))
+    return float(np.mean(dlon) / (2.0 * math.pi))
+
+
+class TestAnalyticAccessFraction:
+    @pytest.mark.parametrize("preset", [iride_heo, effis_like], ids=["iride-heo", "effis-like"])
+    def test_400_day_access_fraction_matches_quadrature(self, preset):
+        # The quadrature shares no code with orbit.  Over 400 days each
+        # (satellite, AOI) pair has hundreds of passes, so its fraction
+        # settles within a few percent of the long-run one, and the sum over
+        # pairs within one percent.
+        s = preset()
+        horizon = 400.0 * DAY
+        found = constellation_windows(s.satellites, (), s.aois, (0.0, horizon))
+        simulated, analytic = [], []
+        for sat, (_, accesses) in zip(s.satellites, found):
+            for aoi, windows in zip(s.aois, accesses):
+                simulated.append(sum(w.duration for w in windows) / horizon)
+                reach = (sat.swath_km / 2.0 + aoi.radius_km) / EARTH_RADIUS_KM
+                analytic.append(analytic_access_fraction(sat.inclination_deg, aoi.center.lat, reach))
+        ratios = np.array(simulated) / np.array(analytic)
+        assert sum(simulated) / sum(analytic) == pytest.approx(1.0, abs=0.01)
+        assert np.all(np.abs(ratios - 1.0) <= 0.05), ratios

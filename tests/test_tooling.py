@@ -1,10 +1,11 @@
 """The suite's own configuration reports failures instead of crashing on them,
 the benchmark's tracer still finds every function it wraps, importing the CLI
 leaves out the modules only some commands need, the window search stays
-within the memory the benchmark allows, and the README's scenario schema
-matches the code."""
+within the memory the benchmark allows, the committed bench files are whole,
+and the README's scenario schema matches the code."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -103,6 +104,23 @@ def test_window_search_peak_memory_does_not_grow():
     finally:
         tracemalloc.stop()
     assert peak <= SEARCH_PEAK_BYTES
+
+
+def test_bench_files_are_well_formed():
+    # A bench file is named after the short id of the src/ tree it measured,
+    # and each of its summary rows rests on enough pairs whose runs all
+    # succeeded and printed the parent's digests.
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        bench = json.loads(path.read_text())
+        short = re.fullmatch(r"BENCH_([0-9a-f]{7,40})\.json", path.name).group(1)
+        assert bench["measures"]["head_src_tree"].startswith(short), path.name
+        assert bench["summary"], path.name
+        for row, summary in bench["summary"].items():
+            assert summary["pairs"] >= 10, (path.name, row)
+            assert summary["digests_equal_in_every_pair"] is True, (path.name, row)
+            assert summary["failed_operations"] == 0, (path.name, row)
 
 
 def test_readme_schema_validates_and_states_each_declared_interval():
