@@ -8,7 +8,6 @@ byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import sys
 from pathlib import Path
@@ -118,19 +117,16 @@ def _write_plan_dump(trace: engine.SimulationTrace, path: Path) -> None:
 
 
 def _write_transfer_log(trace: engine.SimulationTrace, path: Path) -> None:
-    """One row per transfer record; the csv writer takes one block of records
-    per call, each built column by column."""
+    """One row per transfer record, written one block of records at a time;
+    the numbers of a row need no quotes and are formatted as one piece."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["product_id", "station_id", "start_s", "end_s", "bits"])
+        f.write("product_id,station_id,start_s,end_s,bits\r\n")
         for block in metrics._blocks(trace.transfer_records):
-            w.writerows(zip(
-                [r.product_id for r in block],
-                [r.station_id for r in block],
-                [f"{r.start:.3f}" for r in block],
-                [f"{r.end:.3f}" for r in block],
-                [r.bits_moved for r in block],
-            ))
+            f.write(metrics._csv_text([
+                metrics._csv_quoted([r.product_id for r in block]),
+                metrics._csv_quoted([r.station_id for r in block]),
+                ["%.3f,%.3f,%s" % (r.start, r.end, r.bits_moved) for r in block],
+            ]))
 
 
 def _emit(report, out: Path, stem: str, fmt: str) -> list[Path]:

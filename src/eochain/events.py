@@ -7,7 +7,6 @@ static discs: the simulator studies information latency, not fire spread.
 
 from __future__ import annotations
 
-import csv
 import math
 from pathlib import Path
 from typing import Iterable, Optional, Sequence
@@ -112,15 +111,15 @@ def is_detectable(area_ha: float, mmu_ha: float) -> bool:
 
 
 def write_event_trace(path: str | Path, fire_events: Iterable[FireEvent]) -> None:
-    """Write a fixed event trace (CSV: id, lat, lon, start_s, area_ha)."""
+    """Write a fixed event trace (CSV: id, lat, lon, start_s, area_ha), a block of events at a time."""
+    from .metrics import _blocks, _csv_quoted, _csv_text
+
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(EVENT_TRACE_FIELDS)
-        for e in fire_events:
-            w.writerow(
-                [e.id, f"{e.location.lat:.6f}", f"{e.location.lon:.6f}",
-                 f"{e.start:.3f}", f"{e.area_ha:.4f}"]
-            )
+        f.write(",".join(EVENT_TRACE_FIELDS) + "\r\n")
+        for block in _blocks(fire_events):
+            # Numbers need no quotes, so the numbers of a row are one piece.
+            f.write(_csv_text([_csv_quoted([e.id for e in block]), [
+                "%.6f,%.6f,%.3f,%.4f" % (e.location.lat, e.location.lon, e.start, e.area_ha) for e in block]]))
 
 
 def _trace_number(row: dict, column: str) -> float:
@@ -134,6 +133,8 @@ def _trace_number(row: dict, column: str) -> float:
 
 def read_event_trace(path: str | Path) -> list[FireEvent]:
     """Read a fixed event trace for injection into a simulation run."""
+    import csv
+
     out: list[FireEvent] = []
     with open(path, newline="") as f:
         reader = csv.DictReader(f)

@@ -2,9 +2,8 @@
 
 from __future__ import annotations
 
-import json
 import math
-from itertools import islice
+from json.encoder import encode_basestring_ascii as _string
 from pathlib import Path
 from typing import Iterable, NamedTuple
 
@@ -59,21 +58,15 @@ def delivery_time(pdgs: float, archetype: ServiceArchetype) -> float:
     return pdgs
 
 
-# One encoder for every record; ``json.dumps`` would build one per call.
-_ENCODER = json.JSONEncoder(sort_keys=True)
-# In an encoded block this text occurs only between records: a quote inside a
-# string is escaped, and a string's closing quote is never followed by a
-# letter, so the quote opens the first sorted key of the next record.
-_RECORD_BOUNDARY = '}, {"delivered_s": '
-_BLOCK_RECORDS = 256
+# A record as ``json.dumps(..., sort_keys=True)`` writes it, its keys in sorted order.
+_RECORD = '{"delivered_s": %s, "event_ids": [%s], "product_id": %s}\n'
 
 
 def write_marketplace_dump(path: str | Path, records: Iterable[MarketplaceRecord]) -> None:
-    """JSON-lines dump, one delivery per line, one encoder call per block of records."""
-    records = iter(records)
+    """JSON-lines dump, one delivery per line, written one block of records at a time."""
+    from .metrics import _blocks
+
     with open(path, "w") as f:
-        while block := [
-            {"product_id": r.product_id, "event_ids": sorted(r.event_ids), "delivered_s": round(r.delivered, 3)}
-            for r in islice(records, _BLOCK_RECORDS)
-        ]:
-            f.write(_ENCODER.encode(block)[1:-1].replace(_RECORD_BOUNDARY, '}\n{"delivered_s": ') + "\n")
+        for block in _blocks(records):
+            f.write("".join([_RECORD % (float.__repr__(round(r.delivered, 3)), ", ".join(map(_string, sorted(r.event_ids))),
+                                        _string(r.product_id)) for r in block]))

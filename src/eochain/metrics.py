@@ -8,14 +8,13 @@ such, never imputed with horizon values.
 
 from __future__ import annotations
 
-import csv
 import functools
 import json
 import math
-from itertools import repeat
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import SimulationTrace, run
 from .events import is_detectable
@@ -104,16 +103,13 @@ SERVICE_CSV_FIELDS = [
 def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport:
     per_event = []
     ttfi_values = []
-    never = 0
     detectable_ids = {e.id for e in trace.fire_events if is_detectable(e.area_ha, mmu_ha)}
     detected_ids = set().union(*trace.detections.values())
     first_delivery = trace.first_delivery_by_event
     for e in trace.fire_events:
         first = first_delivery.get(e.id)
         ttfi = None if first is None else first[0] - e.start
-        if ttfi is None:
-            never += 1
-        else:
+        if ttfi is not None:
             ttfi_values.append(ttfi)
         per_event.append(
             {
@@ -159,9 +155,7 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
         )
 
     detected_detectable = len(detected_ids & detectable_ids)
-    completeness = (
-        detected_detectable / len(detectable_ids) if detectable_ids else 1.0
-    )
+    completeness = detected_detectable / len(detectable_ids) if detectable_ids else 1.0
     summary = {
         "event_count": len(trace.fire_events),
         "dropped_event_count": len(trace.dropped_event_ids),
@@ -170,7 +164,7 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
         "completeness": _round_sig(completeness),
         "ttfi_p50_s": None if not ttfi_values else _round_sig(percentile(ttfi_values, 50)),
         "ttfi_p90_s": None if not ttfi_values else _round_sig(percentile(ttfi_values, 90)),
-        "ttfi_never_count": never,
+        "ttfi_never_count": len(trace.fire_events) - len(ttfi_values),
         "e2e_p50_s": None if not e2e_values else _round_sig(percentile(e2e_values, 50)),
         "e2e_p90_s": None if not e2e_values else _round_sig(percentile(e2e_values, 90)),
         "product_count": len(trace.products),
@@ -315,13 +309,14 @@ def _json_encoder(depth: int) -> json.JSONEncoder:
 
 
 _SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
-# Rows of a table per call of the C JSON encoder or of the csv writer.
+# Rows of a table per call of the C JSON encoder, and per piece of CSV text.
 _BLOCK_ROWS = 256
 
 
-def _blocks(rows: Sequence) -> Iterator[Sequence]:
-    """``rows`` in consecutive slices of at most ``_BLOCK_ROWS``."""
-    return (rows[i:i + _BLOCK_ROWS] for i in range(0, len(rows), _BLOCK_ROWS))
+def _blocks(rows: Iterable) -> Iterator[list]:
+    """``rows`` in consecutive lists of at most ``_BLOCK_ROWS``."""
+    rows = iter(rows)
+    return iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
 
 
 def _is_table(value) -> bool:
@@ -379,36 +374,60 @@ def write_json_report(report: ServiceReport | ComparisonReport, path: str | Path
     return path
 
 
-# CSV cell of each type of value a report row holds.
-_CSV_CELL = {type(None): lambda x: "", bool: lambda x: "true" if x else "false",
-             int: str, float: lambda x: f"{x:.6g}", str: str}
+# Text of a report value of each type in a CSV cell; None is an empty cell.
+_CSV_FORMAT = {bool: ("false", "true").__getitem__, int: str, float: "%.6g".__mod__}
+_FLOAT_OR_NONE = frozenset({float, type(None)})
+# csv.writer quotes a cell holding one of these; ``in`` finds them faster than a regex.
+_CSV_SPECIAL = ',"\r\n'
 
 
-def _csv_blocks(record_type: str, rows: Sequence[dict], fields: list[str]) -> Iterator[Iterator[tuple]]:
-    """CSV rows of a table of dicts that share their keys, one block of at
+def _csv_text(columns: Sequence[Sequence[str]]) -> str:
+    """CSV text of a block of at most ``_BLOCK_ROWS`` rows given as columns of cells, a CRLF after
+    each row.  Text cells come from ``_csv_quoted``; cells needing no quotes may come joined by commas."""
+    return "\r\n".join(map(",".join, zip(*columns))) + "\r\n"
+
+
+def _csv_quoted(cells: list[str]) -> list[str]:
+    """Text cells as ``csv.writer`` writes them: quoted, with quotes doubled, if
+    they hold a comma, a quote, a CR or a LF, which one search of their join
+    rules out for most blocks.  (It also quotes a lone empty cell in a row.)"""
+    joined = "".join(cells)
+    if not any(c in joined for c in _CSV_SPECIAL):
+        return cells
+    return ['"' + c.replace('"', '""') + '"' if any(s in c for s in _CSV_SPECIAL) else c for c in cells]
+
+
+def _csv_column(values: list) -> list[str]:
+    """Cells of a column of report values; a column of floats and None, the
+    most common, takes one format for all its cells."""
+    types = set(map(type, values))
+    if types <= _FLOAT_OR_NONE:
+        return ["" if v is None else "%.6g" % v for v in values]
+    cells = [v if type(v) is str else "" if v is None else _CSV_FORMAT[type(v)](v) for v in values]
+    return _csv_quoted(cells) if str in types else cells
+
+
+def _csv_blocks(record_type: str, rows: Sequence[dict], fields: list[str]) -> Iterator[str]:
+    """CSV text of a table of dicts that share their keys, one block of at
     most ``_BLOCK_ROWS`` rows at a time: ``record_type``, then one column per
     further field, empty where the dicts lack it."""
     for block in _blocks(rows):
-        columns = [
-            [_CSV_CELL[type(v)](v) for v in [row[k] for row in block]] if k in block[0] else repeat("")
-            for k in fields[1:]
-        ]
-        yield zip(repeat(record_type, len(block)), *columns)
+        yield _csv_text([_csv_quoted([record_type] * len(block))] + [
+            _csv_column([row[k] for row in block]) if k in block[0] else [""] * len(block) for k in fields[1:]
+        ])
 
 
 def write_csv_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:
     """One ``event`` row per event, one ``product`` row per product of a run
-    report, one ``summary`` row; the csv writer takes one block of at most
-    ``_BLOCK_ROWS`` rows per call, and only that block's cells are built."""
+    report, one ``summary`` row; written one block of at most ``_BLOCK_ROWS``
+    rows at a time, and only that block's cells are built."""
     path = Path(path)
     if isinstance(report, ComparisonReport):
         fields, tables = COMPARISON_CSV_FIELDS, [("event", report.per_event)]
     else:
         fields, tables = SERVICE_CSV_FIELDS, [("event", report.per_event), ("product", report.per_product)]
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(fields)
+        f.write(",".join(fields) + "\r\n")
         for record_type, rows in [*tables, ("summary", [report.summary])]:
-            for block in _csv_blocks(record_type, rows, fields):
-                w.writerows(block)
+            f.writelines(_csv_blocks(record_type, rows, fields))
     return path

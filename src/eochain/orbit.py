@@ -13,18 +13,12 @@ contact above mask E, ``acos(k cos E) - E`` with k = R / (R + h), since
 elevation falls strictly as psi grows.  This one test serves the block
 proofs, the coarse samples and every bisection midpoint.
 
-The search computes psi as ``acos(r . t)`` of two Earth-fixed unit vectors:
-``_ground_vector`` gives the subsatellite point r from the cosine and sine
-of the argument of latitude and of the node's Earth-fixed longitude, four
-calls per track point, and each target's t is computed once per search, so
-psi costs one call per sample and target.  The latitude/longitude kernel,
-``_central_angle`` over ``_track_angles`` of ``_ground_track``, stays the
-definition of visibility: it is the one behind ``subsatellite_track`` and
-``elevation_angle``.  The two kernels differ only by rounding, at most about
-3e-8 rad where psi is near 0 or pi and about 1e-12 rad elsewhere, so where a
-sample or a midpoint lies within ``PROOF_SLACK_RAD`` of its limit the
-latitude/longitude kernel decides it again (``_within``).  Every visibility
-decision is therefore that kernel's, and every window is the one it gives.
+The search computes psi from Earth-fixed unit vectors (``_ground_vector``,
+``_target_vector``, ``_psi``).  The latitude/longitude kernel behind
+``subsatellite_track`` and ``elevation_angle`` stays the definition of
+visibility: the two kernels differ only by rounding, at most about 3e-8 rad,
+and ``_within`` lets that kernel decide again every sample or midpoint whose
+psi lies within ``PROOF_SLACK_RAD`` of its limit.
 
 The subsatellite point moves over the Earth at an angular rate of at most
 n + w_E (mean motion plus the Earth's rotation), so psi changes no faster
@@ -36,21 +30,12 @@ Alfano, Negron & Moore, "Rapid Determination of Satellite Visibility
 Periods", J. Astronaut. Sci. 40(2), 1992).  The search proves blocks of
 ``LEVELS`` samples, 128, then 32, then 8: each level tests only the
 children of the blocks still open, and only the samples of the 8-sample
-blocks still open are evaluated.  Each level computes the track once per
-satellite, at the distinct blocks its targets need.  Every bisection step
-evaluates the track once for the crossings of every satellite and target:
-each crossing carries its satellite's elements, and each kernel takes one
-satellite's elements or one per time.  On the 7-day ``iride-heo`` geometry
-(12 satellites, 10 targets, 60,481 samples each) the scans compute the track
-at 71,844 of the 725,772 satellite samples and psi for 169,116 of the
-7.26 M sample-target pairs, in 4 calls per satellite; the bisection adds 7
-calls for its 3,741 crossings, 26,187 midpoints.  The latitude/longitude
-kernel decides 128 of these 195,303 evaluations again, all of them
-midpoints, in 7 calls.  Every sample and midpoint reads what it reads on
-the full grid, so the windows are the ones the full grid gives, whatever
-other targets and satellites share the search.  No track is kept between
-searches; ``engine.geometry_tables`` reuses whole tables across seeds and
-A/B arms.
+blocks still open are evaluated.  Every sample and midpoint reads what the
+latitude/longitude kernel reads on the full grid, so the windows are the
+ones the full grid gives, whatever other targets and satellites share the
+search; README "How a run works" gives the work this takes on the presets.
+No track is kept between searches; ``engine.geometry_tables`` reuses whole
+tables across seeds and A/B arms.
 """
 
 from __future__ import annotations
@@ -243,13 +228,18 @@ def _coarse_grid(t0: float, t1: float, step: float) -> np.ndarray:
     """Sample times: multiples of ``step`` anchored at absolute zero, plus endpoints.
 
     Anchoring to absolute multiples makes window extraction invariant under
-    subdivision of the horizon at grid-aligned points.
+    subdivision of the horizon at grid-aligned points.  The multiples hold
+    ``np.arange``'s values, start + i * ((start + step) - start), in one array with the endpoints.
     """
-    interior = np.arange(math.ceil(t0 / step) * step, t1, step)
-    # Keep only multiples strictly inside the horizon: t0 may itself be a
-    # multiple, and rounding can put the first or last one past an endpoint.
-    interior = interior[(interior > t0) & (interior < t1)]
-    return np.concatenate(([t0], interior, [t1]))
+    start = math.ceil(t0 / step) * step
+    grid = np.arange(-1.0, max(math.ceil((t1 - start) / step), 0) + 1.0)
+    grid *= (start + step) - start
+    grid += start
+    # Keep only the ascending run of multiples strictly inside the horizon: t0 may
+    # itself be a multiple, and rounding can put the first or last one past an endpoint.
+    grid = grid[grid[1:-1].searchsorted(t0, "right"):grid[1:-1].searchsorted(t1) + 2]
+    grid[0], grid[-1] = t0, t1
+    return grid
 
 
 def _bisect_crossings(

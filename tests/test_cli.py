@@ -5,12 +5,16 @@ import math
 import operator
 import shutil
 import time
+import types
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eochain import cli, orbit
 from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_SEED, main
+from eochain.downlink import TransferRecord
 from eochain.engine import run
 from eochain.presets import get_preset, iride_heo
 from eochain.scenario_io import load_scenario, save_scenario, scenario_to_dict
@@ -137,6 +141,19 @@ class TestTransferLog:
         reference_transfer_log(trace, tmp_path / "reference.csv")
         cli._write_transfer_log(trace, tmp_path / "transfers.csv")
         assert (tmp_path / "transfers.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(ids=st.lists(st.text(max_size=6) | st.sampled_from([",", '"', "\r", "\n", 'a,"b"\r\n', "é"]),
+                        min_size=2, max_size=7),
+           n=st.sampled_from([0, 1, 255, 256, 257, 600]))
+    def test_odd_ids_equal_row_at_a_time_writer(self, tmp_path_factory, ids, n):
+        records = [TransferRecord(ids[i % len(ids)], ids[(i + 1) % len(ids)], i * 1.2345, i * 1.2345 + 0.5, i * 7)
+                   for i in range(n)]
+        trace = types.SimpleNamespace(transfer_records=records)
+        out = tmp_path_factory.mktemp("log")
+        reference_transfer_log(trace, out / "reference.csv")
+        cli._write_transfer_log(trace, out / "transfers.csv")
+        assert (out / "transfers.csv").read_bytes() == (out / "reference.csv").read_bytes()
 
 
 class TestCompare:

@@ -1,3 +1,5 @@
+import csv
+import io
 import math
 
 import numpy as np
@@ -216,6 +218,24 @@ class TestTraceFile:
             assert a.start == pytest.approx(b.start, abs=1e-3)
             assert a.area_ha == pytest.approx(b.area_ha, rel=1e-4)
             assert a.location.lat == pytest.approx(b.location.lat, abs=1e-5)
+
+    @settings(max_examples=40, deadline=None)
+    @given(ids=st.lists(st.text(max_size=6) | st.sampled_from([",", '"', "\r", "\n", 'a,"b"\r\n', "é"]),
+                        min_size=1, max_size=7),
+           n=st.sampled_from([0, 1, 255, 256, 257, 600]))
+    def test_odd_ids_equal_csv_writer(self, tmp_path_factory, ids, n):
+        events = [FireEvent(ids[i % len(ids)] + str(i), GeoPoint(-89.5 + i / 7, 179.9 - i / 3), i * 3.7, 1.0 + i / 9)
+                  for i in range(n)]
+        path = tmp_path_factory.mktemp("trace") / "events.csv"
+        # A generator: the writer takes any iterable of events.
+        write_event_trace(path, (e for e in events))
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        w.writerow(["id", "lat", "lon", "start_s", "area_ha"])
+        for e in events:
+            w.writerow([e.id, f"{e.location.lat:.6f}", f"{e.location.lon:.6f}", f"{e.start:.3f}", f"{e.area_ha:.4f}"])
+        assert path.read_bytes() == expected.getvalue().encode()
+        assert [e.id for e in read_event_trace(path)] == [e.id for e in sorted(events, key=lambda e: (e.start, e.id))]
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,6 +1,8 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eochain.engine import _ground
 from eochain.ground import MarketplaceRecord, pdgs_process, write_marketplace_dump
@@ -110,6 +112,26 @@ class TestMarketplace:
         ]
         path = tmp_path / "m.jsonl"
         write_marketplace_dump(path, records)
+        expected = "".join(
+            json.dumps({"product_id": r.product_id, "event_ids": sorted(r.event_ids),
+                        "delivered_s": round(r.delivered, 3)}, sort_keys=True) + "\n"
+            for r in records
+        )
+        assert path.read_bytes() == expected.encode()
+
+    # Any finite time, times with digits past the third decimal, and ties of round().
+    TIMES = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**12, 10**12).map(lambda n: n / 7)
+             | st.sampled_from([0.0, -0.0, 0.0005, 0.0015, -0.0025, 1e16, 1e-5]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(ids=st.lists(st.text(max_size=6) | st.sampled_from(ODD), min_size=1, max_size=6),
+           times=st.lists(TIMES, min_size=1, max_size=6),
+           n=st.sampled_from([0, 1, 255, 256, 257, 600]))
+    def test_dump_equals_json_dumps_for_any_finite_time(self, tmp_path_factory, ids, times, n):
+        records = [MarketplaceRecord(ids[i % len(ids)], frozenset(ids[: i % (len(ids) + 1)]), times[i % len(times)])
+                   for i in range(n)]
+        path = tmp_path_factory.mktemp("dump") / "m.jsonl"
+        write_marketplace_dump(path, iter(records))
         expected = "".join(
             json.dumps({"product_id": r.product_id, "event_ids": sorted(r.event_ids),
                         "delivered_s": round(r.delivered, 3)}, sort_keys=True) + "\n"

@@ -1,5 +1,6 @@
 import csv
 import functools
+import io
 import json
 import math
 import struct
@@ -288,6 +289,32 @@ class TestCsvWriter:
         reference_csv(report, tmp_path / "reference.csv")
         write_csv_report(report, tmp_path / "table.csv")
         assert (tmp_path / "table.csv").read_bytes() == (tmp_path / "reference.csv").read_bytes()
+
+
+# Text that the csv module quotes, and text it leaves alone.
+CSV_TEXT = st.text(max_size=6) | st.sampled_from([",", '"', "\r", "\n", "é", "", 'a,"b"', "\r\n", " x "])
+CSV_SCALARS = (
+    st.none() | st.booleans() | st.integers() | st.floats() | CSV_TEXT
+    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 2**70, -(2**70), float(2**70)])
+)
+
+
+class TestCsvRenderer:
+    """Blocks of rows render as ``csv.writer`` writes the same cells a row at a time."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(record_type=CSV_TEXT, keys=st.lists(CSV_TEXT, min_size=1, max_size=5, unique=True),
+           cells=st.lists(st.lists(CSV_SCALARS, min_size=5, max_size=5), min_size=1, max_size=8),
+           n=st.sampled_from([0, 1, 255, 256, 257, 600]), missing=st.booleans())
+    def test_equals_csv_writer(self, record_type, keys, cells, n, missing):
+        # Cells of row i come from ``cells[i % len(cells)]``, so columns mix types.
+        rows = [dict(zip(keys, cells[i % len(cells)])) for i in range(n)]
+        fields = ["record_type", *keys, *(["absent-field"] * missing)]
+        expected = io.StringIO(newline="")
+        w = csv.writer(expected)
+        for row in rows:
+            w.writerow([record_type, *(_fmt(row[k]) for k in keys), *([""] * missing)])
+        assert "".join(metrics._csv_blocks(record_type, rows, fields)) == expected.getvalue()
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,40 @@ def random_satellite(rng, sid="sat-r"):
         arg_lat=rng.uniform(0.0, 360.0),
         swath=rng.uniform(20.0, 200.0),
     )
+
+
+def reference_grid(t0, t1, step):
+    """The coarse grid as it was built: ``np.arange``, a masked copy and a concatenation."""
+    interior = np.arange(math.ceil(t0 / step) * step, t1, step)
+    interior = interior[(interior > t0) & (interior < t1)]
+    return np.concatenate(([t0], interior, [t1]))
+
+
+class TestCoarseGrid:
+    @settings(max_examples=400, deadline=None)
+    @given(step=st.floats(0.01, 200.0) | st.sampled_from([0.1, 0.3, 1 / 3, 7.7, 10.0, 29.999, 60.0]),
+           k=st.integers(-10**6, 10**6),
+           offset=st.sampled_from([0.0, 1e-9, -1e-9, 5e-324, -5e-324]) | st.floats(-1.0, 1.0),
+           span=st.floats(0.0, 5000.0) | st.integers(0, 300), at_step=st.booleans())
+    def test_equals_arange_mask_and_concatenate(self, step, k, offset, span, at_step):
+        # t0 on or beside a multiple of the step; t1 a whole number of steps
+        # later, where rounding can put the last multiple on or past it.
+        t0 = k * step + offset * step
+        t1 = t0 + (span * step if at_step else float(span))
+        expected, grid = reference_grid(t0, t1, step), orbit._coarse_grid(t0, t1, step)
+        assert grid.dtype == expected.dtype and grid.shape == expected.shape
+        assert grid.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("days", [2, 7])
+    def test_peak_is_the_grid(self, days):
+        orbit._coarse_grid(0.0, days * DAY, orbit.DEFAULT_COARSE_STEP_S)
+        tracemalloc.start()
+        try:
+            grid = orbit._coarse_grid(0.0, days * DAY, orbit.DEFAULT_COARSE_STEP_S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= grid.nbytes + 64 * 1024
 
 
 class TestOrbitalPeriod:

@@ -76,9 +76,9 @@ def test_tracer_finds_every_wrapped_function(tmp_path, monkeypatch):
     assert summary["metrics.compare_architectures.calls"] == 1
 
 
-# numpy.random (about 9 ms) loads at a run's first rng stream, and the process
-# pool only for ``sweep --jobs N``.
-@pytest.mark.parametrize("module", ["numpy.random", "concurrent.futures"])
+# numpy.random (about 9 ms) loads at a run's first rng stream, the process
+# pool only for ``sweep --jobs N``, and the csv module only to read an event trace.
+@pytest.mark.parametrize("module", ["numpy.random", "concurrent.futures", "csv"])
 def test_cli_import_leaves_out(module):
     code = f"import sys, eochain.cli; sys.exit({module!r} in sys.modules)"
     src = str(Path(eochain.cli.__file__).resolve().parents[1])
