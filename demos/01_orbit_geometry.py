@@ -13,7 +13,6 @@ from eochain.orbit import (
     contact_windows,
     elevation_angle,
     orbital_period,
-    subsatellite_point,
     subsatellite_track,
 )
 
@@ -37,9 +36,9 @@ print(f"Orbital period at {sat.altitude_km:.0f} km: {period:.1f} s "
       f"({period / 60:.1f} min, {DAY / period:.1f} revolutions/day)")
 
 print("\nGround track over one revolution (every 1/8 period):")
-for k in range(9):
-    p = subsatellite_point(sat, k * period / 8)
-    print(f"  t = {k * period / 8:7.0f} s   lat = {p.lat:+7.2f}  lon = {p.lon:+8.2f}")
+times = np.arange(9) * period / 8
+for t, lat, lon in zip(times, *subsatellite_track(sat, times)):
+    print(f"  t = {t:7.0f} s   lat = {lat:+7.2f}  lon = {lon:+8.2f}")
 
 lats, _ = subsatellite_track(sat, np.linspace(0, 10 * period, 5000))
 print(f"\nLatitude excursion over 10 revolutions: [{lats.min():+.2f}, {lats.max():+.2f}] "

@@ -10,30 +10,26 @@ of the whole constellation are bisected together.
 A target is visible while the central angle psi between the subsatellite
 point and the target is at most a limit: reach / R for access, and for a
 contact above mask E, ``acos(k cos E) - E`` with k = R / (R + h), since
-elevation falls strictly as psi grows.  This one test serves the block
-proofs, the coarse samples and every bisection midpoint.
-
-The search computes psi from Earth-fixed unit vectors (``_ground_vector``,
-``_target_vector``, ``_psi``).  The latitude/longitude kernel behind
-``subsatellite_track`` and ``elevation_angle`` stays the definition of
-visibility: the two kernels differ only by rounding, at most about 3e-8 rad,
-and ``_within`` lets that kernel decide again every sample or midpoint whose
-psi lies within ``PROOF_SLACK_RAD`` of its limit.
+elevation falls strictly as psi grows.  Psi is the arc cosine of the dot
+product of two Earth-fixed unit vectors (``_ground_vector``,
+``_target_vector``, ``_psi``), and ``psi <= limit`` is the one test that
+decides every coarse sample and bisection midpoint; ``subsatellite_track``
+and ``elevation_angle`` read the same vectors.
 
 The subsatellite point moves over the Earth at an angular rate of at most
 n + w_E (mean motion plus the Earth's rotation), so psi changes no faster
 than that.  A block of coarse samples whose centre is further from a
 target's limit than psi can travel to the block's farthest sample, plus
-``PROOF_SLACK_RAD`` for the rounding of either kernel, is on one side of the
-limit at every sample: proven empty beyond it, proven full within it (after
-Alfano, Negron & Moore, "Rapid Determination of Satellite Visibility
+``PROOF_SLACK_RAD`` for the rounding of the computed psi, is on one side of
+the limit at every sample: proven empty beyond it, proven full within it
+(after Alfano, Negron & Moore, "Rapid Determination of Satellite Visibility
 Periods", J. Astronaut. Sci. 40(2), 1992).  The search proves blocks of
 ``LEVELS`` samples, 128, then 32, then 8: each level tests only the
 children of the blocks still open, and only the samples of the 8-sample
 blocks still open are evaluated.  Every sample and midpoint reads what the
-latitude/longitude kernel reads on the full grid, so the windows are the
-ones the full grid gives, whatever other targets and satellites share the
-search; README "How a run works" gives the work this takes on the presets.
+full grid reads, so the windows are the ones the full grid gives, whatever
+other targets and satellites share the search; README "How a run works"
+gives the work this takes on the presets.
 No track is kept between searches; ``engine.geometry_tables`` reuses whole
 tables across seeds and A/B arms.
 """
@@ -51,7 +47,6 @@ from .model import (
     EARTH_ROTATION_RAD_S,
     MU_EARTH_M3_S2,
     AreaOfInterest,
-    GeoPoint,
     GroundStationSpec,
     SatelliteSpec,
     ValidationError,
@@ -99,55 +94,6 @@ def _elements(sat: SatelliteSpec) -> OrbitElements:
             math.cos(inc), math.radians(sat.raan_deg))
 
 
-def _ground_track(elements: OrbitElements, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-track latitude/longitude in degrees at times ``t``, for one
-    satellite's elements or for one satellite's elements per time: every
-    element-wise operation is the same either way."""
-    period, u0, sin_inc, cos_inc, raan = elements
-    t = np.asarray(t, dtype=float)
-    u = u0 + 2.0 * math.pi * t / period
-    sin_u = np.sin(u)
-    lat = np.arcsin(np.clip(sin_inc * sin_u, -1.0, 1.0))
-    lon_inertial = raan + np.arctan2(cos_inc * sin_u, np.cos(u))
-    lon = lon_inertial - EARTH_ROTATION_RAD_S * t
-    lon = (np.degrees(lon) + 180.0) % 360.0 - 180.0
-    return np.degrees(lat), lon
-
-
-def subsatellite_track(sat: SatelliteSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Ground-track latitude/longitude in degrees for an array of times."""
-    return _ground_track(_elements(sat), t)
-
-
-def subsatellite_point(sat: SatelliteSpec, t: float) -> GeoPoint:
-    """Point on the Earth directly below the satellite at time ``t``."""
-    lat, lon = subsatellite_track(sat, np.array([t], dtype=float))
-    return GeoPoint(float(lat[0]), float(lon[0]))
-
-
-def _track_angles(lat: np.ndarray, lon: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sine and cosine of the latitude and the longitude in radians of track
-    points given in degrees."""
-    p = np.radians(lat)
-    return np.sin(p), np.cos(p), np.radians(lon)
-
-
-def _target_angles(lat: float, lon: float) -> tuple[float, float, float]:
-    """Sine and cosine of a target's latitude and its longitude in radians."""
-    p = math.radians(lat)
-    return math.sin(p), math.cos(p), math.radians(lon)
-
-
-def _central_angle(track: tuple[np.ndarray, ...], target: tuple[FloatOrArray, ...]) -> np.ndarray:
-    """Great-circle central angle (radians) between track points given by
-    ``_track_angles`` and targets given by ``_target_angles``: one target, or
-    one per point."""
-    sin_lat1, cos_lat1, lon1 = track
-    sin_lat2, cos_lat2, lon2 = target
-    cos_psi = sin_lat1 * sin_lat2 + cos_lat1 * cos_lat2 * np.cos(lon1 - lon2)
-    return np.arccos(np.clip(cos_psi, -1.0, 1.0))
-
-
 def _ground_vector(elements: OrbitElements, t: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Earth-fixed unit vector of the subsatellite point at times ``t``, for one
     satellite's elements or for one satellite's elements per time: the point at
@@ -161,10 +107,11 @@ def _ground_vector(elements: OrbitElements, t: np.ndarray) -> tuple[np.ndarray, 
     return cos_u * cos_node - across * sin_node, cos_u * sin_node + across * cos_node, sin_inc * sin_u
 
 
-def _target_vector(angles: tuple[float, float, float]) -> tuple[float, float, float]:
-    """Earth-fixed unit vector of a target given by ``_target_angles``."""
-    sin_lat, cos_lat, lon = angles
-    return cos_lat * math.cos(lon), cos_lat * math.sin(lon), sin_lat
+def _target_vector(lat: float, lon: float) -> tuple[float, float, float]:
+    """Earth-fixed unit vector of a target at latitude/longitude in degrees."""
+    p, lon = math.radians(lat), math.radians(lon)
+    cos_lat = math.cos(p)
+    return cos_lat * math.cos(lon), cos_lat * math.sin(lon), math.sin(p)
 
 
 def _psi(track: tuple[np.ndarray, ...], target: tuple[FloatOrArray, ...]) -> np.ndarray:
@@ -176,25 +123,10 @@ def _psi(track: tuple[np.ndarray, ...], target: tuple[FloatOrArray, ...]) -> np.
     return np.arccos(np.clip(dot, -1.0, 1.0, out=dot), out=dot)
 
 
-def _reference_within(elements: OrbitElements, t: np.ndarray, target: tuple[FloatOrArray, ...],
-                      limit: FloatOrArray) -> np.ndarray:
-    """Whether psi is at most ``limit`` at times ``t`` by the latitude/longitude
-    kernel of ``subsatellite_track`` and ``elevation_angle``, for targets given
-    by ``_target_angles``."""
-    return _central_angle(_track_angles(*_ground_track(elements, t)), target) <= limit
-
-
-def _within(psi: np.ndarray, limit: FloatOrArray, reference: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """Whether each ``psi`` is at most its limit.  Where psi lies within
-    ``PROOF_SLACK_RAD`` of the limit, rounding could put the two kernels on
-    either side of it, so ``reference`` decides, given those elements' flat
-    indices: every decision is the latitude/longitude kernel's."""
-    margin = psi - limit
-    inside = margin <= 0.0
-    ties = np.flatnonzero(np.abs(margin, out=margin) <= PROOF_SLACK_RAD)
-    if ties.size:
-        inside.flat[ties] = reference(ties)
-    return inside
+def subsatellite_track(sat: SatelliteSpec, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Ground-track latitude/longitude in degrees for an array of times."""
+    x, y, z = _ground_vector(_elements(sat), np.asarray(t, dtype=float))
+    return np.degrees(np.arcsin(np.clip(z, -1.0, 1.0))), (np.degrees(np.arctan2(y, x)) + 180.0) % 360.0 - 180.0
 
 
 def _elevation(psi: np.ndarray, altitude_km: float) -> np.ndarray:
@@ -218,9 +150,8 @@ def _contact_limit(altitude_km: float, min_elevation_deg: float) -> float:
 
 def elevation_angle(sat: SatelliteSpec, station: GroundStationSpec, t: float | np.ndarray) -> float | np.ndarray:
     """Elevation of the satellite above the station's local horizon, degrees."""
-    lat, lon = subsatellite_track(sat, np.atleast_1d(np.asarray(t, dtype=float)))
-    target = _target_angles(station.location.lat, station.location.lon)
-    el = _elevation(_central_angle(_track_angles(lat, lon), target), sat.altitude_km)
+    track = _ground_vector(_elements(sat), np.atleast_1d(np.asarray(t, dtype=float)))
+    el = _elevation(_psi(track, _target_vector(station.location.lat, station.location.lon)), sat.altitude_km)
     return float(el[0]) if np.isscalar(t) or np.asarray(t).ndim == 0 else el
 
 
@@ -270,17 +201,16 @@ def _block_bounds(grid: np.ndarray, size: int, blocks: np.ndarray) -> tuple[np.n
 
 
 def _scan(
-    elements: OrbitElements, angles: tuple[np.ndarray, ...], vectors: tuple[np.ndarray, ...], limits: np.ndarray,
-    grid: np.ndarray, top: tuple[np.ndarray, np.ndarray],
+    elements: OrbitElements, vectors: tuple[np.ndarray, ...], limits: np.ndarray, grid: np.ndarray,
+    top: tuple[np.ndarray, np.ndarray],
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """One satellite's search on the coarse ``grid`` over targets given by
-    their ``angles`` (``_target_angles`` as arrays), their unit ``vectors``
-    and ``limits``, each visible while psi is at most its limit (``_within``);
-    ``top`` is ``_block_bounds`` of the first level's blocks, as one row.  For
-    each target, whether its first and its last sample are visible and its
-    number of visibility changes; then every change of every target, in
-    target order, as a bracket (lo, hi) of neighbouring grid samples with the
-    visibility at lo.
+    their unit ``vectors`` (``_target_vector`` as arrays) and ``limits``, each
+    visible while psi is at most its limit; ``top`` is ``_block_bounds`` of
+    the first level's blocks, as one row.  For each target, whether its first
+    and its last sample are visible and its number of visibility changes;
+    then every change of every target, in target order, as a bracket (lo, hi)
+    of neighbouring grid samples with the visibility at lo.
 
     Each target's grid is a list of blocks [lo, hi) in time order, each
     proven empty, proven full or open, and a run of blocks proven alike is
@@ -337,17 +267,11 @@ def _scan(
         # Free this level's arrays before the next level builds its own.
         del psi, margin, travel, which, fresh, keep
 
-    def settle(ties: np.ndarray) -> np.ndarray:
-        row, col = np.divmod(ties, ratio)
-        own_ties = own[row]
-        return _reference_within(elements, centre.ravel()[where[row] * ratio + col],
-                                 tuple(a[own_ties] for a in angles), limits[own_ties])
-
     # Each block's samples in a row: a proven block's state, an open block's
     # samples read exactly.  A change just before a row's first sample is a
     # change from the last sample of the block before it.
     samples = np.repeat(visible, ratio).reshape(-1, ratio)
-    samples[rows] = _within(psi, limits[own, None], settle)
+    samples[rows] = psi <= limits[own, None]
     flat, first = samples.ravel(), ~lo.astype(bool)
     step = np.append(False, flat[1:] != flat[:-1]).reshape(-1, ratio)
     step[:, 0] &= ~first
@@ -377,7 +301,7 @@ def constellation_windows(
     blocks are built once, each satellite is scanned on them, and no grid
     outlives the scans.  Then the crossings of every satellite and target
     are bisected together, each one carrying its satellite's elements and
-    its target's angles, unit vector and limit, so the track is evaluated
+    its target's unit vector and limit, so the track is evaluated
     once per bisection step for the whole constellation and every crossing
     follows the midpoints it would follow alone.
     """
@@ -390,35 +314,28 @@ def constellation_windows(
         return [([], []) for _ in satellites]
     grid = _coarse_grid(t0, t1, coarse_step)
     top = _block_bounds(grid, LEVELS[0], np.arange(-(-grid.size // LEVELS[0]))[None, :])
-    points = [_target_angles(s.location.lat, s.location.lon) for s in stations]
-    points += [_target_angles(a.center.lat, a.center.lon) for a in aois]
-    angles = tuple(np.array(a) for a in zip(*points))
-    units = [_target_vector(p) for p in points]
+    units = [_target_vector(s.location.lat, s.location.lon) for s in stations]
+    units += [_target_vector(a.center.lat, a.center.lon) for a in aois]
     vectors = tuple(np.array(a) for a in zip(*units))
     heads, tails, counts, rows, brackets = [], [], [], [], []
     for sat in satellites:
         elements = _elements(sat)
         limits = np.array([_contact_limit(sat.altitude_km, s.min_elevation_deg) for s in stations]
                           + [(sat.swath_km / 2.0 + a.radius_km) / EARTH_RADIUS_KM for a in aois])
-        head, tail, count, *found = _scan(elements, angles, vectors, limits, grid, top)
+        head, tail, count, *found = _scan(elements, vectors, limits, grid, top)
         heads += head.tolist()
         tails += tail.tolist()
         counts += count.tolist()
         brackets.append(found)
-        rows += [(*elements, *a, *v, limit) for a, v, limit in zip(points, units, limits.tolist())]
+        rows += [(*elements, *v, limit) for v, limit in zip(units, limits.tolist())]
     del grid, top
     lo, hi, lo_inside = (np.concatenate(b) for b in zip(*brackets))
     del brackets
     columns = np.repeat(np.array(rows), counts, axis=0).T
-    elements_x, angles_x, vectors_x = tuple(columns[:5]), tuple(columns[5:8]), tuple(columns[8:11])
-    limit_x = columns[11]
+    elements_x, vectors_x, limit_x = tuple(columns[:5]), tuple(columns[5:8]), columns[8]
 
     def visible(t: np.ndarray) -> np.ndarray:
-        def settle(ties: np.ndarray) -> np.ndarray:
-            return _reference_within(tuple(e[ties] for e in elements_x), t[ties], tuple(a[ties] for a in angles_x),
-                                     limit_x[ties])
-
-        return _within(_psi(_ground_vector(elements_x, t), vectors_x), limit_x, settle)
+        return _psi(_ground_vector(elements_x, t), vectors_x) <= limit_x
 
     crossings = _bisect_crossings(visible, lo, hi, lo_inside).tolist()
     found, stop = [], 0
@@ -429,18 +346,6 @@ def constellation_windows(
         found.append([Window(start, end) for start, end in zip(edges[0::2], edges[1::2]) if end > start])
     windows = iter(found)
     return [([next(windows) for _ in stations], [next(windows) for _ in aois]) for _ in satellites]
-
-
-def satellite_windows(
-    sat: SatelliteSpec,
-    stations: Sequence[GroundStationSpec],
-    aois: Sequence[AreaOfInterest],
-    horizon: tuple[float, float],
-    coarse_step: float = DEFAULT_COARSE_STEP_S,
-) -> tuple[list[list[Window]], list[list[Window]]]:
-    """The contact windows of each station and the access windows of each
-    AOI, in their order: the one-satellite case of ``constellation_windows``."""
-    return constellation_windows((sat,), stations, aois, horizon, coarse_step)[0]
 
 
 def contact_windows(
@@ -456,7 +361,7 @@ def contact_windows(
     step, such as a grazing pass that barely clears the mask, can fall
     between two samples and be missed.
     """
-    return satellite_windows(sat, (station,), (), horizon, coarse_step)[0][0]
+    return constellation_windows((sat,), (station,), (), horizon, coarse_step)[0][0][0]
 
 
 def access_windows(
@@ -470,4 +375,4 @@ def access_windows(
     Access is all-or-nothing: the AOI is reachable when the subsatellite
     point lies within swath/2 + AOI radius of its center.
     """
-    return satellite_windows(sat, (), (aoi,), horizon, coarse_step)[1][0]
+    return constellation_windows((sat,), (), (aoi,), horizon, coarse_step)[0][1][0]

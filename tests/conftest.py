@@ -3,6 +3,7 @@ import math
 import typing
 
 import pytest
+from hypothesis import Phase
 
 from eochain import downlink, engine, ground, metrics, model, onboard, orbit, tasking
 from eochain.model import (
@@ -22,6 +23,11 @@ from eochain.model import (
     ServiceArchetype,
     Triggering,
 )
+
+# Hypothesis phases without shrinking, for property tests whose examples
+# reach hundreds of rows: shrinking one of them takes minutes, while the
+# unshrunk falsifying example is reported at once.
+NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 
 # The record types a run builds, each a NamedTuple.
 RECORD_TYPES = (

@@ -21,7 +21,7 @@ from eochain.model import EventModel, FireEvent, GeoPoint, ValidationError, grea
 from eochain.onboard import acquire_scene
 from eochain.orbit import Window
 
-from conftest import make_aoi, make_satellite, make_scenario
+from conftest import NO_SHRINK, make_aoi, make_satellite, make_scenario
 
 DAY = 86400.0
 
@@ -219,7 +219,7 @@ class TestTraceFile:
             assert a.area_ha == pytest.approx(b.area_ha, rel=1e-4)
             assert a.location.lat == pytest.approx(b.location.lat, abs=1e-5)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(ids=st.lists(st.text(max_size=6) | st.sampled_from([",", '"', "\r", "\n", 'a,"b"\r\n', "é"]),
                         min_size=1, max_size=7),
            n=st.sampled_from([0, 1, 255, 256, 257, 600]))

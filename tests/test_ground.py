@@ -14,7 +14,7 @@ from eochain.model import (
     ValidationError,
 )
 
-from conftest import make_archetype, make_scenario
+from conftest import NO_SHRINK, make_archetype, make_scenario
 
 LATENCIES = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0)
 EVENT_DRIVEN = make_archetype(triggering=Triggering.EVENT_DRIVEN)
@@ -123,7 +123,7 @@ class TestMarketplace:
     TIMES = (st.floats(allow_nan=False, allow_infinity=False) | st.integers(-10**12, 10**12).map(lambda n: n / 7)
              | st.sampled_from([0.0, -0.0, 0.0005, 0.0015, -0.0025, 1e16, 1e-5]))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(ids=st.lists(st.text(max_size=6) | st.sampled_from(ODD), min_size=1, max_size=6),
            times=st.lists(TIMES, min_size=1, max_size=6),
            n=st.sampled_from([0, 1, 255, 256, 257, 600]))

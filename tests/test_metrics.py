@@ -30,7 +30,7 @@ from eochain.model import FireEvent, GeoPoint
 from eochain.presets import get_preset
 from eochain.scenario_io import load_scenario
 
-from conftest import make_scenario
+from conftest import NO_SHRINK, make_scenario
 
 EVENT = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
 STRESS = Path(__file__).resolve().parents[1] / "scenarios" / "iride_heo_stress.yaml"
@@ -302,7 +302,7 @@ CSV_SCALARS = (
 class TestCsvRenderer:
     """Blocks of rows render as ``csv.writer`` writes the same cells a row at a time."""
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(record_type=CSV_TEXT, keys=st.lists(CSV_TEXT, min_size=1, max_size=5, unique=True),
            cells=st.lists(st.lists(CSV_SCALARS, min_size=5, max_size=5), min_size=1, max_size=8),
            n=st.sampled_from([0, 1, 255, 256, 257, 600]), missing=st.booleans())

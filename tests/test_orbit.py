@@ -12,6 +12,7 @@ from eochain.model import (
     EARTH_RADIUS_KM,
     EARTH_ROTATION_RAD_S,
     MU_EARTH_M3_S2,
+    GeoPoint,
     ValidationError,
     great_circle_km,
 )
@@ -22,8 +23,6 @@ from eochain.orbit import (
     contact_windows,
     elevation_angle,
     orbital_period,
-    satellite_windows,
-    subsatellite_point,
     subsatellite_track,
 )
 from eochain.presets import effis_like, iride_heo
@@ -42,6 +41,41 @@ def random_satellite(rng, sid="sat-r"):
         arg_lat=rng.uniform(0.0, 360.0),
         swath=rng.uniform(20.0, 200.0),
     )
+
+
+def track_point(sat, t):
+    """The subsatellite point at one time ``t``."""
+    lat, lon = subsatellite_track(sat, np.array([t]))
+    return GeoPoint(float(lat[0]), float(lon[0]))
+
+
+# An oracle that shares no code with orbit: the subsatellite point by its
+# latitude and longitude, and psi by the spherical law of cosines.
+def oracle_track(sat, t):
+    """Ground-track latitude/longitude in degrees at times ``t``."""
+    inc = math.radians(sat.inclination_deg)
+    t = np.asarray(t, dtype=float)
+    period = 2.0 * math.pi * math.sqrt(((EARTH_RADIUS_KM + sat.altitude_km) * 1e3) ** 3 / MU_EARTH_M3_S2)
+    u = math.radians(sat.initial_arg_lat_deg) + 2.0 * math.pi * t / period
+    sin_u = np.sin(u)
+    lat = np.arcsin(np.clip(math.sin(inc) * sin_u, -1.0, 1.0))
+    lon = math.radians(sat.raan_deg) + np.arctan2(math.cos(inc) * sin_u, np.cos(u)) - EARTH_ROTATION_RAD_S * t
+    return np.degrees(lat), (np.degrees(lon) + 180.0) % 360.0 - 180.0
+
+
+def oracle_psi(track_lat, track_lon, lat, lon):
+    """Central angle (radians) between track points and one target, all in degrees."""
+    p1, p2 = np.radians(track_lat), math.radians(lat)
+    dlon = np.radians(track_lon) - math.radians(lon)
+    cos_psi = np.sin(p1) * math.sin(p2) + np.cos(p1) * math.cos(p2) * np.cos(dlon)
+    return np.arccos(np.clip(cos_psi, -1.0, 1.0))
+
+
+def oracle_elevation(sat, lat, lon, t):
+    """Elevation (degrees) of the satellite above the horizon of the point (lat, lon)."""
+    k = EARTH_RADIUS_KM / (EARTH_RADIUS_KM + sat.altitude_km)
+    psi = oracle_psi(*oracle_track(sat, t), lat, lon)
+    return np.degrees(np.arctan2(np.cos(psi) - k, np.sin(psi)))
 
 
 def reference_grid(t0, t1, step):
@@ -105,20 +139,20 @@ class TestOrbitalPeriod:
 class TestSubsatellitePoint:
     def test_equatorial_orbit_stays_on_equator(self):
         sat = make_satellite(inclination=0.0)
-        for t in (0.0, 1234.5, 50000.0):
-            assert subsatellite_point(sat, t).lat == pytest.approx(0.0, abs=1e-9)
+        lat, _ = subsatellite_track(sat, np.array([0.0, 1234.5, 50000.0]))
+        assert lat == pytest.approx(0.0, abs=1e-9)
 
     def test_epoch_alignment(self):
         sat = make_satellite(inclination=53.0, raan=0.0, arg_lat=0.0)
-        p = subsatellite_point(sat, 0.0)
+        p = track_point(sat, 0.0)
         assert p.lat == pytest.approx(0.0, abs=1e-9)
         assert p.lon == pytest.approx(0.0, abs=1e-9)
 
     def test_polar_orbit_closure_after_one_period(self):
         sat = make_satellite(inclination=90.0, raan=0.0, arg_lat=20.0)
         period = orbital_period(sat.altitude_km)
-        p0 = subsatellite_point(sat, 0.0)
-        p1 = subsatellite_point(sat, period)
+        p0 = track_point(sat, 0.0)
+        p1 = track_point(sat, period)
         assert p1.lat == pytest.approx(p0.lat, abs=1e-6)
         # Longitude shifted west by one rotation-period's worth of Earth spin.
         expected_shift = math.degrees(EARTH_ROTATION_RAD_S * period)
@@ -139,10 +173,29 @@ class TestSubsatellitePoint:
         for _ in range(20):
             sat = random_satellite(rng)
             t = rng.uniform(0, DAY)
-            p = subsatellite_point(sat, t)
-            lat, lon = subsatellite_track(sat, np.asarray([t]))
-            assert p.lat == pytest.approx(float(lat[0]), abs=1e-9)
-            assert p.lon == pytest.approx(float(lon[0]), abs=1e-9)
+            lat, lon = subsatellite_track(sat, t)
+            p = track_point(sat, t)
+            assert p.lat == pytest.approx(float(lat), abs=1e-9)
+            assert p.lon == pytest.approx(float(lon), abs=1e-9)
+
+    def test_track_and_elevation_equal_latitude_longitude_oracle(self):
+        # Random satellites, stations and times over 400 days: the track and
+        # the elevation, both read from unit vectors, against the oracle.
+        # Longitude is compared away from the poles, where it is ill-defined.
+        rng = random.Random(47)
+        for _ in range(200):
+            sat = random_satellite(rng)
+            lat, lon = rng.uniform(-90.0, 90.0), rng.uniform(-180.0, 180.0)
+            station = make_station(lat=lat, lon=lon)
+            times = np.array([rng.uniform(0.0, 400.0 * DAY) for _ in range(500)])
+            track_lat, track_lon = subsatellite_track(sat, times)
+            expected_lat, expected_lon = oracle_track(sat, times)
+            assert np.array_equal(track_lat, expected_lat)
+            off_pole = np.abs(expected_lat) <= 89.9
+            lon_error = (track_lon - expected_lon + 180.0) % 360.0 - 180.0
+            assert np.all(np.abs(lon_error[off_pole]) <= 1e-9)
+            elevation = elevation_angle(sat, station, times)
+            assert np.all(np.abs(elevation - oracle_elevation(sat, lat, lon, times)) <= 1e-8)
 
 
 class TestElevationAngle:
@@ -262,7 +315,7 @@ class TestAccessWindows:
         for _ in range(10):
             sat = random_satellite(rng)
             t = rng.uniform(1000.0, DAY - 1000.0)
-            point = subsatellite_point(sat, t)
+            point = track_point(sat, t)
             aoi = make_aoi("under", point.lat, point.lon, radius=50.0)
             windows = access_windows(sat, aoi, (0.0, DAY))
             assert any(w.start <= t <= w.end for w in windows)
@@ -302,7 +355,7 @@ class TestAccessWindows:
                 for t in (w.start, w.end):
                     if t in (0.0, DAY):
                         continue  # clamped at the horizon edge, not a crossing
-                    distance = great_circle_km(subsatellite_point(sat, t), aoi.center)
+                    distance = great_circle_km(track_point(sat, t), aoi.center)
                     assert abs(distance - reach) < 0.5
                     boundaries += 1
         assert boundaries > 0
@@ -337,9 +390,10 @@ def reference_windows(margin, horizon, step):
     return [Window(float(a), float(b)) for a, b in windows if b > a]
 
 
-# The reference margins evaluate a fresh track at every call: the elevation
-# above the mask and the reach less the ground distance, independent of the
-# search's psi <= limit test.
+# The reference margins evaluate a fresh track on the full grid at every
+# call: the elevation above the mask and the reach less the ground distance,
+# read from the search's own unit-vector kernel, so the windows check the
+# block proofs and the bisection and not the rounding of another kernel.
 def reference_contacts(sat, station, horizon, step):
     mask = station.min_elevation_deg
 
@@ -351,11 +405,10 @@ def reference_contacts(sat, station, horizon, step):
 
 def reference_access(sat, aoi, horizon, step):
     reach = sat.swath_km / 2.0 + aoi.radius_km
-    target = orbit._target_angles(aoi.center.lat, aoi.center.lon)
+    target = orbit._target_vector(aoi.center.lat, aoi.center.lon)
 
     def margin(times):
-        lat, lon = subsatellite_track(sat, times)
-        return reach - EARTH_RADIUS_KM * orbit._central_angle(orbit._track_angles(lat, lon), target)
+        return reach - EARTH_RADIUS_KM * orbit._psi(orbit._ground_vector(orbit._elements(sat), times), target)
 
     return reference_windows(margin, horizon, step)
 
@@ -501,8 +554,8 @@ class TestBlockSearch:
            t=st.floats(0.0, 400.0 * DAY), dt=st.floats(0.0, 6000.0))
     def test_central_angle_rate_bounded_by_mean_motion_plus_earth_rotation(self, sat, lat, lon, t, dt):
         rate = 2.0 * math.pi / orbital_period(sat.altitude_km) + EARTH_ROTATION_RAD_S
-        track_lat, track_lon = subsatellite_track(sat, np.array([t, t + dt]))
-        psi = orbit._central_angle(orbit._track_angles(track_lat, track_lon), orbit._target_angles(lat, lon))
+        track = orbit._ground_vector(orbit._elements(sat), np.array([t, t + dt]))
+        psi = orbit._psi(track, orbit._target_vector(lat, lon))
         # Rounding in psi is what the proof slack allows for.
         assert abs(psi[1] - psi[0]) <= rate * dt + orbit.PROOF_SLACK_RAD / 2
 
@@ -513,21 +566,20 @@ class TestVectorKernel:
            place=st.sampled_from(["anywhere", "below", "antipode"]), lat=st.floats(-90.0, 90.0),
            lon=st.floats(-180.0, 180.0), nudge=st.sampled_from([0.0]) | st.floats(-1e-6, 1e-6))
     def test_psi_equals_latitude_longitude_kernel(self, sat, t, place, lat, lon, nudge):
-        # The search's psi, from unit vectors, against the kernel behind
-        # subsatellite_track and elevation_angle, for any target and for the
-        # subsatellite point itself, its antipode and points a hair from
-        # either.  Both take acos of a cosine a few ulps from its true value,
-        # which near cos psi = +-1 is off by up to sqrt(2 * 4 ulps), 3e-8 rad;
-        # elsewhere the two agree to about 1e-12 rad.
+        # The search's psi, from unit vectors, against the latitude/longitude
+        # oracle, for any target and for the subsatellite point itself, its
+        # antipode and points a hair from either.  Both take acos of a cosine
+        # a few ulps from its true value, which near cos psi = +-1 is off by
+        # up to sqrt(2 * 4 ulps), 3e-8 rad; elsewhere the two agree to about
+        # 1e-12 rad.
         times = np.array([t])
-        track_lat, track_lon = subsatellite_track(sat, times)
+        track_lat, track_lon = oracle_track(sat, times)
         if place == "below":
             lat, lon = track_lat[0] + nudge, track_lon[0] + nudge
         elif place == "antipode":
             lat, lon = nudge - track_lat[0], track_lon[0] + 180.0 + nudge
-        target = orbit._target_angles(lat, lon)
-        reference = orbit._central_angle(orbit._track_angles(track_lat, track_lon), target)[0]
-        psi = orbit._psi(orbit._ground_vector(orbit._elements(sat), times), orbit._target_vector(target))[0]
+        reference = oracle_psi(track_lat, track_lon, lat, lon)[0]
+        psi = orbit._psi(orbit._ground_vector(orbit._elements(sat), times), orbit._target_vector(lat, lon))[0]
         assert abs(psi - reference) < orbit.PROOF_SLACK_RAD / 20
         if 1e-3 < reference < math.pi - 1e-3:
             assert abs(psi - reference) < orbit.PROOF_SLACK_RAD / 100
@@ -541,7 +593,7 @@ class TestSatelliteSearch:
         # Targets scattered over the globe need different samples and
         # crossings; each must get the windows it would get alone.
         horizon, step = horizon_step
-        contacts, accesses = satellite_windows(sat, stations, aois, horizon, step)
+        contacts, accesses = constellation_windows((sat,), stations, aois, horizon, step)[0]
         assert contacts == [reference_contacts(sat, station, horizon, step) for station in stations]
         assert accesses == [reference_access(sat, aoi, horizon, step) for aoi in aois]
 
@@ -553,14 +605,14 @@ class TestSatelliteSearch:
         # must still read only its own.
         sat = make_satellite(inclination=180.0, swath=40.0)
         aois = (equator_aoi(sat, "edge", start, end), equator_aoi(sat, "other", *other))
-        _, accesses = satellite_windows(sat, (), aois, (0.0, 2000.0))
+        _, accesses = constellation_windows((sat,), (), aois, (0.0, 2000.0))[0]
         assert accesses == [reference_access(sat, aoi, (0.0, 2000.0), 10.0) for aoi in aois]
         assert [len(windows) for windows in accesses] == [1, 1]
         window = accesses[0][0]
         assert (window.start, window.end) == pytest.approx((start, end), abs=orbit.BISECTION_TOL_S)
 
     def test_no_targets_find_nothing(self):
-        assert satellite_windows(make_satellite(), (), (), (0.0, DAY)) == ([], [])
+        assert constellation_windows((make_satellite(),), (), (), (0.0, DAY))[0] == ([], [])
 
 
 class TestConstellationSearch:
@@ -580,7 +632,7 @@ class TestConstellationSearch:
                 [reference_contacts(sat, station, horizon, step) for station in stations],
                 [reference_access(sat, aoi, horizon, step) for aoi in aois],
             )
-            assert repr(windows) == repr(satellite_windows(sat, stations, aois, horizon, step))
+            assert repr(windows) == repr(constellation_windows((sat,), stations, aois, horizon, step)[0])
             assert repr(windows) == repr(reference)
 
     def test_no_satellites_find_nothing(self):
