@@ -106,19 +106,34 @@ def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return value
 
 
-def _seed_states(master_seed: int, domain_label: str, entity_ids: Sequence[str]) -> np.ndarray:
-    """PCG64 seed words, one row of four uint64 per entity, mixed in one pass.
+# A sweep's runs alternate two key tuples (AOIs, scenes) and a compare's
+# observations hold up to four; a few more slots serve single streams.
+@functools.lru_cache(maxsize=16)
+def _digest_words(labels: tuple[str, ...], entity_ids: tuple[str, ...]) -> np.ndarray:
+    """The first four little-endian words of the sha256 of each key
+    ``f"{label}/{entity_id}"``, label-major, one read-only row per key.
 
-    Row i equals ``SeedSequence([seed, *words]).generate_state(4, np.uint64)``,
-    where ``words`` are the first four little-endian words of the sha256 of
-    ``f"{domain_label}/{entity_ids[i]}"``.
+    Computed once per process for a key tuple: a sweep's runs share their
+    AOI keys and, where their acquisitions are the same, their scene keys.
+    """
+    digests = b"".join(
+        hashlib.sha256(f"{label}/{e}".encode()).digest()[:16] for label in labels for e in entity_ids
+    )
+    return np.frombuffer(digests, "<u4").reshape(-1, 4)
+
+
+def _seed_states(master_seed: int, labels: tuple[str, ...], entity_ids: tuple[str, ...]) -> np.ndarray:
+    """PCG64 seed words, one row of four uint64 per key, mixed in one pass.
+
+    Row ``k * len(entity_ids) + i`` equals
+    ``SeedSequence([seed, *words]).generate_state(4, np.uint64)``, where
+    ``words`` are the digest words of ``f"{labels[k]}/{entity_ids[i]}"``.
     """
     # The seed's 32-bit words, low first, then four digest words: the
     # entropy numpy derives from the list [seed, *words], built directly.
     seed = int(master_seed)
     head = np.frombuffer(seed.to_bytes(4 * max(1, (seed.bit_length() + 31) // 32), "little"), "<u4")
-    digests = b"".join(hashlib.sha256(f"{domain_label}/{e}".encode()).digest()[:16] for e in entity_ids)
-    tails = np.frombuffer(digests, "<u4").reshape(-1, 4)
+    tails = _digest_words(labels, entity_ids)
     entropy = np.concatenate((np.broadcast_to(head, (len(tails), len(head))), tails), axis=1, dtype=np.uint32)
     fill, cross, extra, output = _hash_steps(entropy.shape[1])
     pool = _hashmix(entropy[:, :_POOL_SIZE], fill)
@@ -157,6 +172,12 @@ def _numpy_random():
     return numpy.random
 
 
+def _stream(words: np.ndarray) -> np.random.Generator:
+    """The generator of one row of ``_seed_states``."""
+    random = _numpy_random()
+    return random.Generator(random.PCG64(_SeedState(words)))
+
+
 def rng_streams(
     master_seed: int, domain_label: str, entity_ids: Sequence[str]
 ) -> Iterator[np.random.Generator]:
@@ -165,13 +186,15 @@ def rng_streams(
     Each (label, id) pair is hashed into seed-sequence entropy words, so
     streams never collide or correlate across domains or entities and the
     draws of one domain cannot shift another's.  Every stream equals
-    ``Generator(PCG64(SeedSequence([seed, *words])))``; the seed-sequence
-    states of all the entities are computed in one pass, and each generator
-    is built only when the iterator reaches it.
+    ``Generator(PCG64(SeedSequence([seed, *words])))``.  The seed-sequence
+    states of all the entities are computed in one pass, from digest words
+    that a process computes once per key tuple, and each generator is built
+    only when the iterator reaches it.  A run makes two such passes: one
+    over its AOIs, and one over the cloud and detection keys of its
+    processed scenes (``_observation``).
     """
-    random = _numpy_random()
-    for words in _seed_states(master_seed, domain_label, entity_ids):
-        yield random.Generator(random.PCG64(_SeedState(words)))
+    for words in _seed_states(master_seed, (domain_label,), tuple(entity_ids)):
+        yield _stream(words)
 
 
 def rng_stream(master_seed: int, domain_label: str, entity_id: str = "") -> np.random.Generator:
@@ -431,7 +454,10 @@ def _observation(
     so every run of the observation shares them and the mappings are read-only.
     Scene ``scn-i`` is acquisition i.  Only a processed scene draws clouds and
     detections: every scene of a periodic product line, and only the
-    event-triggered scenes of an event-driven one."""
+    event-triggered scenes of an event-driven one.  One seed-sequence pass
+    seeds the cloud and detection streams of every processed scene, after the
+    pass over the AOIs in ``_ground_truth``; a processed scene with no event
+    present has nothing to detect, so it builds no detection stream."""
     fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
     geometry = _geometry(scenario)
     requests = tasking.build_requests(fire_events, home, detection_times, scenario.archetype)
@@ -443,21 +469,27 @@ def _observation(
     periodic = scenario.archetype.triggering is Triggering.PERIODIC
     scene_ids = [f"scn-{i:05d}" for i in range(len(acquisitions))]
     processed = [periodic or triggered for *_, triggered in acquisitions]
-    processed_ids = list(itertools.compress(scene_ids, processed))
-    clouds = rng_streams(scenario.seed, "clouds", processed_ids)
-    detection = rng_streams(scenario.seed, "detection", processed_ids)
+    processed_ids = tuple(itertools.compress(scene_ids, processed))
+    # Processed scene k seeds its clouds from row k and its detection from row n + k.
+    n = len(processed_ids)
+    states = _seed_states(scenario.seed, ("clouds", "detection"), processed_ids) if n else ()
+    k = 0
     scenes: dict[str, Scene] = {}
     detections: dict[str, frozenset[str]] = {}
     for scene_id, (sat_id, aoi_id, window, triggered), process in zip(scene_ids, acquisitions, processed):
-        cloud_fraction = onboard.draw_cloud_fraction(scenario.cloud_model, next(clouds)) if process else None
+        cloud_fraction = onboard.draw_cloud_fraction(scenario.cloud_model, _stream(states[k])) if process else None
         scene = onboard.acquire_scene(
             scene_id, sats_by_id[sat_id], aois_by_id[aoi_id], window, triggered, members[aoi_id], cloud_fraction
         )
         scenes[scene_id] = scene
         if process:
-            detections[scene_id] = onboard.classify_scene(
-                scene, events_by_id, scenario.archetype.mmu_ha, scenario.detection.accuracy_p, next(detection)
+            # With no event present there is nothing to detect, so no detection stream is built.
+            detections[scene_id] = (
+                onboard.classify_scene(scene, events_by_id, scenario.archetype.mmu_ha,
+                                       scenario.detection.accuracy_p, _stream(states[n + k]))
+                if scene.event_ids_present else frozenset()
             )
+            k += 1
     return (fire_events, dropped, MappingProxyType(detection_times), requests, plan,
             MappingProxyType(scenes), MappingProxyType(detections))
 

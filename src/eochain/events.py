@@ -53,7 +53,9 @@ def generate_fire_events(
 
     ``streams`` yields one independent generator per AOI, in the order of
     ``aois``, so that the events of one AOI never depend on how many were
-    drawn for another.
+    drawn for another.  The engine seeds the streams of all the AOIs in one
+    seed-sequence pass (``engine.rng_streams``), from digest words that a
+    sweep's runs share; an AOI whose Poisson count is 0 draws nothing more.
     """
     if horizon_s <= 0:
         raise ValidationError("horizon must be positive")
@@ -61,6 +63,8 @@ def generate_fire_events(
     lam_per_aoi = model.rate_per_aoi_per_day * horizon_s / SECONDS_PER_DAY
     for aoi, rng in zip(aois, streams, strict=True):
         n = int(rng.poisson(lam_per_aoi))
+        if not n:
+            continue
         starts = np.sort(rng.uniform(0.0, horizon_s, size=n))
         for j, start in enumerate(starts):
             bearing = rng.uniform(0.0, 2.0 * math.pi)

@@ -7,6 +7,7 @@ exact; times are seconds from the scenario epoch.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from enum import Enum
@@ -258,25 +259,40 @@ class Violation(NamedTuple):
         return f"{self.path}: {self.message}"
 
 
-def _leaf_violations(record: object, path: str, out: dict[str, str]) -> None:
-    """Flag each number inside ``record`` outside its field's interval or, with no interval that
-    applies, not finite; a path already in ``out`` is not flagged again."""
-    for f in fields(record):
-        value, m = getattr(record, f.name), f.metadata
-        sub = f"{path}.{f.name}" if path else f.name
+@functools.cache
+def _checks(record_type: type) -> tuple[tuple[str, Optional[tuple]], ...]:
+    """The checks of a scenario dataclass's fields in field order, read once per type: each field's
+    name and, if it declares an interval, (lo, hi, lo open, hi open, ``when``, the interval's text)."""
+    return tuple(
+        (f.name, (m["lo"], m["hi"], m["ends"][0] == "(", m["ends"][1] == ")", m["when"], m["interval"])
+         if (m := f.metadata) else None)
+        for f in fields(record_type)
+    )
+
+
+def _path(keys: tuple[Any, ...]) -> str:
+    """The field path of document keys: ``("satellites", 0, "gsd_m")`` is ``satellites[0].gsd_m``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in keys)[1:]
+
+
+def _leaf_violations(record: object, keys: tuple[Any, ...], out: dict[str, str]) -> None:
+    """Flag each number inside ``record``, at document ``keys``, outside its field's interval or, with
+    no interval that applies, not finite; a path already in ``out`` is not flagged again."""
+    for name, bounds in _checks(type(record)):
+        value = getattr(record, name)
         if isinstance(value, tuple):
             for i, item in enumerate(value):
-                _leaf_violations(item, f"{sub}[{i}]", out)
+                _leaf_violations(item, (*keys, name, i), out)
         elif is_dataclass(value):
-            _leaf_violations(value, sub, out)
-        elif sub in out or value is None:
+            _leaf_violations(value, (*keys, name), out)
+        elif value is None:
             continue
-        elif m and (m["when"] is None or getattr(record, m["when"])):
-            if not ((m["lo"] < value if m["ends"][0] == "(" else m["lo"] <= value)
-                    and (value < m["hi"] if m["ends"][1] == ")" else value <= m["hi"])):
-                out[sub] = f"must be in {m['interval']}"
+        elif bounds is not None and (bounds[4] is None or getattr(record, bounds[4])):
+            lo, hi, lo_open, hi_open, _, interval = bounds
+            if not ((lo < value if lo_open else lo <= value) and (value < hi if hi_open else value <= hi)):
+                out.setdefault(_path((*keys, name)), f"must be in {interval}")
         elif isinstance(value, float) and not math.isfinite(value):
-            out[sub] = "must be finite"
+            out.setdefault(_path((*keys, name)), "must be finite")
 
 
 def validate_scenario(s: Scenario) -> list[Violation]:
@@ -299,7 +315,7 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     if (s.archetype.triggering is Triggering.PERIODIC) != cycle_given:
         out["archetype.periodic_cycle_s"] = ("periodic cycle is only meaningful for periodic triggering"
                                              if cycle_given else "periodic triggering requires a periodic cycle")
-    _leaf_violations(s, "", out)
+    _leaf_violations(s, (), out)
     # A rule across fields is judged only when each of its fields passed its own checks.
     lat, rate = s.latencies, s.event_model.rate_per_aoi_per_day
     if not {"latencies.pdgs_raw_s", "latencies.pdgs_mask_s"} & out.keys() and lat.pdgs_mask_s > lat.pdgs_raw_s:

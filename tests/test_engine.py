@@ -10,17 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eochain import downlink, model, orbit, tasking
+from eochain import downlink, engine, model, onboard, orbit, tasking
 from eochain.engine import SimEventKind, geometry_tables, rng_stream, rng_streams, run
 from eochain.model import (
     AcquisitionMode,
+    DetectionSpec,
     FireEvent,
     GeoPoint,
     ProcessingLocation,
     Triggering,
     ValidationError,
 )
-from eochain.onboard import draw_cloud_fraction
+from eochain.onboard import classify_scene, draw_cloud_fraction
 from eochain.scenario_io import load_scenario
 
 from conftest import make_aoi, make_archetype, make_satellite, make_scenario, make_station
@@ -218,6 +219,60 @@ class TestChainSemantics:
                 assert scene.cloud_fraction is None
         unprocessed = len(trace.scenes) - len(trace.detections)
         assert unprocessed == 0 if triggering is Triggering.PERIODIC else unprocessed > 0
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        days=st.sampled_from([1, 2]),
+        triggering=st.sampled_from(list(Triggering)),
+        acquisition=st.sampled_from(list(AcquisitionMode)),
+        rate=st.floats(0.0, 12.0),
+        cloud_mean=st.floats(0.05, 0.95),
+        accuracy_p=st.floats(0.2, 0.8),
+    )
+    def test_every_processed_scene_draws_from_its_own_streams(
+        self, seed, days, triggering, acquisition, rate, cloud_mean, accuracy_p
+    ):
+        # Clouds and detection share one seed pass, and a scene with no event
+        # present builds no detection stream: each processed scene must still
+        # draw exactly what its own (label, scene id) streams give.
+        periodic = triggering is Triggering.PERIODIC
+        arch = make_archetype(mmu=1.0, acquisition=acquisition, triggering=triggering,
+                              cycle=DAY if periodic else None)
+        s = make_scenario(seed=seed, horizon=days * DAY, archetype=arch, rate=rate, cloud_mean=cloud_mean,
+                          detection=DetectionSpec(accuracy_p=accuracy_p))
+        trace = run(s)
+        assert set(trace.detections) == {i for i, scene in trace.scenes.items() if periodic or scene.triggered}
+        for scene_id, scene in trace.scenes.items():
+            if scene_id not in trace.detections:
+                assert scene.cloud_fraction is None
+                continue
+            assert scene.cloud_fraction == draw_cloud_fraction(s.cloud_model, rng_stream(seed, "clouds", scene_id))
+            assert trace.detections[scene_id] == classify_scene(
+                scene, trace.events_by_id, arch.mmu_ha, accuracy_p, rng_stream(seed, "detection", scene_id))
+
+    def test_a_run_seeds_its_streams_in_two_passes(self, monkeypatch, cold_engine):
+        passes, detectors = [], []
+        seed_states, classify = engine._seed_states, onboard.classify_scene
+
+        def counted_pass(master_seed, labels, entity_ids):
+            passes.append((labels, len(entity_ids)))
+            return seed_states(master_seed, labels, entity_ids)
+
+        def counted_classify(scene, *args):
+            detectors.append(scene.id)
+            return classify(scene, *args)
+
+        monkeypatch.setattr(engine, "_seed_states", counted_pass)
+        monkeypatch.setattr(onboard, "classify_scene", counted_classify)
+        arch = make_archetype(triggering=Triggering.PERIODIC, cycle=DAY)
+        s = make_scenario(seed=3, archetype=arch, rate=2.0)
+        trace = run(s)
+        assert passes == [(("events",), len(s.aois)), (("clouds", "detection"), len(trace.scenes))]
+        # Only a scene with an event present draws detections.
+        assert detectors == [i for i, scene in trace.scenes.items() if scene.event_ids_present]
+        assert 0 < len(detectors) < len(trace.scenes)
+        assert all(trace.detections[i] == frozenset() for i in trace.scenes if i not in detectors)
 
     def test_on_demand_images_only_planned_windows(self):
         arch = make_archetype(acquisition=AcquisitionMode.ON_DEMAND)

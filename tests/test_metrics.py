@@ -299,6 +299,14 @@ CSV_SCALARS = (
 )
 
 
+def first_differing_line(actual: str, expected: str) -> str:
+    """The index of the first CRLF-ended line at which two CSV texts differ, and both lines."""
+    a, e = actual.split("\r\n"), expected.split("\r\n")
+    i = next((i for i, (x, y) in enumerate(zip(a, e)) if x != y), min(len(a), len(e)))
+    shown = [repr(lines[i]) if i < len(lines) else "<no line>" for lines in (a, e)]
+    return f"line {i} differs: rendered {shown[0]}, csv.writer {shown[1]}"
+
+
 class TestCsvRenderer:
     """Blocks of rows render as ``csv.writer`` writes the same cells a row at a time."""
 
@@ -314,7 +322,10 @@ class TestCsvRenderer:
         w = csv.writer(expected)
         for row in rows:
             w.writerow([record_type, *(_fmt(row[k]) for k in keys), *([""] * missing)])
-        assert "".join(metrics._csv_blocks(record_type, rows, fields)) == expected.getvalue()
+        actual = "".join(metrics._csv_blocks(record_type, rows, fields))
+        if actual != expected.getvalue():
+            # pytest's diff of two texts this long takes seconds per failing example.
+            pytest.fail(first_differing_line(actual, expected.getvalue()))
 
 
 @pytest.fixture(scope="module")

@@ -11,8 +11,11 @@ import typing
 from enum import Enum
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import eochain
+from eochain import model
 from eochain.engine import Geometry, SimulationTrace
 from eochain.model import (
     DEFAULT_COARSE_STEP_S,
@@ -31,7 +34,7 @@ from eochain.model import (
 from eochain.presets import effis_like, iride_heo
 from eochain.scenario_io import scenario_from_dict, scenario_to_dict
 
-from conftest import RECORD_TYPES, make_archetype, make_satellite, make_scenario, numeric_fields
+from conftest import RECORD_TYPES, make_archetype, make_processor, make_satellite, make_scenario, numeric_fields
 
 
 class TestGeoPoint:
@@ -335,6 +338,98 @@ class TestDeclaredIntervals:
                     checked += 1
             holder[keys[-1]] = good
         assert checked > 100
+
+
+def reference_leaf_violations(record, path, out):
+    """The walk of every field by ``dataclasses.fields``: the oracle of ``model._leaf_violations``,
+    which reads each type's checks from a plan built once."""
+    for f in dataclasses.fields(record):
+        value, m = getattr(record, f.name), f.metadata
+        sub = f"{path}.{f.name}" if path else f.name
+        if isinstance(value, tuple):
+            for i, item in enumerate(value):
+                reference_leaf_violations(item, f"{sub}[{i}]", out)
+        elif dataclasses.is_dataclass(value):
+            reference_leaf_violations(value, sub, out)
+        elif sub in out or value is None:
+            continue
+        elif m and (m["when"] is None or getattr(record, m["when"])):
+            if not ((m["lo"] < value if m["ends"][0] == "(" else m["lo"] <= value)
+                    and (value < m["hi"] if m["ends"][1] == ")" else value <= m["hi"])):
+                out[sub] = f"must be in {m['interval']}"
+        elif isinstance(value, float) and not math.isfinite(value):
+            out[sub] = "must be finite"
+
+
+def number_leaves(record, keys=()):
+    """(document keys, field) of every int or float field inside a scenario value."""
+    for f in dataclasses.fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, tuple):
+            for i, item in enumerate(value):
+                yield from number_leaves(item, keys + (f.name, i))
+        elif dataclasses.is_dataclass(value):
+            yield from number_leaves(value, keys + (f.name,))
+        elif isinstance(value, (int, float)) and not isinstance(value, bool):
+            yield keys + (f.name,), f
+
+
+PRESET_LEAVES = {preset: list(number_leaves(preset())) for preset in (iride_heo, effis_like)}
+ANY_FLOAT = st.floats(allow_nan=True, allow_infinity=True)
+
+
+def near_ends(f, value):
+    """Values at and just beside each finite end of the field's interval, of the value's type."""
+    m = f.metadata
+    ends = [end for end in (m.get("lo"), m.get("hi")) if end is not None and math.isfinite(end)]
+    if isinstance(value, int):
+        return [int(end) + d for end in ends for d in (-1, 0, 1)] or [0, -1]
+    return [math.nan, math.inf, -math.inf, 0.0, -0.0,
+            *(x for end in ends for x in (math.nextafter(end, -math.inf), float(end), math.nextafter(end, math.inf)))]
+
+
+@st.composite
+def broken_presets(draw):
+    """A preset scenario with some numbers set out of range, to NaN or infinity, some processors
+    disabled with bad rates (the ``when`` rule), and some field paths already flagged."""
+    preset = draw(st.sampled_from(sorted(PRESET_LEAVES, key=lambda p: p.__name__)))
+    doc = scenario_to_dict(preset())
+    chosen = draw(st.lists(st.sampled_from(PRESET_LEAVES[preset]), max_size=8, unique_by=lambda leaf: leaf[0]))
+    for keys, f in chosen:
+        holder = functools.reduce(operator.getitem, keys[:-1], doc)
+        value = holder[keys[-1]]
+        spread = st.integers(-2**70, 2**70) if isinstance(value, int) else ANY_FLOAT
+        holder[keys[-1]] = draw(st.sampled_from(near_ends(f, value)) | spread)
+    for i in draw(st.sets(st.integers(0, len(doc["satellites"]) - 1), max_size=3)):
+        processor = doc["satellites"][i]["processor"]
+        processor["enabled"] = False
+        processor["inference_rate_mpx_s"] = draw(st.sampled_from([-1.0, 0.0, math.nan, -math.inf]) | ANY_FLOAT)
+    paths = [re.sub(r"\.(\d+)", r"[\1]", ".".join(map(str, keys))) for keys, _ in chosen]
+    flagged = draw(st.sets(st.sampled_from(paths), max_size=2)) if paths else set()
+    return scenario_from_dict(doc), {path: "flagged before the walk" for path in sorted(flagged)}
+
+
+class TestFieldChecks:
+    @settings(max_examples=150, deadline=None)
+    @given(case=broken_presets())
+    def test_per_type_plan_equals_field_walk(self, case):
+        scenario, flagged = case
+        planned, walked = dict(flagged), dict(flagged)
+        model._leaf_violations(scenario, (), planned)
+        reference_leaf_violations(scenario, "", walked)
+        assert list(planned.items()) == list(walked.items())
+
+    def test_disabled_processor_rates_follow_the_when_rule(self):
+        sat = make_satellite(processor=make_processor(enabled=False, pre=math.nan, inf=-1.0))
+        # While disabled, a rate need not be in its interval, but it must still be finite.
+        out = {}
+        model._leaf_violations(make_scenario(satellites=(sat,)), (), out)
+        assert out == {"satellites[0].processor.preprocess_rate_mpx_s": "must be finite"}
+        sat = make_satellite(processor=make_processor(enabled=True, pre=math.nan, inf=-1.0))
+        out = {}
+        model._leaf_violations(make_scenario(satellites=(sat,)), (), out)
+        assert out == {"satellites[0].processor.preprocess_rate_mpx_s": "must be in [1e-06, inf)",
+                       "satellites[0].processor.inference_rate_mpx_s": "must be in [1e-06, inf)"}
 
 
 def scenario_types():
