@@ -99,16 +99,13 @@ def _injected(args: argparse.Namespace):
 
 def _write_plan_dump(trace: engine.SimulationTrace, path: Path) -> None:
     doc = {
-        "assignments": [
-            {
-                "request_id": a.request_id,
-                "satellite_id": a.satellite_id,
-                "window_start_s": round(a.window.start, 3),
-                "window_end_s": round(a.window.end, 3),
-                "uplink_time_s": round(a.uplink_time, 3),
-            }
-            for a in trace.plan.assignments
-        ],
+        "assignments": metrics.Table({
+            "request_id": [a.request_id for a in trace.plan.assignments],
+            "satellite_id": [a.satellite_id for a in trace.plan.assignments],
+            "window_start_s": [round(a.window.start, 3) for a in trace.plan.assignments],
+            "window_end_s": [round(a.window.end, 3) for a in trace.plan.assignments],
+            "uplink_time_s": [round(a.uplink_time, 3) for a in trace.plan.assignments],
+        }),
         "unmet_request_ids": list(trace.plan.unmet_request_ids),
     }
     with open(path, "w") as f:

@@ -21,7 +21,8 @@ from .model import (
     FireEvent,
     GeoPoint,
     ValidationError,
-    great_circle_km,
+    arc_km,
+    sphere_terms,
 )
 
 EVENT_TRACE_FIELDS = ["id", "lat", "lon", "start_s", "area_ha"]
@@ -92,8 +93,10 @@ def aoi_membership(
     """
     members: dict[str, list[FireEvent]] = {aoi.id: [] for aoi in aois}
     home: dict[str, Optional[str]] = {}
+    centers = [(sphere_terms(a.center), a.radius_km, a.id) for a in aois]
     for e in fire_events:
-        inside = [(d, a.id) for a in aois if (d := great_circle_km(e.location, a.center)) <= a.radius_km]
+        point = sphere_terms(e.location)
+        inside = [(d, aoi_id) for center, radius, aoi_id in centers if (d := arc_km(point, center)) <= radius]
         for _, aoi_id in inside:
             members[aoi_id].append(e)
         home[e.id] = min(inside)[1] if inside else None

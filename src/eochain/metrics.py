@@ -25,8 +25,36 @@ from .model import FireEvent, ProductKind, ProcessingLocation, Scenario
 MODE_LABELS = {ProcessingLocation.GROUND: "RawOnly", ProcessingLocation.HYBRID: "Hybrid"}
 
 
+# A report's floats carry six significant digits: a table holds their text.
+_sig_text = "%.6g".__mod__
+
+
 def _round_sig(x: float) -> float:
-    return float("%.6g" % x) if x and math.isfinite(x) else x
+    return float(_sig_text(x))
+
+
+def _sig_column(values: Iterable[Optional[float]]) -> list[Optional[str]]:
+    """Each float's text, None kept.  Only a subnormal's text (1e-318) reads as a float whose own
+    text differs; a column with one holds for each value the text of the float its text reads as."""
+    texts = [None if x is None else _sig_text(x) for x in values]
+    return [None if t is None else _sig_text(float(t)) for t in texts] if "e-3" in "".join(filter(None, texts)) else texts
+
+
+def _floats(texts: Iterable[Optional[str]]) -> list[Optional[float]]:
+    return [None if t is None else float(t) for t in texts]
+
+
+class Table(NamedTuple):
+    """Rows of a report as one list of values per field, with no dict per row.
+    A field in ``sig_fields`` holds each float as its ``_sig_text``, or None."""
+
+    columns: dict[str, list]
+    sig_fields: frozenset[str] = frozenset()
+
+    def rows(self) -> tuple[dict, ...]:
+        """One dict per row, each float read back from its text."""
+        values = [_floats(c) if k in self.sig_fields else c for k, c in self.columns.items()]
+        return tuple(dict(zip(self.columns, row)) for row in zip(*values))
 
 
 def percentile(values: Sequence[float], q: float) -> Optional[float]:
@@ -71,11 +99,15 @@ class ServiceReport(NamedTuple):
     seed: int
     mode: str
     horizon_s: float
-    per_event: tuple[dict, ...]
-    per_product: tuple[dict, ...]
+    events: Table
+    products: Table
     summary: dict
 
-    def to_dict(self) -> dict:
+    per_event = property(lambda self: self.events.rows())
+    per_product = property(lambda self: self.products.rows())
+
+    def to_dict(self, *, tables: bool = False) -> dict:
+        """The JSON document, each table a list of rows, or with ``tables`` the ``Table`` the writer renders."""
         return {
             "schema_version": 1,
             "scenario": {
@@ -84,8 +116,8 @@ class ServiceReport(NamedTuple):
                 "mode": self.mode,
                 "horizon_s": _round_sig(self.horizon_s),
             },
-            "events": list(self.per_event),
-            "products": list(self.per_product),
+            "events": self.events if tables else list(self.per_event),
+            "products": self.products if tables else list(self.per_product),
             "summary": self.summary,
         }
 
@@ -101,70 +133,60 @@ SERVICE_CSV_FIELDS = [
 
 
 def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport:
-    per_event = []
-    ttfi_values = []
-    detectable_ids = {e.id for e in trace.fire_events if is_detectable(e.area_ha, mmu_ha)}
+    fire_events = trace.fire_events
+    event_ids = [e.id for e in fire_events]
+    detectable_ids = {e.id for e in fire_events if is_detectable(e.area_ha, mmu_ha)}
     detected_ids = set().union(*trace.detections.values())
-    first_delivery = trace.first_delivery_by_event
-    for e in trace.fire_events:
-        first = first_delivery.get(e.id)
-        ttfi = None if first is None else first[0] - e.start
-        if ttfi is not None:
-            ttfi_values.append(ttfi)
-        per_event.append(
-            {
-                "id": e.id,
-                "start_s": _round_sig(e.start),
-                "area_ha": _round_sig(e.area_ha),
-                "detectable": e.id in detectable_ids,
-                "ttfi_s": None if ttfi is None else _round_sig(ttfi),
-                "first_product_id": None if first is None else first[1],
-            }
-        )
+    first = list(map(trace.first_delivery_by_event.get, event_ids))
+    ttfi = [None if f is None else f[0] - e.start for e, f in zip(fire_events, first)]
+    ttfi_values = [t for t in ttfi if t is not None]
+    events = Table({
+        "id": event_ids,
+        "start_s": _sig_column(e.start for e in fire_events),
+        "area_ha": _sig_column(e.area_ha for e in fire_events),
+        "detectable": [i in detectable_ids for i in event_ids],
+        "ttfi_s": _sig_column(ttfi),
+        "first_product_id": [None if f is None else f[1] for f in first],
+    }, frozenset({"start_s", "area_ha", "ttfi_s"}))
 
-    per_product = []
-    e2e_values = []
+    product_ids = sorted(trace.products)
+    products = list(map(trace.products.__getitem__, product_ids))
+    scenes = [trace.scenes[p.scene_id] for p in products]
+    kinds = [p.kind.value for p in products]
+    downlinked = list(map(trace.downlink_completions.get, product_ids))
+    delivered = list(map(trace.delivered_by_product.get, product_ids))
+    e2e = [None if d is None else d - s.acquired for d, s in zip(delivered, scenes)]
+    e2e_values = [t for t in e2e if t is not None]
     transferred_by_kind = {k.value: 0 for k in ProductKind}
     delivered_by_kind = {k.value: 0 for k in ProductKind}
+    kind_of = dict(zip(product_ids, kinds))
     for r in trace.transfer_records:
-        transferred_by_kind[trace.products[r.product_id].kind.value] += r.bits_moved
-    delivered_by_product = trace.delivered_by_product
-    for pid in sorted(trace.products):
-        p = trace.products[pid]
-        scene = trace.scenes[p.scene_id]
-        downlinked = trace.downlink_completions.get(pid)
-        delivered = delivered_by_product.get(pid)
-        e2e = None if delivered is None else delivered - scene.acquired
-        if e2e is not None:
-            e2e_values.append(e2e)
-        kind = p.kind.value
-        if downlinked is not None:
-            delivered_by_kind[kind] += p.volume_bits
-        per_product.append(
-            {
-                "id": pid,
-                "kind": kind,
-                "scene_id": p.scene_id,
-                "satellite_id": scene.satellite_id,
-                "volume_bits": p.volume_bits,
-                "created_s": _round_sig(p.created),
-                "downlinked_s": None if downlinked is None else _round_sig(downlinked),
-                "delivered_s": None if delivered is None else _round_sig(delivered),
-                "e2e_s": None if e2e is None else _round_sig(e2e),
-            }
-        )
+        transferred_by_kind[kind_of[r.product_id]] += r.bits_moved
+    for pid in trace.downlink_completions:
+        delivered_by_kind[kind_of[pid]] += trace.products[pid].volume_bits
+    product_table = Table({
+        "id": product_ids,
+        "kind": kinds,
+        "scene_id": [p.scene_id for p in products],
+        "satellite_id": [s.satellite_id for s in scenes],
+        "volume_bits": [p.volume_bits for p in products],
+        "created_s": _sig_column(p.created for p in products),
+        "downlinked_s": _sig_column(downlinked),
+        "delivered_s": _sig_column(delivered),
+        "e2e_s": _sig_column(e2e),
+    }, frozenset({"created_s", "downlinked_s", "delivered_s", "e2e_s"}))
 
     detected_detectable = len(detected_ids & detectable_ids)
     completeness = detected_detectable / len(detectable_ids) if detectable_ids else 1.0
     summary = {
-        "event_count": len(trace.fire_events),
+        "event_count": len(fire_events),
         "dropped_event_count": len(trace.dropped_event_ids),
         "detectable_count": len(detectable_ids),
         "detected_detectable_count": detected_detectable,
         "completeness": _round_sig(completeness),
         "ttfi_p50_s": None if not ttfi_values else _round_sig(percentile(ttfi_values, 50)),
         "ttfi_p90_s": None if not ttfi_values else _round_sig(percentile(ttfi_values, 90)),
-        "ttfi_never_count": len(trace.fire_events) - len(ttfi_values),
+        "ttfi_never_count": len(fire_events) - len(ttfi_values),
         "e2e_p50_s": None if not e2e_values else _round_sig(percentile(e2e_values, 50)),
         "e2e_p90_s": None if not e2e_values else _round_sig(percentile(e2e_values, 90)),
         "product_count": len(trace.products),
@@ -184,8 +206,8 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
         seed=trace.seed,
         mode=MODE_LABELS[trace.mode],
         horizon_s=trace.horizon_s,
-        per_event=tuple(per_event),
-        per_product=tuple(per_product),
+        events=events,
+        products=product_table,
         summary=summary,
     )
 
@@ -195,23 +217,25 @@ class ComparisonReport(NamedTuple):
 
     scenario_name: str
     seed: int
-    per_event: tuple[dict, ...]
+    events: Table
     summary: dict
     hybrid: ServiceReport
     raw_only: ServiceReport
     baseline: Optional[ServiceReport] = None
 
-    def to_dict(self) -> dict:
+    per_event = property(lambda self: self.events.rows())
+
+    def to_dict(self, *, tables: bool = False) -> dict:
         out = {
             "schema_version": 1,
             "scenario": {"name": self.scenario_name, "seed": self.seed},
-            "per_event": list(self.per_event),
+            "per_event": self.events if tables else list(self.per_event),
             "summary": self.summary,
-            "hybrid": self.hybrid.to_dict(),
-            "raw_only": self.raw_only.to_dict(),
+            "hybrid": self.hybrid.to_dict(tables=tables),
+            "raw_only": self.raw_only.to_dict(tables=tables),
         }
         if self.baseline is not None:
-            out["baseline"] = self.baseline.to_dict()
+            out["baseline"] = self.baseline.to_dict(tables=tables)
         return out
 
 
@@ -251,35 +275,26 @@ def compare_architectures(
         baseline_trace = run(baseline_scenario, injected_events)
         baseline_report = build_service_report(baseline_trace, baseline_scenario.archetype.mmu_ha)
 
-    per_event = []
-    hybrid_faster = 0
-    comparable = 0
-    for e in hybrid_trace.fire_events:
-        th = time_to_first_info(hybrid_trace, e.id)
-        tr = time_to_first_info(raw_trace, e.id)
-        if th is None and tr is None:
-            faster = None
-        else:
-            comparable += 1
-            # A never-delivered arm counts as slower than any delivered time.
-            faster = (th is not None) and (tr is None or th < tr)
-            hybrid_faster += int(bool(faster))
-        per_event.append(
-            {
-                "id": e.id,
-                "start_s": _round_sig(e.start),
-                "area_ha": _round_sig(e.area_ha),
-                "ttfi_hybrid_s": None if th is None else _round_sig(th),
-                "ttfi_raw_s": None if tr is None else _round_sig(tr),
-                "delta_s": None if th is None or tr is None else _round_sig(th - tr),
-                "hybrid_faster": faster,
-            }
-        )
+    fire_events = hybrid_trace.fire_events
+    ttfi_h = [time_to_first_info(hybrid_trace, e.id) for e in fire_events]
+    ttfi_r = [time_to_first_info(raw_trace, e.id) for e in fire_events]
+    # A never-delivered arm counts as slower than any delivered time.
+    faster = [None if th is None and tr is None else th is not None and (tr is None or th < tr)
+              for th, tr in zip(ttfi_h, ttfi_r)]
+    comparable = len(faster) - faster.count(None)
+    hybrid_faster = faster.count(True)
+    events = Table({
+        **{k: hybrid_report.events.columns[k] for k in ("id", "start_s", "area_ha")},
+        "ttfi_hybrid_s": _sig_column(ttfi_h),
+        "ttfi_raw_s": _sig_column(ttfi_r),
+        "delta_s": _sig_column(None if th is None or tr is None else th - tr for th, tr in zip(ttfi_h, ttfi_r)),
+        "hybrid_faster": faster,
+    }, frozenset({"start_s", "area_ha", "ttfi_hybrid_s", "ttfi_raw_s", "delta_s"}))
 
     bits_h = hybrid_trace.transferred_bits()
     bits_r = raw_trace.transferred_bits()
     summary = {
-        "event_count": len(hybrid_trace.fire_events),
+        "event_count": len(fire_events),
         "comparable_count": comparable,
         "hybrid_faster_count": hybrid_faster,
         "hybrid_faster_fraction": _round_sig(hybrid_faster / comparable) if comparable else None,
@@ -294,7 +309,7 @@ def compare_architectures(
     return ComparisonReport(
         scenario_name=scenario.name,
         seed=scenario.seed,
-        per_event=tuple(per_event),
+        events=events,
         summary=summary,
         hybrid=hybrid_report,
         raw_only=raw_report,
@@ -308,8 +323,9 @@ def _json_encoder(depth: int) -> json.JSONEncoder:
     return json.JSONEncoder(separators=(",\n" + "  " * (depth + 1), ": "))
 
 
-_SCALAR_TYPES = frozenset({type(None), bool, int, float, str})
-# Rows of a table per call of the C JSON encoder, and per piece of CSV text.
+# JSON texts of a list of scalars joined by NUL, which ``ensure_ascii`` escapes in strings.
+_CELLS_ENCODER = json.JSONEncoder(separators=("\0", ": "))
+# Rows of a table per piece of JSON or CSV text.
 _BLOCK_ROWS = 256
 
 
@@ -319,18 +335,32 @@ def _blocks(rows: Iterable) -> Iterator[list]:
     return iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
 
 
-def _is_table(value) -> bool:
-    """A list of non-empty dicts whose values are all scalars."""
-    return isinstance(value, (list, tuple)) and all(
-        type(row) is dict and row and _SCALAR_TYPES.issuperset(map(type, row.values())) for row in value
-    )
+def _table_json(table: Table, depth: int) -> Iterator[str]:
+    """``json.dumps(table.rows(), indent=2)`` ``depth`` containers deep, a piece per block: one call of
+    the C encoder per column gives its cells, and one ``%``-template holding the escaped keys each row."""
+    n = len(next(iter(table.columns.values())))
+    if not n:
+        yield "[]"
+        return
+    indent = "\n" + "  " * (depth + 1)
+    key = _json_encoder(depth).encode
+    row = "{" + ",".join(f"{indent}  {key(k)}: ".replace("%", "%%") + "%s" for k in table.columns) + indent + "}"
+    sep = "[" + indent
+    for lo in range(0, n, _BLOCK_ROWS):
+        cells = [_CELLS_ENCODER.encode(_floats(c[lo:lo + _BLOCK_ROWS]) if k in table.sig_fields else
+                                       c[lo:lo + _BLOCK_ROWS])[1:-1].split("\0")
+                 for k, c in table.columns.items()]
+        yield sep + ("," + indent).join(map(row.__mod__, zip(*cells)))
+        sep = "," + indent
+    yield indent[:-2] + "]"
 
 
 def _json_pieces(value, depth: int = 0) -> Iterator[str]:
-    """The text of ``json.dumps(value, indent=2)`` for str keys, for a value
-    ``depth`` containers deep, in pieces.  Each container of scalars, and each
-    block of up to ``_BLOCK_ROWS`` rows of a table, is one piece and one call
-    of the C encoder, which ``indent`` would bypass."""
+    """The text of ``json.dumps(value, indent=2)`` for str keys, for a value ``depth`` containers deep,
+    in pieces, a ``Table`` as its rows: each container of scalars, and each block of a table, is one."""
+    if isinstance(value, Table):
+        yield from _table_json(value, depth)
+        return
     if not (value and isinstance(value, (dict, list, tuple))):
         yield _json_encoder(depth).encode(value)
         return
@@ -341,42 +371,26 @@ def _json_pieces(value, depth: int = 0) -> Iterator[str]:
         yield opening + indent + _json_encoder(depth).encode(value)[1:-1] + indent[:-2] + closing
         return
     sep = opening + indent
-    if _is_table(value):
-        # In a block, ``},`` and a newline mark a row boundary and nothing
-        # else, since JSON escapes every newline inside a string.
-        inner = indent + "  "
-        boundary, row_sep = "}," + inner + "{", indent + "}," + indent + "{" + inner
-        encode = _json_encoder(depth + 1).encode
-        for block in _blocks(value):
-            yield sep + "{" + inner + encode(block)[2:-2].replace(boundary, row_sep) + indent + "}"
-            sep = "," + indent
-    else:
-        key = _json_encoder(depth).encode
-        for k, v in value.items() if is_dict else enumerate(value):
-            yield f"{sep}{key(k)}: " if is_dict else sep
-            yield from _json_pieces(v, depth + 1)
-            sep = "," + indent
+    key = _json_encoder(depth).encode
+    for k, v in value.items() if is_dict else enumerate(value):
+        yield f"{sep}{key(k)}: " if is_dict else sep
+        yield from _json_pieces(v, depth + 1)
+        sep = "," + indent
     yield indent[:-2] + closing
 
 
-def _indented_json(value, depth: int = 0) -> str:
-    """``json.dumps(value, indent=2)`` for str keys: the join of ``_json_pieces``."""
-    return "".join(_json_pieces(value, depth))
-
-
 def write_json_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:
-    """``_indented_json`` of the report's dict and a newline, written a piece
-    at a time, so that at most one block of a table is encoded at once."""
+    """``json.dumps(report.to_dict(), indent=2)`` and a newline, written a piece
+    at a time from the report's tables, so that at most one block is text at once."""
     path = Path(path)
     with open(path, "w") as f:
-        f.writelines(_json_pieces(report.to_dict()))
+        f.writelines(_json_pieces(report.to_dict(tables=True)))
         f.write("\n")
     return path
 
 
 # Text of a report value of each type in a CSV cell; None is an empty cell.
-_CSV_FORMAT = {bool: ("false", "true").__getitem__, int: str, float: "%.6g".__mod__}
-_FLOAT_OR_NONE = frozenset({float, type(None)})
+_CSV_FORMAT = {bool: ("false", "true").__getitem__, int: str, float: _sig_text}
 # csv.writer quotes a cell holding one of these; ``in`` finds them faster than a regex.
 _CSV_SPECIAL = ',"\r\n'
 
@@ -398,36 +412,37 @@ def _csv_quoted(cells: list[str]) -> list[str]:
 
 
 def _csv_column(values: list) -> list[str]:
-    """Cells of a column of report values; a column of floats and None, the
-    most common, takes one format for all its cells."""
+    """Cells of a column of report values."""
     types = set(map(type, values))
-    if types <= _FLOAT_OR_NONE:
-        return ["" if v is None else "%.6g" % v for v in values]
     cells = [v if type(v) is str else "" if v is None else _CSV_FORMAT[type(v)](v) for v in values]
     return _csv_quoted(cells) if str in types else cells
 
 
-def _csv_blocks(record_type: str, rows: Sequence[dict], fields: list[str]) -> Iterator[str]:
-    """CSV text of a table of dicts that share their keys, one block of at
-    most ``_BLOCK_ROWS`` rows at a time: ``record_type``, then one column per
-    further field, empty where the dicts lack it."""
-    for block in _blocks(rows):
-        yield _csv_text([_csv_quoted([record_type] * len(block))] + [
-            _csv_column([row[k] for row in block]) if k in block[0] else [""] * len(block) for k in fields[1:]
+def _csv_blocks(record_type: str, table: Table, fields: list[str]) -> Iterator[str]:
+    """CSV text of a table, one block of at most ``_BLOCK_ROWS`` rows at a
+    time: ``record_type``, then one column per further field, empty where the
+    table lacks it.  A float held as text is written as that text."""
+    columns = table.columns
+    n = len(next(iter(columns.values())))
+    for lo in range(0, n, _BLOCK_ROWS):
+        m = min(n - lo, _BLOCK_ROWS)
+        yield _csv_text([_csv_quoted([record_type] * m)] + [
+            _csv_column(columns[k][lo:lo + m]) if k in columns else [""] * m for k in fields[1:]
         ])
 
 
 def write_csv_report(report: ServiceReport | ComparisonReport, path: str | Path) -> Path:
     """One ``event`` row per event, one ``product`` row per product of a run
     report, one ``summary`` row; written one block of at most ``_BLOCK_ROWS``
-    rows at a time, and only that block's cells are built."""
+    rows at a time."""
     path = Path(path)
     if isinstance(report, ComparisonReport):
-        fields, tables = COMPARISON_CSV_FIELDS, [("event", report.per_event)]
+        fields, tables = COMPARISON_CSV_FIELDS, [("event", report.events)]
     else:
-        fields, tables = SERVICE_CSV_FIELDS, [("event", report.per_event), ("product", report.per_product)]
+        fields, tables = SERVICE_CSV_FIELDS, [("event", report.events), ("product", report.products)]
+    summary = Table({k: [v] for k, v in report.summary.items()})
     with open(path, "w", newline="") as f:
         f.write(",".join(fields) + "\r\n")
-        for record_type, rows in [*tables, ("summary", [report.summary])]:
-            f.writelines(_csv_blocks(record_type, rows, fields))
+        for record_type, table in [*tables, ("summary", summary)]:
+            f.writelines(_csv_blocks(record_type, table, fields))
     return path

@@ -80,12 +80,22 @@ class GeoPoint:
         object.__setattr__(self, "lon", (self.lon + 180.0) % 360.0 - 180.0)
 
 
+def sphere_terms(p: GeoPoint) -> tuple[float, float, float]:
+    """A point's sine and cosine of latitude and its longitude, computed once per point for ``arc_km``."""
+    lat = math.radians(p.lat)
+    return math.sin(lat), math.cos(lat), p.lon
+
+
+def arc_km(a: tuple[float, float, float], b: tuple[float, float, float]) -> float:
+    """Great-circle distance between two points given by their ``sphere_terms``."""
+    (s1, c1, lon1), (s2, c2, lon2) = a, b
+    cos_psi = s1 * s2 + c1 * c2 * math.cos(math.radians(lon1 - lon2))
+    return EARTH_RADIUS_KM * math.acos(min(1.0, max(-1.0, cos_psi)))
+
+
 def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
     """Great-circle distance between two points on the spherical Earth."""
-    p1, p2 = math.radians(a.lat), math.radians(b.lat)
-    dlon = math.radians(a.lon - b.lon)
-    cos_psi = math.sin(p1) * math.sin(p2) + math.cos(p1) * math.cos(p2) * math.cos(dlon)
-    return EARTH_RADIUS_KM * math.acos(min(1.0, max(-1.0, cos_psi)))
+    return arc_km(sphere_terms(a), sphere_terms(b))
 
 
 @dataclass(frozen=True)

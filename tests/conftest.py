@@ -34,7 +34,7 @@ RECORD_TYPES = (
     orbit.Window, downlink.LinkInterval, downlink.TransferRecord, downlink.TransferResult,
     ground.MarketplaceRecord, model.DataProduct, model.FireEvent, model.Violation, onboard.Scene,
     tasking.ObservationRequest, tasking.Assignment, tasking.TaskingPlan, tasking.Opportunities,
-    engine.SimEvent, metrics.ServiceReport, metrics.ComparisonReport,
+    engine.SimEvent, metrics.ServiceReport, metrics.ComparisonReport, metrics.Table,
 )
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -97,6 +98,18 @@ class TestTransfers:
         assert sum(r.bits_moved for r in result.records) == p.volume_bits
         assert result.completion_times["p"] == pytest.approx(56.0)
         assert [r.bits_moved for r in result.records] == [4_000_000, 6_000_000]
+
+    @pytest.mark.parametrize("end", [2.5000003, 0.7777777, 3.1415926])
+    def test_partial_record_moves_the_whole_bits_of_its_interval(self, end):
+        # The product outlasts its first link interval, whose rate x span is not a
+        # whole number of bits: the partial record moves that number rounded down.
+        p = make_product("p", 10_000_000)
+        result = run([p], [Window(0.0, end), Window(50.0, 100.0)])
+        partial = result.records[0]
+        assert (partial.start, partial.end) == (0.0, end)
+        assert (1e6 * end) % 1 > 0.01
+        assert partial.bits_moved == math.floor(1e6 * (partial.end - partial.start) + 1e-9)
+        assert sum(r.bits_moved for r in result.records) == p.volume_bits
 
     def test_no_windows_no_progress(self):
         p = make_product("p", 1000)

@@ -169,20 +169,24 @@ class TestRunBasics:
 
 
     def test_each_event_aoi_distance_computed_once(self, monkeypatch, cold_engine):
-        great_circle_km = model.great_circle_km
-        calls = []
+        # Each distance is one ``arc_km`` call, and each point's terms one ``sphere_terms`` call.
+        calls = Counter()
 
-        def counting(a, b):
-            calls.append(None)
-            return great_circle_km(a, b)
+        def counted(original):
+            def wrapper(*args):
+                calls[original.__name__] += 1
+                return original(*args)
+            return wrapper
 
-        for name, module in list(sys.modules.items()):
-            if name.startswith("eochain") and getattr(module, "great_circle_km", None) is great_circle_km:
-                monkeypatch.setattr(module, "great_circle_km", counting)
+        for original in (model.arc_km, model.sphere_terms):
+            for name, module in list(sys.modules.items()):
+                if name.startswith("eochain") and getattr(module, original.__name__, None) is original:
+                    monkeypatch.setattr(module, original.__name__, counted(original))
         scenario = make_scenario(horizon=DAY, rate=20.0)
         trace = run(scenario)
         assert len(trace.scenes) > 0 and len(trace.fire_events) > 0
-        assert len(calls) == len(trace.fire_events) * len(scenario.aois)
+        assert calls == {"arc_km": len(trace.fire_events) * len(scenario.aois),
+                         "sphere_terms": len(trace.fire_events) + len(scenario.aois)}
 
 
 class TestChainSemantics:

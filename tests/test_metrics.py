@@ -10,13 +10,13 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eochain import events, metrics, tasking
 from eochain.engine import run
 from eochain.metrics import (
-    _indented_json,
+    Table,
     _json_pieces,
     build_service_report,
     compare_architectures,
@@ -143,11 +143,17 @@ JSON_VALUES = st.recursive(
 # Text that holds the pieces of a row boundary, so a writer that splits an
 # encoded block of rows inside a string shows.
 TABLE_TEXT = st.text(max_size=8) | st.sampled_from(
-    ['"},\n    {"', '}, {"', "\n", " ", "\\", "é€\u2028", "},\n", "x}, {", "},", "{"]
+    ['"},\n    {"', '}, {"', "\n", " ", "\\", "é€\u2028", "},\n", "x}, {", "},", "{", '"', "\x00", "\x1f",
+     "%", "%s", "%%(x)s"]
 )
+# Floats at the edges of ``%.6g`` and of JSON: 1.000004e-318 reads back from
+# its text "1e-318" as a float whose own text is "9.99999e-319".
+EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 1.000004e-318, 2.2250738585072014e-308, 1e308, -1e308,
+               sys.float_info.max, math.nan, math.inf, -math.inf, 999999.5, 1e16]
+TABLE_FLOATS = st.none() | st.floats() | st.sampled_from(EDGE_FLOATS)
 TABLE_SCALARS = (
     st.none() | st.booleans() | st.integers() | st.floats() | TABLE_TEXT
-    | st.sampled_from([-0.0, math.nan, math.inf, -math.inf, 2**70, -(2**70)])
+    | st.sampled_from([*EDGE_FLOATS, 2**70, -(2**70)])
 )
 FLAT_ROW = st.dictionaries(TABLE_TEXT, TABLE_SCALARS, min_size=1, max_size=5)
 # Up to 600 rows, so tables cross one and two block boundaries of 256 rows.
@@ -161,20 +167,43 @@ def placed(table, depth, in_dict):
     return {"before": [], "rows": table, "after": 1.5} if in_dict else table
 
 
+def indented_json(value) -> str:
+    return "".join(_json_pieces(value))
+
+
+def random_table(keys, cells, sig, n):
+    """A table of ``n`` rows, column j cycling through ``cells[j]``, and the
+    same rows as dicts, with today's rounding of each float of a ``sig`` column."""
+    columns, values = {}, {}
+    for key, column, rounded in zip(keys, cells, sig):
+        values[key] = [column[i % len(column)] for i in range(n)]
+        if rounded:
+            columns[key] = metrics._sig_column(values[key])
+            values[key] = [None if x is None else format_round_sig(x) for x in values[key]]
+        else:
+            columns[key] = values[key]
+    rows = [{key: values[key][i] for key in keys} for i in range(n)]
+    return Table(columns, frozenset(k for k, rounded in zip(keys, sig) if rounded)), rows
+
+
 class TestJsonWriter:
     @settings(max_examples=150, deadline=None)
     @given(value=JSON_VALUES)
     def test_equals_json_dumps_with_indent(self, value):
-        assert _indented_json(value) == json.dumps(value, indent=2)
+        assert indented_json(value) == json.dumps(value, indent=2)
 
-    @settings(max_examples=60, deadline=None)
-    @given(rows=st.lists(FLAT_ROW, min_size=1, max_size=6), n=TABLE_LENGTH,
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+    @given(keys=st.lists(TABLE_TEXT, min_size=1, max_size=5, unique=True), data=st.data(), n=TABLE_LENGTH,
            depth=st.integers(0, 2), in_dict=st.booleans())
-    def test_table_equals_json_dumps_with_indent(self, rows, n, depth, in_dict):
-        table = [rows[i % len(rows)] for i in range(n)]
-        assert metrics._is_table(table)
-        value = placed(table, depth, in_dict)
-        assert _indented_json(value) == json.dumps(value, indent=2)
+    def test_table_equals_json_dumps_with_indent(self, keys, data, n, depth, in_dict):
+        sig = data.draw(st.lists(st.booleans(), min_size=len(keys), max_size=len(keys)), label="sig")
+        cells = [data.draw(st.lists(TABLE_FLOATS if rounded else TABLE_SCALARS, min_size=1, max_size=6))
+                 for rounded in sig]
+        table, rows = random_table(keys, cells, sig, n)
+        expected = json.dumps(placed(rows, depth, in_dict), indent=2)
+        actual = indented_json(placed(table, depth, in_dict))
+        if actual != expected:
+            pytest.fail(first_differing_line(actual, expected, "\n", "json.dumps"))
 
     @settings(max_examples=60, deadline=None)
     @given(rows=st.lists(FLAT_ROW, min_size=1, max_size=6), n=st.integers(1, 600),
@@ -183,9 +212,8 @@ class TestJsonWriter:
     def test_list_with_one_nested_or_empty_dict_takes_general_path(self, rows, n, odd, at, depth, in_dict):
         table = [rows[i % len(rows)] for i in range(n)]
         table.insert(int(at * n), odd)
-        assert not metrics._is_table(table)
         value = placed(table, depth, in_dict)
-        assert _indented_json(value) == json.dumps(value, indent=2)
+        assert indented_json(value) == json.dumps(value, indent=2)
 
 
 def _fmt(x) -> str:
@@ -244,19 +272,19 @@ class TestJsonPieces:
 
     @pytest.mark.parametrize("name", ["stress", "compare"])
     def test_pieces_join_to_json_dumps_with_indent(self, name):
-        d = built_report(name).to_dict()
-        assert "".join(_json_pieces(d)) == json.dumps(d, indent=2)
+        report = built_report(name)
+        assert indented_json(report.to_dict(tables=True)) == json.dumps(report.to_dict(), indent=2)
 
     def test_no_piece_is_longer_than_one_block_of_products(self):
-        d = built_report("stress").to_dict()
-        products = d["products"]
+        report = built_report("stress")
+        products = report.to_dict()["products"]
         assert len(products) > 2 * metrics._BLOCK_ROWS
         # A block of rows as the report holds it: one level deep, under the top-level dict.
         block = max(
             len(textwrap.indent(json.dumps(products[i:i + metrics._BLOCK_ROWS], indent=2), "  "))
             for i in range(0, len(products), metrics._BLOCK_ROWS)
         )
-        assert max(map(len, _json_pieces(d))) <= block
+        assert max(map(len, _json_pieces(report.to_dict(tables=True)))) <= block
 
 
 def format_round_sig(x: float) -> float:
@@ -280,6 +308,16 @@ class TestRoundSig:
     def test_equals_format_spec_formula(self, x):
         assert repr(metrics._round_sig(x)) == repr(format_round_sig(x))
 
+    @settings(max_examples=500, deadline=None)
+    @given(x=st.floats() | ANY_DOUBLE | EDGE_DOUBLES)
+    @example(x=1.000004e-318)  # its text "1e-318" reads as a float whose text is "9.99999e-319"
+    def test_table_cells_equal_format_of_rounded_value(self, x):
+        # A table holds the text of x once; its CSV cell is "%.6g" of the rounded
+        # value, and its JSON cell that value, as when each cell formatted it.
+        table = Table({"x": metrics._sig_column([x])}, frozenset({"x"}))
+        assert "".join(metrics._csv_blocks("r", table, ["record_type", "x"])) == "r,%s\r\n" % _fmt(format_round_sig(x))
+        assert indented_json(table) == json.dumps([{"x": format_round_sig(x)}], indent=2)
+
 
 class TestCsvWriter:
     @pytest.mark.parametrize("name", sorted(CSV_REPORTS))
@@ -299,12 +337,12 @@ CSV_SCALARS = (
 )
 
 
-def first_differing_line(actual: str, expected: str) -> str:
-    """The index of the first CRLF-ended line at which two CSV texts differ, and both lines."""
-    a, e = actual.split("\r\n"), expected.split("\r\n")
+def first_differing_line(actual: str, expected: str, newline: str = "\r\n", oracle: str = "csv.writer") -> str:
+    """The index of the first line at which two texts differ, and both lines."""
+    a, e = actual.split(newline), expected.split(newline)
     i = next((i for i, (x, y) in enumerate(zip(a, e)) if x != y), min(len(a), len(e)))
     shown = [repr(lines[i]) if i < len(lines) else "<no line>" for lines in (a, e)]
-    return f"line {i} differs: rendered {shown[0]}, csv.writer {shown[1]}"
+    return f"line {i} differs: rendered {shown[0]}, {oracle} {shown[1]}"
 
 
 class TestCsvRenderer:
@@ -313,16 +351,28 @@ class TestCsvRenderer:
     @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
     @given(record_type=CSV_TEXT, keys=st.lists(CSV_TEXT, min_size=1, max_size=5, unique=True),
            cells=st.lists(st.lists(CSV_SCALARS, min_size=5, max_size=5), min_size=1, max_size=8),
-           n=st.sampled_from([0, 1, 255, 256, 257, 600]), missing=st.booleans())
-    def test_equals_csv_writer(self, record_type, keys, cells, n, missing):
-        # Cells of row i come from ``cells[i % len(cells)]``, so columns mix types.
-        rows = [dict(zip(keys, cells[i % len(cells)])) for i in range(n)]
+           n=st.sampled_from([0, 1, 255, 256, 257, 600]), missing=st.booleans(),
+           sig=st.lists(st.booleans(), min_size=5, max_size=5), floats=st.lists(TABLE_FLOATS, min_size=1, max_size=8))
+    # Every run renders a text cell holding each character that csv.writer quotes.
+    @example(record_type="event", keys=["id", "n"], cells=[["a\rb", 1, 0, 0, 0]], n=1, missing=False,
+             sig=[False] * 5, floats=[1.0])
+    @example(record_type="event", keys=["id"], cells=[["a\nb", 0, 0, 0, 0]], n=1, missing=False,
+             sig=[False] * 5, floats=[1.0])
+    @example(record_type="event", keys=["id"], cells=[['a"b', 0, 0, 0, 0]], n=1, missing=False,
+             sig=[False] * 5, floats=[1.0])
+    @example(record_type="event", keys=["id", "t"], cells=[["a,b", 0, 0, 0, 0]], n=1, missing=False,
+             sig=[False, True, False, False, False], floats=[1.5, None])
+    def test_equals_csv_writer(self, record_type, keys, cells, n, missing, sig, floats):
+        # Cells of row i come from ``cells[i % len(cells)]``, so columns mix types;
+        # a ``sig`` column holds floats as a report does, as their ``%.6g`` text.
+        columns = [floats if rounded else [row[j] for row in cells] for j, rounded in enumerate(sig[:len(keys)])]
+        table, rows = random_table(keys, columns, sig, n)
         fields = ["record_type", *keys, *(["absent-field"] * missing)]
         expected = io.StringIO(newline="")
         w = csv.writer(expected)
         for row in rows:
             w.writerow([record_type, *(_fmt(row[k]) for k in keys), *([""] * missing)])
-        actual = "".join(metrics._csv_blocks(record_type, rows, fields))
+        actual = "".join(metrics._csv_blocks(record_type, table, fields))
         if actual != expected.getvalue():
             # pytest's diff of two texts this long takes seconds per failing example.
             pytest.fail(first_differing_line(actual, expected.getvalue()))
