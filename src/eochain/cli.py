@@ -178,12 +178,16 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _sweep_one(payload: tuple) -> str:
-    scenario, out, fmt, injected = payload
-    trace = engine.run(scenario, injected_events=injected)
-    report = metrics.build_service_report(trace, scenario.archetype.mmu_ha)
-    _emit(report, out, f"run_report_seed{scenario.seed}", fmt)
-    return f"seed {scenario.seed}: ttfi p50={report.summary['ttfi_p50_s']}"
+def _sweep_block(payload: tuple) -> list[str]:
+    scenarios, out, fmt, injected = payload
+    memo: dict = {}
+    lines = []
+    for scenario in scenarios:
+        trace = engine.run(scenario, injected_events=injected, memo=memo)
+        report = metrics.build_service_report(trace, scenario.archetype.mmu_ha)
+        _emit(report, out, f"run_report_seed{scenario.seed}", fmt)
+        lines.append(f"seed {scenario.seed}: ttfi p50={report.summary['ttfi_p50_s']}")
+    return lines
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
@@ -198,19 +202,19 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     injected = _injected(args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
-    payloads = [
-        (dataclasses.replace(scenario, seed=scenario.seed + k), out, args.format, injected)
-        for k in range(args.runs)
-    ]
-    if args.jobs > 1:
+    scenarios = [dataclasses.replace(scenario, seed=scenario.seed + k) for k in range(args.runs)]
+    # One contiguous block of seeds per worker, whose runs share one memo: each computes the geometry once.
+    jobs = min(args.jobs, args.runs)
+    payloads = [(scenarios[k * args.runs // jobs : (k + 1) * args.runs // jobs], out, args.format, injected)
+                for k in range(jobs)]
+    if jobs > 1:
         # Imported here: the pool module costs every command over 10 ms of start-up.
         from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            for line in pool.map(_sweep_one, payloads):
-                print(line)
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            for lines in pool.map(_sweep_block, payloads):
+                print(*lines, sep="\n")
     else:
-        for payload in payloads:
-            print(_sweep_one(payload))
+        print(*_sweep_block(payloads[0]), sep="\n")
     return EXIT_OK
 
 

@@ -6,8 +6,8 @@ detections, products, downlink, ground and marketplace) is one function of
 the outputs before it; the trace assembles the timeline of chain milestones
 on first read.  All randomness derives from counter-based streams keyed by
 (master seed, domain label, entity id), and no stage before products reads
-the processing location, so the two arms of an A/B comparison share one
-observation: they see common random numbers.
+the processing location, so the two arms of an A/B comparison see common
+random numbers.  Only runs given one memo share a geometry or observation.
 """
 
 from __future__ import annotations
@@ -362,8 +362,8 @@ def _ground_truth(
 @dataclass(frozen=True, eq=False)
 class Geometry:
     """The window tables of one geometry, and what runs derive from them
-    alone, each built on first use and shared read-only by every run of the
-    geometry: each satellite's exclusive link schedule, the systematic
+    alone, each built on first use and shared read-only by every run given
+    the geometry: each satellite's exclusive link schedule, the systematic
     acquisition order and the planner's index."""
 
     satellites: tuple[SatelliteSpec, ...]
@@ -384,24 +384,12 @@ class Geometry:
 
 
 def geometry_tables(scenario: Scenario) -> tuple[WindowTable, WindowTable]:
-    """Contact windows per (satellite, station) and access windows per (satellite, AOI).
-
-    The tables are computed only here, in one ``Geometry``, from which
-    planner, acquisitions and downlink read.  They depend on the geometry
-    alone, not on the seed or the archetype, so runs that share satellites,
-    stations, AOIs and horizon share one read-only pair of tables.
-    """
-    return _geometry(scenario).tables
+    """Contact windows per (satellite, station) and access windows per (satellite, AOI), computed
+    afresh from the satellites, stations, AOIs and horizon alone; only runs given one memo share them."""
+    return _geometry(scenario.satellites, scenario.stations, scenario.aois, scenario.horizon_s).tables
 
 
-def _geometry(scenario: Scenario) -> Geometry:
-    return _cached_geometry(scenario.satellites, scenario.stations, scenario.aois, scenario.horizon_s)
-
-
-# A compare holds two geometries (the preset and its baseline); a few more
-# slots keep interleaved callers from evicting each other.
-@functools.lru_cache(maxsize=4)
-def _cached_geometry(
+def _geometry(
     satellites: tuple[SatelliteSpec, ...],
     stations: tuple[GroundStationSpec, ...],
     aois: tuple[AreaOfInterest, ...],
@@ -443,15 +431,13 @@ def _acquisitions(
     ]
 
 
-# The arms of a compare run one after the other, so one slot serves them both.
-@functools.lru_cache(maxsize=1)
 def _observation(
-    scenario: Scenario, injected_events: Optional[tuple[FireEvent, ...]]
+    scenario: Scenario, injected_events: Optional[tuple[FireEvent, ...]], geometry: Geometry
 ) -> tuple[tuple[FireEvent, ...], tuple[str, ...], Mapping[str, float], tuple[ObservationRequest, ...],
            TaskingPlan, Mapping[str, Scene], Mapping[str, frozenset[str]]]:
     """Fire events, dropped ids, detection times, requests, plan, scenes and
     detections: the stages before products, which read no processing location,
-    so every run of the observation shares them and the mappings are read-only.
+    so the runs that share it through a memo read one copy, and the mappings are read-only.
     Scene ``scn-i`` is acquisition i.  Only a processed scene draws clouds and
     detections: every scene of a periodic product line, and only the
     event-triggered scenes of an event-driven one.  One seed-sequence pass
@@ -459,7 +445,6 @@ def _observation(
     pass over the AOIs in ``_ground_truth``; a processed scene with no event
     present has nothing to detect, so it builds no detection stream."""
     fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
-    geometry = _geometry(scenario)
     requests = tasking.build_requests(fire_events, home, detection_times, scenario.archetype)
     plan = tasking.plan(requests, geometry.opportunities)
     acquisitions = _acquisitions(scenario, requests, plan, geometry)
@@ -556,18 +541,33 @@ def require_valid(scenario: Scenario) -> None:
         raise ValidationError("invalid scenario: " + "; ".join(str(v) for v in violations))
 
 
+def _memoized(memo: dict, kind: str, build, *key):
+    """``build(*key)``, or what ``memo``'s one slot for ``kind`` holds if it was built from an equal key."""
+    held = memo.get(kind)
+    if held is None or held[0] != key:
+        held = memo[kind] = (key, build(*key))
+    return held[1]
+
+
 def run(
     scenario: Scenario,
     injected_events: Optional[Sequence[FireEvent]] = None,
+    *,
+    memo: Optional[dict] = None,
 ) -> SimulationTrace:
-    """Execute the full service chain and return the complete trace."""
+    """Execute the full service chain and return the complete trace.  Consecutive
+    runs given one ``memo`` dict share equal geometries and observations; a memo changes no result."""
     require_valid(scenario)
+    memo = {} if memo is None else memo
+    geometry = _memoized(memo, "geometry", _geometry,
+                         scenario.satellites, scenario.stations, scenario.aois, scenario.horizon_s)
     # With the processing location erased, runs that differ only in it share one observation.
     unlocated = replace(scenario, archetype=replace(scenario.archetype, processing_location=None))
     injected = None if injected_events is None else tuple(injected_events)
-    fire_events, dropped, detection_times, requests, plan, scenes, detections = _observation(unlocated, injected)
+    fire_events, dropped, detection_times, requests, plan, scenes, detections = _memoized(
+        memo, "observation", _observation, unlocated, injected, geometry)
     products = _products(scenario, fire_events, scenes, detections)
-    transfers = _downlink(scenario, scenes, products, _geometry(scenario).links)
+    transfers = _downlink(scenario, scenes, products, geometry.links)
     completions = transfers.completion_times
     pdgs_times, marketplace = _ground(scenario, products, completions)
     return SimulationTrace(

@@ -263,8 +263,9 @@ def compare_architectures(
     Optionally also runs a baseline scenario (e.g. a medium-resolution
     periodic service) on the same injected events for class-level context.
     """
-    hybrid_trace = run(_with_processing(scenario, ProcessingLocation.HYBRID), injected_events)
-    raw_trace = run(_with_processing(scenario, ProcessingLocation.GROUND), injected_events)
+    memo: dict = {}
+    hybrid_trace = run(_with_processing(scenario, ProcessingLocation.HYBRID), injected_events, memo=memo)
+    raw_trace = run(_with_processing(scenario, ProcessingLocation.GROUND), injected_events, memo=memo)
 
     mmu = scenario.archetype.mmu_ha
     hybrid_report = build_service_report(hybrid_trace, mmu)
@@ -272,7 +273,7 @@ def compare_architectures(
 
     baseline_report = None
     if baseline_scenario is not None:
-        baseline_trace = run(baseline_scenario, injected_events)
+        baseline_trace = run(baseline_scenario, injected_events, memo=memo)
         baseline_report = build_service_report(baseline_trace, baseline_scenario.archetype.mmu_ha)
 
     fire_events = hybrid_trace.fire_events

@@ -30,8 +30,8 @@ blocks still open are evaluated.  Every sample and midpoint reads what the
 full grid reads, so the windows are the ones the full grid gives, whatever
 other targets and satellites share the search; README "How a run works"
 gives the work this takes on the presets.
-No track is kept between searches; ``engine.geometry_tables`` reuses whole
-tables across seeds and A/B arms.
+No track is kept between searches; only the runs that share one memo
+(``engine.run``) reuse whole tables, across seeds and A/B arms.
 """
 
 from __future__ import annotations

@@ -129,16 +129,3 @@ def numeric_fields(record_type=Scenario):
 @pytest.fixture
 def small_scenario():
     return make_scenario()
-
-
-@pytest.fixture
-def cold_engine():
-    """Empty the engine's geometry and observation caches, so the test's first run computes every
-    stage; the fixture's value empties them again when called."""
-
-    def clear():
-        engine._cached_geometry.cache_clear()
-        engine._observation.cache_clear()
-
-    clear()
-    return clear

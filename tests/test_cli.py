@@ -207,16 +207,21 @@ class TestSweep:
         assert (out / "run_report_seed5.json").exists()
         assert (out / "run_report_seed6.json").exists()
 
-    def test_worker_processes_write_same_bytes(self, tmp_path):
-        outputs = []
-        for jobs in ("1", "2"):
-            out = tmp_path / f"jobs{jobs}"
-            code = main(["sweep", "--preset", "effis-like", "--seed", "3", "--runs", "2",
-                         "--jobs", jobs, "--duration", DAY, "--out", str(out)])
-            assert code == EXIT_OK
-            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == 4
-        assert outputs[0] == outputs[1]
+    def test_worker_processes_write_same_bytes(self, tmp_path, capsys):
+        # Two runs over two workers, more workers than runs, and three runs in uneven blocks.
+        for runs, jobs in ((2, 2), (2, 3), (3, 2)):
+            outputs, lines = [], []
+            for j in (1, jobs):
+                out = tmp_path / f"runs{runs}-jobs{j}"
+                code = main(["sweep", "--preset", "effis-like", "--seed", "3", "--runs", str(runs),
+                             "--jobs", str(j), "--duration", DAY, "--out", str(out)])
+                assert code == EXIT_OK
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+                lines.append(capsys.readouterr().out.splitlines())
+            assert len(outputs[0]) == 2 * runs
+            assert outputs[0] == outputs[1]
+            assert [line.split(":")[0] for line in lines[1]] == [f"seed {3 + k}" for k in range(runs)]
+            assert lines[0] == lines[1]
 
     def test_bad_run_count(self, tmp_path):
         assert main(["sweep", "--preset", "iride-heo", "--runs", "0",

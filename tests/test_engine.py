@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eochain import downlink, engine, model, onboard, orbit, tasking
+from eochain import cli, downlink, engine, model, onboard, orbit, tasking
 from eochain.engine import SimEventKind, geometry_tables, rng_stream, rng_streams, run
 from eochain.model import (
     AcquisitionMode,
@@ -22,9 +22,18 @@ from eochain.model import (
     ValidationError,
 )
 from eochain.onboard import classify_scene, draw_cloud_fraction
+from eochain.presets import get_preset
 from eochain.scenario_io import load_scenario
 
-from conftest import make_aoi, make_archetype, make_satellite, make_scenario, make_station
+from conftest import (
+    NO_SHRINK,
+    make_aoi,
+    make_archetype,
+    make_processor,
+    make_satellite,
+    make_scenario,
+    make_station,
+)
 
 DAY = 86400.0
 
@@ -168,7 +177,7 @@ class TestRunBasics:
         assert [r.event_ids for r in trace.requests] == [frozenset({"inside"})]
 
 
-    def test_each_event_aoi_distance_computed_once(self, monkeypatch, cold_engine):
+    def test_each_event_aoi_distance_computed_once(self, monkeypatch):
         # Each distance is one ``arc_km`` call, and each point's terms one ``sphere_terms`` call.
         calls = Counter()
 
@@ -255,7 +264,7 @@ class TestChainSemantics:
             assert trace.detections[scene_id] == classify_scene(
                 scene, trace.events_by_id, arch.mmu_ha, accuracy_p, rng_stream(seed, "detection", scene_id))
 
-    def test_a_run_seeds_its_streams_in_two_passes(self, monkeypatch, cold_engine):
+    def test_a_run_seeds_its_streams_in_two_passes(self, monkeypatch):
         passes, detectors = [], []
         seed_states, classify = engine._seed_states, onboard.classify_scene
 
@@ -319,11 +328,10 @@ class TestChainSemantics:
 
 
 class TestStreamIsolation:
-    def test_mode_toggle_leaves_common_randomness_intact(self, cold_engine):
+    def test_mode_toggle_leaves_common_randomness_intact(self):
         # With a nonzero cloud mean every processed scene draws from its cloud stream.
         s = make_scenario(seed=21, rate=1.0, cloud_mean=0.3)
         hybrid = run(with_processing(s, ProcessingLocation.HYBRID))
-        cold_engine()
         raw = run(with_processing(s, ProcessingLocation.GROUND))
         assert any(0.0 < (scene.cloud_fraction or 0.0) < 1.0 for scene in hybrid.scenes.values())
         assert hybrid.scenes is not raw.scenes
@@ -350,9 +358,12 @@ def table_contents(tables):
 class TestGeometryTables:
     def test_shared_across_seeds_and_processing_locations(self):
         s = make_scenario(horizon=DAY)
-        tables = geometry_tables(s)
-        assert geometry_tables(dataclasses.replace(s, seed=99)) is tables
-        assert geometry_tables(with_processing(s, ProcessingLocation.GROUND)) is tables
+        memo = {}
+        run(s, memo=memo)
+        _, geometry = memo["geometry"]
+        for variant in (dataclasses.replace(s, seed=99), with_processing(s, ProcessingLocation.GROUND)):
+            run(variant, memo=memo)
+            assert memo["geometry"][1].tables is geometry.tables
 
     @pytest.mark.parametrize(
         "change",
@@ -381,7 +392,7 @@ class TestGeometryTables:
                 del table[key]
             assert all(isinstance(windows, tuple) for windows in table.values())
 
-    def test_second_run_computes_no_track(self, monkeypatch, cold_engine):
+    def test_second_run_computes_no_track(self, monkeypatch):
         sizes = []
         track = orbit._ground_vector
 
@@ -392,7 +403,8 @@ class TestGeometryTables:
         monkeypatch.setattr(orbit, "_ground_vector", counted)
         horizon = 2 * DAY + 5.0
         s = make_scenario(horizon=horizon)
-        run(s)
+        memo = {}
+        run(s, memo=memo)
         # The 10 s grid: multiples of the step in [0, horizon), then the horizon.
         grid = len(np.arange(0.0, horizon, 10.0)) + 1
         blocks = -(-grid // orbit.LEVELS[0])
@@ -410,15 +422,39 @@ class TestGeometryTables:
         assert sum(sizes) < 0.02 * pairs * grid
         first_calls = len(sizes)
         sizes.clear()
-        run(dataclasses.replace(s, seed=1))
-        run(with_processing(s, ProcessingLocation.GROUND))
+        run(dataclasses.replace(s, seed=1), memo=memo)
+        run(with_processing(s, ProcessingLocation.GROUND), memo=memo)
         assert sizes == []
         # More AOIs, far apart, share each satellite's scan and the one bisection.
         far = (make_aoi("aoi-c", -33.9, 151.2), make_aoi("aoi-d", 64.1, -21.9), make_aoi("aoi-e", 1.3, 103.8))
         geometry_tables(dataclasses.replace(s, aois=s.aois + far))
         assert len(sizes) == first_calls
 
-    def test_second_run_derives_nothing_from_the_tables(self, monkeypatch, cold_engine):
+    def test_plain_runs_share_nothing(self, monkeypatch, tmp_path):
+        # Without a memo every run searches the whole geometry, and no command
+        # leaves anything behind for the next run.
+        sizes = []
+        track = orbit._ground_vector
+
+        def counted(elements, t):
+            sizes.append(np.size(t))
+            return track(elements, t)
+
+        monkeypatch.setattr(orbit, "_ground_vector", counted)
+        s = get_preset("effis-like", horizon_s=DAY)
+        run(s)
+        search = len(sizes)
+        assert search > 0
+        run(s)
+        assert len(sizes) == 2 * search
+        # The runs of a sweep share one memo, so the sweep searches once.
+        assert cli.main(["sweep", "--preset", "effis-like", "--runs", "2", "--duration", str(DAY),
+                         "--out", str(tmp_path)]) == 0
+        assert len(sizes) == 3 * search
+        run(s)
+        assert len(sizes) == 4 * search
+
+    def test_second_run_derives_nothing_from_the_tables(self, monkeypatch):
         calls = Counter()
 
         def counted(module, name):
@@ -434,10 +470,56 @@ class TestGeometryTables:
         counted(tasking, "periodic_acquisitions")
         counted(tasking, "opportunities")
         s = make_scenario(horizon=DAY)
-        run(s)
+        memo = {}
+        run(s, memo=memo)
         assert calls == {"exclusive_link_intervals": len(s.satellites), "periodic_acquisitions": 1,
                          "opportunities": 1}
         calls.clear()
-        run(dataclasses.replace(s, seed=1))
-        run(with_processing(s, ProcessingLocation.GROUND))
+        run(dataclasses.replace(s, seed=1), memo=memo)
+        run(with_processing(s, ProcessingLocation.GROUND), memo=memo)
         assert calls == {}
+
+
+# Each axis a memo key must tell apart, with two values: a variant of the
+# small scenario takes one value per axis.
+MEMO_AXES = {
+    "seed": (0, 7),
+    "location": (ProcessingLocation.HYBRID, ProcessingLocation.GROUND),
+    "gsd_m": (3.0, 6.0),
+    "xband_rate": (400.0, 40.0),
+    "processor": (True, False),
+    "horizon": (DAY, 0.75 * DAY),
+    "injected": (False, True),
+}
+
+
+def memo_variant(values):
+    """The scenario and injected events of one choice of ``MEMO_AXES`` values."""
+    v = {axis: options[i] for (axis, options), i in zip(MEMO_AXES.items(), values)}
+    processor = make_processor(enabled=v["processor"])
+    satellites = (make_satellite("sat-a", gsd=v["gsd_m"], processor=processor),
+                  make_satellite("sat-b", raan=180.0, arg_lat=90.0, gsd=v["gsd_m"], processor=processor))
+    aois = (make_aoi("aoi-a", 42.0, 13.0, radius=300.0), make_aoi("aoi-b", 44.5, 9.0, radius=300.0))
+    s = make_scenario(seed=v["seed"], horizon=v["horizon"], satellites=satellites,
+                      stations=(make_station(rate=v["xband_rate"]),), aois=aois,
+                      archetype=make_archetype(processing=v["location"]), rate=2.0)
+    injected = [FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)] if v["injected"] else None
+    return s, injected
+
+
+class TestMemo:
+    @settings(max_examples=60, deadline=None, phases=NO_SHRINK)
+    @given(
+        first=st.tuples(*(st.integers(0, 1) for _ in MEMO_AXES)),
+        flips=st.lists(st.sets(st.integers(0, len(MEMO_AXES) - 1), max_size=2), min_size=1, max_size=3),
+    )
+    def test_key_is_complete(self, first, flips):
+        # Each variant differs from the one before it in at most two axes, so
+        # a key that missed an axis would hand a run its predecessor's result.
+        variants = [list(first)]
+        for flip in flips:
+            variants.append([1 - x if i in flip else x for i, x in enumerate(variants[-1])])
+        memo = {}
+        for values in variants:
+            s, injected = memo_variant(values)
+            assert run(s, injected, memo=memo) == run(s, injected)

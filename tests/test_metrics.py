@@ -427,11 +427,11 @@ class TestSharedObservation:
     """The arms of a compare share one observation, and sharing it changes no result."""
 
     @pytest.mark.parametrize("preset", ["iride-heo", "effis-like"])
-    def test_arms_equal_cold_runs(self, monkeypatch, cold_engine, preset):
+    def test_arms_equal_cold_runs(self, monkeypatch, preset):
         arms = []
 
-        def recording_run(scenario, injected_events=None):
-            arms.append((scenario, run(scenario, injected_events)))
+        def recording_run(scenario, injected_events=None, *, memo=None):
+            arms.append((scenario, run(scenario, injected_events, memo=memo)))
             return arms[-1][1]
 
         monkeypatch.setattr(metrics, "run", recording_run)
@@ -440,7 +440,6 @@ class TestSharedObservation:
         assert hybrid.scenes is raw.scenes
         assert hybrid.fire_events is raw.fire_events
         for scenario, trace in arms:
-            cold_engine()
             assert run(scenario) == trace
 
     def test_shared_mappings_are_read_only(self, trace):
@@ -449,7 +448,7 @@ class TestSharedObservation:
             with pytest.raises(TypeError):
                 mapping[key] = mapping[key]
 
-    def test_presets_compare_observes_each_scenario_once(self, monkeypatch, cold_engine):
+    def test_presets_compare_observes_each_scenario_once(self, monkeypatch):
         calls = Counter()
 
         def counted(module, name):
