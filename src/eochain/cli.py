@@ -83,8 +83,6 @@ def _load(args: argparse.Namespace) -> Scenario:
         raise ValidationError("one of --scenario or --preset is required")
     seed = getattr(args, "seed", None)
     if seed is not None:
-        if not 0 <= seed <= MAX_SEED:
-            raise ValidationError("seed must fit in an unsigned 64-bit integer")
         scenario = dataclasses.replace(scenario, seed=seed)
     duration = getattr(args, "duration", None)
     if duration is not None:

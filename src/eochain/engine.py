@@ -541,6 +541,11 @@ def require_valid(scenario: Scenario) -> None:
         raise ValidationError("invalid scenario: " + "; ".join(str(v) for v in violations))
 
 
+def with_processing(scenario: Scenario, location: Optional[ProcessingLocation]) -> Scenario:
+    """The scenario with its archetype's processing location set to ``location``."""
+    return replace(scenario, archetype=replace(scenario.archetype, processing_location=location))
+
+
 def _memoized(memo: dict, kind: str, build, *key):
     """``build(*key)``, or what ``memo``'s one slot for ``kind`` holds if it was built from an equal key."""
     held = memo.get(kind)
@@ -562,14 +567,13 @@ def run(
     geometry = _memoized(memo, "geometry", _geometry,
                          scenario.satellites, scenario.stations, scenario.aois, scenario.horizon_s)
     # With the processing location erased, runs that differ only in it share one observation.
-    unlocated = replace(scenario, archetype=replace(scenario.archetype, processing_location=None))
+    unlocated = with_processing(scenario, None)
     injected = None if injected_events is None else tuple(injected_events)
     fire_events, dropped, detection_times, requests, plan, scenes, detections = _memoized(
         memo, "observation", _observation, unlocated, injected, geometry)
     products = _products(scenario, fire_events, scenes, detections)
     transfers = _downlink(scenario, scenes, products, geometry.links)
-    completions = transfers.completion_times
-    pdgs_times, marketplace = _ground(scenario, products, completions)
+    pdgs_times, marketplace = _ground(scenario, products, transfers.completion_times)
     return SimulationTrace(
         scenario_name=scenario.name,
         seed=scenario.seed,
@@ -584,7 +588,7 @@ def run(
         detections=detections,
         products=products,
         transfer_records=transfers.records,
-        downlink_completions=dict(completions),
+        downlink_completions=transfers.completion_times,
         pdgs_times=pdgs_times,
         marketplace=marketplace,
     )

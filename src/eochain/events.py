@@ -57,9 +57,8 @@ def generate_fire_events(
     drawn for another.  The engine seeds the streams of all the AOIs in one
     seed-sequence pass (``engine.rng_streams``), from digest words that a
     sweep's runs share; an AOI whose Poisson count is 0 draws nothing more.
+    ``validate_scenario`` checks that ``horizon_s`` is finite and positive.
     """
-    if horizon_s <= 0:
-        raise ValidationError("horizon must be positive")
     out: list[FireEvent] = []
     lam_per_aoi = model.rate_per_aoi_per_day * horizon_s / SECONDS_PER_DAY
     for aoi, rng in zip(aois, streams, strict=True):
@@ -104,9 +103,8 @@ def aoi_membership(
 
 
 def monitoring_detection_time(event: FireEvent, monitoring_delay_s: float) -> float:
-    """Instant at which the external monitoring chain can report the event."""
-    if monitoring_delay_s < 0:
-        raise ValidationError("monitoring delay must be non-negative")
+    """Instant at which the external monitoring chain can report the event; the
+    delay is non-negative, as ``validate_scenario`` checks."""
     return event.start + monitoring_delay_s
 
 

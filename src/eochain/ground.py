@@ -13,7 +13,6 @@ from .model import (
     ProductKind,
     ServiceArchetype,
     Triggering,
-    ValidationError,
 )
 
 
@@ -48,12 +47,11 @@ def delivery_time(pdgs: float, archetype: ServiceArchetype) -> float:
     """Delivery time of a product the PDGS finished at ``pdgs``.
 
     Periodic archetypes batch their output, so delivery aligns to the next
-    production-cycle boundary; event-driven ones deliver at once.
+    production-cycle boundary, of at least 1 s as ``validate_scenario`` checks;
+    event-driven ones deliver at once.
     """
     if archetype.triggering is Triggering.PERIODIC:
         cycle = archetype.periodic_cycle_s
-        if cycle is None or cycle <= 0:
-            raise ValidationError("periodic archetype without a positive cycle")
         return math.ceil(pdgs / cycle) * cycle
     return pdgs
 

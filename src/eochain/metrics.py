@@ -11,12 +11,11 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import replace
 from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .engine import SimulationTrace, run
+from .engine import SimulationTrace, run, with_processing
 from .events import is_detectable
 from .model import FireEvent, ProductKind, ProcessingLocation, Scenario
 
@@ -248,11 +247,6 @@ COMPARISON_CSV_FIELDS = [
 ]
 
 
-def _with_processing(scenario: Scenario, location: ProcessingLocation) -> Scenario:
-    archetype = replace(scenario.archetype, processing_location=location)
-    return replace(scenario, archetype=archetype)
-
-
 def compare_architectures(
     scenario: Scenario,
     injected_events: Optional[Sequence[FireEvent]] = None,
@@ -264,8 +258,8 @@ def compare_architectures(
     periodic service) on the same injected events for class-level context.
     """
     memo: dict = {}
-    hybrid_trace = run(_with_processing(scenario, ProcessingLocation.HYBRID), injected_events, memo=memo)
-    raw_trace = run(_with_processing(scenario, ProcessingLocation.GROUND), injected_events, memo=memo)
+    hybrid_trace = run(with_processing(scenario, ProcessingLocation.HYBRID), injected_events, memo=memo)
+    raw_trace = run(with_processing(scenario, ProcessingLocation.GROUND), injected_events, memo=memo)
 
     mmu = scenario.archetype.mmu_ha
     hybrid_report = build_service_report(hybrid_trace, mmu)

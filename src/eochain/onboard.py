@@ -23,7 +23,6 @@ from .model import (
     ProcessingLocation,
     ProductKind,
     SatelliteSpec,
-    ValidationError,
     mask_volume,
     scene_volume,
 )
@@ -94,9 +93,8 @@ def acquire_scene(
 
 
 def pipeline_latency(scene: Scene, processor: OnboardProcessorSpec) -> float:
-    """Time to push the scene through preprocessing and inference, seconds."""
-    if not processor.enabled:
-        raise ValidationError("onboard processor is disabled on this platform")
+    """Time to push the scene through an enabled processor's preprocessing and inference,
+    seconds; ``engine._products`` sends the scenes of a disabled processor to ground."""
     pixels = scene.pixels
     inference_rate = processor.inference_rate_mpx_s * PRECISION_RATE_FACTOR[processor.precision_mode]
     return pixels / (processor.preprocess_rate_mpx_s * 1e6) + pixels / (inference_rate * 1e6)
@@ -116,9 +114,8 @@ def classify_scene(
     detected set antitone in the MMU for a fixed stream.  Only the first
     decides the detection; the second is discarded, which keeps the layout
     of the detection stream, and with it every pinned artifact digest, fixed.
+    ``validate_scenario`` checks that ``accuracy_p`` lies in (0, 1].
     """
-    if not 0.0 < accuracy_p <= 1.0:
-        raise ValidationError("accuracy probability must be in (0, 1]")
     present = sorted(scene.event_ids_present)
     draws = rng.uniform(size=(len(present), 2))
     return frozenset(

@@ -75,9 +75,8 @@ class Window(NamedTuple):
 
 
 def orbital_period(altitude_km: float) -> float:
-    """Circular-orbit period in seconds from Kepler's third law."""
-    if not 300.0 <= altitude_km <= 2000.0:
-        raise ValidationError("altitude must be in [300, 2000] km")
+    """Circular-orbit period in seconds from Kepler's third law, for an altitude in
+    ``SatelliteSpec.altitude_km``'s interval, which ``validate_scenario`` checks."""
     a_m = (EARTH_RADIUS_KM + altitude_km) * 1e3
     return 2.0 * math.pi * math.sqrt(a_m**3 / MU_EARTH_M3_S2)
 

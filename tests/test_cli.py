@@ -361,6 +361,17 @@ class TestScenarioSeed:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "seed" in err
 
+    @pytest.mark.parametrize("seed", ["-1", str(MAX_SEED + 1)])
+    @pytest.mark.parametrize("command", ["run", "compare", "sweep"])
+    def test_out_of_range_flag_seed_is_one_line_error(self, tmp_path, capsys, command, seed):
+        out = tmp_path / "out"
+        argv = [command, "--preset", "effis-like", "--duration", DAY, "--seed", seed, "--out", str(out)]
+        assert main(argv) == EXIT_VALIDATION
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: ") and "seed" in err
+        assert not out.exists()
+
 
 # Each numeric leaf of a preset is set to each of these in turn.
 MUTATION_VALUES = (0, -1, 1e-200, 1e300, 10**30, -800.0, 800.0)

@@ -11,13 +11,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eochain import cli, downlink, engine, model, onboard, orbit, tasking
-from eochain.engine import SimEventKind, geometry_tables, rng_stream, rng_streams, run
+from eochain.engine import SimEventKind, geometry_tables, rng_stream, rng_streams, run, with_processing
 from eochain.model import (
     AcquisitionMode,
     DetectionSpec,
     FireEvent,
     GeoPoint,
     ProcessingLocation,
+    ProductKind,
     Triggering,
     ValidationError,
 )
@@ -36,11 +37,6 @@ from conftest import (
 )
 
 DAY = 86400.0
-
-
-def with_processing(scenario, location):
-    arch = dataclasses.replace(scenario.archetype, processing_location=location)
-    return dataclasses.replace(scenario, archetype=arch)
 
 
 class TestRngStream:
@@ -299,6 +295,23 @@ class TestChainSemantics:
         trace = run(make_scenario(seed=5), injected_events=[ev])
         covering = [r for r in trace.marketplace if "inj-1" in r.event_ids]
         assert covering, "expected at least one delivered product covering the event"
+
+    def test_disabled_processor_sends_its_scenes_to_ground(self):
+        s = make_scenario(
+            satellites=(make_satellite("sat-a", raan=0.0),
+                        make_satellite("sat-b", raan=180.0, arg_lat=90.0, processor=make_processor(enabled=False))),
+            aois=(make_aoi("aoi-a", 42.0, 13.0, radius=300.0), make_aoi("aoi-b", 44.5, 9.0, radius=300.0)),
+            rate=4.0,
+        )
+        trace = run(s)
+        by_sat = {"sat-a": [], "sat-b": []}
+        for p in trace.products.values():
+            by_sat[trace.scenes[p.scene_id].satellite_id].append(p)
+        assert by_sat["sat-a"] and by_sat["sat-b"]
+        for p in by_sat["sat-b"]:
+            assert p.kind is ProductKind.RAW_SCENE
+            assert p.created == trace.scenes[p.scene_id].acquired
+        assert any(p.kind is ProductKind.THEMATIC_MASK for p in by_sat["sat-a"])
 
     def test_causality_chain(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)

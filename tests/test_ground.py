@@ -11,7 +11,6 @@ from eochain.model import (
     GroundLatencySpec,
     ProductKind,
     Triggering,
-    ValidationError,
 )
 
 from conftest import NO_SHRINK, make_archetype, make_scenario
@@ -61,11 +60,6 @@ class TestPdgsProcess:
             mask = pdgs_process(product(ProductKind.THEMATIC_MASK), downlink, LATENCIES, EVENT_DRIVEN)
             raw = pdgs_process(product(ProductKind.RAW_SCENE), downlink, LATENCIES, EVENT_DRIVEN)
             assert mask <= raw
-
-    def test_periodic_without_cycle_rejected(self):
-        arch = make_archetype(triggering=Triggering.PERIODIC, cycle=None)
-        with pytest.raises(ValidationError):
-            pdgs_process(product(), 0.0, LATENCIES, arch)
 
 
 class TestMarketplace:
