@@ -190,13 +190,13 @@ def _sweep_block(payload: tuple) -> list[str]:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     scenario = _load(args)
+    engine.require_valid(scenario)
     if args.runs < 1:
         raise ValidationError("--runs must be at least 1")
     if args.jobs < 1:
         raise ValidationError("--jobs must be at least 1")
     if scenario.seed + args.runs - 1 > MAX_SEED:
         raise ValidationError("the last seed of the sweep must fit in an unsigned 64-bit integer")
-    engine.require_valid(scenario)
     injected = _injected(args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)

@@ -4,7 +4,7 @@ A run is a pure function of (scenario, injected events).  Each stage of the
 service chain (ground truth, geometry, tasking, acquisitions, scenes and
 detections, products, downlink, ground and marketplace) is one function of
 the outputs before it; the trace assembles the timeline of chain milestones
-on first read.  All randomness derives from counter-based streams keyed by
+on each read.  All randomness derives from counter-based streams keyed by
 (master seed, domain label, entity id), and no stage before products reads
 the processing location, so the two arms of an A/B comparison see common
 random numbers.  Only runs given one memo share a geometry or observation.
@@ -16,7 +16,7 @@ import functools
 import hashlib
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from enum import Enum
 from types import MappingProxyType
 from typing import Iterator, Mapping, NamedTuple, Optional, Sequence
@@ -223,12 +223,11 @@ class SimEvent(NamedTuple):
     ref: str = ""
 
 
-@dataclass(frozen=True)
-class SimulationTrace:
+class SimulationTrace(NamedTuple):
     """Timestamped record of every chain milestone of one run.
 
     ``timeline`` holds the chain milestones in (time, seq) order, assembled
-    from the other fields on first read.  Contact windows are geometry
+    from the other fields on each read.  Contact windows are geometry
     inputs, not milestones, so they are not timeline entries.
     """
 
@@ -237,6 +236,7 @@ class SimulationTrace:
     mode: ProcessingLocation
     horizon_s: float
     fire_events: tuple[FireEvent, ...]
+    events_by_id: Mapping[str, FireEvent]
     dropped_event_ids: tuple[str, ...]
     detection_times: Mapping[str, float]
     requests: tuple[ObservationRequest, ...]
@@ -248,9 +248,10 @@ class SimulationTrace:
     downlink_completions: dict[str, float]
     pdgs_times: dict[str, float]
     marketplace: tuple[MarketplaceRecord, ...]
+    delivered_by_product: dict[str, float]
+    first_delivery_by_event: dict[str, tuple[float, str]]
 
-    # Views of the finished trace, built on first use.
-    @functools.cached_property
+    @property
     def timeline(self) -> tuple[SimEvent, ...]:
         """Chain milestones within the horizon, ordered by (time, insertion order)."""
         horizon, scenes, detection_times = self.horizon_s, self.scenes, self.detection_times
@@ -281,30 +282,8 @@ class SimulationTrace:
         timeline.sort(key=lambda e: e.time)
         return tuple(timeline)
 
-    @functools.cached_property
-    def events_by_id(self) -> dict[str, FireEvent]:
-        return {e.id: e for e in self.fire_events}
-
-    @functools.cached_property
-    def delivered_by_product(self) -> dict[str, float]:
-        return {r.product_id: r.delivered for r in self.marketplace}
-
-    @functools.cached_property
-    def first_delivery_by_event(self) -> dict[str, tuple[float, str]]:
-        """Earliest (delivered, product id) among the deliveries containing each event."""
-        first: dict[str, tuple[float, str]] = {}
-        for r in self.marketplace:
-            for event_id in r.event_ids:
-                candidate = (r.delivered, r.product_id)
-                if event_id not in first or candidate < first[event_id]:
-                    first[event_id] = candidate
-        return first
-
     def generated_bits(self) -> int:
         return sum(p.volume_bits for p in self.products.values())
-
-    def delivered_bits(self) -> int:
-        return sum(p.volume_bits for pid, p in self.products.items() if pid in self.downlink_completions)
 
     def transferred_bits(self) -> int:
         return sum(r.bits_moved for r in self.transfer_records)
@@ -359,28 +338,16 @@ def _ground_truth(
     return fire_events, members, home, dropped, detection_times
 
 
-@dataclass(frozen=True, eq=False)
-class Geometry:
+class Geometry(NamedTuple):
     """The window tables of one geometry, and what runs derive from them
-    alone, each built on first use and shared read-only by every run given
-    the geometry: each satellite's exclusive link schedule, the systematic
-    acquisition order and the planner's index."""
+    alone, shared read-only by every run given the geometry: each
+    satellite's exclusive link schedule, the systematic acquisition order
+    and the planner's index."""
 
-    satellites: tuple[SatelliteSpec, ...]
-    stations: tuple[GroundStationSpec, ...]
     tables: tuple[WindowTable, WindowTable]
-
-    @functools.cached_property
-    def links(self) -> Mapping[str, tuple[LinkInterval, ...]]:
-        return MappingProxyType(link_schedule(self.tables[0]))
-
-    @functools.cached_property
-    def systematic(self) -> tuple[tuple[str, str, Window], ...]:
-        return tuple(tasking.periodic_acquisitions(self.tables[1]))
-
-    @functools.cached_property
-    def opportunities(self) -> tasking.Opportunities:
-        return tasking.opportunities(self.satellites, self.stations, *self.tables)
+    links: Mapping[str, tuple[LinkInterval, ...]]
+    systematic: tuple[tuple[str, str, Window], ...]
+    opportunities: tasking.Opportunities
 
 
 def geometry_tables(scenario: Scenario) -> tuple[WindowTable, WindowTable]:
@@ -406,7 +373,12 @@ def _geometry(
             contact_table[sat.id, stn.id] = tuple(windows)
         for aoi, windows in zip(aois, accesses):
             access_table[sat.id, aoi.id] = tuple(windows)
-    return Geometry(satellites, stations, (MappingProxyType(contact_table), MappingProxyType(access_table)))
+    return Geometry(
+        (MappingProxyType(contact_table), MappingProxyType(access_table)),
+        MappingProxyType(link_schedule(contact_table)),
+        tuple(tasking.periodic_acquisitions(access_table)),
+        tasking.opportunities(satellites, stations, contact_table, access_table),
+    )
 
 
 def _acquisitions(
@@ -433,10 +405,10 @@ def _acquisitions(
 
 def _observation(
     scenario: Scenario, injected_events: Optional[tuple[FireEvent, ...]], geometry: Geometry
-) -> tuple[tuple[FireEvent, ...], tuple[str, ...], Mapping[str, float], tuple[ObservationRequest, ...],
-           TaskingPlan, Mapping[str, Scene], Mapping[str, frozenset[str]]]:
-    """Fire events, dropped ids, detection times, requests, plan, scenes and
-    detections: the stages before products, which read no processing location,
+) -> tuple[tuple[FireEvent, ...], Mapping[str, FireEvent], tuple[str, ...], Mapping[str, float],
+           tuple[ObservationRequest, ...], TaskingPlan, Mapping[str, Scene], Mapping[str, frozenset[str]]]:
+    """Fire events, each by id, dropped ids, detection times, requests, plan, scenes
+    and detections: the stages before products, which read no processing location,
     so the runs that share it through a memo read one copy, and the mappings are read-only.
     Scene ``scn-i`` is acquisition i.  Only a processed scene draws clouds and
     detections: every scene of a periodic product line, and only the
@@ -475,18 +447,17 @@ def _observation(
                 if scene.event_ids_present else frozenset()
             )
             k += 1
-    return (fire_events, dropped, MappingProxyType(detection_times), requests, plan,
-            MappingProxyType(scenes), MappingProxyType(detections))
+    return (fire_events, MappingProxyType(events_by_id), dropped, MappingProxyType(detection_times),
+            requests, plan, MappingProxyType(scenes), MappingProxyType(detections))
 
 
 def _products(
-    scenario: Scenario, fire_events: Sequence[FireEvent], scenes: Mapping[str, Scene],
+    scenario: Scenario, events_by_id: Mapping[str, FireEvent], scenes: Mapping[str, Scene],
     detections: Mapping[str, frozenset[str]],
 ) -> dict[str, DataProduct]:
     """The products of the processed scenes, in scene order; a satellite
     without an enabled processor sends its scenes to ground."""
     sats_by_id = {s.id: s for s in scenario.satellites}
-    events_by_id = {e.id: e for e in fire_events}
     spec = scenario.detection
     products: dict[str, DataProduct] = {}
     for scene_id, detected in detections.items():
@@ -518,9 +489,11 @@ def _ground(
     scenario: Scenario,
     products: Mapping[str, DataProduct],
     completions: Mapping[str, float],
-) -> tuple[dict[str, float], tuple[MarketplaceRecord, ...]]:
-    """PDGS completion times and the marketplace deliveries that fall inside
-    the horizon, one per product, in (delivered, product id) order."""
+) -> tuple[dict[str, float], tuple[MarketplaceRecord, ...], dict[str, float], dict[str, tuple[float, str]]]:
+    """PDGS completion times, the marketplace deliveries that fall inside the
+    horizon, one per product, in (delivered, product id) order, each delivered
+    product's delivery time, and each delivered event's earliest (delivered,
+    product id): the first in that order among the deliveries containing it."""
     pdgs_times: dict[str, float] = {}
     marketplace: list[MarketplaceRecord] = []
     for pid, done in completions.items():
@@ -531,7 +504,12 @@ def _ground(
         if delivered <= scenario.horizon_s:
             marketplace.append(MarketplaceRecord(pid, products[pid].event_ids, delivered))
     marketplace.sort(key=lambda r: (r.delivered, r.product_id))
-    return pdgs_times, tuple(marketplace)
+    first_delivery_by_event: dict[str, tuple[float, str]] = {}
+    for r in marketplace:
+        for event_id in r.event_ids:
+            first_delivery_by_event.setdefault(event_id, (r.delivered, r.product_id))
+    delivered_by_product = {r.product_id: r.delivered for r in marketplace}
+    return pdgs_times, tuple(marketplace), delivered_by_product, first_delivery_by_event
 
 
 def require_valid(scenario: Scenario) -> None:
@@ -569,17 +547,19 @@ def run(
     # With the processing location erased, runs that differ only in it share one observation.
     unlocated = with_processing(scenario, None)
     injected = None if injected_events is None else tuple(injected_events)
-    fire_events, dropped, detection_times, requests, plan, scenes, detections = _memoized(
+    fire_events, events_by_id, dropped, detection_times, requests, plan, scenes, detections = _memoized(
         memo, "observation", _observation, unlocated, injected, geometry)
-    products = _products(scenario, fire_events, scenes, detections)
+    products = _products(scenario, events_by_id, scenes, detections)
     transfers = _downlink(scenario, scenes, products, geometry.links)
-    pdgs_times, marketplace = _ground(scenario, products, transfers.completion_times)
+    pdgs_times, marketplace, delivered_by_product, first_delivery_by_event = _ground(
+        scenario, products, transfers.completion_times)
     return SimulationTrace(
         scenario_name=scenario.name,
         seed=scenario.seed,
         mode=scenario.archetype.processing_location,
         horizon_s=scenario.horizon_s,
         fire_events=fire_events,
+        events_by_id=events_by_id,
         dropped_event_ids=dropped,
         detection_times=detection_times,
         requests=requests,
@@ -591,4 +571,6 @@ def run(
         downlink_completions=transfers.completion_times,
         pdgs_times=pdgs_times,
         marketplace=marketplace,
+        delivered_by_product=delivered_by_product,
+        first_delivery_by_event=first_delivery_by_event,
     )

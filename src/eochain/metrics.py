@@ -68,27 +68,30 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     return vs[f] + (vs[c] - vs[f]) * (k - f)
 
 
-def time_to_first_info(trace: SimulationTrace, event_id: str) -> Optional[float]:
-    """Fire start to first delivered product containing the event; None if never."""
+def _first_delivery(trace: SimulationTrace, event_id: str) -> Optional[tuple[float, str]]:
     if event_id not in trace.events_by_id:
         raise KeyError(f"unknown event id: {event_id}")
-    first = trace.first_delivery_by_event.get(event_id)
+    return trace.first_delivery_by_event.get(event_id)
+
+
+def time_to_first_info(trace: SimulationTrace, event_id: str) -> Optional[float]:
+    """Fire start to first delivered product containing the event; None if never, KeyError if unknown."""
+    first = _first_delivery(trace, event_id)
     return None if first is None else first[0] - trace.events_by_id[event_id].start
 
 
 def first_info_product(trace: SimulationTrace, event_id: str) -> Optional[str]:
-    """Id of the first delivered product containing the event, ties by id; None if never."""
-    first = trace.first_delivery_by_event.get(event_id)
+    """Id of the first delivered product containing the event, ties by id; None if never, KeyError if unknown."""
+    first = _first_delivery(trace, event_id)
     return None if first is None else first[1]
 
 
 def end_to_end_latency(trace: SimulationTrace, product_id: str) -> Optional[float]:
-    """Scene acquisition to delivery; None for undelivered products."""
+    """Scene acquisition to delivery; None for undelivered products, KeyError if unknown."""
+    if product_id not in trace.products:
+        raise KeyError(f"unknown product id: {product_id}")
     delivered = trace.delivered_by_product.get(product_id)
-    if delivered is None:
-        return None
-    scene = trace.scenes[trace.products[product_id].scene_id]
-    return delivered - scene.acquired
+    return None if delivered is None else delivered - trace.scenes[trace.products[product_id].scene_id].acquired
 
 
 class ServiceReport(NamedTuple):
@@ -194,8 +197,8 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
         "unmet_request_count": len(trace.plan.unmet_request_ids),
         "acquisition_count": len(trace.scenes),
         "generated_bits_total": trace.generated_bits(),
-        "transferred_bits_total": trace.transferred_bits(),
-        "delivered_bits_total": trace.delivered_bits(),
+        "transferred_bits_total": sum(transferred_by_kind.values()),
+        "delivered_bits_total": sum(delivered_by_kind.values()),
         "residual_bits_total": sum(trace.residual_bits().values()),
         "transferred_bits_by_kind": transferred_by_kind,
         "delivered_bits_by_kind": delivered_by_kind,
@@ -286,8 +289,8 @@ def compare_architectures(
         "hybrid_faster": faster,
     }, frozenset({"start_s", "area_ha", "ttfi_hybrid_s", "ttfi_raw_s", "delta_s"}))
 
-    bits_h = hybrid_trace.transferred_bits()
-    bits_r = raw_trace.transferred_bits()
+    bits_h = hybrid_report.summary["transferred_bits_total"]
+    bits_r = raw_report.summary["transferred_bits_total"]
     summary = {
         "event_count": len(fire_events),
         "comparable_count": comparable,

@@ -34,7 +34,8 @@ RECORD_TYPES = (
     orbit.Window, downlink.LinkInterval, downlink.TransferRecord, downlink.TransferResult,
     ground.MarketplaceRecord, model.DataProduct, model.FireEvent, model.Violation, onboard.Scene,
     tasking.ObservationRequest, tasking.Assignment, tasking.TaskingPlan, tasking.Opportunities,
-    engine.SimEvent, metrics.ServiceReport, metrics.ComparisonReport, metrics.Table,
+    engine.SimEvent, engine.SimulationTrace, engine.Geometry, metrics.ServiceReport,
+    metrics.ComparisonReport, metrics.Table,
 )
 
 

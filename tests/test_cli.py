@@ -241,6 +241,13 @@ class TestSweep:
         assert len(err.splitlines()) == 1 and err.startswith("error: ")
         assert not out.exists()
 
+    def test_range_past_the_last_seed_names_the_last_seed(self, tmp_path, capsys):
+        # A first seed inside the limit is valid; only the range runs past it.
+        argv = ["sweep", "--preset", "effis-like", "--duration", DAY, "--seed", str(MAX_SEED), "--runs", "2",
+                "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "error: the last seed of the sweep must fit in an unsigned 64-bit integer\n"
+
 
 class TestValidate:
     @pytest.mark.parametrize("preset", ["iride-heo", "effis-like"])
@@ -371,6 +378,14 @@ class TestScenarioSeed:
         assert len(err.splitlines()) == 1
         assert err.startswith("error: ") and "seed" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed", ["-1", str(MAX_SEED + 1)])
+    def test_out_of_range_flag_seed_reads_alike_from_every_command(self, tmp_path, capsys, seed):
+        errors = []
+        for command in ("run", "compare", "sweep"):
+            main([command, "--preset", "effis-like", "--duration", DAY, "--seed", seed, "--out", str(tmp_path)])
+            errors.append(capsys.readouterr().err)
+        assert errors == ["error: invalid scenario: seed: must be in [0, 18446744073709551616)\n"] * 3
 
 
 # Each numeric leaf of a preset is set to each of these in turn.

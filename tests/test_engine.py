@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eochain import cli, downlink, engine, model, onboard, orbit, tasking
-from eochain.engine import SimEventKind, geometry_tables, rng_stream, rng_streams, run, with_processing
+from eochain.engine import SimEventKind, SimulationTrace, geometry_tables, rng_stream, rng_streams, run, with_processing
 from eochain.model import (
     AcquisitionMode,
     DetectionSpec,
@@ -130,13 +130,12 @@ class TestRunBasics:
         # ``run`` still assembled the timeline itself.
         path = Path(__file__).resolve().parents[1] / "scenarios" / "iride_heo_stress.yaml"
         trace = run(dataclasses.replace(load_scenario(path), horizon_s=DAY))
-        assert "timeline" not in trace.__dict__
+        assert "timeline" not in SimulationTrace._fields
         text = "\n".join(f"{e.time.hex()} {e.seq} {e.kind.value} {e.ref}" for e in trace.timeline)
         assert len(trace.timeline) == 2653
         assert hashlib.sha256(text.encode()).hexdigest() == (
             "a34dfdaf0593f60749b87a8df8e8d3ab48719eba9faa495636c4136ead573621"
         )
-        assert trace.timeline is trace.timeline
 
     def test_sim_end_is_final_event(self):
         trace = run(make_scenario(seed=3))

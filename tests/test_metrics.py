@@ -14,23 +14,27 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eochain import events, metrics, tasking
-from eochain.engine import run
+from eochain.engine import _ground, run
 from eochain.metrics import (
     Table,
     _json_pieces,
+    _sig_column,
     build_service_report,
     compare_architectures,
     end_to_end_latency,
+    first_info_product,
     percentile,
     time_to_first_info,
     write_csv_report,
     write_json_report,
 )
-from eochain.model import FireEvent, GeoPoint
+from eochain.model import (
+    AcquisitionMode, DataProduct, FireEvent, GeoPoint, ProcessingLocation, ProductKind, Triggering,
+)
 from eochain.presets import get_preset
 from eochain.scenario_io import load_scenario
 
-from conftest import NO_SHRINK, make_scenario
+from conftest import NO_SHRINK, make_aoi, make_archetype, make_scenario
 
 EVENT = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
 STRESS = Path(__file__).resolve().parents[1] / "scenarios" / "iride_heo_stress.yaml"
@@ -91,6 +95,66 @@ class TestLatencyMetrics:
         for pid in trace.products:
             if pid not in trace.downlink_completions:
                 assert end_to_end_latency(trace, pid) is None
+
+    @pytest.mark.parametrize("lookup", [time_to_first_info, first_info_product, end_to_end_latency])
+    def test_unknown_id_is_a_key_error_naming_it(self, trace, lookup):
+        # None answers "never delivered"; an id the run never made is an error.
+        with pytest.raises(KeyError, match="no-such-id"):
+            lookup(trace, "no-such-id")
+
+    def test_first_info_product_breaks_ties_by_product_id(self, trace):
+        # Three products with the event, two delivered at one time, the later id listed first.
+        products = {pid: DataProduct(pid, ProductKind.THEMATIC_MASK, "scn", frozenset({"inj-1"}), 100, 0.0)
+                    for pid in ("p-c", "p-b", "p-a")}
+        completions = {"p-c": 5000.0, "p-b": 4000.0, "p-a": 4000.0}
+        _, marketplace, delivered, first = _ground(make_scenario(seed=5), products, completions)
+        tied = trace._replace(marketplace=marketplace, delivered_by_product=delivered,
+                              first_delivery_by_event=first)
+        assert first_info_product(tied, "inj-1") == "p-a"
+        assert time_to_first_info(tied, "inj-1") == delivered["p-a"] - EVENT.start
+
+    def test_never_delivered_product_of_an_event_is_none(self):
+        lonely = FireEvent("lonely", GeoPoint(42.0, 13.0), 3600.0, 1.0)  # below MMU
+        t = run(make_scenario(seed=5), injected_events=[lonely])
+        assert first_info_product(t, "lonely") is None
+
+
+class TestLookupOracle:
+    """The trace's delivery lookups and the report cells built from them, against brute force."""
+
+    @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
+    @given(
+        seed=st.integers(0, 2**64 - 1),
+        hours=st.integers(6, 18),
+        rate=st.floats(1.0, 12.0),
+        location=st.sampled_from(list(ProcessingLocation)),
+        acquisition=st.sampled_from(list(AcquisitionMode)),
+        triggering=st.sampled_from(list(Triggering)),
+    )
+    def test_lookups_equal_brute_force_minimum(self, seed, hours, rate, location, acquisition, triggering):
+        periodic = triggering is Triggering.PERIODIC
+        arch = make_archetype(processing=location, acquisition=acquisition, triggering=triggering,
+                              cycle=3 * 3600.0 if periodic else None)
+        aois = (make_aoi("aoi-a", 42.0, 13.0, radius=300.0), make_aoi("aoi-b", 44.5, 9.0, radius=300.0))
+        trace = run(make_scenario(seed=seed, horizon=hours * 3600.0, aois=aois, archetype=arch, rate=rate))
+        first, delivered = {}, {}
+        for r in trace.marketplace:
+            delivered[r.product_id] = min(delivered.get(r.product_id, math.inf), r.delivered)
+            for event_id in r.event_ids:
+                first[event_id] = min(first.get(event_id, (math.inf, "")), (r.delivered, r.product_id))
+        assert trace.first_delivery_by_event == first
+        assert trace.delivered_by_product == delivered
+
+        report = build_service_report(trace, arch.mmu_ha)
+        event_ids, product_ids = report.events.columns["id"], report.products.columns["id"]
+        assert report.events.columns["first_product_id"] == [first_info_product(trace, i) for i in event_ids]
+        assert report.events.columns["ttfi_s"] == _sig_column(time_to_first_info(trace, i) for i in event_ids)
+        assert report.products.columns["delivered_s"] == _sig_column(map(delivered.get, product_ids))
+        assert report.products.columns["e2e_s"] == _sig_column(end_to_end_latency(trace, i) for i in product_ids)
+        s = report.summary
+        assert s["transferred_bits_total"] == trace.transferred_bits()
+        assert s["delivered_bits_total"] == sum(
+            p.volume_bits for pid, p in trace.products.items() if pid in trace.downlink_completions)
 
 
 class TestServiceReport:

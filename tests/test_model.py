@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 
 import eochain
 from eochain import model
-from eochain.engine import Geometry, SimulationTrace
 from eochain.model import (
     DEFAULT_COARSE_STEP_S,
     EARTH_RADIUS_KM,
@@ -462,9 +461,8 @@ class TestTypeRule:
         assert len(types) == 11
         assert [tp.__name__ for tp in types if not dataclasses.is_dataclass(tp) or issubclass(tp, tuple)] == []
 
-    def test_only_scenario_types_and_cached_views_are_dataclasses(self):
-        # A trace and a geometry build views on first use, which needs an instance dict.
+    def test_only_scenario_types_are_dataclasses(self):
         defined = defined_types()
-        expected = {tp.__name__ for tp in scenario_types() | {SimulationTrace, Geometry}}
+        expected = {tp.__name__ for tp in scenario_types()}
         assert {tp.__name__ for tp in defined if dataclasses.is_dataclass(tp)} == expected
         assert {tp for tp in defined if issubclass(tp, tuple)} == set(RECORD_TYPES)
