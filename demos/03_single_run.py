@@ -6,7 +6,7 @@ processing, downlink and marketplace delivery.
 """
 
 from eochain.engine import run
-from eochain.metrics import build_service_report, time_to_first_info
+from eochain.metrics import build_service_report, first_info_product, time_to_first_info
 from eochain.presets import iride_heo
 
 scenario = iride_heo(seed=7, horizon_s=3 * 86400.0)
@@ -34,19 +34,16 @@ if delivered:
     if assignment is not None:
         print(f"  tasking uplink        {assignment.uplink_time:10.1f} s ({assignment.satellite_id})")
         print(f"  planned acquisition   {assignment.window.start:10.1f} s")
-    first = min(
-        (r for r in trace.marketplace if ev.id in r.event_ids), key=lambda r: r.delivered
-    )
-    product = trace.products[first.product_id]
+    product = trace.products[first_info_product(trace, ev.id)]
+    ttfi = time_to_first_info(trace, ev.id)
     scene = trace.scenes[product.scene_id]
     print(f"  scene acquired        {scene.acquired:10.1f} s (cloud {scene.cloud_fraction:.2f})")
     print(f"  product ready         {product.created:10.1f} s ({product.kind.value})")
     print(f"  downlink complete     {trace.downlink_completions[product.id]:10.1f} s")
-    print(f"  marketplace delivery  {first.delivered:10.1f} s")
-    print(f"  => time to first info {first.delivered - ev.start:10.1f} s "
-          f"({(first.delivered - ev.start) / 3600:.1f} h)")
+    print(f"  marketplace delivery  {trace.delivered_by_product[product.id]:10.1f} s")
+    print(f"  => time to first info {ttfi:10.1f} s ({ttfi / 3600:.1f} h)")
 
-report = build_service_report(trace, scenario.archetype.mmu_ha)
+report = build_service_report(trace)
 s = report.summary
 print("\nService summary:")
 print(f"  completeness              {s['completeness']}")

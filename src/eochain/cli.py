@@ -39,15 +39,14 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="eochain", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser, with_events: bool = True) -> None:
+    def add_common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--scenario", type=Path, help="scenario YAML file")
         p.add_argument("--preset", choices=sorted(BUILTIN_PRESETS), help="built-in scenario")
         p.add_argument("--seed", type=int, help="master seed (default: the scenario's own, 0 for a preset)")
         p.add_argument("--duration", type=float, help="override horizon, seconds")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-        if with_events:
-            p.add_argument("--events", type=Path, help="inject a fixed event trace (CSV)")
+        p.add_argument("--events", type=Path, help="inject a fixed event trace (CSV)")
 
     p_run = sub.add_parser("run", help="run a single scenario")
     add_common(p_run)
@@ -136,7 +135,7 @@ def _emit(report, out: Path, stem: str, fmt: str) -> list[Path]:
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args)
     trace = engine.run(scenario, injected_events=_injected(args))
-    report = metrics.build_service_report(trace, scenario.archetype.mmu_ha)
+    report = metrics.build_service_report(trace)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     written = _emit(report, out, "run_report", args.format)
@@ -182,7 +181,7 @@ def _sweep_block(payload: tuple) -> list[str]:
     lines = []
     for scenario in scenarios:
         trace = engine.run(scenario, injected_events=injected, memo=memo)
-        report = metrics.build_service_report(trace, scenario.archetype.mmu_ha)
+        report = metrics.build_service_report(trace)
         _emit(report, out, f"run_report_seed{scenario.seed}", fmt)
         lines.append(f"seed {scenario.seed}: ttfi p50={report.summary['ttfi_p50_s']}")
     return lines

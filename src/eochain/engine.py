@@ -3,11 +3,12 @@
 A run is a pure function of (scenario, injected events).  Each stage of the
 service chain (ground truth, geometry, tasking, acquisitions, scenes and
 detections, products, downlink, ground and marketplace) is one function of
-the outputs before it; the trace assembles the timeline of chain milestones
-on each read.  All randomness derives from counter-based streams keyed by
-(master seed, domain label, entity id), and no stage before products reads
-the processing location, so the two arms of an A/B comparison see common
-random numbers.  Only runs given one memo share a geometry or observation.
+the outputs before it; the trace carries the scenario it ran and assembles
+the timeline of chain milestones, PDGS completions among them, on each
+read.  All randomness derives from counter-based streams keyed by (master
+seed, domain label, entity id), and no stage before products reads the
+processing location, so the two arms of an A/B comparison see common random
+numbers.  Only runs given one memo share a geometry or observation.
 """
 
 from __future__ import annotations
@@ -226,15 +227,14 @@ class SimEvent(NamedTuple):
 class SimulationTrace(NamedTuple):
     """Timestamped record of every chain milestone of one run.
 
+    ``scenario`` is the scenario the run was given, its processing location
+    set: a report reads its name, seed, mode, horizon and MMU there.
     ``timeline`` holds the chain milestones in (time, seq) order, assembled
     from the other fields on each read.  Contact windows are geometry
     inputs, not milestones, so they are not timeline entries.
     """
 
-    scenario_name: str
-    seed: int
-    mode: ProcessingLocation
-    horizon_s: float
+    scenario: Scenario
     fire_events: tuple[FireEvent, ...]
     events_by_id: Mapping[str, FireEvent]
     dropped_event_ids: tuple[str, ...]
@@ -246,7 +246,6 @@ class SimulationTrace(NamedTuple):
     products: dict[str, DataProduct]
     transfer_records: tuple[TransferRecord, ...]
     downlink_completions: dict[str, float]
-    pdgs_times: dict[str, float]
     marketplace: tuple[MarketplaceRecord, ...]
     delivered_by_product: dict[str, float]
     first_delivery_by_event: dict[str, tuple[float, str]]
@@ -254,7 +253,8 @@ class SimulationTrace(NamedTuple):
     @property
     def timeline(self) -> tuple[SimEvent, ...]:
         """Chain milestones within the horizon, ordered by (time, insertion order)."""
-        horizon, scenes, detection_times = self.horizon_s, self.scenes, self.detection_times
+        scenario, scenes, detection_times = self.scenario, self.scenes, self.detection_times
+        horizon = scenario.horizon_s
         pipeline_done = {
             p.scene_id: p.created
             for p in self.products.values() if p.created > scenes[p.scene_id].acquired
@@ -273,9 +273,11 @@ class SimulationTrace(NamedTuple):
             for sid in sorted(pipeline_done)
             if pipeline_done[sid] <= horizon
         ]
-        completions, pdgs_times = self.downlink_completions, self.pdgs_times
-        entries += [(completions[pid], K.TRANSFER_DONE, pid) for pid in sorted(completions)]
-        entries += [(pdgs_times[pid], K.PDGS_DONE, pid) for pid in sorted(pdgs_times)]
+        completions, products = self.downlink_completions, self.products
+        transferred = sorted(completions)
+        pdgs_times = {pid: pdgs_done(products[pid], completions[pid], scenario.latencies) for pid in transferred}
+        entries += [(completions[pid], K.TRANSFER_DONE, pid) for pid in transferred]
+        entries += [(t, K.PDGS_DONE, pid) for pid, t in pdgs_times.items() if t <= horizon]
         entries += [(r.delivered, K.DELIVERY, r.product_id) for r in self.marketplace]
         entries.append((horizon, K.SIM_END, ""))
         timeline = [SimEvent(t, seq, kind, ref) for seq, (t, kind, ref) in enumerate(entries)]
@@ -489,18 +491,14 @@ def _ground(
     scenario: Scenario,
     products: Mapping[str, DataProduct],
     completions: Mapping[str, float],
-) -> tuple[dict[str, float], tuple[MarketplaceRecord, ...], dict[str, float], dict[str, tuple[float, str]]]:
-    """PDGS completion times, the marketplace deliveries that fall inside the
-    horizon, one per product, in (delivered, product id) order, each delivered
-    product's delivery time, and each delivered event's earliest (delivered,
-    product id): the first in that order among the deliveries containing it."""
-    pdgs_times: dict[str, float] = {}
+) -> tuple[tuple[MarketplaceRecord, ...], dict[str, float], dict[str, tuple[float, str]]]:
+    """The marketplace deliveries that fall inside the horizon, one per
+    product, in (delivered, product id) order, each delivered product's
+    delivery time, and each delivered event's earliest (delivered, product
+    id): the first in that order among the deliveries containing it."""
     marketplace: list[MarketplaceRecord] = []
     for pid, done in completions.items():
-        pdgs = pdgs_done(products[pid], done, scenario.latencies)
-        if pdgs <= scenario.horizon_s:
-            pdgs_times[pid] = pdgs
-        delivered = delivery_time(pdgs, scenario.archetype)
+        delivered = delivery_time(pdgs_done(products[pid], done, scenario.latencies), scenario.archetype)
         if delivered <= scenario.horizon_s:
             marketplace.append(MarketplaceRecord(pid, products[pid].event_ids, delivered))
     marketplace.sort(key=lambda r: (r.delivered, r.product_id))
@@ -509,7 +507,7 @@ def _ground(
         for event_id in r.event_ids:
             first_delivery_by_event.setdefault(event_id, (r.delivered, r.product_id))
     delivered_by_product = {r.product_id: r.delivered for r in marketplace}
-    return pdgs_times, tuple(marketplace), delivered_by_product, first_delivery_by_event
+    return tuple(marketplace), delivered_by_product, first_delivery_by_event
 
 
 def require_valid(scenario: Scenario) -> None:
@@ -551,13 +549,10 @@ def run(
         memo, "observation", _observation, unlocated, injected, geometry)
     products = _products(scenario, events_by_id, scenes, detections)
     transfers = _downlink(scenario, scenes, products, geometry.links)
-    pdgs_times, marketplace, delivered_by_product, first_delivery_by_event = _ground(
+    marketplace, delivered_by_product, first_delivery_by_event = _ground(
         scenario, products, transfers.completion_times)
     return SimulationTrace(
-        scenario_name=scenario.name,
-        seed=scenario.seed,
-        mode=scenario.archetype.processing_location,
-        horizon_s=scenario.horizon_s,
+        scenario=scenario,
         fire_events=fire_events,
         events_by_id=events_by_id,
         dropped_event_ids=dropped,
@@ -569,7 +564,6 @@ def run(
         products=products,
         transfer_records=transfers.records,
         downlink_completions=transfers.completion_times,
-        pdgs_times=pdgs_times,
         marketplace=marketplace,
         delivered_by_product=delivered_by_product,
         first_delivery_by_event=first_delivery_by_event,

@@ -134,10 +134,11 @@ SERVICE_CSV_FIELDS = [
 ]
 
 
-def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport:
-    fire_events = trace.fire_events
+def build_service_report(trace: SimulationTrace) -> ServiceReport:
+    """The run's figures of merit, an event detectable at the MMU its scenario detected with."""
+    scenario, fire_events = trace.scenario, trace.fire_events
     event_ids = [e.id for e in fire_events]
-    detectable_ids = {e.id for e in fire_events if is_detectable(e.area_ha, mmu_ha)}
+    detectable_ids = {e.id for e in fire_events if is_detectable(e.area_ha, scenario.archetype.mmu_ha)}
     detected_ids = set().union(*trace.detections.values())
     first = list(map(trace.first_delivery_by_event.get, event_ids))
     ttfi = [None if f is None else f[0] - e.start for e, f in zip(fire_events, first)]
@@ -204,10 +205,10 @@ def build_service_report(trace: SimulationTrace, mmu_ha: float) -> ServiceReport
         "delivered_bits_by_kind": delivered_by_kind,
     }
     return ServiceReport(
-        scenario_name=trace.scenario_name,
-        seed=trace.seed,
-        mode=MODE_LABELS[trace.mode],
-        horizon_s=trace.horizon_s,
+        scenario_name=scenario.name,
+        seed=scenario.seed,
+        mode=MODE_LABELS[scenario.archetype.processing_location],
+        horizon_s=scenario.horizon_s,
         events=events,
         products=product_table,
         summary=summary,
@@ -264,14 +265,10 @@ def compare_architectures(
     hybrid_trace = run(with_processing(scenario, ProcessingLocation.HYBRID), injected_events, memo=memo)
     raw_trace = run(with_processing(scenario, ProcessingLocation.GROUND), injected_events, memo=memo)
 
-    mmu = scenario.archetype.mmu_ha
-    hybrid_report = build_service_report(hybrid_trace, mmu)
-    raw_report = build_service_report(raw_trace, mmu)
-
-    baseline_report = None
-    if baseline_scenario is not None:
-        baseline_trace = run(baseline_scenario, injected_events, memo=memo)
-        baseline_report = build_service_report(baseline_trace, baseline_scenario.archetype.mmu_ha)
+    hybrid_report = build_service_report(hybrid_trace)
+    raw_report = build_service_report(raw_trace)
+    baseline_report = (None if baseline_scenario is None
+                       else build_service_report(run(baseline_scenario, injected_events, memo=memo)))
 
     fire_events = hybrid_trace.fire_events
     ttfi_h = [time_to_first_info(hybrid_trace, e.id) for e in fire_events]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from eochain import cli, downlink, engine, model, onboard, orbit, tasking
 from eochain.engine import SimEventKind, SimulationTrace, geometry_tables, rng_stream, rng_streams, run, with_processing
+from eochain.ground import pdgs_done
 from eochain.model import (
     AcquisitionMode,
     DetectionSpec,
@@ -123,7 +124,7 @@ class TestRunBasics:
         assert keys == sorted(keys)
         assert len(set(keys)) == len(keys)
         for e in trace.timeline:
-            assert 0.0 <= e.time <= trace.horizon_s
+            assert 0.0 <= e.time <= trace.scenario.horizon_s
 
     def test_timeline_is_assembled_on_first_read(self):
         # The digest of (time, seq, kind, ref) of every entry was taken when
@@ -137,10 +138,23 @@ class TestRunBasics:
             "a34dfdaf0593f60749b87a8df8e8d3ab48719eba9faa495636c4136ead573621"
         )
 
+    def test_pdgs_entries_are_the_downlinked_products_finished_inside_the_horizon(self):
+        # With 40,000 s of PDGS time the products of the first downlink pass finish inside the day,
+        # those of the second after it.
+        aois = (make_aoi("aoi-a", 42.0, 13.0, radius=300.0), make_aoi("aoi-b", 44.5, 9.0, radius=300.0))
+        s = make_scenario(seed=1, horizon=DAY, aois=aois, rate=8.0, pdgs_raw=40_000.0, pdgs_mask=40_000.0)
+        trace = run(s)
+        finished = {pid: pdgs_done(trace.products[pid], done, s.latencies)
+                    for pid, done in trace.downlink_completions.items()}
+        inside = {pid: t for pid, t in sorted(finished.items()) if t <= s.horizon_s}
+        assert inside and len(inside) < len(finished)
+        entries = sorted((e for e in trace.timeline if e.kind is SimEventKind.PDGS_DONE), key=lambda e: e.seq)
+        assert [(e.ref, e.time) for e in entries] == list(inside.items())
+
     def test_sim_end_is_final_event(self):
         trace = run(make_scenario(seed=3))
         assert trace.timeline[-1].kind is SimEventKind.SIM_END
-        assert trace.timeline[-1].time == trace.horizon_s
+        assert trace.timeline[-1].time == trace.scenario.horizon_s
         assert sum(1 for e in trace.timeline if e.kind is SimEventKind.SIM_END) == 1
 
     def test_injected_events_replace_generated(self):
@@ -210,7 +224,7 @@ class TestChainSemantics:
         trace = run(make_scenario(seed=5, archetype=arch, rate=0.5))
         assert set(trace.detections) == set(trace.scenes)
         assert len(trace.products) == len(trace.scenes)
-        assert trace.mode is ProcessingLocation.GROUND
+        assert trace.scenario.archetype.processing_location is ProcessingLocation.GROUND
 
     @pytest.mark.parametrize("triggering", [Triggering.EVENT_DRIVEN, Triggering.PERIODIC])
     def test_only_processed_scenes_draw_clouds(self, triggering):

@@ -69,7 +69,7 @@ class TestMarketplace:
 
     def deliveries(self, completions):
         products = {pid: product(pid=pid) for pid in completions}
-        return _ground(self.SCENARIO, products, completions)[1]
+        return _ground(self.SCENARIO, products, completions)[0]
 
     def test_one_record_per_product(self):
         (rec,) = self.deliveries({"p1": 1000.0})

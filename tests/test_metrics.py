@@ -29,7 +29,7 @@ from eochain.metrics import (
     write_json_report,
 )
 from eochain.model import (
-    AcquisitionMode, DataProduct, FireEvent, GeoPoint, ProcessingLocation, ProductKind, Triggering,
+    AcquisitionMode, DataProduct, DetectionSpec, FireEvent, GeoPoint, ProcessingLocation, ProductKind, Triggering,
 )
 from eochain.presets import get_preset
 from eochain.scenario_io import load_scenario
@@ -47,7 +47,7 @@ def trace():
 
 @pytest.fixture(scope="module")
 def report(trace):
-    return build_service_report(trace, mmu_ha=3.0)
+    return build_service_report(trace)
 
 
 class TestPercentile:
@@ -107,7 +107,7 @@ class TestLatencyMetrics:
         products = {pid: DataProduct(pid, ProductKind.THEMATIC_MASK, "scn", frozenset({"inj-1"}), 100, 0.0)
                     for pid in ("p-c", "p-b", "p-a")}
         completions = {"p-c": 5000.0, "p-b": 4000.0, "p-a": 4000.0}
-        _, marketplace, delivered, first = _ground(make_scenario(seed=5), products, completions)
+        marketplace, delivered, first = _ground(make_scenario(seed=5), products, completions)
         tied = trace._replace(marketplace=marketplace, delivered_by_product=delivered,
                               first_delivery_by_event=first)
         assert first_info_product(tied, "inj-1") == "p-a"
@@ -145,7 +145,7 @@ class TestLookupOracle:
         assert trace.first_delivery_by_event == first
         assert trace.delivered_by_product == delivered
 
-        report = build_service_report(trace, arch.mmu_ha)
+        report = build_service_report(trace)
         event_ids, product_ids = report.events.columns["id"], report.products.columns["id"]
         assert report.events.columns["first_product_id"] == [first_info_product(trace, i) for i in event_ids]
         assert report.events.columns["ttfi_s"] == _sig_column(time_to_first_info(trace, i) for i in event_ids)
@@ -314,7 +314,7 @@ def reference_csv(report, path):
 
 
 def _run_report(scenario):
-    return build_service_report(run(scenario), scenario.archetype.mmu_ha)
+    return build_service_report(run(scenario))
 
 
 CSV_REPORTS = {
@@ -566,6 +566,20 @@ class TestCompleteness:
                           detection=DetectionSpec(accuracy_p=1.0))
         ev = FireEvent("sure", GeoPoint(42.0, 13.0), 3600.0, 50.0)
         trace = run(s, injected_events=[ev])
-        report = build_service_report(trace, mmu_ha=3.0)
+        report = build_service_report(trace)
         assert trace.marketplace, "event must be acquired and delivered for this check"
         assert report.summary["completeness"] == 1.0
+
+    @pytest.mark.parametrize("mmu", [1.0, 3.0, 10.0])
+    def test_report_uses_the_mmu_its_run_detected_with(self, mmu):
+        # Areas straddle each MMU.  Detection drops events below the run's MMU; a sure detector finds the rest.
+        areas = [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0]
+        injected = [FireEvent(f"ev-{i}", GeoPoint(42.0, 13.0), 3600.0 + 600.0 * i, a) for i, a in enumerate(areas)]
+        s = make_scenario(seed=3, archetype=make_archetype(mmu=mmu), detection=DetectionSpec(accuracy_p=1.0))
+        trace = run(s, injected_events=injected)
+        report = build_service_report(trace)
+        mmu_ha = trace.scenario.archetype.mmu_ha
+        assert report.events.columns["detectable"] == [e.area_ha >= mmu_ha for e in trace.fire_events]
+        detected = set().union(*trace.detections.values())
+        assert detected
+        assert report.summary["detected_detectable_count"] == len(detected)
