@@ -18,8 +18,6 @@ from enum import Enum
 from pathlib import Path
 from typing import Any
 
-import yaml
-
 from .model import Scenario, ValidationError
 
 SCHEMA_VERSION = 1
@@ -28,24 +26,32 @@ SCHEMA_VERSION = 1
 _field_types = functools.cache(typing.get_type_hints)
 
 
-class _UniqueKeyLoader(yaml.CSafeLoader):
-    """libyaml's safe loader, except that a mapping key given twice is an error, not an overwrite."""
+@functools.cache
+def _yaml() -> tuple[Any, type]:
+    """PyYAML and the scenario reader's loader, imported and built at the first file read or write.
 
-    def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict[Any, Any]:
-        seen: set[Hashable] = set()
-        for key_node, _ in node.value:
-            # A merge key ``<<`` may repeat; an unhashable key is left for the
-            # base loader to report.
-            if key_node.tag == "tag:yaml.org,2002:merge":
-                continue
-            key = self.construct_object(key_node, deep=deep)
-            if isinstance(key, Hashable):
-                if key in seen:
-                    mark = key_node.start_mark  # its name is the path of the file read
-                    where = f"{mark.name}:{mark.line + 1}:{mark.column + 1}"
-                    raise ValidationError(f"{where}: duplicate key {key!r}")
-                seen.add(key)
-        return super().construct_mapping(node, deep=deep)
+    The loader is libyaml's safe loader, except that a mapping key given twice is an error, not an overwrite.
+    """
+    import yaml
+
+    class UniqueKeyLoader(yaml.CSafeLoader):
+        def construct_mapping(self, node: yaml.MappingNode, deep: bool = False) -> dict[Any, Any]:
+            seen: set[Hashable] = set()
+            for key_node, _ in node.value:
+                # A merge key ``<<`` may repeat; an unhashable key is left for the
+                # base loader to report.
+                if key_node.tag == "tag:yaml.org,2002:merge":
+                    continue
+                key = self.construct_object(key_node, deep=deep)
+                if isinstance(key, Hashable):
+                    if key in seen:
+                        mark = key_node.start_mark  # its name is the path of the file read
+                        where = f"{mark.name}:{mark.line + 1}:{mark.column + 1}"
+                        raise ValidationError(f"{where}: duplicate key {key!r}")
+                    seen.add(key)
+            return super().construct_mapping(node, deep=deep)
+
+    return yaml, UniqueKeyLoader
 
 
 def _plain(value: Any) -> Any:
@@ -116,10 +122,11 @@ def scenario_to_dict(s: Scenario) -> dict[str, Any]:
 
 
 def load_scenario(path: str | Path) -> Scenario:
+    yaml, loader = _yaml()
     # Read as bytes, so the YAML reader also reports a file that is not text.
     with open(path, "rb") as f:
         try:
-            doc = yaml.load(f, Loader=_UniqueKeyLoader)
+            doc = yaml.load(f, Loader=loader)
         except yaml.YAMLError as exc:
             mark = getattr(exc, "problem_mark", None)
             where = f"{path}:{mark.line + 1}:{mark.column + 1}" if mark else str(path)
@@ -131,5 +138,6 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def save_scenario(scenario: Scenario, path: str | Path) -> None:
+    yaml, _ = _yaml()
     with open(path, "w") as f:
         yaml.safe_dump(scenario_to_dict(scenario), f, sort_keys=False)

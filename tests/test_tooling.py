@@ -1,8 +1,9 @@
 """The suite's own configuration reports failures instead of crashing on them,
 the benchmark's tracer still finds every function it wraps, importing the CLI
-leaves out the modules only some commands need, the window search stays
-within the memory the benchmark allows, the committed bench files are whole,
-and the README's scenario schema matches the code."""
+leaves out the modules only some commands need, PyYAML loads at the first
+scenario-file read, the window search stays within the memory the benchmark
+allows, the committed bench files are whole, and the README's scenario schema
+matches the code."""
 
 import importlib.util
 import json
@@ -76,14 +77,52 @@ def test_tracer_finds_every_wrapped_function(tmp_path, monkeypatch):
     assert summary["metrics.compare_architectures.calls"] == 1
 
 
-# numpy.random (about 9 ms) loads at a run's first rng stream, the process
-# pool only for ``sweep --jobs N``, and the csv module only to read an event trace.
-@pytest.mark.parametrize("module", ["numpy.random", "concurrent.futures", "csv"])
-def test_cli_import_leaves_out(module):
-    code = f"import sys, eochain.cli; sys.exit({module!r} in sys.modules)"
+def _run_fresh(code: str, *args: str) -> subprocess.CompletedProcess:
+    """Run ``code`` in a fresh interpreter that imports eochain from this tree."""
     src = str(Path(eochain.cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, capture_output=True, text=True)
+
+
+# PyYAML loads at a scenario file's first read or write, numpy.random (about
+# 9 ms) at a run's first rng stream, the process pool only for ``sweep --jobs
+# N``, and the csv module only to read an event trace.
+@pytest.mark.parametrize("module", ["yaml", "numpy.random", "concurrent.futures", "csv"])
+def test_cli_import_leaves_out(module):
+    result = _run_fresh(f"import sys, eochain.cli; sys.exit({module!r} in sys.modules)")
+    assert result.returncode == 0, result.stderr
+
+
+# Run where no test module has imported PyYAML first: the loader built at the
+# first read still reads a committed file, and still names where a key repeats.
+FIRST_READ = '''
+import sys
+import eochain.cli
+from eochain.model import ValidationError
+from eochain.presets import iride_heo
+from eochain.scenario_io import load_scenario
+
+committed, repeated = sys.argv[1:]
+assert "yaml" not in sys.modules
+assert load_scenario(committed) == iride_heo()
+try:
+    load_scenario(repeated)
+except ValidationError as exc:
+    assert str(exc) == f"{repeated}:4:1: duplicate key 'seed'", exc
+else:
+    raise AssertionError("a repeated key was read without an error")
+assert "yaml" in sys.modules
+'''
+
+
+def test_first_scenario_read_loads_yaml(tmp_path):
+    committed = ROOT / "scenarios" / "iride_heo.yaml"
+    text = committed.read_text()
+    assert text.splitlines()[2] == "seed: 0"
+    repeated = tmp_path / "repeated.yaml"
+    repeated.write_text(text.replace("seed: 0\n", "seed: 0\nseed: 0\n", 1))
+    result = _run_fresh(FIRST_READ, str(committed), str(repeated))
+    assert result.returncode == 0, result.stderr
 
 
 # The traced peak of the search before its three-level block proof, 1,095.8
