@@ -287,9 +287,6 @@ class SimulationTrace(NamedTuple):
     def generated_bits(self) -> int:
         return sum(p.volume_bits for p in self.products.values())
 
-    def transferred_bits(self) -> int:
-        return sum(r.bits_moved for r in self.transfer_records)
-
     def residual_bits(self) -> dict[str, int]:
         """Bits not yet downlinked, per product with any: its volume less the bits its records moved."""
         residual = {pid: p.volume_bits for pid, p in self.products.items()}

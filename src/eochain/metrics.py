@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .engine import SimulationTrace, run, with_processing
 from .events import is_detectable
-from .model import FireEvent, ProductKind, ProcessingLocation, Scenario
+from .model import DataProduct, FireEvent, ProductKind, ProcessingLocation, Scenario
 
 
 # Report label of each processing location.
@@ -68,30 +68,33 @@ def percentile(values: Sequence[float], q: float) -> Optional[float]:
     return vs[f] + (vs[c] - vs[f]) * (k - f)
 
 
-def _first_delivery(trace: SimulationTrace, event_id: str) -> Optional[tuple[float, str]]:
-    if event_id not in trace.events_by_id:
-        raise KeyError(f"unknown event id: {event_id}")
-    return trace.first_delivery_by_event.get(event_id)
+def first_information(trace: SimulationTrace, events: Sequence[FireEvent]) -> tuple[list, list]:
+    """Per event, its time to first information (fire start to the first delivered product containing
+    it) and that product's id, ties by id: two lists, with None for an event never delivered."""
+    first = list(map(trace.first_delivery_by_event.get, (e.id for e in events)))
+    return ([None if f is None else f[0] - e.start for e, f in zip(events, first)],
+            [None if f is None else f[1] for f in first])
+
+
+def end_to_end_latencies(trace: SimulationTrace, products: Iterable[DataProduct]) -> list[Optional[float]]:
+    """Per product, scene acquisition to delivery, with None for one never delivered."""
+    delivered, scenes = trace.delivered_by_product, trace.scenes
+    return [None if (d := delivered.get(p.id)) is None else d - scenes[p.scene_id].acquired for p in products]
 
 
 def time_to_first_info(trace: SimulationTrace, event_id: str) -> Optional[float]:
-    """Fire start to first delivered product containing the event; None if never, KeyError if unknown."""
-    first = _first_delivery(trace, event_id)
-    return None if first is None else first[0] - trace.events_by_id[event_id].start
+    """An event's ``first_information`` time: None if never delivered, a KeyError naming an unknown id."""
+    return first_information(trace, [trace.events_by_id[event_id]])[0][0]
 
 
 def first_info_product(trace: SimulationTrace, event_id: str) -> Optional[str]:
-    """Id of the first delivered product containing the event, ties by id; None if never, KeyError if unknown."""
-    first = _first_delivery(trace, event_id)
-    return None if first is None else first[1]
+    """An event's ``first_information`` product: None if never delivered, a KeyError naming an unknown id."""
+    return first_information(trace, [trace.events_by_id[event_id]])[1][0]
 
 
 def end_to_end_latency(trace: SimulationTrace, product_id: str) -> Optional[float]:
-    """Scene acquisition to delivery; None for undelivered products, KeyError if unknown."""
-    if product_id not in trace.products:
-        raise KeyError(f"unknown product id: {product_id}")
-    delivered = trace.delivered_by_product.get(product_id)
-    return None if delivered is None else delivered - trace.scenes[trace.products[product_id].scene_id].acquired
+    """A product's ``end_to_end_latencies`` value: None if never delivered, a KeyError naming an unknown id."""
+    return end_to_end_latencies(trace, [trace.products[product_id]])[0]
 
 
 class ServiceReport(NamedTuple):
@@ -140,8 +143,7 @@ def build_service_report(trace: SimulationTrace) -> ServiceReport:
     event_ids = [e.id for e in fire_events]
     detectable_ids = {e.id for e in fire_events if is_detectable(e.area_ha, scenario.archetype.mmu_ha)}
     detected_ids = set().union(*trace.detections.values())
-    first = list(map(trace.first_delivery_by_event.get, event_ids))
-    ttfi = [None if f is None else f[0] - e.start for e, f in zip(fire_events, first)]
+    ttfi, first_product_ids = first_information(trace, fire_events)
     ttfi_values = [t for t in ttfi if t is not None]
     events = Table({
         "id": event_ids,
@@ -149,7 +151,7 @@ def build_service_report(trace: SimulationTrace) -> ServiceReport:
         "area_ha": _sig_column(e.area_ha for e in fire_events),
         "detectable": [i in detectable_ids for i in event_ids],
         "ttfi_s": _sig_column(ttfi),
-        "first_product_id": [None if f is None else f[1] for f in first],
+        "first_product_id": first_product_ids,
     }, frozenset({"start_s", "area_ha", "ttfi_s"}))
 
     product_ids = sorted(trace.products)
@@ -158,7 +160,7 @@ def build_service_report(trace: SimulationTrace) -> ServiceReport:
     kinds = [p.kind.value for p in products]
     downlinked = list(map(trace.downlink_completions.get, product_ids))
     delivered = list(map(trace.delivered_by_product.get, product_ids))
-    e2e = [None if d is None else d - s.acquired for d, s in zip(delivered, scenes)]
+    e2e = end_to_end_latencies(trace, products)
     e2e_values = [t for t in e2e if t is not None]
     transferred_by_kind = {k.value: 0 for k in ProductKind}
     delivered_by_kind = {k.value: 0 for k in ProductKind}
@@ -271,8 +273,8 @@ def compare_architectures(
                        else build_service_report(run(baseline_scenario, injected_events, memo=memo)))
 
     fire_events = hybrid_trace.fire_events
-    ttfi_h = [time_to_first_info(hybrid_trace, e.id) for e in fire_events]
-    ttfi_r = [time_to_first_info(raw_trace, e.id) for e in fire_events]
+    ttfi_h = first_information(hybrid_trace, fire_events)[0]
+    ttfi_r = first_information(raw_trace, fire_events)[0]
     # A never-delivered arm counts as slower than any delivered time.
     faster = [None if th is None and tr is None else th is not None and (tr is None or th < tr)
               for th, tr in zip(ttfi_h, ttfi_r)]

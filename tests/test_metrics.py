@@ -14,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eochain import events, metrics, tasking
-from eochain.engine import _ground, run
+from eochain.engine import _ground, run, with_processing
 from eochain.metrics import (
     Table,
     _json_pieces,
@@ -120,41 +120,56 @@ class TestLatencyMetrics:
 
 
 class TestLookupOracle:
-    """The trace's delivery lookups and the report cells built from them, against brute force."""
+    """The trace's delivery lookups, the report cells built from them and compare's paired
+    TTFI cells, against brute force over the marketplace, on both arms of each drawn scenario."""
 
     @settings(max_examples=40, deadline=None, phases=NO_SHRINK)
     @given(
         seed=st.integers(0, 2**64 - 1),
         hours=st.integers(6, 18),
         rate=st.floats(1.0, 12.0),
-        location=st.sampled_from(list(ProcessingLocation)),
         acquisition=st.sampled_from(list(AcquisitionMode)),
         triggering=st.sampled_from(list(Triggering)),
     )
-    def test_lookups_equal_brute_force_minimum(self, seed, hours, rate, location, acquisition, triggering):
+    def test_lookups_equal_brute_force_minimum(self, seed, hours, rate, acquisition, triggering):
         periodic = triggering is Triggering.PERIODIC
-        arch = make_archetype(processing=location, acquisition=acquisition, triggering=triggering,
-                              cycle=3 * 3600.0 if periodic else None)
+        arch = make_archetype(acquisition=acquisition, triggering=triggering, cycle=3 * 3600.0 if periodic else None)
         aois = (make_aoi("aoi-a", 42.0, 13.0, radius=300.0), make_aoi("aoi-b", 44.5, 9.0, radius=300.0))
-        trace = run(make_scenario(seed=seed, horizon=hours * 3600.0, aois=aois, archetype=arch, rate=rate))
-        first, delivered = {}, {}
-        for r in trace.marketplace:
-            delivered[r.product_id] = min(delivered.get(r.product_id, math.inf), r.delivered)
-            for event_id in r.event_ids:
-                first[event_id] = min(first.get(event_id, (math.inf, "")), (r.delivered, r.product_id))
-        assert trace.first_delivery_by_event == first
-        assert trace.delivered_by_product == delivered
+        scenario = make_scenario(seed=seed, horizon=hours * 3600.0, aois=aois, archetype=arch, rate=rate)
+        memo: dict = {}
+        traces = {location: run(with_processing(scenario, location), memo=memo) for location in ProcessingLocation}
+        for trace in traces.values():
+            first, delivered = {}, {}
+            for r in trace.marketplace:
+                delivered[r.product_id] = min(delivered.get(r.product_id, math.inf), r.delivered)
+                for event_id in r.event_ids:
+                    first[event_id] = min(first.get(event_id, (math.inf, "")), (r.delivered, r.product_id))
+            assert trace.first_delivery_by_event == first
+            assert trace.delivered_by_product == delivered
 
-        report = build_service_report(trace)
-        event_ids, product_ids = report.events.columns["id"], report.products.columns["id"]
-        assert report.events.columns["first_product_id"] == [first_info_product(trace, i) for i in event_ids]
-        assert report.events.columns["ttfi_s"] == _sig_column(time_to_first_info(trace, i) for i in event_ids)
-        assert report.products.columns["delivered_s"] == _sig_column(map(delivered.get, product_ids))
-        assert report.products.columns["e2e_s"] == _sig_column(end_to_end_latency(trace, i) for i in product_ids)
-        s = report.summary
-        assert s["transferred_bits_total"] == trace.transferred_bits()
-        assert s["delivered_bits_total"] == sum(
-            p.volume_bits for pid, p in trace.products.items() if pid in trace.downlink_completions)
+            report = build_service_report(trace)
+            event_ids, product_ids = report.events.columns["id"], report.products.columns["id"]
+            ttfi = [first[i][0] - trace.events_by_id[i].start if i in first else None for i in event_ids]
+            first_ids = [first[i][1] if i in first else None for i in event_ids]
+            e2e = [delivered[i] - trace.scenes[trace.products[i].scene_id].acquired if i in delivered else None
+                   for i in product_ids]
+            assert [time_to_first_info(trace, i) for i in event_ids] == ttfi
+            assert [first_info_product(trace, i) for i in event_ids] == first_ids
+            assert [end_to_end_latency(trace, i) for i in product_ids] == e2e
+            assert report.events.columns["ttfi_s"] == _sig_column(ttfi)
+            assert report.events.columns["first_product_id"] == first_ids
+            assert report.products.columns["delivered_s"] == _sig_column(map(delivered.get, product_ids))
+            assert report.products.columns["e2e_s"] == _sig_column(e2e)
+            s = report.summary
+            assert s["transferred_bits_total"] == sum(r.bits_moved for r in trace.transfer_records)
+            assert s["delivered_bits_total"] == sum(
+                p.volume_bits for pid, p in trace.products.items() if pid in trace.downlink_completions)
+
+        comparison = compare_architectures(scenario)
+        event_ids = comparison.events.columns["id"]
+        for field, location in (("ttfi_hybrid_s", ProcessingLocation.HYBRID), ("ttfi_raw_s", ProcessingLocation.GROUND)):
+            assert comparison.events.columns[field] == _sig_column(
+                time_to_first_info(traces[location], i) for i in event_ids)
 
 
 class TestServiceReport:
@@ -554,7 +569,7 @@ class TestZeroEvents:
                 ),
             )
         )
-        assert periodic.transferred_bits() > 0
+        assert sum(r.bits_moved for r in periodic.transfer_records) > 0
 
 
 class TestCompleteness:
