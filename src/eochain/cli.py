@@ -123,6 +123,11 @@ def _write_transfer_log(trace: engine.SimulationTrace, path: Path) -> None:
             ]))
 
 
+def _shown(value, unit: str = "") -> str:
+    """A summary value as a printed line shows it: with its unit, or ``none`` if missing."""
+    return "none" if value is None else f"{value}{unit}"
+
+
 def _emit(report, out: Path, stem: str, fmt: str) -> list[Path]:
     written = []
     if fmt in ("json", "both"):
@@ -149,7 +154,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     print(
         f"{scenario.name} seed={scenario.seed}: {s['event_count']} events, "
         f"{s['delivered_product_count']} deliveries, "
-        f"ttfi p50={s['ttfi_p50_s']}s never={s['ttfi_never_count']}"
+        f"ttfi p50={_shown(s['ttfi_p50_s'], 's')} never={s['ttfi_never_count']}"
     )
     return EXIT_OK
 
@@ -168,9 +173,9 @@ def _cmd_compare(args: argparse.Namespace) -> int:
         print(p)
     s = report.summary
     print(
-        f"{scenario.name} seed={scenario.seed}: hybrid p50={s['ttfi_median_hybrid_s']}s "
-        f"raw p50={s['ttfi_median_raw_s']}s "
-        f"volume ratio={s['transfer_ratio']}"
+        f"{scenario.name} seed={scenario.seed}: hybrid p50={_shown(s['ttfi_median_hybrid_s'], 's')} "
+        f"raw p50={_shown(s['ttfi_median_raw_s'], 's')} "
+        f"volume ratio={_shown(s['transfer_ratio'])}"
     )
     return EXIT_OK
 
@@ -183,7 +188,7 @@ def _sweep_block(payload: tuple) -> list[str]:
         trace = engine.run(scenario, injected_events=injected, memo=memo)
         report = metrics.build_service_report(trace)
         _emit(report, out, f"run_report_seed{scenario.seed}", fmt)
-        lines.append(f"seed {scenario.seed}: ttfi p50={report.summary['ttfi_p50_s']}")
+        lines.append(f"seed {scenario.seed}: ttfi p50={_shown(report.summary['ttfi_p50_s'])}")
     return lines
 
 

@@ -23,10 +23,6 @@ _TIME_EPS = 1e-9
 DOWNLINK_PRIORITY = {ProductKind.THEMATIC_MASK: 0, ProductKind.ROI_CHIP: 1, ProductKind.RAW_SCENE: 2}
 
 
-def _queue_key(p: DataProduct) -> tuple[int, float, str]:
-    return (DOWNLINK_PRIORITY[p.kind], p.created, p.id)
-
-
 class TransferRecord(NamedTuple):
     product_id: str
     station_id: str
@@ -81,30 +77,27 @@ def link_schedule(contact_table: Mapping[tuple[str, str], Sequence[Window]]) -> 
 def _drain_interval(
     interval: LinkInterval,
     rate_bps: float,
-    arrivals: list[tuple[float, int, str]],
+    arrivals: list[tuple[float, int, tuple[int, float, str]]],
     ready: list[tuple[int, float, str]],
-    products: Mapping[str, DataProduct],
-    moved: dict[str, int],
+    left: dict[str, int],
     records: list[TransferRecord],
     completions: dict[str, float],
 ) -> None:
     t = interval.start
     while t < interval.end - _TIME_EPS:
         while arrivals and arrivals[0][0] <= t + _TIME_EPS:
-            _, _, pid = heapq.heappop(arrivals)
-            heapq.heappush(ready, _queue_key(products[pid]))
+            heapq.heappush(ready, heapq.heappop(arrivals)[2])
         if not ready:
             if not arrivals or arrivals[0][0] >= interval.end - _TIME_EPS:
                 return
             t = arrivals[0][0]
             continue
-        _, _, pid = ready[0]
-        remaining = products[pid].volume_bits - moved[pid]
+        pid = ready[0][2]
+        remaining = left[pid]
         span = interval.end - t
         bits_possible = math.floor(rate_bps * span + _TIME_EPS)
         if bits_possible >= remaining:
             end = min(t + remaining / rate_bps, interval.end)
-            moved[pid] += remaining
             records.append(TransferRecord(pid, interval.station_id, t, end, remaining))
             completions[pid] = end
             heapq.heappop(ready)
@@ -112,7 +105,7 @@ def _drain_interval(
         else:
             # Window exhausted mid-product: bank the partial progress.
             if bits_possible > 0:
-                moved[pid] += bits_possible
+                left[pid] -= bits_possible
                 records.append(
                     TransferRecord(pid, interval.station_id, t, interval.end, bits_possible)
                 )
@@ -138,14 +131,13 @@ def simulate_transfers(
     records: list[TransferRecord] = []
     completions: dict[str, float] = {}
     for sat_id in sorted(queues):
-        ordered = sorted(queues[sat_id], key=_queue_key)
-        products = {p.id: p for p in ordered}
-        if len(products) < len(ordered):
+        queue = queues[sat_id]
+        left = {p.id: p.volume_bits for p in queue}
+        if len(left) < len(queue):
             raise ValidationError(f"duplicate product id in the queue of {sat_id}")
-        moved = dict.fromkeys(products, 0)
-        arrivals: list[tuple[float, int, str]] = [
-            (p.created, i, p.id) for i, p in enumerate(ordered)
-        ]
+        # Each product's queue key, built once and carried through both heaps.
+        keys = sorted([(DOWNLINK_PRIORITY[p.kind], p.created, p.id) for p in queue])
+        arrivals = [(key[1], i, key) for i, key in enumerate(keys)]
         heapq.heapify(arrivals)
         ready: list[tuple[int, float, str]] = []
         for interval in links.get(sat_id, ()):
@@ -153,6 +145,6 @@ def simulate_transfers(
             if not (arrivals or ready):
                 break
             rate_bps = rates_mbit_s[interval.station_id] * 1e6
-            _drain_interval(interval, rate_bps, arrivals, ready, products, moved, records, completions)
+            _drain_interval(interval, rate_bps, arrivals, ready, left, records, completions)
     records.sort(key=lambda r: (r.start, r.end, r.product_id))
     return TransferResult(records=tuple(records), completion_times=completions)

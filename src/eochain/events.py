@@ -67,8 +67,9 @@ def generate_fire_events(
             continue
         starts = np.sort(rng.uniform(0.0, horizon_s, size=n))
         for j, start in enumerate(starts):
-            bearing = rng.uniform(0.0, 2.0 * math.pi)
-            dist = aoi.radius_km * math.sqrt(rng.uniform())
+            # random() is the double uniform() draws, as uniform(0, 2 pi) is 2 pi times it.
+            bearing = 2.0 * math.pi * rng.random()
+            dist = aoi.radius_km * math.sqrt(rng.random())
             area = float(rng.lognormal(model.area_log_mean, model.area_log_sd))
             out.append(
                 FireEvent(

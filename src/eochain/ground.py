@@ -58,6 +58,17 @@ def delivery_time(pdgs: float, archetype: ServiceArchetype) -> float:
 
 # A record as ``json.dumps(..., sort_keys=True)`` writes it, its keys in sorted order.
 _RECORD = '{"delivered_s": %s, "event_ids": [%s], "product_id": %s}\n'
+# Below this many seconds every 3-decimal value is its own double, so the shortest
+# text of a time rounded to 3 decimals is its "%.3f" text without trailing zeros.
+_EXACT_3DP_S = 2.0**43
+
+
+def _time_text(x: float) -> str:
+    """``repr(round(x, 3))`` of a finite time, formatted once below ``_EXACT_3DP_S``."""
+    if -_EXACT_3DP_S < x < _EXACT_3DP_S:
+        t = ("%.3f" % x).rstrip("0")
+        return t + "0" if t[-1] == "." else t
+    return float.__repr__(round(x, 3))
 
 
 def write_marketplace_dump(path: str | Path, records: Iterable[MarketplaceRecord]) -> None:
@@ -66,5 +77,5 @@ def write_marketplace_dump(path: str | Path, records: Iterable[MarketplaceRecord
 
     with open(path, "w") as f:
         for block in _blocks(records):
-            f.write("".join([_RECORD % (float.__repr__(round(r.delivered, 3)), ", ".join(map(_string, sorted(r.event_ids))),
+            f.write("".join([_RECORD % (_time_text(r.delivered), ", ".join(map(_string, sorted(r.event_ids))),
                                         _string(r.product_id)) for r in block]))

@@ -332,9 +332,17 @@ def _blocks(rows: Iterable) -> Iterator[list]:
     return iter(lambda: list(islice(rows, _BLOCK_ROWS)), [])
 
 
+def _sig_json(texts: Iterable[Optional[str]]) -> list[str]:
+    """JSON text of each float held as its ``_sig_text``: fixed-notation text is the float's own
+    shortest text, given ``.0`` if it has no ``.``; exponent and non-finite text go through the encoder."""
+    return ["null" if t is None else _CELLS_ENCODER.encode(float(t)) if "e" in t or "n" in t
+            else t if "." in t else t + ".0" for t in texts]
+
+
 def _table_json(table: Table, depth: int) -> Iterator[str]:
-    """``json.dumps(table.rows(), indent=2)`` ``depth`` containers deep, a piece per block: one call of
-    the C encoder per column gives its cells, and one ``%``-template holding the escaped keys each row."""
+    """``json.dumps(table.rows(), indent=2)`` ``depth`` containers deep, a piece per block: ``_sig_json``
+    or one call of the C encoder per column gives its cells, and one ``%``-template holding the escaped
+    keys each row."""
     n = len(next(iter(table.columns.values())))
     if not n:
         yield "[]"
@@ -344,8 +352,8 @@ def _table_json(table: Table, depth: int) -> Iterator[str]:
     row = "{" + ",".join(f"{indent}  {key(k)}: ".replace("%", "%%") + "%s" for k in table.columns) + indent + "}"
     sep = "[" + indent
     for lo in range(0, n, _BLOCK_ROWS):
-        cells = [_CELLS_ENCODER.encode(_floats(c[lo:lo + _BLOCK_ROWS]) if k in table.sig_fields else
-                                       c[lo:lo + _BLOCK_ROWS])[1:-1].split("\0")
+        cells = [_sig_json(c[lo:lo + _BLOCK_ROWS]) if k in table.sig_fields else
+                 _CELLS_ENCODER.encode(c[lo:lo + _BLOCK_ROWS])[1:-1].split("\0")
                  for k, c in table.columns.items()]
         yield sep + ("," + indent).join(map(row.__mod__, zip(*cells)))
         sep = "," + indent

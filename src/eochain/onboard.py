@@ -117,7 +117,7 @@ def classify_scene(
     ``validate_scenario`` checks that ``accuracy_p`` lies in (0, 1].
     """
     present = sorted(scene.event_ids_present)
-    draws = rng.uniform(size=(len(present), 2))
+    draws = rng.random((len(present), 2))
     return frozenset(
         event_id
         for event_id, u in zip(present, draws[:, 0])
@@ -143,41 +143,16 @@ def build_products(
     fraction exceeds the onboard threshold the scene is deferred to ground
     as a raw product.
     """
-    raw_bits = scene_volume(scene.area_km2, scene.gsd_m, scene.bands, scene.bit_depth)
-    deferred = scene.cloud_fraction > cloud_model.onboard_threshold
-    if location is ProcessingLocation.GROUND or deferred:
-        return [
-            DataProduct(
-                id=f"{scene.id}-raw",
-                kind=ProductKind.RAW_SCENE,
-                scene_id=scene.id,
-                event_ids=detected,
-                volume_bits=raw_bits,
-                created=scene.acquired,
-            )
-        ]
+    scene_id, gsd_m, bands, bit_depth = scene.id, scene.gsd_m, scene.bands, scene.bit_depth
+    if location is ProcessingLocation.GROUND or scene.cloud_fraction > cloud_model.onboard_threshold:
+        raw_bits = scene_volume(scene.area_km2, gsd_m, bands, bit_depth)
+        return [DataProduct(f"{scene_id}-raw", ProductKind.RAW_SCENE, scene_id, detected, raw_bits, scene.acquired)]
 
     done = scene.acquired + pipeline_latency(scene, processor)
-    products = [
-        DataProduct(
-            id=f"{scene.id}-mask",
-            kind=ProductKind.THEMATIC_MASK,
-            scene_id=scene.id,
-            event_ids=detected,
-            volume_bits=mask_volume(scene.area_km2, scene.gsd_m, compression),
-            created=done,
-        )
+    mask_bits = mask_volume(scene.area_km2, gsd_m, compression)
+    margin_sq, chip = chip_margin**2, ProductKind.ROI_CHIP
+    return [DataProduct(f"{scene_id}-mask", ProductKind.THEMATIC_MASK, scene_id, detected, mask_bits, done)] + [
+        DataProduct(f"{scene_id}-chip-{event_id}", chip, scene_id, frozenset((event_id,)),
+                    scene_volume(events_by_id[event_id].area_ha * KM2_PER_HA * margin_sq, gsd_m, bands, bit_depth), done)
+        for event_id in sorted(detected)
     ]
-    for event_id in sorted(detected):
-        chip_area_km2 = events_by_id[event_id].area_ha * KM2_PER_HA * chip_margin**2
-        products.append(
-            DataProduct(
-                id=f"{scene.id}-chip-{event_id}",
-                kind=ProductKind.ROI_CHIP,
-                scene_id=scene.id,
-                event_ids=frozenset({event_id}),
-                volume_bits=scene_volume(chip_area_km2, scene.gsd_m, scene.bands, scene.bit_depth),
-                created=done,
-            )
-        )
-    return products

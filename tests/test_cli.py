@@ -47,6 +47,11 @@ class TestRun:
         doc = json.loads((out / "run_report.json").read_text())
         assert doc["scenario"]["seed"] == 3
 
+    def test_summary_line_shows_a_missing_median_as_none(self, tmp_path, capsys):
+        code = main(["run", "--preset", "iride-heo", "--duration", "5", "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "iride-heo seed=0: 0 events, 0 deliveries, ttfi p50=none never=0"
+
     def test_format_selects_outputs(self, tmp_path):
         out = tmp_path / "out"
         code = main(["run", "--preset", "iride-heo", "--seed", "1",
@@ -130,6 +135,7 @@ def reference_transfer_log(trace, path):
 
 
 STRESS = Path(__file__).resolve().parents[1] / "scenarios" / "iride_heo_stress.yaml"
+EFFIS = STRESS.with_name("effis_like.yaml")
 
 
 class TestTransferLog:
@@ -173,6 +179,13 @@ class TestCompare:
         doc = json.loads((out / "compare_report.json").read_text())
         assert "baseline" in doc
 
+    def test_summary_line_shows_missing_values_as_none(self, tmp_path, capsys):
+        code = main(["compare", "--scenario", str(EFFIS), "--baseline", "iride-heo", "--duration", "5",
+                     "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert (capsys.readouterr().out.splitlines()[-1]
+                == "effis-like seed=0: hybrid p50=none raw p50=none volume ratio=none")
+
     def test_baseline_runs_over_the_scenario_horizon(self, tmp_path):
         # A scenario file with a 1-day horizon and the preset cut to 1 day by
         # --duration are the same scenario, so they get the same baseline.
@@ -206,6 +219,11 @@ class TestSweep:
         assert code == EXIT_OK
         assert (out / "run_report_seed5.json").exists()
         assert (out / "run_report_seed6.json").exists()
+
+    def test_lines_show_a_missing_median_as_none(self, tmp_path, capsys):
+        code = main(["sweep", "--preset", "iride-heo", "--runs", "2", "--duration", "5", "--out", str(tmp_path / "out")])
+        assert code == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == ["seed 0: ttfi p50=none", "seed 1: ttfi p50=none"]
 
     def test_worker_processes_write_same_bytes(self, tmp_path, capsys):
         # Two runs over two workers, more workers than runs, and three runs in uneven blocks.

@@ -1,7 +1,7 @@
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eochain.engine import _ground
@@ -121,6 +121,12 @@ class TestMarketplace:
     @given(ids=st.lists(st.text(max_size=6) | st.sampled_from(ODD), min_size=1, max_size=6),
            times=st.lists(TIMES, min_size=1, max_size=6),
            n=st.sampled_from([0, 1, 255, 256, 257, 600]))
+    # Times at the bound of 2**43 s, past which a time's "%.3f" text may not be its shortest text.
+    @example(ids=["p"], times=[2.0**43 - 0.0005], n=1)
+    @example(ids=["p"], times=[2.0**43], n=1)
+    @example(ids=["p"], times=[2.0**43 + 0.25], n=1)
+    @example(ids=["p"], times=[-(2.0**43) + 0.0015], n=1)
+    @example(ids=["p"], times=[2.0**43 + 15 * 2.0**-9], n=1)  # "%.3f" gives ...208.029, repr ...208.03
     def test_dump_equals_json_dumps_for_any_finite_time(self, tmp_path_factory, ids, times, n):
         records = [MarketplaceRecord(ids[i % len(ids)], frozenset(ids[: i % (len(ids) + 1)]), times[i % len(times)])
                    for i in range(n)]

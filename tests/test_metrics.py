@@ -390,6 +390,11 @@ class TestRoundSig:
     @settings(max_examples=500, deadline=None)
     @given(x=st.floats() | ANY_DOUBLE | EDGE_DOUBLES)
     @example(x=1.000004e-318)  # its text "1e-318" reads as a float whose text is "9.99999e-319"
+    @example(x=123456.0)  # fixed-notation text with no "."
+    @example(x=999999.4)  # rounds to "999999", the widest fixed-notation text
+    @example(x=1e-4)  # the smallest magnitude in fixed notation
+    @example(x=9.99995e-05)  # exponent text ("9.99995e-05") just below the smallest fixed-notation magnitude
+    @example(x=-1e-4)
     def test_table_cells_equal_format_of_rounded_value(self, x):
         # A table holds the text of x once; its CSV cell is "%.6g" of the rounded
         # value, and its JSON cell that value, as when each cell formatted it.
