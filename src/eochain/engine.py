@@ -372,11 +372,12 @@ def _geometry(
             contact_table[sat.id, stn.id] = tuple(windows)
         for aoi, windows in zip(aois, accesses):
             access_table[sat.id, aoi.id] = tuple(windows)
+    systematic = tuple(tasking.periodic_acquisitions(access_table))
     return Geometry(
         (MappingProxyType(contact_table), MappingProxyType(access_table)),
         MappingProxyType(link_schedule(contact_table)),
-        tuple(tasking.periodic_acquisitions(access_table)),
-        tasking.opportunities(satellites, stations, contact_table, access_table),
+        systematic,
+        tasking.opportunities(satellites, stations, contact_table, systematic),
     )
 
 
@@ -386,19 +387,16 @@ def _acquisitions(
     plan: TaskingPlan,
     geometry: Geometry,
 ) -> list[tuple[str, str, Window, bool]]:
-    """Every acquisition as (satellite id, AOI id, window, triggered), in
-    (start, satellite, AOI) order.  Systematic imaging covers every access
-    window; pure on-demand archetypes image only what the planner scheduled."""
+    """Every acquisition as (satellite id, AOI id, window, triggered): the entries of the
+    systematic order, triggered where assigned.  Systematic imaging covers every entry; pure
+    on-demand archetypes image only the assigned ones, each exactly one entry."""
     aoi_of_request = {r.id: r.aoi_id for r in requests}
-    if scenario.archetype.acquisition_mode is AcquisitionMode.ON_DEMAND:
-        acquisitions = [
-            (a.satellite_id, aoi_of_request[a.request_id], a.window, True) for a in plan.assignments
-        ]
-        return sorted(acquisitions, key=lambda r: (r[2].start, r[0], r[1]))
     triggered = {(a.satellite_id, aoi_of_request[a.request_id], a.window.start) for a in plan.assignments}
+    image_all = scenario.archetype.acquisition_mode is AcquisitionMode.SYSTEMATIC
     return [
-        (sat_id, aoi_id, window, (sat_id, aoi_id, window.start) in triggered)
+        (sat_id, aoi_id, window, hit)
         for sat_id, aoi_id, window in geometry.systematic
+        if (hit := (sat_id, aoi_id, window.start) in triggered) or image_all
     ]
 
 

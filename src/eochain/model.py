@@ -93,11 +93,6 @@ def arc_km(a: tuple[float, float, float], b: tuple[float, float, float]) -> floa
     return EARTH_RADIUS_KM * math.acos(min(1.0, max(-1.0, cos_psi)))
 
 
-def great_circle_km(a: GeoPoint, b: GeoPoint) -> float:
-    """Great-circle distance between two points on the spherical Earth."""
-    return arc_km(sphere_terms(a), sphere_terms(b))
-
-
 @dataclass(frozen=True)
 class AreaOfInterest:
     """A monitored disc on the Earth's surface."""

@@ -67,35 +67,34 @@ def build_requests(
 
 class Opportunities(NamedTuple):
     """The planner's index of the window tables, which depends on the
-    geometry alone: the satellite ids in order; the starts and ends of each
-    satellite's S-band contacts, sorted by (start, station id, end); and the
-    access windows of each (satellite id, AOI id) with their starts."""
+    geometry alone: the starts and ends of each satellite's S-band contacts,
+    sorted by (start, station id, end); and each AOI's access windows as
+    (satellite id, window) in (start, satellite id) order, with their starts."""
 
-    satellite_ids: tuple[str, ...]
     contacts: Mapping[str, tuple[list[float], list[float]]]
-    accesses: Mapping[tuple[str, str], tuple[Sequence[Window], list[float]]]
+    accesses: Mapping[str, tuple[list[tuple[str, Window]], list[float]]]
 
 
 def opportunities(
     satellites: Sequence[SatelliteSpec],
     stations: Sequence[GroundStationSpec],
     contact_table: Mapping[tuple[str, str], Sequence[Window]],
-    access_table: Mapping[tuple[str, str], Sequence[Window]],
+    systematic: Sequence[tuple[str, str, Window]],
 ) -> Opportunities:
-    """The ``Opportunities`` of window tables keyed by (satellite id, station
-    id) and (satellite id, AOI id)."""
+    """The ``Opportunities`` of the contact table and the ``periodic_acquisitions`` order."""
     sband = {s.id for s in stations if s.sband_available}
-    sat_ids = tuple(sorted(sat.id for sat in satellites))
-    contacts: dict[str, list[tuple[float, str, float]]] = {sat_id: [] for sat_id in sat_ids}
+    contacts: dict[str, list[tuple[float, str, float]]] = {sat.id: [] for sat in satellites}
     for (sat_id, stn_id), windows in contact_table.items():
         if stn_id in sband:
-            contacts.setdefault(sat_id, []).extend((w.start, stn_id, w.end) for w in windows)
+            contacts[sat_id] += ((w.start, stn_id, w.end) for w in windows)
     for entries in contacts.values():
         entries.sort()
+    accesses: dict[str, list[tuple[str, Window]]] = {}
+    for sat_id, aoi_id, w in systematic:
+        accesses.setdefault(aoi_id, []).append((sat_id, w))
     return Opportunities(
-        sat_ids,
         {sat_id: ([c[0] for c in entries], [c[2] for c in entries]) for sat_id, entries in contacts.items()},
-        {key: (windows, [w.start for w in windows]) for key, windows in access_table.items()},
+        {aoi_id: (windows, [w.start for _, w in windows]) for aoi_id, windows in accesses.items()},
     )
 
 
@@ -103,52 +102,44 @@ def plan(requests: Sequence[ObservationRequest], opportunities: Opportunities) -
     """Greedy assignment of requests to access windows.
 
     Requests are processed in (issued, id) order.  A request is
-    assigned the earliest access window over its AOI, across all satellites,
-    whose start strictly exceeds that satellite's uplink time (the end of
-    the first S-band contact starting at or after the request was issued).
+    assigned the first access window over its AOI, in (start, satellite id)
+    order, whose start strictly exceeds that satellite's uplink time (the end
+    of the first S-band contact starting at or after the request was issued).
     Windows already assigned on a satellite are never reused or overlapped.
-    Ties between satellites break by ascending satellite id.
+    A contact ends after it starts, so every uplink ends after the issue
+    time: the walk starts at the first window starting after it.
     """
-    sat_ids, contacts, accesses = opportunities.satellite_ids, opportunities.contacts, opportunities.accesses
+    contacts, accesses = opportunities.contacts, opportunities.accesses
     # The windows assigned on each satellite are disjoint, so in start order
     # their ends are in order too.
-    busy: dict[str, tuple[list[float], list[float]]] = {sat_id: ([], []) for sat_id in sat_ids}
+    busy: dict[str, tuple[list[float], list[float]]] = {sat_id: ([], []) for sat_id in contacts}
     assignments: list[Assignment] = []
     unmet: list[str] = []
 
     for req in sorted(requests, key=lambda r: (r.issued, r.id)):
-        best: Optional[tuple[Window, str, float]] = None
-        for sat_id in sat_ids:
-            # The uplink ends the first S-band contact starting at or after the issue time.
-            contact_starts, contact_ends = contacts[sat_id]
-            i = bisect_left(contact_starts, req.issued)
-            if i == len(contact_starts):
+        windows, starts = accesses.get(req.aoi_id, ((), ()))
+        uplinks: dict[str, Optional[float]] = {}
+        for j in range(bisect_right(starts, req.issued), len(windows)):
+            sat_id, w = windows[j]
+            if sat_id not in uplinks:
+                contact_starts, contact_ends = contacts[sat_id]
+                i = bisect_left(contact_starts, req.issued)
+                uplinks[sat_id] = contact_ends[i] if i < len(contact_starts) else None
+            uplink = uplinks[sat_id]
+            if uplink is None or w.start <= uplink:
                 continue
-            uplink = contact_ends[i]
-            windows, starts = accesses.get((sat_id, req.aoi_id), ((), ()))
+            # Of the busy windows starting before this one ends, the last ends latest: only it
+            # can overlap.  If it does not, they all start before this one, which goes in at k.
             busy_starts, busy_ends = busy[sat_id]
-            for j in range(bisect_right(starts, uplink), len(windows)):
-                w = windows[j]
-                # Of the busy windows starting before this one ends, the last
-                # ends latest: only it can overlap.
-                k = bisect_left(busy_starts, w.end)
-                if k and busy_ends[k - 1] > w.start:
-                    continue
-                # Satellites come in id order, so a tie keeps the lower id.
-                if best is None or w.start < best[0].start:
-                    best = (w, sat_id, uplink)
-                break
-        if best is None:
-            unmet.append(req.id)
+            k = bisect_left(busy_starts, w.end)
+            if k and busy_ends[k - 1] > w.start:
+                continue
+            busy_starts.insert(k, w.start)
+            busy_ends.insert(k, w.end)
+            assignments.append(Assignment(request_id=req.id, satellite_id=sat_id, window=w, uplink_time=uplink))
+            break
         else:
-            window, sat_id, uplink = best
-            busy_starts, busy_ends = busy[sat_id]
-            k = bisect_left(busy_starts, window.start)
-            busy_starts.insert(k, window.start)
-            busy_ends.insert(k, window.end)
-            assignments.append(
-                Assignment(request_id=req.id, satellite_id=sat_id, window=window, uplink_time=uplink)
-            )
+            unmet.append(req.id)
     return TaskingPlan(assignments=tuple(assignments), unmet_request_ids=tuple(unmet))
 
 

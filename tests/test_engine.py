@@ -303,6 +303,25 @@ class TestChainSemantics:
         assert all(scene.triggered for scene in trace.scenes.values())
         assert len(trace.scenes) == len(trace.plan.assignments)
 
+    def test_acquisitions_are_entries_of_the_systematic_order(self):
+        # Three events in each AOI over the first day, so the planner assigns several windows.
+        centers = [(42.0, 13.0), (44.5, 9.0)] * 3
+        evs = [FireEvent(f"inj-{k}", GeoPoint(*c), 3600.0 * (k + 1), 50.0) for k, c in enumerate(centers)]
+        for mode in AcquisitionMode:
+            s = make_scenario(seed=5, archetype=make_archetype(acquisition=mode))
+            trace = run(s, injected_events=evs)
+            aoi_of = {r.id: r.aoi_id for r in trace.requests}
+            assigned = {(a.satellite_id, aoi_of[a.request_id], a.window.start) for a in trace.plan.assignments}
+            systematic = [(sat_id, aoi_id, w.start) for sat_id, aoi_id, w in
+                          tasking.periodic_acquisitions(geometry_tables(s)[1])]
+            scenes = [((sc.satellite_id, sc.aoi_id, sc.acquired), sc.triggered) for sc in trace.scenes.values()]
+            if mode is AcquisitionMode.ON_DEMAND:
+                assert len(assigned) == len(trace.plan.assignments) >= 3
+                assert len({(sat_id, aoi_id) for sat_id, aoi_id, _ in assigned}) > 1
+                assert scenes == [(key, True) for key in sorted(assigned, key=lambda k: (k[2], k[0], k[1]))]
+            else:
+                assert assigned and scenes == [(key, key in assigned) for key in systematic]
+
     def test_hybrid_event_gets_mask_delivery(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
         trace = run(make_scenario(seed=5), injected_events=[ev])

@@ -17,7 +17,7 @@ from eochain.events import (
     read_event_trace,
     write_event_trace,
 )
-from eochain.model import EventModel, FireEvent, GeoPoint, ValidationError, great_circle_km
+from eochain.model import EventModel, FireEvent, GeoPoint, ValidationError, arc_km, sphere_terms
 from eochain.onboard import acquire_scene
 from eochain.orbit import Window
 
@@ -99,8 +99,11 @@ class TestMembershipMatchesBruteForce:
         scenario = make_scenario(horizon=DAY, aois=aois)
         fire_events, members, home, dropped, _ = _ground_truth(scenario, events)
 
+        def distance(e, aoi):
+            return arc_km(sphere_terms(e.location), sphere_terms(aoi.center))
+
         def inside(e, aoi):
-            return great_circle_km(e.location, aoi.center) <= aoi.radius_km
+            return distance(e, aoi) <= aoi.radius_km
 
         sat = make_satellite()
         for aoi in aois:
@@ -109,7 +112,7 @@ class TestMembershipMatchesBruteForce:
                 expected = {e.id for e in events if e.start <= t and inside(e, aoi)}
                 assert scene.event_ids_present == expected
         for e in events:
-            containing = [(great_circle_km(e.location, a.center), a.id) for a in aois if inside(e, a)]
+            containing = [(distance(e, a), a.id) for a in aois if inside(e, a)]
             assert home[e.id] == (min(containing)[1] if containing else None)
         assert dropped == tuple(e.id for e in fire_events if not any(inside(e, a) for a in aois))
 
@@ -139,7 +142,7 @@ class TestGeneration:
         for seed in range(5):
             for e in generate_fire_events(MODEL, AOIS, 7 * DAY, streams(seed)):
                 aoi = aois_by_prefix[e.id.split("-", 1)[1].rsplit("-", 1)[0]]
-                assert great_circle_km(e.location, aoi.center) <= aoi.radius_km + 1e-6
+                assert arc_km(sphere_terms(e.location), sphere_terms(aoi.center)) <= aoi.radius_km + 1e-6
 
     def test_events_within_horizon_and_positive_area(self):
         for seed in range(5):

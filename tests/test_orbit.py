@@ -14,7 +14,8 @@ from eochain.model import (
     MU_EARTH_M3_S2,
     GeoPoint,
     ValidationError,
-    great_circle_km,
+    arc_km,
+    sphere_terms,
 )
 from eochain.orbit import (
     Window,
@@ -349,7 +350,7 @@ class TestAccessWindows:
                 for t in (w.start, w.end):
                     if t in (0.0, DAY):
                         continue  # clamped at the horizon edge, not a crossing
-                    distance = great_circle_km(track_point(sat, t), aoi.center)
+                    distance = arc_km(sphere_terms(track_point(sat, t)), sphere_terms(aoi.center))
                     assert abs(distance - reach) < 0.5
                     boundaries += 1
         assert boundaries > 0

@@ -1,7 +1,7 @@
 import dataclasses
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eochain.engine import geometry_tables
@@ -52,7 +52,7 @@ def eq_requests(evs, monitoring_delay, archetype, aois=(EQ_AOI,)):
 
 def plan_over(requests, satellites, stations, contact_table, access_table):
     """``plan`` over the opportunities of the window tables."""
-    return plan(requests, opportunities(satellites, stations, contact_table, access_table))
+    return plan(requests, opportunities(satellites, stations, contact_table, periodic_acquisitions(access_table)))
 
 
 def plan_eq(requests, satellites=(EQ_SAT,), stations=(EQ_STATION,)):
@@ -221,9 +221,36 @@ def planner_cases(draw):
     return requests, satellites, stations, contact_table, access_table
 
 
+def one_aoi_case(accesses, contacts, issued):
+    """A planner case over one S-band station and AOI ``aoi-0``, with one
+    request issued at ``issued``: ``accesses`` and ``contacts`` map each
+    satellite id, in the order the satellites are passed, to its windows."""
+    station = make_station(sid="gs-0")
+    satellites = [make_satellite(sid=sat_id) for sat_id in accesses]
+    contact_table = {(sat_id, station.id): windows for sat_id, windows in contacts.items()}
+    access_table = {(sat_id, "aoi-0"): windows for sat_id, windows in accesses.items()}
+    requests = [ObservationRequest("req-00", "aoi-0", frozenset(), issued)]
+    return requests, satellites, [station], contact_table, access_table
+
+
 class TestPlanMatchesReference:
     @settings(max_examples=150, deadline=None)
     @given(case=planner_cases())
+    # Equal access starts, the satellites passed against id order: the lower id wins.
+    @example(case=one_aoi_case(
+        {"sat-b": (Window(20.0, 30.0),), "sat-a": (Window(20.0, 30.0),)},
+        {"sat-b": (Window(0.0, 10.0),), "sat-a": (Window(0.0, 10.0),)}, 0.0,
+    ))
+    # sat-a's earlier window is passed over: it has no S-band contact at or after the request.
+    @example(case=one_aoi_case(
+        {"sat-a": (Window(30.0, 40.0),), "sat-b": (Window(50.0, 60.0),)},
+        {"sat-a": (Window(0.0, 10.0),), "sat-b": (Window(20.0, 30.0),)}, 20.0,
+    ))
+    # Issued after the AOI's last window start: unmet, though an uplink follows.
+    @example(case=one_aoi_case(
+        {"sat-a": (Window(20.0, 30.0), Window(120.0, 130.0))},
+        {"sat-a": (Window(100.0, 110.0), Window(140.0, 150.0))}, 130.0,
+    ))
     def test_same_assignments_and_unmet_ids(self, case):
         assert plan_over(*case) == _reference_plan(*case)
 
