@@ -46,7 +46,8 @@ def _build_parser() -> _Parser:
         p.add_argument("--duration", type=float, help="override horizon, seconds")
         p.add_argument("--out", type=Path, default=Path("out"), help="output directory")
         p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-        p.add_argument("--events", type=Path, help="inject a fixed event trace (CSV)")
+        p.add_argument("--events", type=Path,
+                       help="fixed event trace (CSV): the run's whole ground truth, in place of the scenario's")
 
     p_run = sub.add_parser("run", help="run a single scenario")
     add_common(p_run)
@@ -54,9 +55,9 @@ def _build_parser() -> _Parser:
     p_cmp = sub.add_parser("compare", help="A/B comparison of hybrid vs remote-only")
     add_common(p_cmp)
     p_cmp.add_argument("--baseline", choices=sorted(BUILTIN_PRESETS),
-                       help="also run this preset over the scenario's horizon and seed; it sees the "
-                            "same events only with --events, or when the scenario shares the "
-                            "preset's AOIs and event model")
+                       help="also run this preset over the scenario's horizon and seed, on the scenario's "
+                            "fixed events if it lists any (from --events or its file); without them it sees "
+                            "the same events only when the scenario shares the preset's AOIs and event model")
 
     p_sweep = sub.add_parser("sweep", help="run a range of seeds")
     add_common(p_sweep)
@@ -86,12 +87,10 @@ def _load(args: argparse.Namespace) -> Scenario:
     duration = getattr(args, "duration", None)
     if duration is not None:
         scenario = dataclasses.replace(scenario, horizon_s=float(duration))
+    events_path = getattr(args, "events", None)
+    if events_path:
+        scenario = dataclasses.replace(scenario, events=tuple(events.read_event_trace(events_path)))
     return scenario
-
-
-def _injected(args: argparse.Namespace):
-    path = getattr(args, "events", None)
-    return events.read_event_trace(path) if path else None
 
 
 def _write_plan_dump(trace: engine.SimulationTrace, path: Path) -> None:
@@ -139,7 +138,7 @@ def _emit(report, out: Path, stem: str, fmt: str) -> list[Path]:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    trace = engine.run(scenario, injected_events=_injected(args))
+    trace = engine.run(scenario)
     report = metrics.build_service_report(trace)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
@@ -161,11 +160,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    baseline = (get_preset(args.baseline, seed=scenario.seed, horizon_s=scenario.horizon_s)
+    baseline = (dataclasses.replace(get_preset(args.baseline, seed=scenario.seed, horizon_s=scenario.horizon_s),
+                                    events=scenario.events)
                 if args.baseline else None)
-    report = metrics.compare_architectures(
-        scenario, injected_events=_injected(args), baseline_scenario=baseline
-    )
+    report = metrics.compare_architectures(scenario, baseline)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     written = _emit(report, out, "compare_report", args.format)
@@ -181,11 +179,11 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 
 def _sweep_block(payload: tuple) -> list[str]:
-    scenarios, out, fmt, injected = payload
+    scenarios, out, fmt = payload
     memo: dict = {}
     lines = []
     for scenario in scenarios:
-        trace = engine.run(scenario, injected_events=injected, memo=memo)
+        trace = engine.run(scenario, memo=memo)
         report = metrics.build_service_report(trace)
         _emit(report, out, f"run_report_seed{scenario.seed}", fmt)
         lines.append(f"seed {scenario.seed}: ttfi p50={_shown(report.summary['ttfi_p50_s'])}")
@@ -201,13 +199,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("--jobs must be at least 1")
     if scenario.seed + args.runs - 1 > MAX_SEED:
         raise ValidationError("the last seed of the sweep must fit in an unsigned 64-bit integer")
-    injected = _injected(args)
     out: Path = args.out
     out.mkdir(parents=True, exist_ok=True)
     scenarios = [dataclasses.replace(scenario, seed=scenario.seed + k) for k in range(args.runs)]
     # One contiguous block of seeds per worker, whose runs share one memo: each computes the geometry once.
     jobs = min(args.jobs, args.runs)
-    payloads = [(scenarios[k * args.runs // jobs : (k + 1) * args.runs // jobs], out, args.format, injected)
+    payloads = [(scenarios[k * args.runs // jobs : (k + 1) * args.runs // jobs], out, args.format)
                 for k in range(jobs)]
     if jobs > 1:
         # Imported here: the pool module costs every command over 10 ms of start-up.

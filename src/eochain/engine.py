@@ -1,14 +1,15 @@
 """Deterministic simulation kernel: a pipeline of pure stages and rng streams.
 
-A run is a pure function of (scenario, injected events).  Each stage of the
-service chain (ground truth, geometry, tasking, acquisitions, scenes and
-detections, products, downlink, ground and marketplace) is one function of
-the outputs before it; the trace carries the scenario it ran and assembles
-the timeline of chain milestones, PDGS completions among them, on each
-read.  All randomness derives from counter-based streams keyed by (master
-seed, domain label, entity id), and no stage before products reads the
-processing location, so the two arms of an A/B comparison see common random
-numbers.  Only runs given one memo share a geometry or observation.
+A run is a pure function of its scenario, a fixed event list included.
+Each stage of the service chain (ground truth, geometry, tasking,
+acquisitions, scenes and detections, products, downlink, ground and
+marketplace) is one function of the outputs before it; the trace carries
+the scenario it ran and assembles the timeline of chain milestones, PDGS
+completions among them, on each read.  All randomness derives from
+counter-based streams keyed by (master seed, domain label, entity id), and
+no stage before products reads the processing location, so the two arms of
+an A/B comparison see common random numbers.  Only runs given one memo
+share a geometry or observation.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import math
 from dataclasses import replace
 from enum import Enum
 from types import MappingProxyType
@@ -295,30 +295,13 @@ class SimulationTrace(NamedTuple):
         return {pid: bits for pid, bits in residual.items() if bits > 0}
 
 
-def _validate_injected(fire_events: Sequence[FireEvent], horizon_s: float) -> None:
-    seen: set[str] = set()
-    for e in fire_events:
-        if e.id in seen:
-            raise ValidationError(f"injected event trace has duplicate id {e.id}")
-        seen.add(e.id)
-        if not 0.0 <= e.start <= horizon_s:
-            raise ValidationError(f"injected event {e.id} starts outside the horizon")
-        if not (math.isfinite(e.area_ha) and e.area_ha > 0):
-            raise ValidationError(f"injected event {e.id} has non-finite or non-positive area")
-        if not (-90.0 <= e.location.lat <= 90.0 and math.isfinite(e.location.lon)):
-            raise ValidationError(f"injected event {e.id} has an invalid location")
-
-
-def _ground_truth(
-    scenario: Scenario, injected_events: Optional[Sequence[FireEvent]]
-) -> tuple[tuple[FireEvent, ...], dict[str, tuple[FireEvent, ...]], dict[str, Optional[str]],
-           tuple[str, ...], dict[str, float]]:
-    """Fire events (injected or drawn from per-AOI streams) in (start, id)
-    order, each AOI's member events and each event's home AOI, the ids
-    outside every AOI, and each event's monitoring detection time."""
-    if injected_events is not None:
-        _validate_injected(injected_events, scenario.horizon_s)
-        fire_events = tuple(sorted(injected_events, key=lambda e: (e.start, e.id)))
+def _ground_truth(scenario: Scenario) -> tuple[tuple[FireEvent, ...], dict[str, tuple[FireEvent, ...]],
+                                               dict[str, Optional[str]], tuple[str, ...], dict[str, float]]:
+    """Fire events (the scenario's list, or drawn from per-AOI streams) in
+    (start, id) order, each AOI's member events and each event's home AOI,
+    the ids outside every AOI, and each event's monitoring detection time."""
+    if scenario.events is not None:
+        fire_events = tuple(sorted(scenario.events, key=lambda e: (e.start, e.id)))
     else:
         fire_events = tuple(
             events_mod.generate_fire_events(
@@ -401,7 +384,7 @@ def _acquisitions(
 
 
 def _observation(
-    scenario: Scenario, injected_events: Optional[tuple[FireEvent, ...]], geometry: Geometry
+    scenario: Scenario, geometry: Geometry
 ) -> tuple[tuple[FireEvent, ...], Mapping[str, FireEvent], tuple[str, ...], Mapping[str, float],
            tuple[ObservationRequest, ...], TaskingPlan, Mapping[str, Scene], Mapping[str, frozenset[str]]]:
     """Fire events, each by id, dropped ids, detection times, requests, plan, scenes
@@ -413,7 +396,7 @@ def _observation(
     seeds the cloud and detection streams of every processed scene, after the
     pass over the AOIs in ``_ground_truth``; a processed scene with no event
     present has nothing to detect, so it builds no detection stream."""
-    fire_events, members, home, dropped, detection_times = _ground_truth(scenario, injected_events)
+    fire_events, members, home, dropped, detection_times = _ground_truth(scenario)
     requests = tasking.build_requests(fire_events, home, detection_times, scenario.archetype)
     plan = tasking.plan(requests, geometry.opportunities)
     acquisitions = _acquisitions(scenario, requests, plan, geometry)
@@ -525,12 +508,7 @@ def _memoized(memo: dict, kind: str, build, *key):
     return held[1]
 
 
-def run(
-    scenario: Scenario,
-    injected_events: Optional[Sequence[FireEvent]] = None,
-    *,
-    memo: Optional[dict] = None,
-) -> SimulationTrace:
+def run(scenario: Scenario, *, memo: Optional[dict] = None) -> SimulationTrace:
     """Execute the full service chain and return the complete trace.  Consecutive
     runs given one ``memo`` dict share equal geometries and observations; a memo changes no result."""
     require_valid(scenario)
@@ -539,9 +517,8 @@ def run(
                          scenario.satellites, scenario.stations, scenario.aois, scenario.horizon_s)
     # With the processing location erased, runs that differ only in it share one observation.
     unlocated = with_processing(scenario, None)
-    injected = None if injected_events is None else tuple(injected_events)
     fire_events, events_by_id, dropped, detection_times, requests, plan, scenes, detections = _memoized(
-        memo, "observation", _observation, unlocated, injected, geometry)
+        memo, "observation", _observation, unlocated, geometry)
     products = _products(scenario, events_by_id, scenes, detections)
     transfers = _downlink(scenario, scenes, products, geometry.links)
     marketplace, delivered_by_product, first_delivery_by_event = _ground(

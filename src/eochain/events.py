@@ -138,7 +138,7 @@ def _trace_number(row: dict, column: str) -> float:
 
 
 def read_event_trace(path: str | Path) -> list[FireEvent]:
-    """Read a fixed event trace for injection into a simulation run."""
+    """Read a fixed event trace, in file order: ``events[i]`` of a scenario that lists it is data row i."""
     import csv
 
     out: list[FireEvent] = []
@@ -156,5 +156,4 @@ def read_event_trace(path: str | Path) -> list[FireEvent]:
                     area_ha=_trace_number(row, "area_ha"),
                 )
             )
-    out.sort(key=lambda e: (e.start, e.id))
     return out

@@ -253,24 +253,21 @@ COMPARISON_CSV_FIELDS = [
 ]
 
 
-def compare_architectures(
-    scenario: Scenario,
-    injected_events: Optional[Sequence[FireEvent]] = None,
-    baseline_scenario: Optional[Scenario] = None,
-) -> ComparisonReport:
+def compare_architectures(scenario: Scenario, baseline_scenario: Optional[Scenario] = None) -> ComparisonReport:
     """Run hybrid and remote-only arms on identical streams and pair them.
 
     Optionally also runs a baseline scenario (e.g. a medium-resolution
-    periodic service) on the same injected events for class-level context.
+    periodic service), as it is given, for class-level context: it sees the
+    same events when it lists the same ``events``.
     """
     memo: dict = {}
-    hybrid_trace = run(with_processing(scenario, ProcessingLocation.HYBRID), injected_events, memo=memo)
-    raw_trace = run(with_processing(scenario, ProcessingLocation.GROUND), injected_events, memo=memo)
+    hybrid_trace = run(with_processing(scenario, ProcessingLocation.HYBRID), memo=memo)
+    raw_trace = run(with_processing(scenario, ProcessingLocation.GROUND), memo=memo)
 
     hybrid_report = build_service_report(hybrid_trace)
     raw_report = build_service_report(raw_trace)
     baseline_report = (None if baseline_scenario is None
-                       else build_service_report(run(baseline_scenario, injected_events, memo=memo)))
+                       else build_service_report(run(baseline_scenario, memo=memo)))
 
     fire_events = hybrid_trace.fire_events
     ttfi_h = first_information(hybrid_trace, fire_events)[0]

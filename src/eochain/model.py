@@ -151,11 +151,14 @@ class GroundStationSpec:
     sband_available: bool = True
 
 
-class FireEvent(NamedTuple):
+@dataclass(frozen=True)
+class FireEvent:
+    """One fire: where and when it starts, and the area it burns."""
+
     id: str
     location: GeoPoint
-    start: float
-    area_ha: float
+    start: float = within(0.0, math.inf, "[)")
+    area_ha: float = within(0.0, math.inf, "()")
 
 
 @dataclass(frozen=True)
@@ -208,7 +211,8 @@ class DetectionSpec:
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulated service: constellation, stations, AOIs, service and event models, seed, horizon."""
+    """One simulated service: constellation, stations, AOIs, service and event models, seed, horizon,
+    and its fire events: drawn from ``event_model`` if ``events`` is None, else exactly those listed."""
 
     name: str
     seed: int = within(0, 2**64, "[)")
@@ -222,6 +226,7 @@ class Scenario:
     monitoring_delay_s: float = within(0.0, math.inf, "[)")
     cloud_model: CloudModel
     detection: DetectionSpec = field(default_factory=DetectionSpec)
+    events: Optional[tuple[FireEvent, ...]] = None
 
 
 class DataProduct(NamedTuple):
@@ -308,14 +313,17 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     elif s.horizon_s / DEFAULT_COARSE_STEP_S > MAX_GRID_SAMPLES:
         out["horizon_s"] = (f"horizon must span at most {MAX_GRID_SAMPLES} samples of "
                             f"{DEFAULT_COARSE_STEP_S:g} s (about 485 days)")
-    for name, items in (("satellites", s.satellites), ("stations", s.stations), ("aois", s.aois)):
-        if not items:
+    for name, items in (("satellites", s.satellites), ("stations", s.stations), ("aois", s.aois),
+                        ("events", s.events or ())):
+        if not items and name != "events":
             out[name] = "must not be empty"
         seen: set[str] = set()
         for i, item in enumerate(items):
             if item.id in seen:
                 out[f"{name}[{i}].id"] = "duplicate identifier"
             seen.add(item.id)
+    if not isinstance(s.events, (tuple, type(None))):
+        out["events"] = "must be a tuple"  # the leaf walk reads only tuples
     cycle_given = s.archetype.periodic_cycle_s is not None
     if (s.archetype.triggering is Triggering.PERIODIC) != cycle_given:
         out["archetype.periodic_cycle_s"] = ("periodic cycle is only meaningful for periodic triggering"
@@ -329,4 +337,8 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             and rate * len(s.aois) * s.horizon_s / SECONDS_PER_DAY > MAX_EVENTS):
         out["event_model.rate_per_aoi_per_day"] = (
             f"rate x AOIs x horizon days must expect at most {MAX_EVENTS} events")
+    if "horizon_s" not in out:
+        for i, e in enumerate(s.events or ()):
+            if f"events[{i}].start" not in out and e.start > s.horizon_s:
+                out[f"events[{i}].start"] = "must be at most horizon_s"
     return [Violation(path, message) for path, message in sorted(out.items())]

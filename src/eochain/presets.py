@@ -5,7 +5,7 @@ onboard/ground constellation over national-scale monitoring cells
 (``iride-heo``) and a medium-resolution, ground-only, daily-batch service
 in the mold of continental burnt-area mapping (``effis-like``).  Both share
 the same monitoring cells, stations and event model so that runs on a
-common seed or injected trace are directly comparable.
+common seed or a common fixed event list are directly comparable.
 
 Where the underlying system leaves parameters open (constellation size,
 inclination, swath of the medium-res platform, station network, link rate)

@@ -91,9 +91,7 @@ def _build(tp: Any, value: Any, path: str) -> Any:
         item = typing.get_args(tp)[0]
         return tuple(_build(item, v, f"{path}[{i}]") for i, v in enumerate(value))
     if origin is typing.Union:
-        if value is None:
-            return None
-        tp = next(arg for arg in typing.get_args(tp) if arg is not type(None))
+        return None if value is None else _build(typing.get_args(tp)[0], value, path)
     # bool("false"), int(3.7), float("550"), float(True) and str(5) would
     # succeed; these types take no conversion, other than an int to a float.
     if tp is bool and not isinstance(value, bool):
@@ -118,7 +116,9 @@ def scenario_from_dict(doc: dict[str, Any]) -> Scenario:
 
 
 def scenario_to_dict(s: Scenario) -> dict[str, Any]:
-    return {"schema_version": SCHEMA_VERSION, **_plain(s)}
+    # ``events: None`` (draw the events) is the field's default, so a file leaves it out.
+    return {"schema_version": SCHEMA_VERSION,
+            **{k: v for k, v in _plain(s).items() if k != "events" or v is not None}}
 
 
 def load_scenario(path: str | Path) -> Scenario:

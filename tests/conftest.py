@@ -32,7 +32,7 @@ NO_SHRINK = tuple(phase for phase in Phase if phase is not Phase.shrink)
 # The record types a run builds, each a NamedTuple.
 RECORD_TYPES = (
     orbit.Window, downlink.LinkInterval, downlink.TransferRecord, downlink.TransferResult,
-    ground.MarketplaceRecord, model.DataProduct, model.FireEvent, model.Violation, onboard.Scene,
+    ground.MarketplaceRecord, model.DataProduct, model.Violation, onboard.Scene,
     tasking.ObservationRequest, tasking.Assignment, tasking.TaskingPlan, tasking.Opportunities,
     engine.SimEvent, engine.SimulationTrace, engine.Geometry, metrics.ServiceReport,
     metrics.ComparisonReport, metrics.Table,
@@ -118,8 +118,8 @@ def numeric_fields(record_type=Scenario):
     hints = typing.get_type_hints(record_type)
     for f in dataclasses.fields(record_type):
         tp = hints[f.name]
-        if typing.get_origin(tp) in (tuple, typing.Union):
-            tp = typing.get_args(tp)[0]  # the item of a tuple[X, ...], the X of an Optional[X]
+        while typing.get_origin(tp) in (tuple, typing.Union):
+            tp = typing.get_args(tp)[0]  # the item of a tuple[X, ...], the X of an Optional[X], at any depth
         if dataclasses.is_dataclass(tp):
             found.update(numeric_fields(tp))
         elif tp in (int, float):

@@ -1,5 +1,8 @@
+import concurrent.futures
 import csv
+import dataclasses
 import functools
+import hashlib
 import json
 import math
 import operator
@@ -12,16 +15,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eochain import cli, orbit
+from eochain import cli, engine, orbit
 from eochain.cli import EXIT_IO, EXIT_OK, EXIT_VALIDATION, MAX_SEED, main
 from eochain.downlink import TransferRecord
 from eochain.engine import run
+from eochain.events import read_event_trace
 from eochain.presets import get_preset, iride_heo
 from eochain.scenario_io import load_scenario, save_scenario, scenario_to_dict
 
 import yaml
 
 from conftest import NO_SHRINK
+from test_golden import GOLDEN, TRACE
 
 DAY = "86400"
 
@@ -88,7 +93,9 @@ class TestRun:
         err = capsys.readouterr().err
         assert "Traceback" not in err
         assert len(err.splitlines()) == 1
-        assert err.startswith("error: ") and "ev-1" in err
+        # The reader names a row by its id; a scenario rule names it by its field path.
+        row_name = {"start_s": "ev-1", "area_ha": "events[0].area_ha"}[column]
+        assert err.startswith("error: ") and row_name in err
 
     @pytest.mark.parametrize("duration", ["inf", "nan"])
     def test_non_finite_duration_is_one_line_error(self, tmp_path, capsys, duration):
@@ -186,6 +193,17 @@ class TestCompare:
         assert (capsys.readouterr().out.splitlines()[-1]
                 == "effis-like seed=0: hybrid p50=none raw p50=none volume ratio=none")
 
+    def test_events_held_in_a_scenario_file_equal_the_events_flag(self, tmp_path):
+        # The acceptance trace listed under ``events:`` reaches both arms and the
+        # baseline, so the compare gives the bytes pinned for ``--events``.
+        path = tmp_path / "acceptance.yaml"
+        save_scenario(dataclasses.replace(iride_heo(), events=tuple(read_event_trace(TRACE))), path)
+        out = tmp_path / "out"
+        assert main(["compare", "--scenario", str(path), "--baseline", "effis-like", "--seed", "42",
+                     "--out", str(out)]) == EXIT_OK
+        digests = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert digests == GOLDEN["compare-acceptance"][1]
+
     def test_baseline_runs_over_the_scenario_horizon(self, tmp_path):
         # A scenario file with a 1-day horizon and the preset cut to 1 day by
         # --duration are the same scenario, so they get the same baseline.
@@ -197,6 +215,45 @@ class TestCompare:
                          "--format", "json", "--out", str(tmp_path / name)]) == EXIT_OK
         assert ((tmp_path / "file" / "compare_report.json").read_bytes()
                 == (tmp_path / "preset" / "compare_report.json").read_bytes())
+
+
+class TestBadTraceFailsFirst:
+    """A bad fixed event trace breaks a scenario rule, so every command exits 1 before any window search."""
+
+    @pytest.mark.parametrize("command", [
+        ["run"],
+        ["compare", "--baseline", "effis-like"],
+        ["sweep", "--runs", "2", "--jobs", "2"],
+    ], ids=["run", "compare", "sweep"])
+    @pytest.mark.parametrize("rows, violation", [
+        (["ev-1,42.0,13.0,90000.0,50.0"], "events[0].start: must be at most horizon_s"),
+        (["ev-1,42.0,13.0,-1.0,50.0"], "events[0].start: must be in [0, inf)"),
+        (["ev-1,42.0,13.0,3600.0,nan"], "events[0].area_ha: must be in (0, inf)"),
+        (["ev-1,95.0,13.0,3600.0,50.0"], "events[0].location.lat: must be in [-90, 90]"),
+        (["ev-1,42.0,inf,3600.0,50.0"], "events[0].location.lon: must be finite"),
+        (["ev-1,42.0,13.0,3600.0,50.0"] * 2, "events[1].id: duplicate identifier"),
+    ], ids=["late", "negative-start", "nan-area", "lat-95", "inf-lon", "duplicate"])
+    def test_exits_before_any_window_search(self, tmp_path, capsys, monkeypatch, command, rows, violation):
+        searches = []
+
+        def spy(*args):
+            searches.append(args)
+            return orbit.constellation_windows(*args)
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a worker pool was started for a bad trace")
+
+        monkeypatch.setattr(engine, "constellation_windows", spy)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+        trace = tmp_path / "events.csv"
+        trace.write_text("\n".join(["id,lat,lon,start_s,area_ha", *rows]) + "\n")
+        out = tmp_path / "out"
+        code = main([command[0], "--preset", "iride-heo", "--duration", DAY, "--out", str(out),
+                     "--events", str(trace), *command[1:]])
+        assert code == EXIT_VALIDATION
+        assert searches == []
+        assert capsys.readouterr().err == f"error: invalid scenario: {violation}\n"
+        assert not out.exists()
 
 
 class TestDeterminism:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import re
 import sys
 from collections import Counter
 from pathlib import Path
@@ -159,29 +160,33 @@ class TestRunBasics:
 
     def test_injected_events_replace_generated(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
-        trace = run(make_scenario(seed=11), injected_events=[ev])
+        trace = run(dataclasses.replace(make_scenario(seed=11), events=(ev,)))
         assert trace.fire_events == (ev,)
 
     def test_injected_validation(self):
+        # Each event rule is a scenario rule, named by the field path of the listed event.
         s = make_scenario()
         late = FireEvent("x", GeoPoint(42.0, 13.0), s.horizon_s + 1.0, 5.0)
-        with pytest.raises(ValidationError):
-            run(s, injected_events=[late])
+        with pytest.raises(ValidationError, match=re.escape("events[0].start: must be at most horizon_s")):
+            run(dataclasses.replace(s, events=(late,)))
         dup = FireEvent("d", GeoPoint(42.0, 13.0), 0.0, 5.0)
-        with pytest.raises(ValidationError):
-            run(s, injected_events=[dup, dup])
-        for bad in (
-            FireEvent("nan-area", GeoPoint(42.0, 13.0), 0.0, float("nan")),
-            FireEvent("nan-lat", GeoPoint(float("nan"), 13.0), 0.0, 5.0),
-            FireEvent("lat-95", GeoPoint(95.0, 13.0), 0.0, 5.0),
+        with pytest.raises(ValidationError, match=re.escape("events[1].id: duplicate identifier")):
+            run(dataclasses.replace(s, events=(dup, dup)))
+        for bad, path in (
+            (FireEvent("nan-area", GeoPoint(42.0, 13.0), 0.0, float("nan")), "events[0].area_ha"),
+            (FireEvent("nan-lat", GeoPoint(float("nan"), 13.0), 0.0, 5.0), "events[0].location.lat"),
+            (FireEvent("lat-95", GeoPoint(95.0, 13.0), 0.0, 5.0), "events[0].location.lat"),
         ):
-            with pytest.raises(ValidationError, match=bad.id):
-                run(s, injected_events=[bad])
+            with pytest.raises(ValidationError, match=re.escape(path)):
+                run(dataclasses.replace(s, events=(bad,)))
+        # A list is not walked field by field, so it is refused before its events are read.
+        with pytest.raises(ValidationError, match=re.escape("events: must be a tuple")):
+            run(dataclasses.replace(s, events=[FireEvent("lat-95", GeoPoint(95.0, 13.0), 0.0, 5.0)]))
 
     def test_event_outside_every_aoi_is_dropped(self):
         inside = FireEvent("inside", GeoPoint(42.0, 13.0), 3600.0, 50.0)
         lost = FireEvent("lost", GeoPoint(-30.0, 120.0), 3600.0, 50.0)
-        trace = run(make_scenario(horizon=DAY), injected_events=[inside, lost])
+        trace = run(dataclasses.replace(make_scenario(horizon=DAY), events=(inside, lost)))
         assert trace.dropped_event_ids == ("lost",)
         assert [r.event_ids for r in trace.requests] == [frozenset({"inside"})]
 
@@ -210,7 +215,7 @@ class TestRunBasics:
 class TestChainSemantics:
     def test_event_driven_processes_only_triggered_scenes(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
-        trace = run(make_scenario(seed=5), injected_events=[ev])
+        trace = run(dataclasses.replace(make_scenario(seed=5), events=(ev,)))
         triggered = {scene.id for scene in trace.scenes.values() if scene.triggered}
         assert set(trace.detections) == triggered
         assert {p.scene_id for p in trace.products.values()} <= triggered
@@ -231,7 +236,7 @@ class TestChainSemantics:
         arch = make_archetype(triggering=triggering, cycle=DAY if triggering is Triggering.PERIODIC else None)
         s = make_scenario(seed=5, archetype=arch, cloud_mean=0.4)
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
-        trace = run(s, injected_events=[ev])
+        trace = run(dataclasses.replace(s, events=(ev,)))
         assert trace.detections
         for scene_id, scene in trace.scenes.items():
             if scene_id in trace.detections:
@@ -299,7 +304,7 @@ class TestChainSemantics:
     def test_on_demand_images_only_planned_windows(self):
         arch = make_archetype(acquisition=AcquisitionMode.ON_DEMAND)
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
-        trace = run(make_scenario(seed=5, archetype=arch), injected_events=[ev])
+        trace = run(dataclasses.replace(make_scenario(seed=5, archetype=arch), events=(ev,)))
         assert all(scene.triggered for scene in trace.scenes.values())
         assert len(trace.scenes) == len(trace.plan.assignments)
 
@@ -309,7 +314,7 @@ class TestChainSemantics:
         evs = [FireEvent(f"inj-{k}", GeoPoint(*c), 3600.0 * (k + 1), 50.0) for k, c in enumerate(centers)]
         for mode in AcquisitionMode:
             s = make_scenario(seed=5, archetype=make_archetype(acquisition=mode))
-            trace = run(s, injected_events=evs)
+            trace = run(dataclasses.replace(s, events=tuple(evs)))
             aoi_of = {r.id: r.aoi_id for r in trace.requests}
             assigned = {(a.satellite_id, aoi_of[a.request_id], a.window.start) for a in trace.plan.assignments}
             systematic = [(sat_id, aoi_id, w.start) for sat_id, aoi_id, w in
@@ -324,7 +329,7 @@ class TestChainSemantics:
 
     def test_hybrid_event_gets_mask_delivery(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
-        trace = run(make_scenario(seed=5), injected_events=[ev])
+        trace = run(dataclasses.replace(make_scenario(seed=5), events=(ev,)))
         covering = [r for r in trace.marketplace if "inj-1" in r.event_ids]
         assert covering, "expected at least one delivered product covering the event"
 
@@ -347,7 +352,7 @@ class TestChainSemantics:
 
     def test_causality_chain(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
-        trace = run(make_scenario(seed=5), injected_events=[ev])
+        trace = run(dataclasses.replace(make_scenario(seed=5), events=(ev,)))
         for rec in trace.marketplace:
             p = trace.products[rec.product_id]
             scene = trace.scenes[p.scene_id]
@@ -418,8 +423,8 @@ class TestStreamIsolation:
     def test_modes_differ_in_products_not_acquisitions(self):
         ev = FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)
         s = make_scenario(seed=21)
-        hybrid = run(with_processing(s, ProcessingLocation.HYBRID), injected_events=[ev])
-        raw = run(with_processing(s, ProcessingLocation.GROUND), injected_events=[ev])
+        hybrid = run(dataclasses.replace(with_processing(s, ProcessingLocation.HYBRID), events=(ev,)))
+        raw = run(dataclasses.replace(with_processing(s, ProcessingLocation.GROUND), events=(ev,)))
         kinds_h = {p.kind.value for p in hybrid.products.values()}
         kinds_r = {p.kind.value for p in raw.products.values()}
         assert kinds_r <= {"RawScene"}
@@ -566,12 +571,12 @@ MEMO_AXES = {
     "xband_rate": (400.0, 40.0),
     "processor": (True, False),
     "horizon": (DAY, 0.75 * DAY),
-    "injected": (False, True),
+    "events": (False, True),
 }
 
 
 def memo_variant(values):
-    """The scenario and injected events of one choice of ``MEMO_AXES`` values."""
+    """The scenario of one choice of ``MEMO_AXES`` values."""
     v = {axis: options[i] for (axis, options), i in zip(MEMO_AXES.items(), values)}
     processor = make_processor(enabled=v["processor"])
     satellites = (make_satellite("sat-a", gsd=v["gsd_m"], processor=processor),
@@ -580,8 +585,8 @@ def memo_variant(values):
     s = make_scenario(seed=v["seed"], horizon=v["horizon"], satellites=satellites,
                       stations=(make_station(rate=v["xband_rate"]),), aois=aois,
                       archetype=make_archetype(processing=v["location"]), rate=2.0)
-    injected = [FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0)] if v["injected"] else None
-    return s, injected
+    events = (FireEvent("inj-1", GeoPoint(42.0, 13.0), 3600.0, 50.0),) if v["events"] else None
+    return dataclasses.replace(s, events=events)
 
 
 class TestMemo:
@@ -598,5 +603,5 @@ class TestMemo:
             variants.append([1 - x if i in flip else x for i, x in enumerate(variants[-1])])
         memo = {}
         for values in variants:
-            s, injected = memo_variant(values)
-            assert run(s, injected, memo=memo) == run(s, injected)
+            s = memo_variant(values)
+            assert run(s, memo=memo) == run(s)

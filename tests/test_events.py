@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import io
 import math
 
@@ -96,8 +97,8 @@ class TestMembershipMatchesBruteForce:
     @given(case=membership_cases())
     def test_present_sets_home_aois_and_dropped_ids(self, case):
         aois, events = case
-        scenario = make_scenario(horizon=DAY, aois=aois)
-        fire_events, members, home, dropped, _ = _ground_truth(scenario, events)
+        scenario = dataclasses.replace(make_scenario(horizon=DAY, aois=aois), events=tuple(events))
+        fire_events, members, home, dropped, _ = _ground_truth(scenario)
 
         def distance(e, aoi):
             return arc_km(sphere_terms(e.location), sphere_terms(aoi.center))
@@ -229,7 +230,16 @@ class TestTraceFile:
         for e in events:
             w.writerow([e.id, f"{e.location.lat:.6f}", f"{e.location.lon:.6f}", f"{e.start:.3f}", f"{e.area_ha:.4f}"])
         assert path.read_bytes() == expected.getvalue().encode()
-        assert [e.id for e in read_event_trace(path)] == [e.id for e in sorted(events, key=lambda e: (e.start, e.id))]
+        # File order: ``events[i]`` of a scenario that lists the trace is its i-th data row.
+        assert [e.id for e in read_event_trace(path)] == [e.id for e in events]
+
+    def test_reader_keeps_file_order(self, tmp_path):
+        # Rows out of (start, id) order come back as written; the engine sorts them.
+        events = [FireEvent("b", GeoPoint(42.0, 13.0), 7200.0, 5.0), FireEvent("a", GeoPoint(42.0, 13.0), 3600.0, 5.0),
+                  FireEvent("c", GeoPoint(42.0, 13.0), 3600.0, 5.0)]
+        path = tmp_path / "trace.csv"
+        write_event_trace(path, events)
+        assert [e.id for e in read_event_trace(path)] == ["b", "a", "c"]
 
     def test_missing_columns_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -42,7 +43,7 @@ STRESS = Path(__file__).resolve().parents[1] / "scenarios" / "iride_heo_stress.y
 
 @pytest.fixture(scope="module")
 def trace():
-    return run(make_scenario(seed=5), injected_events=[EVENT])
+    return run(dataclasses.replace(make_scenario(seed=5), events=(EVENT,)))
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +83,7 @@ class TestLatencyMetrics:
 
     def test_never_delivered_is_none(self):
         lonely = FireEvent("lonely", GeoPoint(42.0, 13.0), 3600.0, 1.0)  # below MMU
-        t = run(make_scenario(seed=5), injected_events=[lonely])
+        t = run(dataclasses.replace(make_scenario(seed=5), events=(lonely,)))
         assert time_to_first_info(t, "lonely") is None
 
     def test_end_to_end_latency_vs_scene(self, trace):
@@ -115,7 +116,7 @@ class TestLatencyMetrics:
 
     def test_never_delivered_product_of_an_event_is_none(self):
         lonely = FireEvent("lonely", GeoPoint(42.0, 13.0), 3600.0, 1.0)  # below MMU
-        t = run(make_scenario(seed=5), injected_events=[lonely])
+        t = run(dataclasses.replace(make_scenario(seed=5), events=(lonely,)))
         assert first_info_product(t, "lonely") is None
 
 
@@ -464,7 +465,7 @@ class TestCsvRenderer:
 
 @pytest.fixture(scope="module")
 def comparison():
-    return compare_architectures(make_scenario(seed=9), injected_events=[EVENT])
+    return compare_architectures(dataclasses.replace(make_scenario(seed=9), events=(EVENT,)))
 
 
 class TestComparison:
@@ -487,16 +488,15 @@ class TestComparison:
 
     def test_baseline_included_when_given(self):
         rep = compare_architectures(
-            make_scenario(seed=9),
-            injected_events=[EVENT],
-            baseline_scenario=make_scenario(seed=9),
+            dataclasses.replace(make_scenario(seed=9), events=(EVENT,)),
+            baseline_scenario=dataclasses.replace(make_scenario(seed=9), events=(EVENT,)),
         )
         assert rep.baseline is not None
         assert rep.summary["ttfi_median_baseline_s"] == rep.baseline.summary["ttfi_p50_s"]
 
     def test_deterministic(self):
-        a = compare_architectures(make_scenario(seed=9), injected_events=[EVENT])
-        b = compare_architectures(make_scenario(seed=9), injected_events=[EVENT])
+        a = compare_architectures(dataclasses.replace(make_scenario(seed=9), events=(EVENT,)))
+        b = compare_architectures(dataclasses.replace(make_scenario(seed=9), events=(EVENT,)))
         assert a.to_dict() == b.to_dict()
 
     def test_csv_and_json_emission(self, comparison, tmp_path):
@@ -514,8 +514,8 @@ class TestSharedObservation:
     def test_arms_equal_cold_runs(self, monkeypatch, preset):
         arms = []
 
-        def recording_run(scenario, injected_events=None, *, memo=None):
-            arms.append((scenario, run(scenario, injected_events, memo=memo)))
+        def recording_run(scenario, *, memo=None):
+            arms.append((scenario, run(scenario, memo=memo)))
             return arms[-1][1]
 
         monkeypatch.setattr(metrics, "run", recording_run)
@@ -579,13 +579,12 @@ class TestZeroEvents:
 
 class TestCompleteness:
     def test_perfect_chain_reaches_full_completeness(self):
-        import dataclasses
         from eochain.model import DetectionSpec
 
         s = make_scenario(seed=3, cloud_mean=0.0,
                           detection=DetectionSpec(accuracy_p=1.0))
         ev = FireEvent("sure", GeoPoint(42.0, 13.0), 3600.0, 50.0)
-        trace = run(s, injected_events=[ev])
+        trace = run(dataclasses.replace(s, events=(ev,)))
         report = build_service_report(trace)
         assert trace.marketplace, "event must be acquired and delivered for this check"
         assert report.summary["completeness"] == 1.0
@@ -596,7 +595,7 @@ class TestCompleteness:
         areas = [0.5, 1.0, 2.0, 3.0, 5.0, 10.0, 20.0]
         injected = [FireEvent(f"ev-{i}", GeoPoint(42.0, 13.0), 3600.0 + 600.0 * i, a) for i, a in enumerate(areas)]
         s = make_scenario(seed=3, archetype=make_archetype(mmu=mmu), detection=DetectionSpec(accuracy_p=1.0))
-        trace = run(s, injected_events=injected)
+        trace = run(dataclasses.replace(s, events=tuple(injected)))
         report = build_service_report(trace)
         mmu_ha = trace.scenario.archetype.mmu_ha
         assert report.events.columns["detectable"] == [e.area_ha >= mmu_ha for e in trace.fire_events]

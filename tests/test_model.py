@@ -21,6 +21,7 @@ from eochain.model import (
     EARTH_RADIUS_KM,
     MAX_EVENTS,
     MAX_GRID_SAMPLES,
+    FireEvent,
     GeoPoint,
     Scenario,
     Triggering,
@@ -305,14 +306,16 @@ class TestDeclaredIntervals:
             "ServiceArchetype.mmu_ha", "ServiceArchetype.periodic_cycle_s",
             "EventModel.rate_per_aoi_per_day", "GroundLatencySpec.pdgs_raw_s",
             "GroundLatencySpec.pdgs_mask_s", "Scenario.monitoring_delay_s", "DetectionSpec.mask_compression",
+            "FireEvent.start", "FireEvent.area_ha",
         }
         assert all(fields[name].metadata["ends"][1] == ")" for name in no_upper_end)
 
     def test_each_end_is_where_the_declaration_puts_it(self):
         # Periodic, so the cycle is bounded; a mask latency of 0, so the raw one
-        # may go down to its own lower end.
-        base = make_scenario(archetype=make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0),
-                             pdgs_mask=0.0)
+        # may go down to its own lower end; one fixed event, so its fields are probed.
+        base = dataclasses.replace(
+            make_scenario(archetype=make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0), pdgs_mask=0.0),
+            events=(FireEvent("ev-1", GeoPoint(42.0, 13.0), 3600.0, 50.0),))
         assert validate_scenario(base) == []
         doc = scenario_to_dict(base)
         checked = 0
@@ -431,6 +434,13 @@ class TestFieldChecks:
                        "satellites[0].processor.inference_rate_mpx_s": "must be in [1e-06, inf)"}
 
 
+def hint_types(hint):
+    """``hint`` and every type argument inside it, at any depth: ``Optional[tuple[X, ...]]`` reaches X."""
+    yield hint
+    for arg in typing.get_args(hint):
+        yield from hint_types(arg)
+
+
 def scenario_types():
     """``Scenario`` and every eochain type that its field annotations reach."""
     found, todo = set(), [Scenario]
@@ -438,7 +448,7 @@ def scenario_types():
         tp = todo.pop()
         found.add(tp)
         for hint in typing.get_type_hints(tp).values():
-            for arg in (hint, *typing.get_args(hint)):
+            for arg in hint_types(hint):
                 if (isinstance(arg, type) and arg.__module__.startswith("eochain.")
                         and not issubclass(arg, Enum) and arg not in found):
                     todo.append(arg)
@@ -458,8 +468,10 @@ class TestTypeRule:
     def test_scenario_types_are_dataclasses(self):
         # Validation and the scenario loader read a tuple value as a list of records.
         types = scenario_types()
-        assert len(types) == 11
+        assert len(types) == 12
         assert [tp.__name__ for tp in types if not dataclasses.is_dataclass(tp) or issubclass(tp, tuple)] == []
+        # Frozen: a scenario value is changed with ``dataclasses.replace``, never in place.
+        assert [tp.__name__ for tp in types if not tp.__dataclass_params__.frozen] == []
 
     def test_only_scenario_types_are_dataclasses(self):
         defined = defined_types()

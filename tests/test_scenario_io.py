@@ -1,10 +1,11 @@
+import dataclasses
 import re
 from pathlib import Path
 
 import pytest
 import yaml
 
-from eochain.model import ValidationError, validate_scenario
+from eochain.model import FireEvent, GeoPoint, ValidationError, validate_scenario
 from eochain.presets import effis_like, iride_heo
 from eochain.scenario_io import (
     load_scenario,
@@ -17,9 +18,16 @@ from conftest import make_scenario
 
 SCENARIOS = Path(__file__).resolve().parents[1] / "scenarios"
 
+# A scenario with a fixed event list, listed out of (start, id) order.
+WITH_EVENTS = dataclasses.replace(make_scenario(), events=(
+    FireEvent("ev-2", GeoPoint(44.5, 9.0), 7200.0, 25.0),
+    FireEvent("ev-1", GeoPoint(42.0, 13.0), 3600.5, 50.0),
+))
+
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("scenario", [iride_heo(), effis_like(), make_scenario()])
+    @pytest.mark.parametrize("scenario", [iride_heo(), effis_like(), make_scenario(), WITH_EVENTS,
+                                          dataclasses.replace(make_scenario(), events=())])
     def test_dict_round_trip(self, scenario):
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
@@ -28,6 +36,13 @@ class TestRoundTrip:
         path = tmp_path / "scenario.yaml"
         save_scenario(scenario, path)
         assert load_scenario(path) == scenario
+
+    def test_file_round_trip_keeps_the_event_list(self, tmp_path):
+        path = tmp_path / "scenario.yaml"
+        save_scenario(WITH_EVENTS, path)
+        loaded = load_scenario(path)
+        assert loaded == WITH_EVENTS
+        assert all(type(e) is FireEvent for e in loaded.events)
 
     def test_saved_file_validates(self, tmp_path):
         path = tmp_path / "scenario.yaml"
@@ -76,6 +91,12 @@ class TestErrors:
         doc = scenario_to_dict(iride_heo())
         del doc["satellites"][0]["altitude_km"]
         with pytest.raises(ValidationError):
+            scenario_from_dict(doc)
+
+    def test_missing_event_field_names_its_path(self):
+        doc = scenario_to_dict(WITH_EVENTS)
+        del doc["events"][0]["area_ha"]
+        with pytest.raises(ValidationError, match=re.escape("events[0].area_ha is missing")):
             scenario_from_dict(doc)
 
     def test_non_mapping_document(self, tmp_path):
