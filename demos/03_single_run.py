@@ -5,11 +5,13 @@ through the whole chain: start, monitoring, tasking, acquisition, onboard
 processing, downlink and marketplace delivery.
 """
 
+import dataclasses
+
 from eochain.engine import run
 from eochain.metrics import build_service_report, first_info_product, time_to_first_info
 from eochain.presets import iride_heo
 
-scenario = iride_heo(seed=7, horizon_s=3 * 86400.0)
+scenario = dataclasses.replace(iride_heo(), seed=7, horizon_s=3 * 86400.0)
 trace = run(scenario)
 
 print(f"Scenario '{scenario.name}', seed {scenario.seed}, "

@@ -6,10 +6,13 @@ architecture alone.  A medium-resolution periodic baseline runs alongside
 for class-level context.
 """
 
+import dataclasses
+
 from eochain.metrics import compare_architectures
 from eochain.presets import effis_like, iride_heo
 
-report = compare_architectures(iride_heo(seed=11), baseline_scenario=effis_like(seed=11))
+report = compare_architectures(dataclasses.replace(iride_heo(), seed=11),
+                               baseline_scenario=dataclasses.replace(effis_like(), seed=11))
 
 s = report.summary
 print(f"Paired comparison on '{report.scenario_name}', seed {report.seed}, "

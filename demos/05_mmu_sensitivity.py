@@ -13,10 +13,10 @@ from eochain.events import is_detectable
 from eochain.model import EventModel
 from eochain.presets import iride_heo
 
-base = iride_heo(seed=23, horizon_s=3 * 86400.0)
 # A busier event model makes the size spectrum visible.
 base = dataclasses.replace(
-    base, event_model=EventModel(rate_per_aoi_per_day=0.6, area_log_mean=math.log(5.0), area_log_sd=1.0)
+    iride_heo(), seed=23, horizon_s=3 * 86400.0,
+    event_model=EventModel(rate_per_aoi_per_day=0.6, area_log_mean=math.log(5.0), area_log_sd=1.0),
 )
 
 for mmu in (3.0, 10.0):

@@ -160,7 +160,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     scenario = _load(args)
-    baseline = (dataclasses.replace(get_preset(args.baseline, seed=scenario.seed, horizon_s=scenario.horizon_s),
+    baseline = (dataclasses.replace(get_preset(args.baseline), seed=scenario.seed, horizon_s=scenario.horizon_s,
                                     events=scenario.events)
                 if args.baseline else None)
     report = metrics.compare_architectures(scenario, baseline)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field, fields, is_dataclass
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from typing import Any, NamedTuple, Optional
 
@@ -313,8 +313,18 @@ def validate_scenario(s: Scenario) -> list[Violation]:
     elif s.horizon_s / DEFAULT_COARSE_STEP_S > MAX_GRID_SAMPLES:
         out["horizon_s"] = (f"horizon must span at most {MAX_GRID_SAMPLES} samples of "
                             f"{DEFAULT_COARSE_STEP_S:g} s (about 485 days)")
-    for name, items in (("satellites", s.satellites), ("stations", s.stations), ("aois", s.aois),
-                        ("events", s.events or ())):
+    # Each collection must be a tuple of its item type (events may be None), else it is
+    # flagged once and its items are neither read nor walked.
+    misfits: dict[str, tuple] = {}
+    for name, item_type in (("satellites", SatelliteSpec), ("stations", GroundStationSpec),
+                            ("aois", AreaOfInterest), ("events", FireEvent)):
+        items = getattr(s, name)
+        if items is None and name == "events":
+            continue
+        if not (isinstance(items, tuple) and all(isinstance(item, item_type) for item in items)):
+            out[name] = f"must be a tuple of {item_type.__name__}"
+            misfits[name] = ()
+            continue
         if not items and name != "events":
             out[name] = "must not be empty"
         seen: set[str] = set()
@@ -322,22 +332,20 @@ def validate_scenario(s: Scenario) -> list[Violation]:
             if item.id in seen:
                 out[f"{name}[{i}].id"] = "duplicate identifier"
             seen.add(item.id)
-    if not isinstance(s.events, (tuple, type(None))):
-        out["events"] = "must be a tuple"  # the leaf walk reads only tuples
     cycle_given = s.archetype.periodic_cycle_s is not None
     if (s.archetype.triggering is Triggering.PERIODIC) != cycle_given:
         out["archetype.periodic_cycle_s"] = ("periodic cycle is only meaningful for periodic triggering"
                                              if cycle_given else "periodic triggering requires a periodic cycle")
-    _leaf_violations(s, (), out)
+    _leaf_violations(replace(s, **misfits) if misfits else s, (), out)
     # A rule across fields is judged only when each of its fields passed its own checks.
     lat, rate = s.latencies, s.event_model.rate_per_aoi_per_day
     if not {"latencies.pdgs_raw_s", "latencies.pdgs_mask_s"} & out.keys() and lat.pdgs_mask_s > lat.pdgs_raw_s:
         out["latencies.pdgs_mask_s"] = "mask validation cannot take longer than latencies.pdgs_raw_s"
-    if (not {"horizon_s", "event_model.rate_per_aoi_per_day"} & out.keys()
+    if (not {"horizon_s", "aois", "event_model.rate_per_aoi_per_day"} & out.keys()
             and rate * len(s.aois) * s.horizon_s / SECONDS_PER_DAY > MAX_EVENTS):
         out["event_model.rate_per_aoi_per_day"] = (
             f"rate x AOIs x horizon days must expect at most {MAX_EVENTS} events")
-    if "horizon_s" not in out:
+    if not {"horizon_s", "events"} & out.keys():
         for i, e in enumerate(s.events or ()):
             if f"events[{i}].start" not in out and e.start > s.horizon_s:
                 out[f"events[{i}].start"] = "must be at most horizon_s"

@@ -3,9 +3,13 @@
 Two service archetypes are shipped: a high-resolution hybrid
 onboard/ground constellation over national-scale monitoring cells
 (``iride-heo``) and a medium-resolution, ground-only, daily-batch service
-in the mold of continental burnt-area mapping (``effis-like``).  Both share
-the same monitoring cells, stations and event model so that runs on a
-common seed or a common fixed event list are directly comparable.
+in the mold of continental burnt-area mapping (``effis-like``).  Both are
+built by ``_service``, which holds the segment they share (seed, horizon,
+monitoring cells, stations, event model, ground latencies, monitoring delay,
+cloud model, detection), so they differ only in name, satellites and
+archetype, and runs on a common seed or a common fixed event list are
+directly comparable.  The presets take no parameters: a variant is
+``dataclasses.replace(get_preset(name), seed=..., horizon_s=...)``.
 
 Where the underlying system leaves parameters open (constellation size,
 inclination, swath of the medium-res platform, station network, link rate)
@@ -19,21 +23,17 @@ from .model import (
     AcquisitionMode,
     AreaOfInterest,
     CloudModel,
-    DetectionSpec,
     EventModel,
     GeoPoint,
     GroundLatencySpec,
     GroundStationSpec,
     OnboardProcessorSpec,
-    PrecisionMode,
     ProcessingLocation,
     SatelliteSpec,
     Scenario,
     ServiceArchetype,
     Triggering,
 )
-
-SEVEN_DAYS_S = 7 * 86400.0
 
 # Circular monitoring cells tiling a national territory (Italy-like extent).
 _MONITORING_CELLS = (
@@ -48,30 +48,39 @@ _MONITORING_CELLS = (
 
 # X-band capable network with S-band telecommand at each site.
 _STATIONS = (
-    GroundStationSpec("gs-matera", GeoPoint(40.65, 16.70), 5.0, 400.0, sband_available=True),
-    GroundStationSpec("gs-wallops", GeoPoint(37.94, -75.47), 5.0, 400.0, sband_available=True),
-    GroundStationSpec("gs-malindi", GeoPoint(-2.99, 40.19), 5.0, 400.0, sband_available=True),
+    GroundStationSpec("gs-matera", GeoPoint(40.65, 16.70), 5.0, 400.0),
+    GroundStationSpec("gs-wallops", GeoPoint(37.94, -75.47), 5.0, 400.0),
+    GroundStationSpec("gs-malindi", GeoPoint(-2.99, 40.19), 5.0, 400.0),
 )
 
-_EVENT_MODEL = EventModel(rate_per_aoi_per_day=0.2, area_log_mean=1.6094379124341003, area_log_sd=1.0)
-_LATENCIES = GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0)
-_CLOUDS = CloudModel(mean_fraction=0.1, onboard_threshold=0.5)
-_DETECTION = DetectionSpec(accuracy_p=0.95, chip_margin=2.0, mask_compression=10.0)
 
-
-def _heo_constellation(n: int = 12) -> tuple[SatelliteSpec, ...]:
-    """Mid-inclination high-resolution micro-constellation.
-
-    53 degrees keeps every pass near the monitored mid-latitude band, which
-    is what drives sub-day revisit without agile pointing.
-    """
-    processor = OnboardProcessorSpec(
-        preprocess_rate_mpx_s=100.0,
-        inference_rate_mpx_s=100.0,
-        precision_mode=PrecisionMode.FP16,
-        enabled=True,
+def _service(name: str, satellites: tuple[SatelliteSpec, ...], archetype: ServiceArchetype) -> Scenario:
+    """A service with the given platform and archetype over the segment every preset shares."""
+    return Scenario(
+        name=name,
+        seed=0,
+        horizon_s=7 * 86400.0,
+        satellites=satellites,
+        stations=_STATIONS,
+        aois=_MONITORING_CELLS,
+        archetype=archetype,
+        event_model=EventModel(rate_per_aoi_per_day=0.2, area_log_mean=1.6094379124341003, area_log_sd=1.0),
+        latencies=GroundLatencySpec(pdgs_raw_s=7200.0, pdgs_mask_s=600.0),
+        monitoring_delay_s=1800.0,
+        cloud_model=CloudModel(mean_fraction=0.1, onboard_threshold=0.5),
     )
-    return tuple(
+
+
+def iride_heo() -> Scenario:
+    """High-resolution hybrid service: systematic imaging, event-driven products.
+
+    A mid-inclination micro-constellation: 53 degrees keeps every pass near
+    the monitored mid-latitude band, which is what drives sub-day revisit
+    without agile pointing.
+    """
+    n = 12
+    processor = OnboardProcessorSpec(preprocess_rate_mpx_s=100.0, inference_rate_mpx_s=100.0)
+    satellites = tuple(
         SatelliteSpec(
             id=f"heo-{k:02d}",
             altitude_km=550.0,
@@ -86,32 +95,15 @@ def _heo_constellation(n: int = 12) -> tuple[SatelliteSpec, ...]:
         )
         for k in range(n)
     )
+    return _service("iride-heo", satellites, ServiceArchetype(
+        processing_location=ProcessingLocation.HYBRID,
+        mmu_ha=3.0,
+        acquisition_mode=AcquisitionMode.SYSTEMATIC,
+        triggering=Triggering.EVENT_DRIVEN,
+    ))
 
 
-def iride_heo(seed: int = 0, horizon_s: float = SEVEN_DAYS_S) -> Scenario:
-    """High-resolution hybrid service: systematic imaging, event-driven products."""
-    return Scenario(
-        name="iride-heo",
-        seed=seed,
-        horizon_s=horizon_s,
-        satellites=_heo_constellation(),
-        stations=_STATIONS,
-        aois=_MONITORING_CELLS,
-        archetype=ServiceArchetype(
-            processing_location=ProcessingLocation.HYBRID,
-            mmu_ha=3.0,
-            acquisition_mode=AcquisitionMode.SYSTEMATIC,
-            triggering=Triggering.EVENT_DRIVEN,
-        ),
-        event_model=_EVENT_MODEL,
-        latencies=_LATENCIES,
-        monitoring_delay_s=1800.0,
-        cloud_model=_CLOUDS,
-        detection=_DETECTION,
-    )
-
-
-def effis_like(seed: int = 0, horizon_s: float = SEVEN_DAYS_S) -> Scenario:
+def effis_like() -> Scenario:
     """Medium-resolution ground-only service with daily batch production."""
     platform = SatelliteSpec(
         id="medres-01",
@@ -123,33 +115,15 @@ def effis_like(seed: int = 0, horizon_s: float = SEVEN_DAYS_S) -> Scenario:
         gsd_m=20.0,
         bands=4,
         bit_depth=12,
-        processor=OnboardProcessorSpec(
-            preprocess_rate_mpx_s=100.0,
-            inference_rate_mpx_s=100.0,
-            precision_mode=PrecisionMode.FP16,
-            enabled=False,
-        ),
+        processor=OnboardProcessorSpec(preprocess_rate_mpx_s=100.0, inference_rate_mpx_s=100.0, enabled=False),
     )
-    return Scenario(
-        name="effis-like",
-        seed=seed,
-        horizon_s=horizon_s,
-        satellites=(platform,),
-        stations=_STATIONS,
-        aois=_MONITORING_CELLS,
-        archetype=ServiceArchetype(
-            processing_location=ProcessingLocation.GROUND,
-            mmu_ha=10.0,
-            acquisition_mode=AcquisitionMode.SYSTEMATIC,
-            triggering=Triggering.PERIODIC,
-            periodic_cycle_s=86400.0,
-        ),
-        event_model=_EVENT_MODEL,
-        latencies=_LATENCIES,
-        monitoring_delay_s=1800.0,
-        cloud_model=_CLOUDS,
-        detection=_DETECTION,
-    )
+    return _service("effis-like", (platform,), ServiceArchetype(
+        processing_location=ProcessingLocation.GROUND,
+        mmu_ha=10.0,
+        acquisition_mode=AcquisitionMode.SYSTEMATIC,
+        triggering=Triggering.PERIODIC,
+        periodic_cycle_s=86400.0,
+    ))
 
 
 BUILTIN_PRESETS = {
@@ -158,7 +132,7 @@ BUILTIN_PRESETS = {
 }
 
 
-def get_preset(name: str, seed: int = 0, horizon_s: float = SEVEN_DAYS_S) -> Scenario:
+def get_preset(name: str) -> Scenario:
     if name not in BUILTIN_PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {sorted(BUILTIN_PRESETS)}")
-    return BUILTIN_PRESETS[name](seed=seed, horizon_s=horizon_s)
+    return BUILTIN_PRESETS[name]()

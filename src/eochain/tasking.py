@@ -24,7 +24,7 @@ from .orbit import Window
 class ObservationRequest(NamedTuple):
     id: str
     aoi_id: str
-    event_ids: frozenset[str]
+    event_id: str
     issued: float
 
 
@@ -57,7 +57,7 @@ def build_requests(
     if archetype.triggering is Triggering.PERIODIC:
         return ()
     requests = [
-        ObservationRequest(f"req-{ev.id}", home_aoi[ev.id], frozenset({ev.id}), detection_times[ev.id])
+        ObservationRequest(f"req-{ev.id}", home_aoi[ev.id], ev.id, detection_times[ev.id])
         for ev in fire_events
         if home_aoi[ev.id] is not None
     ]

@@ -214,8 +214,8 @@ def table_comparison():
     injected = read_event_trace(TRACE_PATH)
     assert len(injected) == 20
     return metrics.compare_architectures(
-        dataclasses.replace(iride_heo(seed=42), events=tuple(injected)),
-        baseline_scenario=dataclasses.replace(effis_like(seed=42), events=tuple(injected)),
+        dataclasses.replace(iride_heo(), seed=42, events=tuple(injected)),
+        baseline_scenario=dataclasses.replace(effis_like(), seed=42, events=tuple(injected)),
     )
 
 
@@ -241,7 +241,7 @@ def test_criterion_5_timeliness_class_ordering(table_comparison):
 def test_criterion_6_volume_reduction():
     injected = read_event_trace(TRACE_PATH)
     clear = dataclasses.replace(
-        iride_heo(seed=42), cloud_model=CloudModel(mean_fraction=0.0, onboard_threshold=0.5), events=tuple(injected)
+        iride_heo(), seed=42, cloud_model=CloudModel(mean_fraction=0.0, onboard_threshold=0.5), events=tuple(injected)
     )
     report = metrics.compare_architectures(clear)
     ratio = report.summary["transfer_ratio"]
@@ -309,7 +309,7 @@ def test_criterion_8_statistical_calibration():
 
 def test_criterion_9_stream_isolation(table_comparison):
     # Each arm computes its observation afresh, so the streams, not a shared memo, must agree.
-    scenario = iride_heo(seed=42, horizon_s=2 * DAY)
+    scenario = dataclasses.replace(iride_heo(), seed=42, horizon_s=2 * DAY)
     hybrid = run(scenario)
     raw = run(
         dataclasses.replace(

@@ -208,7 +208,7 @@ class TestCompare:
         # A scenario file with a 1-day horizon and the preset cut to 1 day by
         # --duration are the same scenario, so they get the same baseline.
         path = tmp_path / "day.yaml"
-        save_scenario(get_preset("iride-heo", horizon_s=float(DAY)), path)
+        save_scenario(dataclasses.replace(get_preset("iride-heo"), horizon_s=float(DAY)), path)
         for name, source in (("file", ["--scenario", str(path)]),
                              ("preset", ["--preset", "iride-heo", "--duration", DAY])):
             assert main(["compare", *source, "--baseline", "effis-like",
@@ -427,14 +427,14 @@ class TestPresets:
 class TestScenarioSeed:
     def test_file_seed_applies_without_the_flag(self, tmp_path):
         path = tmp_path / "s.yaml"
-        save_scenario(get_preset("effis-like", seed=7, horizon_s=float(DAY)), path)
+        save_scenario(dataclasses.replace(get_preset("effis-like"), seed=7, horizon_s=float(DAY)), path)
         assert main(["run", "--scenario", str(path), "--out", str(tmp_path / "file")]) == EXIT_OK
         assert main(["run", "--scenario", str(path), "--seed", "7", "--out", str(tmp_path / "flag")]) == EXIT_OK
         events = [(tmp_path / run / "events.csv").read_bytes() for run in ("file", "flag")]
         assert events[0] == events[1]
 
     def test_negative_file_seed_is_one_line_error(self, tmp_path, capsys):
-        doc = scenario_to_dict(get_preset("effis-like", horizon_s=float(DAY)))
+        doc = scenario_to_dict(dataclasses.replace(get_preset("effis-like"), horizon_s=float(DAY)))
         doc["seed"] = -1
         path = tmp_path / "s.yaml"
         path.write_text(yaml.safe_dump(doc))
@@ -496,7 +496,7 @@ class TestNoTraceback:
         ("iride-heo", 86400.0, {"schema_version", "stations", "aois"}),
     ])
     def test_numeric_leaf_mutations(self, tmp_path, capsys, preset, horizon_s, skipped):
-        doc = scenario_to_dict(get_preset(preset, horizon_s=horizon_s))
+        doc = scenario_to_dict(dataclasses.replace(get_preset(preset), horizon_s=horizon_s))
         shared = scenario_to_dict(get_preset("effis-like"))
         assert all(doc[section] == shared[section] for section in skipped)
         scenario_path, out = tmp_path / "s.yaml", tmp_path / "out"

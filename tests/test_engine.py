@@ -188,7 +188,7 @@ class TestRunBasics:
         lost = FireEvent("lost", GeoPoint(-30.0, 120.0), 3600.0, 50.0)
         trace = run(dataclasses.replace(make_scenario(horizon=DAY), events=(inside, lost)))
         assert trace.dropped_event_ids == ("lost",)
-        assert [r.event_ids for r in trace.requests] == [frozenset({"inside"})]
+        assert [r.event_id for r in trace.requests] == ["inside"]
 
 
     def test_each_event_aoi_distance_computed_once(self, monkeypatch):
@@ -523,7 +523,7 @@ class TestGeometryTables:
             return track(elements, t)
 
         monkeypatch.setattr(orbit, "_ground_vector", counted)
-        s = get_preset("effis-like", horizon_s=DAY)
+        s = dataclasses.replace(get_preset("effis-like"), horizon_s=DAY)
         run(s)
         search = len(sizes)
         assert search > 0

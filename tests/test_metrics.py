@@ -547,7 +547,7 @@ class TestSharedObservation:
         counted(tasking, "plan")
         counted(events, "generate_fire_events")
         scenario = get_preset("iride-heo")
-        baseline = get_preset("effis-like", seed=scenario.seed, horizon_s=scenario.horizon_s)
+        baseline = dataclasses.replace(get_preset("effis-like"), seed=scenario.seed, horizon_s=scenario.horizon_s)
         compare_architectures(scenario, baseline_scenario=baseline)
         assert calls == {"plan": 2, "generate_fire_events": 2}
 

@@ -226,6 +226,31 @@ class TestValidateScenario:
         s = dataclasses.replace(s, stations=())
         assert any(v.path == "stations" for v in validate_scenario(s))
 
+    @pytest.mark.parametrize("name, item_type", [
+        ("satellites", "SatelliteSpec"), ("stations", "GroundStationSpec"),
+        ("aois", "AreaOfInterest"), ("events", "FireEvent"),
+    ])
+    def test_collection_must_be_a_tuple_of_its_item_type(self, name, item_type):
+        s = make_scenario()
+        # Each item is invalid in its own fields, so a walk into it would add violations.
+        bad_item = {
+            "satellites": dataclasses.replace(s.satellites[0], altitude_km=math.nan, gsd_m=-3.0),
+            "stations": dataclasses.replace(s.stations[0], xband_rate_mbit_s=-1.0),
+            "aois": dataclasses.replace(s.aois[0], radius_km=0.0),
+            "events": FireEvent("ev", GeoPoint(95.0, 0.0), -1.0, 5.0),
+        }[name]
+        for value in ([bad_item], (None,), (bad_item, None), 5, bad_item):
+            violations = validate_scenario(dataclasses.replace(s, **{name: value}))
+            assert [str(v) for v in violations] == [f"{name}: must be a tuple of {item_type}"], value
+        violations = validate_scenario(dataclasses.replace(s, **{name: (bad_item,)}))
+        assert violations and all(v.path.startswith(f"{name}[0].") for v in violations)
+
+    def test_only_events_may_be_none(self):
+        s = make_scenario()
+        assert validate_scenario(dataclasses.replace(s, events=None)) == []
+        for name in ("satellites", "stations", "aois"):
+            assert [v.path for v in validate_scenario(dataclasses.replace(s, **{name: None}))] == [name]
+
     def test_duplicate_aoi_ids_flagged(self):
         s = make_scenario()
         dup = dataclasses.replace(s.aois[0], id=s.aois[1].id)

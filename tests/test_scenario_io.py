@@ -5,8 +5,8 @@ from pathlib import Path
 import pytest
 import yaml
 
-from eochain.model import FireEvent, GeoPoint, ValidationError, validate_scenario
-from eochain.presets import effis_like, iride_heo
+from eochain.model import FireEvent, GeoPoint, Scenario, ValidationError, validate_scenario
+from eochain.presets import effis_like, get_preset, iride_heo
 from eochain.scenario_io import (
     load_scenario,
     save_scenario,
@@ -32,7 +32,7 @@ class TestRoundTrip:
         assert scenario_from_dict(scenario_to_dict(scenario)) == scenario
 
     def test_file_round_trip(self, tmp_path):
-        scenario = iride_heo(seed=42)
+        scenario = dataclasses.replace(iride_heo(), seed=42)
         path = tmp_path / "scenario.yaml"
         save_scenario(scenario, path)
         assert load_scenario(path) == scenario
@@ -78,6 +78,27 @@ class TestCommittedFiles:
         scenario = load_scenario(SCENARIOS / f"{preset.__name__}.yaml")
         assert scenario == preset()
         assert validate_scenario(scenario) == []
+
+    @pytest.mark.parametrize("name", ["iride-heo", "effis-like"])
+    def test_file_is_the_saved_preset(self, tmp_path, name):
+        path = tmp_path / "s.yaml"
+        save_scenario(get_preset(name), path)
+        assert path.read_bytes() == (SCENARIOS / f"{name.replace('-', '_')}.yaml").read_bytes()
+
+    def test_stress_file_is_the_saved_stress_variant(self, tmp_path):
+        # iride-heo at 50 events/AOI/day over two days, as the benchmark builds it.
+        base = iride_heo()
+        stress = dataclasses.replace(base, horizon_s=172800.0,
+                                     event_model=dataclasses.replace(base.event_model, rate_per_aoi_per_day=50.0))
+        path = tmp_path / "s.yaml"
+        save_scenario(stress, path)
+        assert path.read_bytes() == (SCENARIOS / "iride_heo_stress.yaml").read_bytes()
+
+
+def test_presets_differ_only_in_name_satellites_and_archetype():
+    heo, effis = iride_heo(), effis_like()
+    differing = {f.name for f in dataclasses.fields(Scenario) if getattr(heo, f.name) != getattr(effis, f.name)}
+    assert differing == {"name", "satellites", "archetype"}
 
 
 class TestErrors:

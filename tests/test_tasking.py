@@ -68,7 +68,7 @@ class TestBuildRequests:
         assert req.issued == 1800.0
         assert req.id == "req-ev-1"
         assert req.aoi_id == "eq-aoi"
-        assert req.event_ids == frozenset({"ev-1"})
+        assert req.event_id == "ev-1"
 
     def test_periodic_archetype_builds_nothing(self):
         arch = make_archetype(triggering=Triggering.PERIODIC, cycle=86400.0)
@@ -84,7 +84,7 @@ class TestBuildRequests:
         lost = FireEvent("lost", GeoPoint(45.0, 120.0), 0.0, 20.0)
         requests = eq_requests([lost, eq_event()], 0.0, make_archetype())
         assert len(requests) == 1
-        assert requests[0].event_ids == frozenset({"ev-1"})
+        assert requests[0].event_id == "ev-1"
 
     def test_event_in_two_discs_gets_one_request_for_its_home_aoi(self):
         wide = make_aoi("wide", 0.0, 31.0, radius=300.0)
@@ -215,7 +215,7 @@ def planner_cases(draw):
     # One satellite's windows over two AOIs are drawn independently, so they may overlap.
     access_table = {(sat.id, aoi_id): draw(windows()) for sat in satellites for aoi_id in aoi_ids}
     requests = [
-        ObservationRequest(f"req-{k:02d}", draw(st.sampled_from(aoi_ids)), frozenset(), draw(GRID))
+        ObservationRequest(f"req-{k:02d}", draw(st.sampled_from(aoi_ids)), f"ev-{k:02d}", draw(GRID))
         for k in range(draw(st.integers(0, 15)))
     ]
     return requests, satellites, stations, contact_table, access_table
@@ -229,7 +229,7 @@ def one_aoi_case(accesses, contacts, issued):
     satellites = [make_satellite(sid=sat_id) for sat_id in accesses]
     contact_table = {(sat_id, station.id): windows for sat_id, windows in contacts.items()}
     access_table = {(sat_id, "aoi-0"): windows for sat_id, windows in accesses.items()}
-    requests = [ObservationRequest("req-00", "aoi-0", frozenset(), issued)]
+    requests = [ObservationRequest("req-00", "aoi-0", "ev-00", issued)]
     return requests, satellites, [station], contact_table, access_table
 
 
@@ -263,7 +263,7 @@ class TestPlanMatchesReference:
             (sat.id, "aoi-1"): (Window(10.0, 20.0), Window(30.0, 40.0)),
         }
         requests = [
-            ObservationRequest(f"req-{k}", aoi_id, frozenset(), 0.0)
+            ObservationRequest(f"req-{k}", aoi_id, f"ev-{k}", 0.0)
             for k, aoi_id in enumerate(["aoi-0", "aoi-1", "aoi-1"])
         ]
         args = (requests, [sat], [station], contact_table, access_table)
